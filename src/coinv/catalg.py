@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from .comod import CoactionContext, coinvariance_residual
-from .exactlin import RationalMatrix, Subspace
+from .exactlin import RationalMatrix, Subspace, add_to
 from .freealg import FreeElement, TensorElement, Word, matrix_entry_algebra, theta
 from .fpquot import certified_kernel
 from .hopf import FMatrix, HopfCover, build_hf
@@ -153,12 +153,7 @@ class ComoduleSpace:
                     first, second = (h1, h2) if self.side == "left" else (h2, h1)
                     for w1, c1 in first.terms.items():
                         for w2, c2 in second.terms.items():
-                            key = (w1, w2)
-                            s = acc.get(key, Q(0)) + c1 * c2
-                            if s:
-                                acc[key] = s
-                            else:
-                                del acc[key]
+                            add_to(acc, (w1, w2), c1 * c2)
                 if dict(lhs.terms) != acc:
                     return False
         return True

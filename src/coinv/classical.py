@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .exactlin import Subspace, solve_homogeneous
+from .exactlin import Subspace, add_to, solve_homogeneous
 
 Q = Fraction
 
@@ -120,11 +120,7 @@ class PolyRing:
 def padd(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, Q(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+        add_to(out, m, c)
     return out
 
 
@@ -139,12 +135,7 @@ def pmul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = out.get(m, Q(0)) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            add_to(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2)
     return out
 
 
@@ -280,7 +271,8 @@ class DerivationAction:
                 if e and v in imgs:
                     lowered = list(mono)
                     lowered[v] -= 1
-                    out = padd(out, pscale(pmul({tuple(lowered): Q(1)}, imgs[v]), c * e))
+                    for img_mono, img_c in imgs[v].items():
+                        add_to(out, tuple(x + y for x, y in zip(lowered, img_mono)), c * e * img_c)
         return out
 
 

@@ -5,7 +5,8 @@ Exit codes separate the three outcomes the sound-only oracle can produce:
 value contradicts a theorem prediction or an independent oracle — a bug
 signal), 2 = inconclusive (some condition stayed NotCertified at the chosen
 truncation; raise --trunc), 3 = usage error (bad arguments, malformed or
-singular F, bounds out of range).
+singular F, bounds out of range).  Any other exception is an internal error
+and propagates with its traceback.
 
 Reports are deterministic for a fixed configuration: cases are computed (or
 dispatched to --jobs workers) and then sorted by case key before emission,
@@ -27,7 +28,8 @@ from .catalg import intertwiner_space, main_correspondence_check
 from .classical import fft1_check, fft2_check
 from .comod import CoactionContext, certify_fft, coinvariants, off_diagonal_vanish
 from .freealg import theta_matrix
-from .hopf import FMatrix, check_hopf_compat
+from .hopf import (COMPAT_MIN_DEGREE, RELATION_DEGREE, FMatrix, build_hf,
+                   check_hopf_compat)
 
 Q = Fraction
 
@@ -88,7 +90,10 @@ def parse_f(spec: str, t: int) -> FMatrix:
                 entries = [Q(p) for p in parts]
             except (ValueError, ZeroDivisionError) as exc:
                 raise CliUsageError(f"bad diagonal entry: {exc}") from exc
-            return FMatrix.diagonal(entries)
+            try:
+                return FMatrix.diagonal(entries)
+            except ValueError as exc:
+                raise CliUsageError(str(exc)) from exc
         raise CliUsageError(f"unknown preset {name!r}")
     if spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -113,13 +118,21 @@ def parse_f(spec: str, t: int) -> FMatrix:
     raise CliUsageError(f"--F must start with preset: or file: (got {spec!r})")
 
 
-def resolve_trunc(trunc: str, auto_value: int, minimum: int) -> int:
+def trunc_param(trunc: str):
+    """The --trunc value as given: 'auto' or an integer."""
     if trunc == "auto":
-        return max(auto_value, minimum)
+        return trunc
     try:
-        d = int(trunc)
+        return int(trunc)
     except ValueError as exc:
         raise CliUsageError(f"--trunc must be an integer or 'auto' (got {trunc!r})") from exc
+
+
+def resolve_trunc(trunc: str, auto_value: int, minimum: int) -> int:
+    minimum = max(minimum, RELATION_DEGREE)
+    d = trunc_param(trunc)
+    if d == "auto":
+        return max(auto_value, minimum)
     if d < minimum:
         raise CliUsageError(f"--trunc {d} below the minimum {minimum} for this run")
     return d
@@ -137,6 +150,14 @@ def make_case(bidegree, dim_coinv, dim_theta, certified, witness_degree, millis)
         "witness_degree": int(witness_degree),
         "millis": int(millis),
     }
+
+
+def classify(dim, dim_theta, target, certified) -> str:
+    """Status of one case: a dimension above the theorem's target, or a theta
+    rank off it, contradicts soundness; otherwise certified iff proven."""
+    if dim > target or dim_theta != target:
+        return "mismatch"
+    return "certified" if certified else "inconclusive"
 
 
 def aggregate_status(case_statuses) -> str:
@@ -214,20 +235,14 @@ def _certify_case(args):
     ctx = CoactionContext(m, n, t, F)
     rep = certify_fft(ctx, k, d, check_off_diagonal=False)
     millis = int((time.monotonic() - t0) * 1000) if timings else 0
-    target = (m * n) ** k
-    if rep.dim_coinv > target or rep.theta_rank != target:
-        status = "mismatch"
-    elif rep.certified:
-        status = "certified"
-    else:
-        status = "inconclusive"
+    status = classify(rep.dim_coinv, rep.theta_rank, (m * n) ** k, rep.certified)
     return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d, millis),
             status)
 
 
 def cmd_certify_fft(config: RunConfig, F: FMatrix):
     kmax = config.k
-    d_param = config.trunc if config.trunc == "auto" else int(config.trunc)
+    d_param = trunc_param(config.trunc)
     jobs_args = []
     for k in range(kmax + 1):
         d = resolve_trunc(config.trunc, 2 * k + 2, 2 * k)
@@ -253,13 +268,7 @@ def cmd_coinvariants(config: RunConfig, F: FMatrix):
     if i == j:
         rep = certify_fft(ctx, i, d, check_off_diagonal=False)
         dim, dim_theta, certified = rep.dim_coinv, rep.theta_rank, rep.certified
-        target = (config.m * config.n) ** i
-        if dim > target or dim_theta != target:
-            status = "mismatch"
-        elif certified:
-            status = "certified"
-        else:
-            status = "inconclusive"
+        status = classify(dim, dim_theta, (config.m * config.n) ** i, certified)
     else:
         V = coinvariants(ctx, (i, j), d)
         cert = off_diagonal_vanish(config.m, config.n, config.t, (i, j), ctx.hopf)
@@ -300,12 +309,7 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
     millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
     expected = (config.m * config.n) ** i if i == j else 0
     dim = len(basis)
-    if dim > expected:
-        status = "mismatch"
-    elif dim == expected:
-        status = "certified"
-    else:
-        status = "inconclusive"
+    status = classify(dim, expected, expected, dim == expected)
     cases = [make_case((i, j), dim, expected, dim == expected, d, millis)]
     return make_report(config, d, cases, status), _STATUS_EXIT[status]
 
@@ -314,8 +318,7 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
 
 
 def cmd_hopf_check(config: RunConfig, F: FMatrix):
-    d = resolve_trunc(config.trunc, 4, 2)
-    from .hopf import build_hf
+    d = resolve_trunc(config.trunc, COMPAT_MIN_DEGREE, COMPAT_MIN_DEGREE)
     t0 = time.monotonic()
     rep = check_hopf_compat(build_hf(F), d)
     millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
@@ -369,7 +372,7 @@ def cmd_correspondence(config: RunConfig, F: FMatrix):
     cases = []
     statuses = []
     extra = []
-    d_param = config.trunc if config.trunc == "auto" else int(config.trunc)
+    d_param = trunc_param(config.trunc)
     for k in range(config.k + 1):
         d = resolve_trunc(config.trunc, 2 * k + 2, 2 * k)
         t0 = time.monotonic()
@@ -444,13 +447,13 @@ def build_parser() -> _Parser:
 
 
 _COMMANDS = {
-    "certify-fft": (cmd_certify_fft, True),
-    "coinvariants": (cmd_coinvariants, True),
-    "theta-rank": (cmd_theta_rank, False),
-    "intertwiners": (cmd_intertwiners, True),
-    "hopf-check": (cmd_hopf_check, True),
-    "classical": (cmd_classical, False),
-    "correspondence": (cmd_correspondence, True),
+    "certify-fft": cmd_certify_fft,
+    "coinvariants": cmd_coinvariants,
+    "theta-rank": cmd_theta_rank,
+    "intertwiners": cmd_intertwiners,
+    "hopf-check": cmd_hopf_check,
+    "classical": cmd_classical,
+    "correspondence": cmd_correspondence,
 }
 
 
@@ -475,16 +478,12 @@ def run(argv) -> int:
             timings=args.timings, output=args.output,
             max_degree=getattr(args, "max_degree", None),
         )
-        fn, _ = _COMMANDS[args.command]
-        result = fn(config, F)
+        result = _COMMANDS[args.command](config, F)
         report, code = result[0], result[1]
         extra = result[2] if len(result) > 2 else ()
         emit(report, config, extra)
         return code
     except CliUsageError as exc:
-        sys.stderr.write(f"coinv: error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
         sys.stderr.write(f"coinv: error: {exc}\n")
         return EXIT_USAGE
 

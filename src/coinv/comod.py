@@ -9,11 +9,10 @@ coinvariants {x : alpha(x) = 1 (x) x} are computed bidegree by bidegree.
 Certification logic (the squeeze): the solver accepts x as coinvariant only
 when every H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal
 membership witness, so the computed space V is a subspace of the true
-coinvariants; the explicit image of theta is checked to sit inside V.  With
-the theorem's prediction theta : A(m,n) ~ coinvariants, the chain
-Im theta_k <= V <= (true coinvariants at bidegree (k,k)) pins everything
-once dim V equals rank theta_k = (mn)^k — independent of how much of the
-ideal the truncation saw.
+coinvariants C; the explicit image of theta is checked to sit inside V.  In
+the chain Im theta_k <= V <= C at bidegree (k,k), dim V = rank theta_k =
+(mn)^k proves Im theta_k = V <= C, independent of how much of the ideal the
+truncation saw.  C <= Im theta_k is the paper's theorem and is not computed.
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof: alpha(x) specializes to z^(j-i) (x) x,
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactlin import Subspace
+from .exactlin import Subspace, add_to
 from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra,
                       theta, theta_matrix)
 from .fpquot import certified_kernel
@@ -92,12 +91,7 @@ class CoactionContext:
         for (wy, wu), c in self.rho_gen(i, j).terms.items():
             s_img = self.hopf.antipode(FreeElement(h, {wu: Q(1)}))
             for ws, cs in s_img.terms.items():
-                k = (ws, wy)
-                s = out.get(k, Q(0)) + c * cs
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                add_to(out, (ws, wy), c * cs)
         return TensorElement(h, self.amt, out)
 
     # -- word-level coaction terms -------------------------------------------
@@ -147,12 +141,7 @@ class CoactionContext:
             for wb in self.atn.degree_basis(j):
                 acc: dict[PairKey, dict[Word, Q]] = {}
                 for hw, c, tgt in self.tensor_word_terms(wa, wb):
-                    bucket = acc.setdefault(tgt, {})
-                    s = bucket.get(hw, Q(0)) + c
-                    if s:
-                        bucket[hw] = s
-                    else:
-                        del bucket[hw]
+                    add_to(acc.setdefault(tgt, {}), hw, c)
                 for tgt, terms in acc.items():
                     if terms:
                         out[((wa, wb), tgt)] = FreeElement(halg, terms)
@@ -209,12 +198,7 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     constraint_terms: dict[int, dict[int, dict[Word, Q]]] = {}
     for s, (wa, wb) in enumerate(pairs):
         for hw, c, tgt in ctx.tensor_word_terms(wa, wb):
-            bucket = constraint_terms.setdefault(index[tgt], {}).setdefault(s, {})
-            v = bucket.get(hw, Q(0)) + c
-            if v:
-                bucket[hw] = v
-            else:
-                del bucket[hw]
+            add_to(constraint_terms.setdefault(index[tgt], {}).setdefault(s, {}), hw, c)
     constraints = []
     for tau in range(len(pairs)):
         terms = [(s, FreeElement(halg, words))
@@ -239,19 +223,9 @@ def coinvariance_residual(ctx: CoactionContext, x: TensorElement, d: int):
     acc: dict[PairKey, dict[Word, Q]] = {}
     for (wa, wb), coeff in x.terms.items():
         for hw, c, tgt in ctx.tensor_word_terms(wa, wb):
-            bucket = acc.setdefault(tgt, {})
-            s = bucket.get(hw, Q(0)) + coeff * c
-            if s:
-                bucket[hw] = s
-            else:
-                del bucket[hw]
+            add_to(acc.setdefault(tgt, {}), hw, coeff * c)
     for tgt, coeff in x.terms.items():
-        bucket = acc.setdefault(tgt, {})
-        s = bucket.get((), Q(0)) - coeff
-        if s:
-            bucket[()] = s
-        else:
-            bucket.pop((), None)
+        add_to(acc.setdefault(tgt, {}), (), -coeff)
     residuals = {}
     for tgt, words in acc.items():
         if not words:
@@ -495,18 +469,7 @@ def _random_combination(ctx: CoactionContext, basis_rows, bidegree, rng) -> Tens
         if not c:
             continue
         for idx, v in row.items():
-            s = coords.get(idx, Q(0)) + c * v
-            if s:
-                coords[idx] = s
-            else:
-                del coords[idx]
+            add_to(coords, idx, c * v)
     if not coords and basis_rows:
         coords = dict(basis_rows[rng.randrange(len(basis_rows))])
     return ctx.element_from_coords(bidegree, coords)
-
-
-# -- context-free convenience wrappers ----------------------------------------------
-
-
-def tensor_coaction(m: int, n: int, t: int, F: FMatrix, bidegree: tuple[int, int]):
-    return CoactionContext(m, n, t, F).tensor_coaction(bidegree)

@@ -1,22 +1,43 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, and coinv's one eliminator.
 
 Everything downstream (ideal truncations, coinvariant solvers, kernel
-computations) reduces to row reduction of sparse matrices with Fraction
-entries.  Rows are dicts mapping column index to a nonzero coefficient;
-reduced row echelon form is canonical, so subspace equality is dict
-equality of RREF rows.
+computations) reduces to row reduction of sparse matrices.  Rows are dicts
+mapping column index to a nonzero coefficient.  Elimination is fraction-free:
+rational rows are cleared to primitive integer rows and inserted into a
+triangular basis of gcd-normalized integer rows (`_insert`); vectors are
+reduced modulo such a basis to their unique residual on the non-pivot
+columns (`_reduce`); and back-substitution turns the basis into reduced row
+echelon form (`_back_substitute`).  RREF is canonical, so subspace equality
+is dict equality of RREF rows.  The truncated ideal quotients of `fpquot`
+run their block elimination and normal-form queries on the same routines.
+
+`add_to` is the sparse accumulator used by every other module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Q = Fraction
 
 # sparse row: column index -> nonzero rational coefficient
 Row = dict[int, Q]
+# sparse integer row of a fraction-free triangular basis
+IntRow = dict[int, int]
+
+
+def add_to(acc: dict, key, c) -> None:
+    """acc[key] += c on a sparse dict, dropping the key when the sum is zero."""
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def _clean_row(entries: Mapping[int, object]) -> Row:
@@ -106,11 +127,7 @@ class RationalMatrix:
         for a, b in zip(self.rows, other.rows):
             r = dict(a)
             for c, v in b.items():
-                w = r.get(c, Q(0)) + v
-                if w:
-                    r[c] = w
-                else:
-                    r.pop(c, None)
+                add_to(r, c, v)
             rows.append(r)
         return RationalMatrix(self.nrows, self.ncols, rows)
 
@@ -135,11 +152,7 @@ class RationalMatrix:
             acc: Row = {}
             for k, v in a.items():
                 for c, w in other.rows[k].items():
-                    s = acc.get(c, Q(0)) + v * w
-                    if s:
-                        acc[c] = s
-                    else:
-                        del acc[c]
+                    add_to(acc, c, v * w)
             rows.append(acc)
         return RationalMatrix(self.nrows, other.ncols, rows)
 
@@ -208,62 +221,126 @@ def vstack(mats: Sequence[RationalMatrix]) -> RationalMatrix:
     return RationalMatrix(len(rows), ncols, rows)
 
 
-# -- row reduction ---------------------------------------------------------
+# -- the eliminator --------------------------------------------------------
+#
+# A triangular basis maps each pivot column to a row whose minimal column is
+# that pivot.  `_insert` builds one from integer rows fraction-free and
+# `_back_substitute` reduces it; `_reduce` accepts any triangular basis,
+# integer or rational.  `_insert` and `_reduce` are the innermost loops of
+# block elimination, so they accumulate inline rather than through add_to.
 
 
-def _echelon_insert(pivots: dict[int, Row], row: Row) -> int | None:
-    """Reduce `row` against the triangular basis `pivots`, installing it if
-    a new leading column survives.  Returns the new pivot column or None.
+def _normalize_content(row: IntRow) -> None:
+    """Divide an integer row by the gcd of its entries and make its lead positive."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    if row and row[min(row)] < 0:
+        for c in row:
+            row[c] = -row[c]
 
-    Invariant: pivots[c] is a row whose minimal support column is c with
-    coefficient 1, and distinct pivot rows have distinct leading columns.
+
+def _integer_row(row: Mapping) -> dict:
+    """The primitive integer multiple of a sparse rational vector, same keys."""
+    den = lcm(*(v.denominator for v in row.values()))
+    out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    _normalize_content(out)
+    return out
+
+
+def _insert(pivots: dict[int, IntRow], row: IntRow) -> int | None:
+    """Fraction-free insertion of an integer row into a triangular basis.
+
+    Consumes `row`.  Returns the new pivot column, or None if the row
+    reduced to zero.
     """
+    steps = 0
     while row:
         lead = min(row)
         piv = pivots.get(lead)
         if piv is None:
-            inv = Q(1) / row[lead]
-            if inv != 1:
-                for c in row:
-                    row[c] *= inv
+            _normalize_content(row)
             pivots[lead] = row
             return lead
         a = row.pop(lead)
+        b = piv[lead]
+        g = gcd(a, b)
+        bb, aa = b // g, a // g
+        if bb < 0:
+            bb, aa = -bb, -aa
+        if bb != 1:
+            for c in row:
+                row[c] *= bb
         for c, v in piv.items():
             if c == lead:
                 continue
-            w = row.get(c, Q(0)) - a * v
+            w = row.get(c, 0) - aa * v
             if w:
                 row[c] = w
             else:
                 row.pop(c, None)
+        steps += 1
+        if steps & 15 == 0 and row:
+            _normalize_content(row)
     return None
 
 
-def _echelon(rows: Iterable[Row]) -> dict[int, Row]:
-    """Triangular (not fully reduced) basis of the row space, keyed by pivot column."""
-    pivots: dict[int, Row] = {}
+def _reduce(pivots: Mapping[int, Mapping[int, object]], vec: Row) -> Row:
+    """Reduce a rational vector, in place, modulo the row space of a triangular basis.
+
+    The residual is supported on non-pivot columns only; it is the unique
+    such representative, so the result does not depend on the particular
+    triangular basis.
+    """
+    heap = list(vec)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        val = vec.get(c)
+        if not val:
+            vec.pop(c, None)
+            continue
+        piv = pivots.get(c)
+        if piv is None:
+            continue
+        f = vec.pop(c) / piv[c]
+        for cc, vv in piv.items():
+            if cc == c:
+                continue
+            w = vec.get(cc, Q(0)) - f * vv
+            if w:
+                if cc not in vec:
+                    heappush(heap, cc)
+                vec[cc] = w
+            else:
+                vec.pop(cc, None)
+    return vec
+
+
+def _echelon(rows: Iterable[Row]) -> dict[int, IntRow]:
+    """Triangular integer basis of the row space of rational rows, keyed by pivot column."""
+    pivots: dict[int, IntRow] = {}
     for r in rows:
-        _echelon_insert(pivots, dict(r))
+        if r:
+            _insert(pivots, _integer_row(r))
     return pivots
 
 
-def _back_substitute(pivots: dict[int, Row]) -> dict[int, Row]:
-    """Fully reduce a triangular basis so non-pivot tails avoid pivot columns."""
+def _back_substitute(pivots: Mapping[int, IntRow]) -> dict[int, Row]:
+    """The reduced row echelon basis of a triangular integer basis, keyed by pivot column."""
     reduced: dict[int, Row] = {}
     for lead in sorted(pivots, reverse=True):
-        row = dict(pivots[lead])
-        for c in [c for c in row if c != lead and c in reduced]:
-            a = row.pop(c)
-            for cc, vv in reduced[c].items():
-                if cc == c:
-                    continue
-                w = row.get(cc, Q(0)) - a * vv
-                if w:
-                    row[cc] = w
-                else:
-                    row.pop(cc, None)
-        reduced[lead] = row
+        row = pivots[lead]
+        a = row[lead]
+        tail = {c: Q(v, a) for c, v in row.items() if c != lead}
+        out = {lead: Q(1)}
+        out.update(_reduce(reduced, tail))
+        reduced[lead] = out
     return reduced
 
 
@@ -315,10 +392,6 @@ class Subspace:
         return cls(ambient_dim, _back_substitute(_echelon(rows)))
 
     @classmethod
-    def from_matrix_rows(cls, m: RationalMatrix) -> "Subspace":
-        return cls(m.ncols, _back_substitute(_echelon(m.rows)))
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, {})
 
@@ -337,18 +410,7 @@ class Subspace:
         v = _clean_row(vector) if isinstance(vector, Mapping) else row_from_sequence(vector)
         if v and max(v) >= self.ambient_dim:
             raise ValueError("vector exceeds ambient dimension")
-        for c in sorted(v):
-            if c in self._pivot_rows and c in v:
-                a = v.pop(c)
-                for cc, vv in self._pivot_rows[c].items():
-                    if cc == c:
-                        continue
-                    w = v.get(cc, Q(0)) - a * vv
-                    if w:
-                        v[cc] = w
-                    else:
-                        v.pop(cc, None)
-        return v
+        return _reduce(self._pivot_rows, v)
 
     def contains(self, vector: Mapping[int, object] | Sequence[object]) -> bool:
         return not self.reduce(vector)
@@ -375,11 +437,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def membership(space: Subspace, vector: Mapping[int, object] | Sequence[object]) -> bool:
-    """Exact membership test of a vector in a subspace."""
-    return space.contains(vector)
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:

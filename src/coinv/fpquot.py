@@ -16,8 +16,10 @@ Implementation notes
   splits as a direct sum over the word weight; blocks have disjoint word
   support and are eliminated lazily and independently.  This is invisible
   in the API and is what keeps large truncations affordable.
-* Block elimination runs fraction-free over gcd-normalized integer rows;
-  queries reduce rational vectors against the integer pivot rows.
+* Blocks are eliminated by exactlin's one fraction-free eliminator: each
+  relation multiple a*r*b is a gcd-normalized integer row inserted into the
+  block's triangular basis, and normal-form queries reduce rational vectors
+  against those integer pivot rows.
 * Quotients are cached in-process by (presentation fingerprint, d); set
   COINV_CACHE_DIR to also persist eliminated blocks across runs.
 """
@@ -32,11 +34,9 @@ import tempfile
 import threading
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from heapq import heapify, heappop, heappush
-from math import gcd
 
-from .exactlin import Subspace, _back_substitute
+from .exactlin import (IntRow, Subspace, _back_substitute, _insert, _integer_row,
+                       _normalize_content, _reduce, add_to, solve_homogeneous)
 from .freealg import FreeAlgebra, FreeElement, Word
 
 Q = Fraction
@@ -106,101 +106,6 @@ class Presentation:
         return f"Presentation({self.algebra!r}, {len(self.relations)} relations)"
 
 
-# -- integer row helpers -----------------------------------------------------
-
-IntRow = dict[int, int]
-
-
-def _int_terms(r: FreeElement) -> list[tuple[Word, int]]:
-    """Relation terms scaled to primitive integer coefficients."""
-    den = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator), r.terms.values(), 1)
-    terms = [(w, int(c * den)) for w, c in r.terms.items()]
-    g = reduce(gcd, (abs(c) for _, c in terms))
-    return [(w, c // g) for w, c in terms]
-
-
-def _normalize_content(row: IntRow) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        for c in row:
-            row[c] //= g
-    if row and row[min(row)] < 0:
-        for c in row:
-            row[c] = -row[c]
-
-
-def _int_insert(pivots: dict[int, IntRow], row: IntRow) -> int | None:
-    """Fraction-free insertion of an integer row into a triangular basis.
-
-    Returns the new pivot column, or None if the row reduced to zero.
-    """
-    steps = 0
-    while row:
-        lead = min(row)
-        piv = pivots.get(lead)
-        if piv is None:
-            _normalize_content(row)
-            pivots[lead] = row
-            return lead
-        a = row.pop(lead)
-        b = piv[lead]
-        g = gcd(a, b)
-        bb, aa = b // g, a // g
-        if bb < 0:
-            bb, aa = -bb, -aa
-        if bb != 1:
-            for c in row:
-                row[c] *= bb
-        for c, v in piv.items():
-            if c == lead:
-                continue
-            w = row.get(c, 0) - aa * v
-            if w:
-                row[c] = w
-            else:
-                row.pop(c, None)
-        steps += 1
-        if steps & 15 == 0 and row:
-            _normalize_content(row)
-    return None
-
-
-def _reduce_query(pivots: dict[int, IntRow], vec: dict[int, Q]) -> dict[int, Q]:
-    """Reduce a rational vector modulo the row space of the pivot rows.
-
-    The residual is supported on non-pivot columns only; it is the unique
-    such representative, so the result does not depend on the particular
-    triangular basis.
-    """
-    heap = list(vec)
-    heapify(heap)
-    while heap:
-        c = heappop(heap)
-        val = vec.get(c)
-        if not val:
-            vec.pop(c, None)
-            continue
-        piv = pivots.get(c)
-        if piv is None:
-            continue
-        f = vec.pop(c) / piv[c]
-        for cc, vv in piv.items():
-            if cc == c:
-                continue
-            w = vec.get(cc, Q(0)) - f * vv
-            if w:
-                if cc not in vec:
-                    heappush(heap, cc)
-                vec[cc] = w
-            else:
-                vec.pop(cc, None)
-    return vec
-
-
 class _Block:
     """Eliminated weight block: its word list and integer pivot rows."""
 
@@ -225,7 +130,8 @@ class TruncatedQuotient:
         self.presentation = presentation
         self.d = d
         self._graded = presentation.is_weight_graded
-        self._scaled = [(_int_terms(r), r.weight(), r.degree()) for r in presentation.relations]
+        self._scaled = [(list(_integer_row(r.terms).items()), r.weight(), r.degree())
+                        for r in presentation.relations]
         self._blocks: dict[int | None, _Block] = {}
         self._dw: dict[int, dict[int, tuple[Word, ...]]] = {}
         self._nf_cache: dict[Word, dict[Word, Q]] = {}
@@ -288,16 +194,8 @@ class TruncatedQuotient:
                             continue
                         for a in aws:
                             for b in bws:
-                                row: IntRow = {}
-                                for w, c in terms:
-                                    col = index[a + w + b]
-                                    s = row.get(col, 0) + c
-                                    if s:
-                                        row[col] = s
-                                    else:
-                                        del row[col]
-                                if not row:
-                                    continue
+                                # distinct words w give distinct columns a+w+b
+                                row = {index[a + w + b]: c for w, c in terms}
                                 _normalize_content(row)
                                 key = tuple(sorted(row.items()))
                                 if key in seen:
@@ -307,7 +205,7 @@ class TruncatedQuotient:
         rows.sort(key=lambda r: (min(r), len(r)))
         pivots: dict[int, IntRow] = {}
         for row in rows:
-            _int_insert(pivots, row)
+            _insert(pivots, row)
         return _Block(words, pivots)
 
     def _block(self, z: int) -> _Block:
@@ -333,13 +231,8 @@ class TruncatedQuotient:
             raise ValueError(f"degree {x.degree()} exceeds truncation {self.d}")
         out: dict[Word, Q] = {}
         for w, c in x.terms.items():
-            nf = self.normal_form_word(w)
-            for ww, cc in nf.items():
-                s = out.get(ww, Q(0)) + c * cc
-                if s:
-                    out[ww] = s
-                else:
-                    del out[ww]
+            for ww, cc in self.normal_form_word(w).items():
+                add_to(out, ww, c * cc)
         return out
 
     def normal_form_word(self, w: Word) -> dict[Word, Q]:
@@ -349,7 +242,7 @@ class TruncatedQuotient:
             if len(w) > self.d:
                 raise ValueError(f"degree {len(w)} exceeds truncation {self.d}")
             blk = self._block(self._key_of_word(w))
-            vec = _reduce_query(blk.pivots, {blk.index[w]: Q(1)})
+            vec = _reduce(blk.pivots, {blk.index[w]: Q(1)})
             got = {blk.words[c]: v for c, v in vec.items()}
             self._nf_cache[w] = got
         return got
@@ -390,11 +283,7 @@ class TruncatedQuotient:
         reduced_global: dict[int, dict[int, Q]] = {}
         for z in self.block_keys():
             blk = self._block(z)
-            rows: dict[int, dict[int, Q]] = {}
-            for lead, row in blk.pivots.items():
-                inv = Q(1, row[lead])
-                rows[lead] = {c: v * inv for c, v in row.items()}
-            for lead, row in _back_substitute(rows).items():
+            for lead, row in _back_substitute(blk.pivots).items():
                 reduced_global[order[blk.words[lead]]] = {
                     order[blk.words[c]]: v for c, v in row.items()}
         return Subspace(len(order), reduced_global)
@@ -470,26 +359,6 @@ def _save_block_cache(q: TruncatedQuotient, z: int, blk: _Block) -> None:
             pass
 
 
-# -- module-level conveniences -------------------------------------------------
-
-
-def ideal_component(presentation: Presentation, d: int) -> Subspace:
-    """Truncated ideal I_d as a subspace (columns in word_order convention)."""
-    return truncated_quotient(presentation, d).ideal_span()
-
-
-def quotient_basis(presentation: Presentation, d: int) -> tuple[Word, ...]:
-    return truncated_quotient(presentation, d).quotient_basis()
-
-
-def normal_form(q: TruncatedQuotient, x: FreeElement) -> dict[Word, Q]:
-    return q.normal_form(x)
-
-
-def is_zero_mod(q: TruncatedQuotient, x: FreeElement) -> CertStatus:
-    return q.is_zero_mod(x)
-
-
 def certified_kernel(q: TruncatedQuotient, nunknowns: int, constraints) -> Subspace:
     """Common solver for linear conditions modulo the truncated ideal.
 
@@ -500,16 +369,9 @@ def certified_kernel(q: TruncatedQuotient, nunknowns: int, constraints) -> Subsp
     (both coinvariant equations and comodule-morphism equations take this
     shape).
     """
-    from .exactlin import solve_homogeneous
-
     rows: dict[tuple[int, Word], dict[int, Q]] = {}
     for cid, terms in enumerate(constraints):
         for u_idx, elem in terms:
             for w, c in q.normal_form(elem).items():
-                row = rows.setdefault((cid, w), {})
-                s = row.get(u_idx, Q(0)) + c
-                if s:
-                    row[u_idx] = s
-                else:
-                    del row[u_idx]
+                add_to(rows.setdefault((cid, w), {}), u_idx, c)
     return solve_homogeneous(rows.values(), nunknowns)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .exactlin import RationalMatrix, rank
+from .exactlin import RationalMatrix, add_to, rank
 
 Q = Fraction
 
@@ -122,10 +122,6 @@ class FreeAlgebra:
             raise ValueError("degree must be nonnegative")
         return tuple(product(range(self.nletters), repeat=k))
 
-    def words_upto(self, d: int) -> Iterator[Word]:
-        for k in range(d + 1):
-            yield from self.degree_basis(k)
-
     # -- elements ----------------------------------------------------------
 
     def element(self, terms: Mapping[Word, Scalar]) -> "FreeElement":
@@ -207,11 +203,7 @@ class FreeElement:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, Q(0)) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
+            add_to(terms, w, c)
         return FreeElement(self.algebra, terms)
 
     def __neg__(self) -> "FreeElement":
@@ -234,12 +226,7 @@ class FreeElement:
         terms: dict[Word, Q] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                w = wa + wb
-                s = terms.get(w, Q(0)) + ca * cb
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
+                add_to(terms, wa + wb, ca * cb)
         return FreeElement(self.algebra, terms)
 
     def __pow__(self, k: int) -> "FreeElement":
@@ -312,11 +299,7 @@ class TensorElement:
         self._check(other)
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            s = terms.get(p, Q(0)) + c
-            if s:
-                terms[p] = s
-            else:
-                terms.pop(p, None)
+            add_to(terms, p, c)
         return TensorElement(self.left_algebra, self.right_algebra, terms)
 
     def __neg__(self) -> "TensorElement":
@@ -342,12 +325,7 @@ class TensorElement:
         terms: dict[tuple[Word, Word], Q] = {}
         for (la, ra), ca in self.terms.items():
             for (lb, rb), cb in other.terms.items():
-                p = (la + lb, ra + rb)
-                s = terms.get(p, Q(0)) + ca * cb
-                if s:
-                    terms[p] = s
-                else:
-                    del terms[p]
+                add_to(terms, (la + lb, ra + rb), ca * cb)
         return TensorElement(self.left_algebra, self.right_algebra, terms)
 
     def __eq__(self, other: object) -> bool:

@@ -24,11 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import RationalMatrix, rref
+from .exactlin import RationalMatrix, add_to, rref
 from .freealg import FreeAlgebra, FreeElement, GeneratorSet, TensorElement, Word
 from .fpquot import CertStatus, Presentation, TruncatedQuotient, truncated_quotient
 
 Q = Fraction
+
+# Every relation of H(F) is quadratic, so a truncated quotient of the cover
+# needs d >= RELATION_DEGREE; check_hopf_compat needs d >= COMPAT_MIN_DEGREE.
+RELATION_DEGREE = 2
+COMPAT_MIN_DEGREE = max(4, RELATION_DEGREE)
 
 # Laurent polynomial in the grading variable: exponent -> coefficient
 LaurentPoly = dict[int, Q]
@@ -284,12 +289,7 @@ def grading_specialize(x: FreeElement) -> LaurentPoly:
     for w, c in x.terms.items():
         if any(info[1] != info[2] for info in map(alg.letter_info, w)):
             continue
-        e = alg.word_weight(w)
-        s = out.get(e, Q(0)) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
+        add_to(out, alg.word_weight(w), c)
     return out
 
 
@@ -331,8 +331,8 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
     in the ideal, and (NF (x) NF)(Delta(relation)) vanishes, i.e.
     Delta(relation) lies in I (x) cover + cover (x) I.
     """
-    if d < max(4, h.presentation.max_relation_degree):
-        raise ValueError("compatibility checks need d >= max(4, relation degree)")
+    if d < COMPAT_MIN_DEGREE:
+        raise ValueError(f"compatibility checks need d >= {COMPAT_MIN_DEGREE}")
     alg = h.algebra
     q = h.quotient(d)
 
@@ -345,25 +345,20 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
         rhs: dict[tuple[Word, Word, Word], Q] = {}
         for (w1, w2), c in dg.terms.items():
             for (a, b), cc in h.delta_word(w1).terms.items():
-                k = (a, b, w2)
-                lhs[k] = lhs.get(k, Q(0)) + c * cc
+                add_to(lhs, (a, b, w2), c * cc)
             for (a, b), cc in h.delta_word(w2).terms.items():
-                k = (w1, a, b)
-                rhs[k] = rhs.get(k, Q(0)) + c * cc
-        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                add_to(rhs, (w1, a, b), c * cc)
+        if lhs != rhs:
             coassoc_ok = False
         left_law: dict[Word, Q] = {}
         right_law: dict[Word, Q] = {}
         for (w1, w2), c in dg.terms.items():
             e1 = h.counit(FreeElement(alg, {w1: Q(1)}))
             e2 = h.counit(FreeElement(alg, {w2: Q(1)}))
-            if e1:
-                left_law[w2] = left_law.get(w2, Q(0)) + c * e1
-            if e2:
-                right_law[w1] = right_law.get(w1, Q(0)) + c * e2
+            add_to(left_law, w2, c * e1)
+            add_to(right_law, w1, c * e2)
         expect = {g_word: Q(1)}
-        if {k: v for k, v in left_law.items() if v} != expect \
-                or {k: v for k, v in right_law.items() if v} != expect:
+        if left_law != expect or right_law != expect:
             counit_ok = False
 
     counit_kills = all(h.counit(r) == 0 for _, r in h.labeled_relations)
@@ -383,12 +378,7 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
                 continue
             for a, ca in nf1.items():
                 for b, cb in nf2.items():
-                    k = (a, b)
-                    s = residual.get(k, Q(0)) + c * ca * cb
-                    if s:
-                        residual[k] = s
-                    else:
-                        del residual[k]
+                    add_to(residual, (a, b), c * ca * cb)
         rel_coprod.append(CertStatus.CERTIFIED_ZERO if not residual
                           else CertStatus.NOT_CERTIFIED)
 

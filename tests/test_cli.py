@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from coinv import cli as cli_module
 from coinv.cli import (
     CliUsageError,
     RunConfig,
@@ -118,6 +119,30 @@ def test_run_rejects_bad_bounds(capsys):
                 "--jobs", "0"]) == 3
     assert run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "2",
                 "--trunc", "3"]) == 3
+    # below the degree of the H(F) relations, or of the Hopf compatibility checks
+    assert run(["certify-fft", "-t", "1", "-k", "0", "--trunc", "1"]) == 3
+    assert run(["intertwiners", "-t", "1", "-i", "0", "-j", "0", "--trunc", "0"]) == 3
+    assert run(["hopf-check", "-t", "1", "--trunc", "3"]) == 3
+
+
+def test_run_non_integer_trunc_exits_three(capsys):
+    for command in ("certify-fft", "correspondence"):
+        assert run([command, "-t", "1", "-k", "1", "--trunc", "soon"]) == 3
+        assert "--trunc must be an integer" in capsys.readouterr().err
+
+
+def test_run_singular_diag_preset_exits_three(capsys):
+    assert run(["certify-fft", "-t", "2", "--F", "preset:diag:0,1", "-k", "1"]) == 3
+    assert "invertible" in capsys.readouterr().err
+
+
+def test_run_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(config, F):
+        raise ValueError("internal failure")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "theta-rank", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(["theta-rank", "-k", "1"])
 
 
 def test_run_usage_error_exits_three():

@@ -136,3 +136,54 @@ def test_rank_product_bound(a, b):
 def test_rref_idempotent(m):
     once = rref(m).matrix
     assert rref(once).matrix == once
+
+
+# -- rational entries: the denominator-clearing path of the eliminator ------------
+
+rational_entries = st.builds(Q, st.integers(min_value=-4, max_value=4),
+                             st.integers(min_value=1, max_value=3))
+
+
+def dense_rref(rows):
+    """Reference Gauss-Jordan elimination on dense Fraction rows: nonzero RREF rows."""
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    lead_row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(lead_row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[lead_row], a[piv] = a[piv], a[lead_row]
+        p = a[lead_row][col]
+        a[lead_row] = [x / p for x in a[lead_row]]
+        for r in range(len(a)):
+            if r != lead_row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[lead_row])]
+        lead_row += 1
+    return a[:lead_row]
+
+
+def dense_residual(rref_rows, vec):
+    """vec minus its combination of the RREF rows at their pivot columns."""
+    out = list(vec)
+    for row in rref_rows:
+        lead = next(c for c, x in enumerate(row) if x)
+        f = out[lead]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return {c: x for c, x in enumerate(out) if x}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rational_entries, min_size=5, max_size=5), min_size=1, max_size=5),
+       st.lists(rational_entries, min_size=5, max_size=5))
+def test_rational_rref_and_reduce_match_dense_gauss_jordan(rows, vec):
+    expected = dense_rref(rows)
+    assert rref(RationalMatrix.from_rows(rows)).matrix.to_dense() == expected
+    space = Subspace.from_vectors(5, rows)
+    residual = space.reduce(vec)
+    assert residual == dense_residual(expected, vec)
+    assert space.contains(vec) == (not residual)
+    combo = [sum((c * r[i] for c, r in zip(vec, rows)), Q(0)) for i in range(5)]
+    assert space.reduce(combo) == {}

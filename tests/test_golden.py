@@ -1,0 +1,37 @@
+"""Golden reports: one small case per command must reproduce its JSON report byte for byte.
+
+The files under tests/golden/ were written by `coinv <args> --format json`.
+A change to the eliminator, the accumulators or the status logic that alters
+any verdict, dimension or the report layout shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from coinv.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "certify-fft_m3_n2_t1_identity_k4": "certify-fft -m 3 -n 2 -t 1 --F preset:identity -k 4",
+    "certify-fft_m1_n1_t2_jordan_k2": "certify-fft -m 1 -n 1 -t 2 --F preset:jordan -k 2",
+    "coinvariants_m2_n2_t2_diag_i2_j1": "coinvariants -m 2 -n 2 -t 2 --F preset:diag:1,2 -i 2 -j 1",
+    "coinvariants_m1_n1_t2_jordan_i1_j1": "coinvariants -m 1 -n 1 -t 2 --F preset:jordan -i 1 -j 1",
+    "theta-rank_m2_n2_t2_k3": "theta-rank -m 2 -n 2 -t 2 -k 3",
+    "intertwiners_m2_n2_t2_jordan_i1_j1": "intertwiners -m 2 -n 2 -t 2 --F preset:jordan -i 1 -j 1",
+    "hopf-check_m1_n1_t2_jordan": "hopf-check -m 1 -n 1 -t 2 --F preset:jordan",
+    "classical_m2_n2_t1_d4": "classical -m 2 -n 2 -t 1 --max-degree 4",
+    "correspondence_m2_n2_t2_jordan_k1": "correspondence -m 2 -n 2 -t 2 --F preset:jordan -k 1",
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(CASES[name].split() + ["--format", "json", "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coinv.hopf import (
+    RELATION_DEGREE,
     FMatrix,
     build_hf,
     check_hopf_compat,
@@ -67,6 +68,14 @@ def test_relation_families_jordan():
     assert len(h.labeled_relations) == 16
     families = {label.split("[")[0] for label, _ in h.labeled_relations}
     assert families == {"u.tv", "tv.u", "v.FtuFi", "FtuFi.v"}
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_relation_degree_constant_matches_presentation(t):
+    for F in grid_f_matrices(t):
+        h = build_hf(F)
+        assert h.presentation.max_relation_degree == RELATION_DEGREE
+        assert all(r.degree() == RELATION_DEGREE for _, r in h.labeled_relations)
 
 
 def test_duplicate_relations_collapse_for_trivial_f():
