@@ -1,16 +1,17 @@
 """Command-line front end: run certification suites, emit reports.
 
-Exit codes separate the three outcomes the sound-only oracle can produce:
-0 = everything certified/passed, 1 = a mathematical mismatch (a computed
-value contradicts a theorem prediction or an independent oracle — a bug
-signal), 2 = inconclusive (some condition stayed NotCertified at the chosen
-truncation; raise --trunc), 3 = usage error (bad arguments, malformed or
-singular F, bounds out of range).  Any other exception is an internal error
-and propagates with its traceback.
+Exit codes: 0 = everything certified/passed, 1 = a mathematical mismatch (a
+computed value contradicts a theorem prediction or an independent oracle — a
+bug signal), 2 = inconclusive (some condition stayed NotCertified at the
+chosen truncation; raise --trunc), 3 = usage error (bad arguments, malformed
+or singular F, bounds out of range), 4 = internal error (any other
+exception; `main` prints its traceback to stderr).
 
-Reports are deterministic for a fixed configuration: cases are computed (or
-dispatched to --jobs workers) and then sorted by case key before emission,
-and timings are recorded as 0 unless --timings is given.
+--F and --trunc belong to the five commands that build a truncated quotient;
+theta-rank and classical need neither.  A report is {schema: 2, version,
+command, params{m,n,t,F,k,d}, cases[], status}.  It is deterministic for a
+fixed configuration: cases are sorted by bidegree, and millis stay 0 unless
+--timings is given.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ EXIT_CERTIFIED = 0
 EXIT_MISMATCH = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _STATUS_ORDER = {"certified": 0, "inconclusive": 1, "mismatch": 2}
 _STATUS_EXIT = {"certified": EXIT_CERTIFIED, "inconclusive": EXIT_INCONCLUSIVE,
@@ -63,15 +65,12 @@ class RunConfig:
     n: int
     t: int
     f_spec: str
-    k: int | None
+    k: int | None  # -k, or --max-degree for classical
     bidegree: tuple[int, int] | None
-    trunc: str
-    seed: int
+    trunc: str | None  # None for the commands without --trunc
     fmt: str
-    jobs: int
     timings: bool
     output: str | None
-    max_degree: int | None = None
 
 
 def parse_f(spec: str, t: int) -> FMatrix:
@@ -161,16 +160,12 @@ def classify(dim, dim_theta, target, certified) -> str:
 
 
 def aggregate_status(case_statuses) -> str:
-    worst = "certified"
-    for s in case_statuses:
-        if _STATUS_ORDER[s] > _STATUS_ORDER[worst]:
-            worst = s
-    return worst
+    return max(case_statuses, key=_STATUS_ORDER.__getitem__, default="certified")
 
 
 def make_report(config: RunConfig, d_param, cases, status) -> dict:
     return {
-        "schema": 1,
+        "schema": 2,
         "version": __version__,
         "command": config.command,
         "params": {
@@ -178,9 +173,8 @@ def make_report(config: RunConfig, d_param, cases, status) -> dict:
             "n": config.n,
             "t": config.t,
             "F": config.f_spec,
-            "k": config.k if config.max_degree is None else config.max_degree,
+            "k": config.k,
             "d": d_param,
-            "seed": config.seed,
         },
         "cases": sorted(cases, key=lambda c: tuple(c["bidegree"])),
         "status": status,
@@ -224,106 +218,72 @@ def emit(report: dict, config: RunConfig, extra_lines=()) -> None:
         sys.stdout.write(text)
 
 
-# -- certify-fft ------------------------------------------------------------------
+def _millis(config: RunConfig, t0: float) -> int:
+    """Elapsed milliseconds since t0 with --timings, else 0 (byte-stable)."""
+    return int((time.monotonic() - t0) * 1000) if config.timings else 0
 
 
-def _certify_case(args):
-    """Worker: one balanced bidegree; reconstructable from plain values."""
-    m, n, t, f_rows, k, d, timings = args
+# -- commands: each returns its (case, status) pairs, the d it reports and its
+# extra text lines; `run` turns them into the report and the exit code ------------
+
+
+def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int):
+    """The squeeze at bidegree (k,k): its case and status."""
     t0 = time.monotonic()
-    F = FMatrix.from_rows([[Q(v) for v in row] for row in f_rows])
-    ctx = CoactionContext(m, n, t, F)
     rep = certify_fft(ctx, k, d, check_off_diagonal=False)
-    millis = int((time.monotonic() - t0) * 1000) if timings else 0
-    status = classify(rep.dim_coinv, rep.theta_rank, (m * n) ** k, rep.certified)
-    return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d, millis),
-            status)
+    status = classify(rep.dim_coinv, rep.theta_rank, (config.m * config.n) ** k, rep.certified)
+    return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d,
+                      _millis(config, t0)), status)
 
 
 def cmd_certify_fft(config: RunConfig, F: FMatrix):
-    kmax = config.k
-    d_param = trunc_param(config.trunc)
-    jobs_args = []
-    for k in range(kmax + 1):
-        d = resolve_trunc(config.trunc, 2 * k + 2, 2 * k)
-        jobs_args.append((config.m, config.n, config.t, F.to_param(), k, d, config.timings))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_certify_case, jobs_args))
-    else:
-        results = [_certify_case(a) for a in jobs_args]
-    cases = [c for c, _ in results]
-    status = aggregate_status(s for _, s in results)
-    return make_report(config, d_param, cases, status), _STATUS_EXIT[status]
-
-
-# -- coinvariants -----------------------------------------------------------------
+    ds = [resolve_trunc(config.trunc, 2 * k + 2, 2 * k) for k in range(config.k + 1)]
+    ctx = CoactionContext(config.m, config.n, config.t, F)
+    results = [_balanced_case(config, ctx, k, d) for k, d in enumerate(ds)]
+    return results, trunc_param(config.trunc), ()
 
 
 def cmd_coinvariants(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
     d = resolve_trunc(config.trunc, i + j + 2, i + j)
-    t0 = time.monotonic()
     ctx = CoactionContext(config.m, config.n, config.t, F)
     if i == j:
-        rep = certify_fft(ctx, i, d, check_off_diagonal=False)
-        dim, dim_theta, certified = rep.dim_coinv, rep.theta_rank, rep.certified
-        status = classify(dim, dim_theta, (config.m * config.n) ** i, certified)
-    else:
-        V = coinvariants(ctx, (i, j), d)
-        cert = off_diagonal_vanish(config.m, config.n, config.t, (i, j), ctx.hopf)
-        dim, dim_theta = V.dim, 0
-        certified = cert.holds and dim == 0
-        status = "certified" if certified else "mismatch"
-    millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
-    cases = [make_case((i, j), dim, dim_theta, certified, d, millis)]
-    return make_report(config, d, cases, status), _STATUS_EXIT[status]
-
-
-# -- theta-rank ---------------------------------------------------------------------
+        return [_balanced_case(config, ctx, i, d)], d, ()
+    t0 = time.monotonic()
+    dim = coinvariants(ctx, (i, j), d).dim
+    certified = off_diagonal_vanish(config.m, config.n, config.t, (i, j), ctx.hopf).holds \
+        and dim == 0
+    case = make_case((i, j), dim, 0, certified, d, _millis(config, t0))
+    return [(case, "certified" if certified else "mismatch")], d, ()
 
 
 def cmd_theta_rank(config: RunConfig, F: FMatrix):
-    cases = []
-    statuses = []
+    results = []
     for k in range(config.k + 1):
         t0 = time.monotonic()
         rank = theta_matrix(config.m, config.n, config.t, k).rank
-        millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
         target = (config.m * config.n) ** k
         ok = rank == target
-        cases.append(make_case((k, k), target, rank, ok, 0, millis))
-        statuses.append("certified" if ok else "mismatch")
-    status = aggregate_status(statuses)
-    return make_report(config, 0, cases, status), _STATUS_EXIT[status]
-
-
-# -- intertwiners -------------------------------------------------------------------
+        results.append((make_case((k, k), target, rank, ok, 0, _millis(config, t0)),
+                        "certified" if ok else "mismatch"))
+    return results, 0, ()
 
 
 def cmd_intertwiners(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
     d = resolve_trunc(config.trunc, i + j + 2, i + j)
     t0 = time.monotonic()
-    basis = intertwiner_space(config.m, config.n, config.t, F, i, j, d)
-    millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
+    dim = len(intertwiner_space(config.m, config.n, config.t, F, i, j, d))
     expected = (config.m * config.n) ** i if i == j else 0
-    dim = len(basis)
-    status = classify(dim, expected, expected, dim == expected)
-    cases = [make_case((i, j), dim, expected, dim == expected, d, millis)]
-    return make_report(config, d, cases, status), _STATUS_EXIT[status]
-
-
-# -- hopf-check ---------------------------------------------------------------------
+    case = make_case((i, j), dim, expected, dim == expected, d, _millis(config, t0))
+    return [(case, classify(dim, expected, expected, dim == expected))], d, ()
 
 
 def cmd_hopf_check(config: RunConfig, F: FMatrix):
     d = resolve_trunc(config.trunc, COMPAT_MIN_DEGREE, COMPAT_MIN_DEGREE)
     t0 = time.monotonic()
     rep = check_hopf_compat(build_hf(F), d)
-    millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
-    status = rep.status
-    cases = [make_case((0, 0), 0, 0, rep.certified, d, millis)]
+    case = make_case((0, 0), 0, 0, rep.certified, d, _millis(config, t0))
     extra = [
         f"coassociativity (exact): {'ok' if rep.coassoc_ok else 'FAIL'}",
         f"counit laws (exact): {'ok' if rep.counit_laws_ok else 'FAIL'}",
@@ -332,59 +292,44 @@ def cmd_hopf_check(config: RunConfig, F: FMatrix):
         f"coproduct(relations) in ideal tensor: {sum(map(bool, rep.relation_coproduct))}/{len(rep.relation_coproduct)}",
         f"antipode axiom on generators: {sum(map(bool, rep.antipode_axiom))}/{len(rep.antipode_axiom)}",
     ]
-    return make_report(config, d, cases, status), _STATUS_EXIT[status], extra
-
-
-# -- classical ----------------------------------------------------------------------
+    return [(case, rep.status)], d, extra
 
 
 def cmd_classical(config: RunConfig, F: FMatrix):
-    kmax = config.max_degree
+    kmax = config.k
     t0 = time.monotonic()
     r1 = fft1_check(config.m, config.n, config.t, 2 * kmax)
     r2 = fft2_check(config.m, config.n, config.t, kmax)
-    millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
+    millis = _millis(config, t0)
     fft1_by_degree = {row.degree: row for row in r1.rows}
-    cases = []
-    ok_all = True
+    results = []
     for k in range(kmax + 1):
         inv_row = fft1_by_degree[2 * k]
-        odd_ok = True
-        if 2 * k + 1 <= 2 * kmax:
-            odd_ok = fft1_by_degree[2 * k + 1].equal
-        ker_row = r2.rows[k]
-        ok = inv_row.equal and odd_ok and ker_row.equal
-        ok_all = ok_all and ok
-        cases.append(make_case((k, k), inv_row.dim_left, inv_row.dim_right, ok, 0,
-                               millis if k == 0 else 0))
-    status = "certified" if ok_all else "mismatch"
+        odd_ok = 2 * k + 1 > 2 * kmax or fft1_by_degree[2 * k + 1].equal
+        ok = inv_row.equal and odd_ok and r2.rows[k].equal
+        results.append((make_case((k, k), inv_row.dim_left, inv_row.dim_right, ok, 0,
+                                  millis if k == 0 else 0),
+                        "certified" if ok else "mismatch"))
     extra = ["invariants vs image (by tensor-ring degree): "
              + ", ".join(f"{row.degree}:{row.dim_left}/{row.dim_right}" for row in r1.rows),
              "kernel vs minors (by X-degree): "
              + ", ".join(f"{row.degree}:{row.dim_left}/{row.dim_right}" for row in r2.rows)]
-    return make_report(config, 0, cases, status), _STATUS_EXIT[status], extra
-
-
-# -- correspondence -----------------------------------------------------------------
+    return results, 0, extra
 
 
 def cmd_correspondence(config: RunConfig, F: FMatrix):
-    cases = []
-    statuses = []
+    results = []
     extra = []
-    d_param = trunc_param(config.trunc)
     for k in range(config.k + 1):
         d = resolve_trunc(config.trunc, 2 * k + 2, 2 * k)
         t0 = time.monotonic()
         rep = main_correspondence_check(config.m, config.n, config.t, F, k, d)
-        millis = int((time.monotonic() - t0) * 1000) if config.timings else 0
-        cases.append(make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
-                               rep.ok, d, millis))
-        statuses.append("certified" if rep.ok else "mismatch")
+        results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
+                                  rep.ok, d, _millis(config, t0)),
+                        "certified" if rep.ok else "mismatch"))
         if rep.mismatches:
             extra.append(f"degree {k} mismatching words: " + ", ".join(rep.mismatches))
-    status = aggregate_status(statuses)
-    return make_report(config, d_param, cases, status), _STATUS_EXIT[status], extra
+    return results, trunc_param(config.trunc), extra
 
 
 # -- argument wiring ----------------------------------------------------------------
@@ -397,18 +342,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"coinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_f=True):
+    def common(p, quotient=True):
         p.add_argument("-m", type=int, default=1, help="rows of the source matrix ring")
         p.add_argument("-n", type=int, default=1, help="columns of the source matrix ring")
         p.add_argument("-t", type=int, default=1, help="inner size / F dimension")
-        if with_f:
+        if quotient:
             p.add_argument("--F", default="preset:identity",
                            help="preset:identity | preset:diag:a,b,... | preset:jordan "
                                 "| file:PATH (JSON t x t array of rational strings)")
-        p.add_argument("--trunc", default="auto",
-                       help="ideal truncation degree, or 'auto' (= bidegree sum + 2)")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-        p.add_argument("--jobs", type=int, default=1, help="parallel case workers")
+            p.add_argument("--trunc", default="auto",
+                           help="ideal truncation degree, or 'auto' (= bidegree sum + 2)")
         p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--timings", action="store_true",
@@ -425,7 +368,7 @@ def build_parser() -> _Parser:
     p.add_argument("-j", type=int, required=True)
 
     p = sub.add_parser("theta-rank", help="rank of the degree-k components of theta")
-    common(p, with_f=False)
+    common(p, quotient=False)
     p.add_argument("-k", type=int, required=True)
 
     p = sub.add_parser("intertwiners", help="dim Hom((U^m)^(x i), (U^n)^(x j))")
@@ -437,7 +380,7 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("classical", help="commutative FFT1/FFT2 degree by degree")
-    common(p, with_f=False)
+    common(p, quotient=False)
     p.add_argument("--max-degree", type=int, required=True)
 
     p = sub.add_parser("correspondence", help="coinv_to_hom(theta(w)) = psi(w) per word")
@@ -466,30 +409,31 @@ def run(argv) -> int:
             v = getattr(args, attr, None)
             if v is not None and v < 0:
                 raise CliUsageError(f"{attr} must be nonnegative")
-        if args.jobs < 1:
-            raise CliUsageError("--jobs must be >= 1")
         f_spec = getattr(args, "F", "preset:identity")
         F = parse_f(f_spec, args.t)
         config = RunConfig(
             command=args.command, m=args.m, n=args.n, t=args.t, f_spec=f_spec,
-            k=getattr(args, "k", None),
+            k=getattr(args, "k", getattr(args, "max_degree", None)),
             bidegree=(args.i, args.j) if hasattr(args, "i") else None,
-            trunc=str(args.trunc), seed=args.seed, fmt=args.fmt, jobs=args.jobs,
+            trunc=getattr(args, "trunc", None), fmt=args.fmt,
             timings=args.timings, output=args.output,
-            max_degree=getattr(args, "max_degree", None),
         )
-        result = _COMMANDS[args.command](config, F)
-        report, code = result[0], result[1]
-        extra = result[2] if len(result) > 2 else ()
-        emit(report, config, extra)
-        return code
+        results, d_param, extra = _COMMANDS[args.command](config, F)
     except CliUsageError as exc:
         sys.stderr.write(f"coinv: error: {exc}\n")
         return EXIT_USAGE
+    status = aggregate_status(s for _, s in results)
+    emit(make_report(config, d_param, [c for c, _ in results], status), config, extra)
+    return _STATUS_EXIT[status]
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

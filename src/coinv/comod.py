@@ -192,19 +192,15 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     if d < i + j:
         raise ValueError(f"truncation {d} cannot hold coaction legs of degree {i + j}")
     q = ctx.hopf.quotient(d)
-    halg = ctx.hopf.algebra
     pairs = ctx.pair_basis(bidegree)
     index = {p: s for s, p in enumerate(pairs)}
-    constraint_terms: dict[int, dict[int, dict[Word, Q]]] = {}
-    for s, (wa, wb) in enumerate(pairs):
-        for hw, c, tgt in ctx.tensor_word_terms(wa, wb):
-            add_to(constraint_terms.setdefault(index[tgt], {}).setdefault(s, {}), hw, c)
-    constraints = []
-    for tau in range(len(pairs)):
-        terms = [(s, FreeElement(halg, words))
-                 for s, words in constraint_terms.get(tau, {}).items() if words]
-        terms.append((tau, -halg.one()))
-        constraints.append(terms)
+    # one constraint per target pair tau: sum_s x_s alpha[s, tau] - x_tau = 0
+    constraints: list[list[tuple[int, FreeElement]]] = [[] for _ in pairs]
+    for (src, tgt), h in ctx.tensor_coaction(bidegree).items():
+        constraints[index[tgt]].append((index[src], h))
+    minus_one = -ctx.hopf.algebra.one()
+    for tau, terms in enumerate(constraints):
+        terms.append((tau, minus_one))
     return certified_kernel(q, len(pairs), constraints)
 
 

@@ -107,9 +107,6 @@ class RationalMatrix:
     def entry(self, r: int, c: int) -> Q:
         return self.rows[r].get(c, Q(0))
 
-    def row(self, r: int) -> Row:
-        return dict(self.rows[r])
-
     def to_dense(self) -> list[list[Q]]:
         return [[self.entry(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
 
@@ -394,10 +391,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, {})
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, {i: {i: Q(1)} for i in range(ambient_dim)})
 
     # -- queries -----------------------------------------------------------
 

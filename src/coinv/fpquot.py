@@ -324,13 +324,13 @@ def _load_block_cache(q: TruncatedQuotient, z: int) -> _Block | None:
     try:
         with gzip.open(path, "rt", encoding="ascii") as fh:
             data = json.load(fh)
-    except (OSError, ValueError):
-        return None
+        header = (data["schema"], data["nwords"], data["fingerprint"], data["d"])
+        pivots = {row[0][0]: {c: v for c, v in row} for row in data["pivots"]}
+    except (OSError, EOFError, ValueError, KeyError, IndexError, TypeError):
+        return None  # unreadable, cut short or misshapen: a miss, so the block is rebuilt
     words = q._block_words(z)
-    if data.get("schema") != 1 or data.get("nwords") != len(words) \
-            or data.get("fingerprint") != q.presentation.fingerprint or data.get("d") != q.d:
+    if header != (1, len(words), q.presentation.fingerprint, q.d):
         return None
-    pivots = {row[0][0]: {c: v for c, v in row} for row in data["pivots"]}
     return _Block(words, pivots)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .exactlin import RationalMatrix, add_to, rank
 
@@ -104,9 +104,6 @@ class FreeAlgebra:
             g = self._by_name[set_name]
             off = self._offsets[set_name]
             yield from range(off, off + g.size)
-
-    def generator_set(self, set_name: str) -> GeneratorSet:
-        return self._by_name[set_name]
 
     # -- words ------------------------------------------------------------
 

@@ -89,9 +89,6 @@ class FMatrix:
     def entry(self, i: int, j: int) -> Q:
         return self.matrix.entry(i, j)
 
-    def inv_entry(self, i: int, j: int) -> Q:
-        return self.inverse.entry(i, j)
-
     def to_param(self) -> list[list[str]]:
         """Entries as exact strings, the external JSON form."""
         return [[str(self.matrix.entry(i, j)) for j in range(self.t)] for i in range(self.t)]

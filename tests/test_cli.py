@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, report shape."""
 
+import gzip
 import json
 import os
 import subprocess
@@ -95,13 +96,13 @@ def test_aggregate_status():
 
 def test_make_report_sorts_cases():
     config = RunConfig(command="certify-fft", m=1, n=1, t=1, f_spec="preset:identity",
-                       k=1, bidegree=None, trunc="auto", seed=0, fmt="json",
-                       jobs=1, timings=False, output=None)
+                       k=1, bidegree=None, trunc="auto", fmt="json",
+                       timings=False, output=None)
     cases = [make_case((1, 1), 1, 1, True, 4, 0), make_case((0, 0), 1, 1, True, 2, 0)]
     report = make_report(config, "auto", cases, "certified")
     assert [c["bidegree"] for c in report["cases"]] == [[0, 0], [1, 1]]
-    assert report["schema"] == 1
-    assert set(report["params"]) == {"m", "n", "t", "F", "k", "d", "seed"}
+    assert report["schema"] == 2
+    assert set(report["params"]) == {"m", "n", "t", "F", "k", "d"}
 
 
 # -- in-process exit codes ------------------------------------------------------
@@ -115,8 +116,9 @@ def test_run_certified_exit_zero(capsys):
 
 def test_run_rejects_bad_bounds(capsys):
     assert run(["certify-fft", "-m", "0", "-n", "1", "-t", "1", "-k", "1"]) == 3
-    assert run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "1",
-                "--jobs", "0"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "1", "--jobs", "0"])
+    assert exc.value.code == 3
     assert run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "2",
                 "--trunc", "3"]) == 3
     # below the degree of the H(F) relations, or of the Hopf compatibility checks
@@ -143,6 +145,38 @@ def test_run_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setitem(cli_module._COMMANDS, "theta-rank", broken)
     with pytest.raises(ValueError, match="internal failure"):
         run(["theta-rank", "-k", "1"])
+
+
+def test_main_internal_error_exits_four(monkeypatch, capsys):
+    def broken(config, F):
+        raise ValueError("internal failure")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "theta-rank", broken)
+    monkeypatch.setattr(sys, "argv", ["coinv", "theta-rank", "-k", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main()
+    assert exc.value.code == cli_module.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: internal failure" in err
+
+
+_REQUIRED = {"certify-fft": ["-k", "0"], "coinvariants": ["-i", "0", "-j", "0"],
+             "theta-rank": ["-k", "0"], "intertwiners": ["-i", "0", "-j", "0"],
+             "hopf-check": [], "classical": ["--max-degree", "0"],
+             "correspondence": ["-k", "0"]}
+
+
+@pytest.mark.parametrize("command", sorted(cli_module._COMMANDS))
+def test_removed_flags_are_usage_errors(command, capsys):
+    assert set(_REQUIRED) == set(cli_module._COMMANDS)
+    rejected = [["--seed", "1"], ["--jobs", "2"]]
+    if command in ("theta-rank", "classical"):  # no quotient, so no truncation
+        rejected.append(["--trunc", "0"])
+    for flag in rejected:
+        with pytest.raises(SystemExit) as exc:
+            run([command, *_REQUIRED[command], *flag])
+        assert exc.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_usage_error_exits_three():
@@ -195,7 +229,7 @@ def test_cli_json_report_schema():
                        "--F", "preset:identity", "-k", "2", "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["command"] == "certify-fft"
     assert report["status"] == "certified"
     assert [c["dim_coinv"] for c in report["cases"]] == [1, 4, 16]
@@ -210,14 +244,6 @@ def test_cli_reports_byte_identical():
     code2, out2, _ = cli(*args)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_cli_jobs_output_identical_to_serial():
-    args = ("certify-fft", "-m", "1", "-n", "2", "-t", "1", "-k", "2",
-            "--format", "json")
-    _, serial, _ = cli(*args)
-    _, parallel, _ = cli(*args, "--jobs", "2")
-    assert serial == parallel
 
 
 def test_cli_singular_f_file_exits_three(tmp_path):
@@ -257,6 +283,34 @@ def test_cli_cache_dir_roundtrip(tmp_path):
     code2, warm, _ = cli(*args, env=env)
     assert code2 == 0
     assert cold == warm
+
+
+@pytest.mark.parametrize("damage", [
+    "cut",     # the gzip stream ends early: EOFError
+    "drop",    # no pivots field: KeyError
+    [[]],      # a pivot row with no entries: IndexError
+    [[0, 1]],  # a pivot row of bare numbers: TypeError
+], ids=["truncated", "no_pivots", "empty_row", "flat_row"])
+def test_cli_damaged_cache_block_is_rebuilt(tmp_path, damage):
+    env = os.environ.copy()
+    env["COINV_CACHE_DIR"] = str(tmp_path)
+    args = ("certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "1", "--format", "json")
+    code, cold, _ = cli(*args, env=env)
+    assert code == 0
+    (block,) = tmp_path.glob("*_d4_w0.json.gz")
+    raw = block.read_bytes()
+    original = json.loads(gzip.decompress(raw))
+    if damage == "cut":
+        block.write_bytes(raw[: len(raw) // 2])
+    else:
+        data = {k: v for k, v in original.items() if k != "pivots"}
+        if damage != "drop":
+            data["pivots"] = damage
+        block.write_bytes(gzip.compress(json.dumps(data).encode("ascii")))
+    code, warm, err = cli(*args, env=env)
+    assert code == 0, err
+    assert warm == cold
+    assert json.loads(gzip.decompress(block.read_bytes())) == original  # rebuilt and rewritten
 
 
 def test_cli_timings_flag_populates_millis():
