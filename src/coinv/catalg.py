@@ -6,22 +6,24 @@ one U_l (coaction entries u_ij) by direct sums, tensor powers, and the
 S-twisted dual; nested tensor factors are ordered left-to-right and flattened
 row-major, so all associators are identities on basis vectors.
 
-Two independently implemented pipelines meet here.  psi sends a word of
-A(m,n) straight to the 0/1 matrix (u_j1 (x) ... (x) u_jk) o (p_i1 (x) ... (x)
-p_ik) : (U^m)^(x k) -> (U^n)^(x k).  coinv_to_hom transports a certified
-coinvariant of A(m,t) (x) A(t,n) through the identifications
-y_ij -> v_i(e_j)* (reversed, into the opposite algebra), z_ij -> u_j(e_i),
-and the nested evaluation pairing; the two word reversals cancel, leaving
-pure index bookkeeping.  main_correspondence_check verifies the pipelines
-agree on every theta image - the computational content of the isomorphism
-proof.
+hom_space solves, and Intertwiner.morphism_rows evaluates, the same
+morphism conditions, built once by _morphism_conditions.
+
+Two independently implemented pipelines meet here, both returning matrices.
+psi sends a word of A(m,n) straight to the 0/1 matrix (u_j1 (x) ... (x)
+u_jk) o (p_i1 (x) ... (x) p_ik) : (U^m)^(x k) -> (U^n)^(x k), which does not
+depend on F.  coinv_to_hom transports a certified coinvariant of
+A(m,t) (x) A(t,n) through the identifications y_ij -> v_i(e_j)* (reversed,
+into the opposite algebra), z_ij -> u_j(e_i), and the nested evaluation
+pairing; the two word reversals cancel, leaving pure index bookkeeping.
+main_correspondence_check verifies the two matrices agree on every theta
+image - the computational content of the isomorphism proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .comod import CoactionContext, coinvariance_residual
 from .exactlin import RationalMatrix, Subspace, add_to
@@ -184,32 +186,19 @@ class Intertwiner:
         """H-cover rows, one per (source index, target index), all of which must
         lie in the ideal for T to be a comodule morphism."""
         alg = self.source.hopf.algebra
-        for s in range(self.source.dim):
-            for r in range(self.target.dim):
-                acc = alg.zero()
-                for b in range(self.source.dim):
-                    h = self.source.coaction.get((s, b))
-                    c = self.matrix.entry(r, b)
-                    if h is not None and c:
-                        acc = acc + h.scale(c)
-                for c_idx in range(self.target.dim):
-                    h = self.target.coaction.get((c_idx, r))
-                    c = self.matrix.entry(c_idx, s)
-                    if h is not None and c:
-                        acc = acc - h.scale(c)
-                if not acc.is_zero:
-                    yield (s, r), acc
+        for sr, terms in _morphism_conditions(self.source, self.target):
+            acc = alg.zero()
+            for (row, col), h in terms:
+                c = self.matrix.entry(row, col)
+                if c:
+                    acc = acc + h.scale(c)
+            if not acc.is_zero:
+                yield sr, acc
 
     def certify(self, d: int) -> bool:
         """Certify the comodule-morphism condition at truncation d."""
         q = self.source.hopf.quotient(d)
         return all(bool(q.is_zero_mod(row)) for _, row in self.morphism_rows())
-
-    def tensor(self, other: "Intertwiner") -> "Intertwiner":
-        """The product of the graded morphism algebra: f1 f2 = f1 (x) f2."""
-        return Intertwiner(self.source.tensor(other.source),
-                           self.target.tensor(other.target),
-                           self.matrix.kron(other.matrix))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Intertwiner) and self.source == other.source
@@ -224,6 +213,18 @@ class Intertwiner:
 # -- Hom-space computation ----------------------------------------------------
 
 
+def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
+    """The condition sum_b h[s,b] T[r,b] - sum_c T[c,s] h'[c,r] = 0 for each
+    (source index s, target index r), as its terms ((row, col) of T, H-element)."""
+    for s in range(source.dim):
+        for r in range(target.dim):
+            terms = [((r, b), source.coaction[s, b]) for b in range(source.dim)
+                     if (s, b) in source.coaction]
+            terms += [((c, s), -target.coaction[c, r]) for c in range(target.dim)
+                      if (c, r) in target.coaction]
+            yield (s, r), terms
+
+
 def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> list[Intertwiner]:
     """Certified basis of comodule morphisms source -> target at truncation d.
 
@@ -233,19 +234,8 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> list[Inte
     source._compatible(target)
     q = source.hopf.quotient(d)
     nsrc, ntgt = source.dim, target.dim
-    constraints = []
-    for s in range(nsrc):
-        for r in range(ntgt):
-            terms = []
-            for b in range(nsrc):
-                h = source.coaction.get((s, b))
-                if h is not None:
-                    terms.append((r * nsrc + b, h))
-            for c in range(ntgt):
-                h = target.coaction.get((c, r))
-                if h is not None:
-                    terms.append((c * nsrc + s, -h))
-            constraints.append(terms)
+    constraints = [[(row * nsrc + col, h) for (row, col), h in terms]
+                   for _, terms in _morphism_conditions(source, target)]
     sol = certified_kernel(q, nsrc * ntgt, constraints)
     out = []
     for row in sol.basis.rows:
@@ -349,37 +339,34 @@ def build_duality(t: int, F: FMatrix | HopfCover, trunc: int = 4) -> DualityData
 # -- the word-to-morphism map psi ----------------------------------------------
 
 
-def psi(m: int, n: int, t: int, word: Word, F: FMatrix | HopfCover | None = None) -> Intertwiner:
-    """The basis morphism (u_j1 (x) ... (x) u_jk) o (p_i1 (x) ... (x) p_ik)
-    attached to the word x_{i1 j1} ... x_{ik jk} of A(m,n).
+def psi(m: int, n: int, t: int, word: Word) -> RationalMatrix:
+    """Matrix of the basis morphism (u_j1 (x) ... (x) u_jk) o (p_i1 (x) ... (x)
+    p_ik) attached to the word x_{i1 j1} ... x_{ik jk} of A(m,n).
 
     Each letter contributes the (nt) x (mt) block picking direct summand i of
     U^m and re-embedding it as summand j of U^n; the word is the left-to-right
-    Kronecker product of its letters, a map (U^m)^(x k) -> (U^n)^(x k).
+    Kronecker product of its letters, a map (U^m)^(x k) -> (U^n)^(x k).  The
+    matrix does not depend on F.
     """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
-    hopf = F if isinstance(F, HopfCover) else build_hf(F if F is not None else FMatrix.identity(t))
     amn = matrix_entry_algebra("x", m, n)
-    k = len(word)
     mat = RationalMatrix.identity(1)
     for letter in word:
         _, i, j = amn.letter_info(letter)
         block = RationalMatrix.from_sparse(
             n * t, m * t, {(j * t + a, i * t + a): Q(1) for a in range(t)})
         mat = mat.kron(block)
-    u = ComoduleSpace.standard_left(hopf)
-    return Intertwiner(u.direct_power(m).tensor_power(k),
-                       u.direct_power(n).tensor_power(k), mat)
+    return mat
 
 
 # -- transporting coinvariants to morphisms -------------------------------------
 
 
 def coinv_to_hom(ctx: CoactionContext, element: TensorElement,
-                 d: int | None = None) -> Intertwiner:
-    """Transport a certified coinvariant of bidegree (k,k) to a morphism
-    (U^m)^(x k) -> (U^n)^(x k).
+                 d: int | None = None) -> RationalMatrix:
+    """Transport a certified coinvariant of bidegree (k,k) to the matrix of a
+    morphism (U^m)^(x k) -> (U^n)^(x k).
 
     The identifications send y_ij to v_i(e_j)* (reversing words, into the
     opposite algebra) and z_ij to u_j(e_i); closing the source leg with the
@@ -410,10 +397,7 @@ def coinv_to_hom(ctx: CoactionContext, element: TensorElement,
             _, b, c = ctx.atn.letter_info(letter)
             row = row * (n * t) + c * t + b
         entries[(row, col)] = coeff
-    u = ComoduleSpace.standard_left(ctx.hopf)
-    mat = RationalMatrix.from_sparse((n * t) ** k, (m * t) ** k, entries)
-    return Intertwiner(u.direct_power(m).tensor_power(k),
-                       u.direct_power(n).tensor_power(k), mat)
+    return RationalMatrix.from_sparse((n * t) ** k, (m * t) ** k, entries)
 
 
 # -- the endpoint comparison -----------------------------------------------------
@@ -465,11 +449,10 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     ncols = (m * t) ** k
     words = hom.source.degree_basis(k)
     for w in words:
-        transported = coinv_to_hom(ctx, hom.apply_word(w), d=d)
-        direct = psi(m, n, t, w, ctx.hopf)
-        if transported.matrix != direct.matrix:
+        direct = psi(m, n, t, w)
+        if coinv_to_hom(ctx, hom.apply_word(w), d=d) != direct:
             mismatches.append(hom.source.word_label(w))
-        vecs.append({r * ncols + c: val for r, c, val in direct.matrix.iter_entries()})
+        vecs.append({r * ncols + c: val for r, c, val in direct.iter_entries()})
     rank = Subspace.from_vectors(nrows * ncols, vecs).dim
     return CorrespondenceReport(m=m, n=n, t=t, f_label=ctx.hopf.F.label, k=k, d=d,
                                 end_u_dim=len(end_u),

@@ -4,8 +4,8 @@ Exit codes: 0 = everything certified/passed, 1 = a mathematical mismatch (a
 computed value contradicts a theorem prediction or an independent oracle — a
 bug signal), 2 = inconclusive (some condition stayed NotCertified at the
 chosen truncation; raise --trunc), 3 = usage error (bad arguments, malformed
-or singular F, bounds out of range), 4 = internal error (any other
-exception; `main` prints its traceback to stderr).
+or singular F, bounds out of range, an -o path that cannot be written), 4 =
+internal error (any other exception; `main` prints its traceback to stderr).
 
 --F and --trunc belong to the five commands that build a truncated quotient;
 theta-rank and classical need neither.  A report is {schema: 2, version,
@@ -212,8 +212,12 @@ def render(report: dict, fmt: str, extra_lines=()) -> str:
 def emit(report: dict, config: RunConfig, extra_lines=()) -> None:
     text = render(report, config.fmt, extra_lines)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliUsageError(f"cannot write the report to {config.output}: "
+                                f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -230,7 +234,7 @@ def _millis(config: RunConfig, t0: float) -> int:
 def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int):
     """The squeeze at bidegree (k,k): its case and status."""
     t0 = time.monotonic()
-    rep = certify_fft(ctx, k, d, check_off_diagonal=False)
+    rep = certify_fft(ctx, k, d)
     status = classify(rep.dim_coinv, rep.theta_rank, (config.m * config.n) ** k, rep.certified)
     return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d,
                       _millis(config, t0)), status)
@@ -320,10 +324,11 @@ def cmd_classical(config: RunConfig, F: FMatrix):
 def cmd_correspondence(config: RunConfig, F: FMatrix):
     results = []
     extra = []
+    hopf = build_hf(F)
     for k in range(config.k + 1):
         d = resolve_trunc(config.trunc, 2 * k + 2, 2 * k)
         t0 = time.monotonic()
-        rep = main_correspondence_check(config.m, config.n, config.t, F, k, d)
+        rep = main_correspondence_check(config.m, config.n, config.t, hopf, k, d)
         results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
                                   rep.ok, d, _millis(config, t0)),
                         "certified" if rep.ok else "mismatch"))
@@ -419,11 +424,11 @@ def run(argv) -> int:
             timings=args.timings, output=args.output,
         )
         results, d_param, extra = _COMMANDS[args.command](config, F)
+        status = aggregate_status(s for _, s in results)
+        emit(make_report(config, d_param, [c for c, _ in results], status), config, extra)
     except CliUsageError as exc:
         sys.stderr.write(f"coinv: error: {exc}\n")
         return EXIT_USAGE
-    status = aggregate_status(s for _, s in results)
-    emit(make_report(config, d_param, [c for c, _ in results], status), config, extra)
     return _STATUS_EXIT[status]
 
 

@@ -15,8 +15,9 @@ the chain Im theta_k <= V <= C at bidegree (k,k), dim V = rank theta_k =
 truncation saw.  C <= Im theta_k is the paper's theorem and is not computed.
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
-(truncation-free) vanishing proof: alpha(x) specializes to z^(j-i) (x) x,
-so a coinvariant in bidegree (i,j), i != j, is zero.
+(truncation-free) vanishing proof, checked once per coaction letter:
+alpha(x) specializes to z^(j-i) (x) x, so a coinvariant in bidegree (i,j),
+i != j, is zero.
 """
 
 from __future__ import annotations
@@ -272,10 +273,13 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
     """Certify true coinvariants = 0 at bidegree (i, j), i != j, exactly.
 
     Two ingredients, both checked here: (1) the grading specialization kills
-    every relation, so it factors through the quotient Hopf algebra; (2) on
-    every basis vector of the bidegree component the specialized coaction
-    acts by z^(j-i).  A coinvariant x then satisfies z^(j-i) x = x, forcing
-    x = 0 when i != j.  No truncation is involved.
+    every relation, so it factors through the quotient Hopf algebra; (2) it
+    sends every coaction letter v_ak to delta_ak z^-1 and u_bl to delta_bl z.
+    By (2) the specialized coaction of a word y_(r1 a1)...y_(ri ai) (x)
+    z_(b1 c1)...z_(bj cj) keeps only the v_aa and u_bb legs, so it acts on
+    every basis vector of the bidegree component by z^(j-i).  A coinvariant
+    x then satisfies z^(j-i) x = x, forcing x = 0 when i != j.  No
+    truncation is involved.
     """
     i, j = bidegree
     if i == j:
@@ -284,47 +288,17 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
     halg = ctx.hopf.algebra
     relations_ok = all(not grading_specialize(r) for r in ctx.hopf.presentation.relations)
 
-    # per-letter survivors of the specialization, computed from the real map
-    v_ok = {(a, k): grading_specialize(FreeElement(halg, {(halg.letter("v", a, k),): Q(1)}))
-            for a in range(t) for k in range(t)}
-    u_ok = {(b, l): grading_specialize(FreeElement(halg, {(halg.letter("u", b, l),): Q(1)}))
-            for b in range(t) for l in range(t)}
+    def specializes_to(name: str, a: int, k: int, exponent: int) -> bool:
+        spec = grading_specialize(FreeElement(halg, {(halg.letter(name, a, k),): Q(1)}))
+        return spec == ({exponent: Q(1)} if a == k else {})
 
-    diag_ok = True
-    count = 0
-    for wa in ctx.amt.degree_basis(i):
-        for wb in ctx.atn.degree_basis(j):
-            count += 1
-            exponent = 0
-            coeff = Q(1)
-            # flipped leg: each y_(i,a) contributes spec(v_(a,k)); only k = a survives
-            for letter in wa:
-                _, _, a = ctx.amt.letter_info(letter)
-                surv = [(k, poly) for (aa, k), poly in v_ok.items() if aa == a and poly]
-                if len(surv) != 1 or surv[0][0] != a:
-                    diag_ok = False
-                    continue
-                poly = surv[0][1]
-                (e, c), = poly.items()
-                exponent += e
-                coeff *= c
-            for letter in wb:
-                _, b, _ = ctx.atn.letter_info(letter)
-                surv = [(l, poly) for (bb, l), poly in u_ok.items() if bb == b and poly]
-                if len(surv) != 1 or surv[0][0] != b:
-                    diag_ok = False
-                    continue
-                poly = surv[0][1]
-                (e, c), = poly.items()
-                exponent += e
-                coeff *= c
-            if exponent != j - i or coeff != 1:
-                diag_ok = False
+    diag_ok = all(specializes_to("v", a, k, -1) and specializes_to("u", a, k, 1)
+                  for a in range(t) for k in range(t))
     return OffDiagonalCertificate(
         m=m, n=n, t=t, bidegree=(i, j), exponent=j - i,
         relations_annihilated=relations_ok,
         diagonal_action_ok=diag_ok,
-        basis_dimension=count,
+        basis_dimension=(m * t) ** i * (t * n) ** j,
     )
 
 
@@ -342,58 +316,36 @@ class CoinvariantReport:
     bidegree: tuple[int, int]
     d: int
     dim_coinv: int
-    dim_theta: int
     theta_rank: int
     image_contained: bool
     certified: bool
-    off_diagonal_vanishing: bool
-    witness_degree: int
-    computed_subspace: Subspace
-    theta_image: Subspace
 
 
-def certify_fft(ctx: CoactionContext, k: int, d: int,
-                check_off_diagonal: bool = True) -> CoinvariantReport:
+def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
     """Certify the k-th degree of the fundamental-theorem isomorphism.
 
     Computes V = coinvariants((k,k), d), the explicit image of theta_k, and
     the independent rank of the theta matrix; certifies Im theta_k <= V and
     dim V = rank theta_k = (mn)^k.   A dim V above (mn)^k contradicts
-    soundness + the theorem and raises CoinvariantOvercountError.
-
-    off_diagonal_vanishing reports the exact vanishing certificate for every
-    unbalanced bidegree (i, j), i != j, i + j <= 2k (vacuously true at k=0
-    unless checked wider); disable with check_off_diagonal=False.
+    soundness + the theorem and raises CoinvariantOvercountError.  The
+    unbalanced bidegrees are certified separately by off_diagonal_vanish.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if d < 2 * k:
         raise ValueError(f"truncation {d} below coaction-leg degree {2 * k}")
     V = coinvariants(ctx, (k, k), d)
-    vectors = theta_image_vectors(ctx, k)
-    image = Subspace.from_vectors(V.ambient_dim, vectors)
-    contained = all(V.contains(vec) for vec in vectors)
+    contained = all(V.contains(vec) for vec in theta_image_vectors(ctx, k))
     target = (ctx.m * ctx.n) ** k
     rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
     if V.dim > target:
         raise CoinvariantOvercountError(
             f"computed coinvariant dimension {V.dim} exceeds the theorem bound "
             f"{target} at bidegree ({k},{k}) — implementation bug")
-    off_diag = True
-    if check_off_diagonal:
-        for i in range(0, 2 * k + 1):
-            for j in range(0, 2 * k + 1 - i):
-                if i != j:
-                    off_diag = off_diag and off_diagonal_vanish(
-                        ctx.m, ctx.n, ctx.t, (i, j), ctx.hopf).holds
-    certified = contained and V.dim == target and rank_theta == target
     return CoinvariantReport(
-        m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label,
-        bidegree=(k, k), d=d,
-        dim_coinv=V.dim, dim_theta=image.dim, theta_rank=rank_theta,
-        image_contained=contained, certified=certified,
-        off_diagonal_vanishing=off_diag, witness_degree=d,
-        computed_subspace=V, theta_image=image,
+        m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
+        dim_coinv=V.dim, theta_rank=rank_theta, image_contained=contained,
+        certified=contained and V.dim == target and rank_theta == target,
     )
 
 

@@ -177,8 +177,8 @@ class TruncatedQuotient:
     # -- elimination -------------------------------------------------------
 
     def _build_block(self, z: int) -> _Block:
-        words = self._block_words(z)
-        index = {w: i for i, w in enumerate(words)}
+        blk = _Block(self._block_words(z), {})
+        index = blk.index
         d = self.d
         seen: set[tuple[tuple[int, int], ...]] = set()
         rows: list[IntRow] = []
@@ -203,10 +203,9 @@ class TruncatedQuotient:
                                 seen.add(key)
                                 rows.append(row)
         rows.sort(key=lambda r: (min(r), len(r)))
-        pivots: dict[int, IntRow] = {}
         for row in rows:
-            _insert(pivots, row)
-        return _Block(words, pivots)
+            _insert(blk.pivots, row)
+        return blk
 
     def _block(self, z: int) -> _Block:
         with self._lock:
@@ -322,16 +321,29 @@ def _load_block_cache(q: TruncatedQuotient, z: int) -> _Block | None:
     if not path or not os.path.exists(path):
         return None
     try:
-        with gzip.open(path, "rt", encoding="ascii") as fh:
-            data = json.load(fh)
+        with gzip.open(path, "rb") as fh:
+            raw = fh.read()
+        data = json.loads(raw)
         header = (data["schema"], data["nwords"], data["fingerprint"], data["d"])
-        pivots = {row[0][0]: {c: v for c, v in row} for row in data["pivots"]}
+        rows = data["pivots"]
+        pivots = {row[0][0]: dict(row) for row in rows}
     except (OSError, EOFError, ValueError, KeyError, IndexError, TypeError):
         return None  # unreadable, cut short or misshapen: a miss, so the block is rebuilt
     words = q._block_words(z)
-    if header != (1, len(words), q.presentation.fingerprint, q.d):
+    if header != (1, len(words), q.presentation.fingerprint, q.d) or not _integer_rows(raw, rows):
         return None
     return _Block(words, pivots)
+
+
+def _integer_rows(raw: bytes, rows) -> bool:
+    """True iff every column and coefficient of the parsed pivot rows is a JSON
+    integer, checked on the file's bytes at C speed: after the last "pivots" key
+    only digits, minus signs, commas, brackets, blanks and the closing brace
+    follow, and every bracket opens the list, a row or a [col, coef] pair, so
+    none opens a list nested inside a pair."""
+    tail = raw[raw.rfind(b'"pivots":') + len(b'"pivots":'):]
+    return (not tail.translate(None, b"0123456789-,[] }")
+            and tail.count(b"[") == 1 + len(rows) + sum(map(len, rows)))
 
 
 def _save_block_cache(q: TruncatedQuotient, z: int, blk: _Block) -> None:

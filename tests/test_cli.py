@@ -138,6 +138,14 @@ def test_run_singular_diag_preset_exits_three(capsys):
     assert "invertible" in capsys.readouterr().err
 
 
+def test_run_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.json"
+    assert run(["theta-rank", "-k", "0", "-o", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert str(target) in err and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_run_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(config, F):
         raise ValueError("internal failure")
@@ -290,7 +298,13 @@ def test_cli_cache_dir_roundtrip(tmp_path):
     "drop",    # no pivots field: KeyError
     [[]],      # a pivot row with no entries: IndexError
     [[0, 1]],  # a pivot row of bare numbers: TypeError
-], ids=["truncated", "no_pivots", "empty_row", "flat_row"])
+    "str",     # every coefficient a string such as "1"
+    "float",   # every coefficient a float such as 1.0
+    "true",    # every coefficient the JSON literal true
+    "null",    # every coefficient the JSON literal null
+    "list",    # every coefficient wrapped in a list such as [1]
+], ids=["truncated", "no_pivots", "empty_row", "flat_row", "str_coef", "float_coef",
+        "true_coef", "null_coef", "list_coef"])
 def test_cli_damaged_cache_block_is_rebuilt(tmp_path, damage):
     env = os.environ.copy()
     env["COINV_CACHE_DIR"] = str(tmp_path)
@@ -300,8 +314,14 @@ def test_cli_damaged_cache_block_is_rebuilt(tmp_path, damage):
     (block,) = tmp_path.glob("*_d4_w0.json.gz")
     raw = block.read_bytes()
     original = json.loads(gzip.decompress(raw))
+    retyped = {"str": str, "float": float, "true": lambda c: True, "null": lambda c: None,
+               "list": lambda c: [c]}
     if damage == "cut":
         block.write_bytes(raw[: len(raw) // 2])
+    elif isinstance(damage, str) and damage in retyped:
+        data = dict(original)
+        data["pivots"] = [[[col, retyped[damage](c)] for col, c in row] for row in data["pivots"]]
+        block.write_bytes(gzip.compress(json.dumps(data).encode("ascii")))
     else:
         data = {k: v for k, v in original.items() if k != "pivots"}
         if damage != "drop":
@@ -310,7 +330,7 @@ def test_cli_damaged_cache_block_is_rebuilt(tmp_path, damage):
     code, warm, err = cli(*args, env=env)
     assert code == 0, err
     assert warm == cold
-    assert json.loads(gzip.decompress(block.read_bytes())) == original  # rebuilt and rewritten
+    assert gzip.decompress(block.read_bytes()) == gzip.decompress(raw)  # rebuilt and rewritten
 
 
 def test_cli_timings_flag_populates_millis():

@@ -132,7 +132,7 @@ def test_certify_fft_squeeze(ctx221):
     assert rep.certified
     assert rep.dim_coinv == rep.theta_rank == 16
     assert rep.image_contained
-    assert rep.witness_degree == 6
+    assert rep.d == 6
 
 
 def test_certify_fft_nontrivial_f():
