@@ -29,7 +29,7 @@ from .comod import CoactionContext, coinvariance_residual
 from .exactlin import RationalMatrix, Subspace, add_to
 from .freealg import FreeElement, TensorElement, Word, matrix_entry_algebra, theta
 from .fpquot import certified_kernel
-from .hopf import FMatrix, HopfCover, build_hf
+from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
 Q = Fraction
 
@@ -432,7 +432,8 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     """Certify coinv_to_hom(theta(w)) = psi(w) for every degree-k word w.
 
     Also records the computed dim End(U_l) (must be 1 before the psi basis
-    claim means anything) and the rank of the psi matrices (must be (mn)^k).
+    claim means anything), computed once at RELATION_DEGREE whatever k is,
+    and the rank of the psi matrices (must be (mn)^k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -441,7 +442,7 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     if d < 2 * k:
         raise ValueError(f"truncation {d} below 2k = {2 * k}")
     ctx = CoactionContext(m, n, t, F)
-    end_u = intertwiner_space(1, 1, t, ctx.hopf, 1, 1, max(d, 2))
+    end_u = intertwiner_space(1, 1, t, ctx.hopf, 1, 1, RELATION_DEGREE)
     hom = theta(m, n, t, left=ctx.amt, right=ctx.atn)
     mismatches = []
     vecs = []

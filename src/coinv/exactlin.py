@@ -8,8 +8,9 @@ triangular basis of gcd-normalized integer rows (`_insert`); vectors are
 reduced modulo such a basis to their unique residual on the non-pivot
 columns (`_reduce`); and back-substitution turns the basis into reduced row
 echelon form (`_back_substitute`).  RREF is canonical, so subspace equality
-is dict equality of RREF rows.  The truncated ideal quotients of `fpquot`
-run their block elimination and normal-form queries on the same routines.
+is dict equality of RREF rows.  The certified kernels of `fpquot` are
+solved here too; its normal forms come from rewriting, not from this
+eliminator.
 
 `add_to` is the sparse accumulator used by every other module.
 """
@@ -224,7 +225,7 @@ def vstack(mats: Sequence[RationalMatrix]) -> RationalMatrix:
 # that pivot.  `_insert` builds one from integer rows fraction-free and
 # `_back_substitute` reduces it; `_reduce` accepts any triangular basis,
 # integer or rational.  `_insert` and `_reduce` are the innermost loops of
-# block elimination, so they accumulate inline rather than through add_to.
+# every elimination, so they accumulate inline rather than through add_to.
 
 
 def _normalize_content(row: IntRow) -> None:

@@ -8,40 +8,41 @@ one-sided (CERTIFIED_ZERO is a proof, NOT_CERTIFIED is silence).
 
 Implementation notes
 --------------------
-* Words are ordered degree-descending then lexicographic, so elimination
-  pivots sit on high-degree words and normal forms rewrite toward
-  low-degree representatives; the quotient basis is canonical (the set of
-  non-pivot words does not depend on elimination order).
-* When every relation is homogeneous for the generator-set weights, I_d
-  splits as a direct sum over the word weight; blocks have disjoint word
-  support and are eliminated lazily and independently.  This is invisible
-  in the API and is what keeps large truncations affordable.
-* Blocks are eliminated by exactlin's one fraction-free eliminator: each
-  relation multiple a*r*b is a gcd-normalized integer row inserted into the
-  block's triangular basis, and normal-form queries reduce rational vectors
-  against those integer pivot rows.
-* Quotients are cached in-process by (presentation fingerprint, d); set
-  COINV_CACHE_DIR to also persist eliminated blocks across runs.
+* Words are ordered degree-descending then lexicographic, so normal forms
+  rewrite toward low-degree representatives; the quotient basis is
+  canonical (the words that are not leading words of I_d).
+* Homogenisation by a central letter h of degree 1 sends a word w of degree
+  <= d to w h^(d - |w|) and a relation r to r^h, each word padded to the
+  degree of r.  The products a r^h b h^j of degree exactly d span the
+  degree-d part J_d of the homogenised ideal, and dropping h maps J_d onto
+  I_d one to one.  Ordering h below every letter keeps the word order above,
+  so I_d and J_d have the same leading words and the same normal forms.
+* J is completed to a noncommutative Groebner basis (Bergman's diamond
+  lemma, Buchberger's algorithm) one virtual degree at a time up to d;
+  since J is homogeneous, the rules of degree <= d decide J_d exactly.  A
+  rule is a lead word L of virtual degree e with a monic tail, and it
+  rewrites a word W of a truncation-d query only when L occurs in W and
+  e - |L| <= d - |W| (the h power of the lead fits into that of W).
+* Every rule is an exact combination of products a*r*b, so a zero normal
+  form is a membership proof.  Reduction touches only the words a query
+  reaches; normal forms of queried words are memoised per quotient, and
+  quotients are shared in-process by (presentation fingerprint, d).
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
-import os
-import tempfile
 import threading
+from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-from .exactlin import (IntRow, Subspace, _back_substitute, _insert, _integer_row,
-                       _normalize_content, _reduce, add_to, solve_homogeneous)
+from .exactlin import Subspace, add_to, solve_homogeneous
 from .freealg import FreeAlgebra, FreeElement, Word
 
 Q = Fraction
-
-CACHE_DIR_ENV = "COINV_CACHE_DIR"
 
 
 class CertStatus(Enum):
@@ -106,17 +107,6 @@ class Presentation:
         return f"Presentation({self.algebra!r}, {len(self.relations)} relations)"
 
 
-class _Block:
-    """Eliminated weight block: its word list and integer pivot rows."""
-
-    __slots__ = ("words", "index", "pivots")
-
-    def __init__(self, words: tuple[Word, ...], pivots: dict[int, IntRow]):
-        self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
-        self.pivots = pivots
-
-
 class TruncatedQuotient:
     """Quotient of the degree-<= d span by the truncated relation ideal."""
 
@@ -129,95 +119,17 @@ class TruncatedQuotient:
                 f"{presentation.max_relation_degree}")
         self.presentation = presentation
         self.d = d
-        self._graded = presentation.is_weight_graded
-        self._scaled = [(list(_integer_row(r.terms).items()), r.weight(), r.degree())
-                        for r in presentation.relations]
-        self._blocks: dict[int | None, _Block] = {}
-        self._dw: dict[int, dict[int, tuple[Word, ...]]] = {}
+        self._basis: dict[Word, tuple[int, dict[Word, Q]]] | None = None
         self._nf_cache: dict[Word, dict[Word, Q]] = {}
-        self._lock = threading.RLock()
 
-    # -- word bookkeeping ------------------------------------------------
+    # -- completion ----------------------------------------------------------
 
-    def _words_by_weight(self, k: int) -> dict[int, tuple[Word, ...]]:
-        """Degree-k words grouped by weight (single group 0 if ungraded)."""
-        got = self._dw.get(k)
-        if got is not None:
-            return got
-        alg = self.presentation.algebra
-        if k == 0:
-            out = {0: ((),)}
-        else:
-            prev = self._words_by_weight(k - 1)
-            acc: dict[int, list[Word]] = {}
-            for letter in range(alg.nletters):
-                wt = alg.letter_weight(letter) if self._graded else 0
-                for z, ws in prev.items():
-                    acc.setdefault(z + wt, []).extend((letter,) + w for w in ws)
-            out = {z: tuple(ws) for z, ws in acc.items()}
-        self._dw[k] = out
-        return out
-
-    def block_keys(self) -> tuple[int, ...]:
-        keys: set[int] = set()
-        for k in range(self.d + 1):
-            keys.update(self._words_by_weight(k))
-        return tuple(sorted(keys))
-
-    def _key_of_word(self, w: Word) -> int:
-        return self.presentation.algebra.word_weight(w) if self._graded else 0
-
-    def _block_words(self, z: int) -> tuple[Word, ...]:
-        ws: list[Word] = []
-        for k in range(self.d, -1, -1):
-            ws.extend(self._words_by_weight(k).get(z, ()))
-        # within each degree the generator recursion yields lex order already
-        return tuple(ws)
-
-    # -- elimination -------------------------------------------------------
-
-    def _build_block(self, z: int) -> _Block:
-        blk = _Block(self._block_words(z), {})
-        index = blk.index
-        d = self.d
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        rows: list[IntRow] = []
-        for terms, wr, gr in self._scaled:
-            rz = (wr if self._graded else 0)
-            for da in range(0, d - gr + 1):
-                left = self._words_by_weight(da)
-                for db in range(0, d - gr - da + 1):
-                    right = self._words_by_weight(db)
-                    for za, aws in left.items():
-                        bws = right.get(z - rz - za)
-                        if not bws:
-                            continue
-                        for a in aws:
-                            for b in bws:
-                                # distinct words w give distinct columns a+w+b
-                                row = {index[a + w + b]: c for w, c in terms}
-                                _normalize_content(row)
-                                key = tuple(sorted(row.items()))
-                                if key in seen:
-                                    continue
-                                seen.add(key)
-                                rows.append(row)
-        rows.sort(key=lambda r: (min(r), len(r)))
-        for row in rows:
-            _insert(blk.pivots, row)
-        return blk
-
-    def _block(self, z: int) -> _Block:
-        with self._lock:
-            blk = self._blocks.get(z)
-            if blk is not None:
-                return blk
-            blk = _load_block_cache(self, z)
-            if blk is None:
-                blk = self._build_block(z)
-                _save_block_cache(self, z, blk)
-            self._blocks[z] = blk
-            return blk
+    def _rules(self) -> dict[Word, tuple[int, dict[Word, Q]]]:
+        """Lead word -> (drop, replacement) of the basis completed up to
+        virtual degree d; computed on first use."""
+        if self._basis is None:
+            self._basis = _complete(self.presentation.relations, self.d)
+        return self._basis
 
     # -- public queries ------------------------------------------------------
 
@@ -240,9 +152,7 @@ class TruncatedQuotient:
         if got is None:
             if len(w) > self.d:
                 raise ValueError(f"degree {len(w)} exceeds truncation {self.d}")
-            blk = self._block(self._key_of_word(w))
-            vec = _reduce(blk.pivots, {blk.index[w]: Q(1)})
-            got = {blk.words[c]: v for c, v in vec.items()}
+            got = _reduce(self._rules(), {w: Q(1)}, self.d, self._nf_cache)
             self._nf_cache[w] = got
         return got
 
@@ -251,12 +161,9 @@ class TruncatedQuotient:
         return CertStatus.CERTIFIED_ZERO if not self.normal_form(x) else CertStatus.NOT_CERTIFIED
 
     def quotient_basis(self) -> tuple[Word, ...]:
-        """Non-pivot words (degree-ascending, then lex): a basis of the quotient."""
-        out: list[Word] = []
-        for z in self.block_keys():
-            blk = self._block(z)
-            piv = blk.pivots
-            out.extend(w for i, w in enumerate(blk.words) if i not in piv)
+        """Words no rule can rewrite (degree-ascending, then lex): a basis of the quotient."""
+        rules, lengths = self._rules(), _lead_lengths(self._rules())
+        out = [w for w in self.word_order() if _match(rules, lengths, w, self.d - len(w)) is None]
         out.sort(key=lambda w: (len(w), w))
         return tuple(out)
 
@@ -268,107 +175,161 @@ class TruncatedQuotient:
             ws.extend(self.presentation.algebra.degree_basis(k))
         return tuple(ws)
 
-    def ideal_dim(self) -> int:
-        return sum(len(self._block(z).pivots) for z in self.block_keys())
-
     def quotient_dim(self) -> int:
-        total = sum(len(self._words_by_weight(k)[z])
-                    for k in range(self.d + 1) for z in self._words_by_weight(k))
-        return total - self.ideal_dim()
+        return len(self.quotient_basis())
+
+    def ideal_dim(self) -> int:
+        return len(self.word_order()) - self.quotient_dim()
 
     def ideal_span(self) -> Subspace:
-        """The truncated ideal as a canonical subspace over word_order columns."""
+        """The truncated ideal as a canonical subspace over word_order columns:
+        one RREF row w - NF(w) per word w that a rule rewrites."""
         order = {w: i for i, w in enumerate(self.word_order())}
-        reduced_global: dict[int, dict[int, Q]] = {}
-        for z in self.block_keys():
-            blk = self._block(z)
-            for lead, row in _back_substitute(blk.pivots).items():
-                reduced_global[order[blk.words[lead]]] = {
-                    order[blk.words[c]]: v for c, v in row.items()}
-        return Subspace(len(order), reduced_global)
+        rows: dict[int, dict[int, Q]] = {}
+        for w, i in order.items():
+            nf = self.normal_form_word(w)
+            if nf != {w: Q(1)}:
+                rows[i] = {i: Q(1), **{order[u]: -c for u, c in nf.items()}}
+        return Subspace(len(order), rows)
 
     def __repr__(self) -> str:
         return f"TruncatedQuotient(d={self.d}, {self.presentation!r})"
 
 
-# -- caches -------------------------------------------------------------------
+# -- rewriting ----------------------------------------------------------------
+#
+# A homogeneous element of virtual degree e is a dict word -> coefficient in
+# which word w stands for w h^(e - |w|).  A rule is keyed by its lead word L
+# and holds (drop, replacement): L h^drop minus the replacement lies in the
+# homogenised ideal, every replacement word is smaller than L, and the rule
+# has virtual degree |L| + drop.
 
-_QUOTIENTS: dict[tuple[str, int], TruncatedQuotient] = {}
+
+def _order(w: Word) -> tuple[int, Word]:
+    """Heap key: the smallest key is the leading word (longest, then lex first)."""
+    return (-len(w), w)
+
+
+def _lead_lengths(rules) -> tuple[int, ...]:
+    return tuple(sorted({len(lead) for lead in rules}))
+
+
+def _match(rules, lengths, w: Word, slack: int):
+    """(prefix, replacement, suffix) of a rule that rewrites w when w carries
+    h^slack, i.e. its lead occurs in w and drop <= slack; else None."""
+    for n in lengths:
+        for i in range(len(w) - n + 1):
+            rule = rules.get(w[i:i + n])
+            if rule is not None and rule[0] <= slack:
+                return w[:i], rule[1], w[i + n:]
+    return None
+
+
+def _reduce(rules, vec: dict[Word, Q], deg: int, memo=None) -> dict[Word, Q]:
+    """Rewrite the largest word until none can be rewritten; words found in
+    memo (normal forms at the same virtual degree) are substituted whole."""
+    vec = dict(vec)
+    heap = [_order(w) for w in vec]
+    heapify(heap)
+    lengths = _lead_lengths(rules)
+    out: dict[Word, Q] = {}
+    while heap:
+        w = heappop(heap)[1]
+        c = vec.pop(w, None)
+        if c is None:
+            continue
+        known = memo.get(w) if memo is not None else None
+        if known is not None:
+            for u, cu in known.items():
+                add_to(out, u, c * cu)
+            continue
+        hit = _match(rules, lengths, w, deg - len(w))
+        if hit is None:
+            add_to(out, w, c)
+            continue
+        a, repl, b = hit
+        for u, cu in repl.items():
+            x = a + u + b
+            if x not in vec:
+                heappush(heap, _order(x))
+            add_to(vec, x, c * cu)
+    return out
+
+
+def _ambiguities(lead: Word, other: Word):
+    """(word, a1, b1, a2, b2) with word = a1 lead b1 = a2 other b2, for every
+    overlap and inclusion of two lead words; a lead paired with itself yields
+    its self-overlaps once."""
+    n1, n2 = len(lead), len(other)
+    for k in range(1, min(n1, n2)):
+        if lead[n1 - k:] == other[:k]:
+            yield lead + other[k:], (), other[k:], lead[:n1 - k], ()
+        if other != lead and other[n2 - k:] == lead[:k]:
+            yield other + lead[k:], other[:n2 - k], (), (), lead[k:]
+    if other == lead:
+        return
+    for p in range(n1 - n2 + 1):
+        if lead[p:p + n2] == other:
+            yield lead, (), (), lead[:p], lead[p + n2:]
+    for p in range(n2 - n1 + 1):
+        if other[p:p + n1] == lead:
+            yield other, other[:p], other[p + n1:], (), ()
+
+
+def _complete(relations, d: int) -> dict[Word, tuple[int, dict[Word, Q]]]:
+    """Buchberger completion of the homogenised relations, one virtual degree
+    at a time up to d.  Each relation enters at its own degree; each S-pair
+    enters at the larger of its two drops plus the length of its ambiguity
+    word.  A pair that does not reduce to zero becomes a monic rule."""
+    rules: dict[Word, tuple[int, dict[Word, Q]]] = {}
+    queue = [(r.degree(), i, dict(r.terms)) for i, r in enumerate(relations)]
+    heapify(queue)
+    seq = len(queue)
+    while queue:
+        deg, _, vec = heappop(queue)
+        nf = _reduce(rules, vec, deg)
+        if not nf:
+            continue
+        lead = min(nf, key=_order)
+        inv = -1 / nf.pop(lead)
+        rule = (deg - len(lead), {u: c * inv for u, c in nf.items()})
+        rules[lead] = rule
+        for other, (drop, repl) in rules.items():
+            top = max(rule[0], drop)
+            for word, a1, b1, a2, b2 in _ambiguities(lead, other):
+                if top + len(word) > d:
+                    continue
+                spoly: dict[Word, Q] = {}
+                for u, c in rule[1].items():
+                    add_to(spoly, a1 + u + b1, c)
+                for u, c in repl.items():
+                    add_to(spoly, a2 + u + b2, -c)
+                heappush(queue, (top + len(word), seq, spoly))
+                seq += 1
+    return rules
+
+
+# -- shared quotients ---------------------------------------------------------
+
+MAX_QUOTIENTS = 16
+
+_QUOTIENTS: OrderedDict[tuple[str, int], TruncatedQuotient] = OrderedDict()
 _QUOTIENTS_LOCK = threading.Lock()
 
 
 def truncated_quotient(presentation: Presentation, d: int) -> TruncatedQuotient:
-    """Shared, cached quotient for (presentation, d)."""
+    """Shared quotient for (presentation, d); the MAX_QUOTIENTS most recently
+    used ones are kept."""
     key = (presentation.fingerprint, d)
     with _QUOTIENTS_LOCK:
         q = _QUOTIENTS.get(key)
         if q is None:
-            q = TruncatedQuotient(presentation, d)
-            _QUOTIENTS[key] = q
+            q = _QUOTIENTS[key] = TruncatedQuotient(presentation, d)
+            if len(_QUOTIENTS) > MAX_QUOTIENTS:
+                _QUOTIENTS.popitem(last=False)
+        else:
+            _QUOTIENTS.move_to_end(key)
         return q
-
-
-def _cache_path(q: TruncatedQuotient, z: int) -> str | None:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    name = f"{q.presentation.fingerprint[:24]}_d{q.d}_w{z}.json.gz"
-    return os.path.join(root, name)
-
-
-def _load_block_cache(q: TruncatedQuotient, z: int) -> _Block | None:
-    path = _cache_path(q, z)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with gzip.open(path, "rb") as fh:
-            raw = fh.read()
-        data = json.loads(raw)
-        header = (data["schema"], data["nwords"], data["fingerprint"], data["d"])
-        rows = data["pivots"]
-        pivots = {row[0][0]: dict(row) for row in rows}
-    except (OSError, EOFError, ValueError, KeyError, IndexError, TypeError):
-        return None  # unreadable, cut short or misshapen: a miss, so the block is rebuilt
-    words = q._block_words(z)
-    if header != (1, len(words), q.presentation.fingerprint, q.d) or not _integer_rows(raw, rows):
-        return None
-    return _Block(words, pivots)
-
-
-def _integer_rows(raw: bytes, rows) -> bool:
-    """True iff every column and coefficient of the parsed pivot rows is a JSON
-    integer, checked on the file's bytes at C speed: after the last "pivots" key
-    only digits, minus signs, commas, brackets, blanks and the closing brace
-    follow, and every bracket opens the list, a row or a [col, coef] pair, so
-    none opens a list nested inside a pair."""
-    tail = raw[raw.rfind(b'"pivots":') + len(b'"pivots":'):]
-    return (not tail.translate(None, b"0123456789-,[] }")
-            and tail.count(b"[") == 1 + len(rows) + sum(map(len, rows)))
-
-
-def _save_block_cache(q: TruncatedQuotient, z: int, blk: _Block) -> None:
-    path = _cache_path(q, z)
-    if not path:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = {
-        "schema": 1,
-        "fingerprint": q.presentation.fingerprint,
-        "d": q.d,
-        "weight": z,
-        "nwords": len(blk.words),
-        "pivots": [sorted(row.items()) for _, row in sorted(blk.pivots.items())],
-    }
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as raw, gzip.open(raw, "wt", encoding="ascii") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
 
 def certified_kernel(q: TruncatedQuotient, nunknowns: int, constraints) -> Subspace:

@@ -8,8 +8,7 @@ elements are sparse rational linear combinations of words, and tensor
 elements live in the tensor square of two such algebras.
 
 Generator sets may carry an integer weight; the induced word weight is the
-grading used both for the Laurent specialization of Hopf covers and for
-block decompositions of relation ideals.
+grading used for the Laurent specialization of Hopf covers.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from coinv.catalg import (
 from coinv.comod import CoactionContext
 from coinv.exactlin import RationalMatrix, Subspace
 from coinv.freealg import matrix_entry_algebra, theta
-from coinv.hopf import FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
 
 Q = Fraction
 
@@ -199,3 +199,20 @@ def test_correspondence_check_small_cases(hj2):
     assert rep.ok
     assert rep.equalities_checked == 2
     assert rep.mismatches == ()
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("family", ["identity", "diag", "jordan"])
+def test_correspondence_end_u_dim_is_one_at_relation_degree(t, family, monkeypatch):
+    F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
+         "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[family]
+    seen = []
+
+    def recording(*args):
+        seen.append(args[-1])
+        return intertwiner_space(*args)
+
+    monkeypatch.setattr("coinv.catalg.intertwiner_space", recording)
+    rep = main_correspondence_check(1, 1, t, F, 2)
+    assert rep.end_u_dim == 1 and rep.ok
+    assert seen == [RELATION_DEGREE]

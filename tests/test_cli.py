@@ -1,6 +1,5 @@
 """Command-line interface: argument handling, exit codes, report shape."""
 
-import gzip
 import json
 import os
 import subprocess
@@ -281,56 +280,17 @@ def test_cli_output_file(tmp_path):
 
 
 def test_cli_cache_dir_roundtrip(tmp_path):
-    env = os.environ.copy()
-    env["COINV_CACHE_DIR"] = str(tmp_path)
+    # COINV_CACHE_DIR is no longer read: a run with it set writes no file and
+    # prints the same bytes as a run without it.
     args = ("certify-fft", "-m", "1", "-n", "1", "-t", "2", "--F", "preset:jordan",
             "-k", "1", "--format", "json")
-    code1, cold, _ = cli(*args, env=env)
-    assert code1 == 0
-    assert any(p.is_file() for p in tmp_path.rglob("*"))
-    code2, warm, _ = cli(*args, env=env)
-    assert code2 == 0
-    assert cold == warm
-
-
-@pytest.mark.parametrize("damage", [
-    "cut",     # the gzip stream ends early: EOFError
-    "drop",    # no pivots field: KeyError
-    [[]],      # a pivot row with no entries: IndexError
-    [[0, 1]],  # a pivot row of bare numbers: TypeError
-    "str",     # every coefficient a string such as "1"
-    "float",   # every coefficient a float such as 1.0
-    "true",    # every coefficient the JSON literal true
-    "null",    # every coefficient the JSON literal null
-    "list",    # every coefficient wrapped in a list such as [1]
-], ids=["truncated", "no_pivots", "empty_row", "flat_row", "str_coef", "float_coef",
-        "true_coef", "null_coef", "list_coef"])
-def test_cli_damaged_cache_block_is_rebuilt(tmp_path, damage):
+    code1, plain, _ = cli(*args)
     env = os.environ.copy()
     env["COINV_CACHE_DIR"] = str(tmp_path)
-    args = ("certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "1", "--format", "json")
-    code, cold, _ = cli(*args, env=env)
-    assert code == 0
-    (block,) = tmp_path.glob("*_d4_w0.json.gz")
-    raw = block.read_bytes()
-    original = json.loads(gzip.decompress(raw))
-    retyped = {"str": str, "float": float, "true": lambda c: True, "null": lambda c: None,
-               "list": lambda c: [c]}
-    if damage == "cut":
-        block.write_bytes(raw[: len(raw) // 2])
-    elif isinstance(damage, str) and damage in retyped:
-        data = dict(original)
-        data["pivots"] = [[[col, retyped[damage](c)] for col, c in row] for row in data["pivots"]]
-        block.write_bytes(gzip.compress(json.dumps(data).encode("ascii")))
-    else:
-        data = {k: v for k, v in original.items() if k != "pivots"}
-        if damage != "drop":
-            data["pivots"] = damage
-        block.write_bytes(gzip.compress(json.dumps(data).encode("ascii")))
-    code, warm, err = cli(*args, env=env)
-    assert code == 0, err
-    assert warm == cold
-    assert gzip.decompress(block.read_bytes()) == gzip.decompress(raw)  # rebuilt and rewritten
+    code2, with_dir, _ = cli(*args, env=env)
+    assert code1 == code2 == 0
+    assert with_dir == plain
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_cli_timings_flag_populates_millis():

@@ -1,10 +1,15 @@
 """Truncated ideal quotients: normal forms, soundness, determinism, caching."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coinv import cli, fpquot
+from coinv.exactlin import Subspace
 from coinv.fpquot import (
     CertStatus,
     Presentation,
@@ -148,15 +153,16 @@ def test_module_level_wrappers():
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
+    # Quotients keep nothing on disk: COINV_CACHE_DIR stays empty, and two
+    # fresh quotients agree on a normal form.
     monkeypatch.setenv("COINV_CACHE_DIR", str(tmp_path))
     pres = laurent_presentation()
     alg = pres.algebra
     x, y = alg.letter("x", 0, 0), alg.letter("y", 0, 0)
     nf_fresh = TruncatedQuotient(pres, 3).normal_form_word((x, y, x))
-    cached_files = list(tmp_path.rglob("*"))
-    assert any(f.is_file() for f in cached_files)
-    nf_cached = TruncatedQuotient(laurent_presentation(), 3).normal_form_word((x, y, x))
-    assert nf_fresh == nf_cached
+    assert list(tmp_path.rglob("*")) == []
+    nf_again = TruncatedQuotient(laurent_presentation(), 3).normal_form_word((x, y, x))
+    assert nf_fresh == nf_again == {(x,): Q(1)}
 
 
 def test_certified_kernel_small_system():
@@ -173,3 +179,106 @@ def test_certified_kernel_small_system():
     # x is a unit direction: no kernel among {x, 1} coefficients
     sol2 = certified_kernel(q, 2, [[(0, x), (1, one)]])
     assert sol2.dim == 0
+
+
+def test_shared_quotients_are_bounded():
+    alg = FreeAlgebra([GeneratorSet("x", 1, 1, +1), GeneratorSet("y", 1, 1, -1)])
+    x, y = alg.gen("x", 0, 0), alg.gen("y", 0, 0)
+    sweep = [Presentation(alg, [x * y - c * alg.one()])
+             for c in range(1, fpquot.MAX_QUOTIENTS + 6)]
+    shared = [truncated_quotient(p, 2) for p in sweep]
+    assert len(fpquot._QUOTIENTS) == fpquot.MAX_QUOTIENTS
+    assert truncated_quotient(sweep[-1], 2) is shared[-1]
+    assert truncated_quotient(sweep[0], 2) is not shared[0]
+
+
+# -- differential tests against a linear-algebra oracle ---------------------------
+
+
+def oracle(pres: Presentation, d: int):
+    """I_d as the span of every product a*r*b of degree <= d, over the words of
+    degree <= d in reduction order (degree desc, then lex)."""
+    alg = pres.algebra
+    words = [w for k in range(d, -1, -1) for w in alg.degree_basis(k)]
+    col = {w: i for i, w in enumerate(words)}
+    vecs = []
+    for r in pres.relations:
+        room = d - r.degree()
+        for da in range(room + 1):
+            for db in range(room - da + 1):
+                for a in alg.degree_basis(da):
+                    for b in alg.degree_basis(db):
+                        vecs.append({col[a + w + b]: c for w, c in r.terms.items()})
+    return words, col, Subspace.from_vectors(len(words), vecs)
+
+
+def assert_matches_oracle(pres: Presentation, d: int):
+    words, col, span = oracle(pres, d)
+    q = TruncatedQuotient(pres, d)
+    assert q.word_order() == tuple(words)
+    for w in words:
+        expect = {words[i]: c for i, c in span.reduce({col[w]: Q(1)}).items()}
+        assert q.normal_form_word(w) == expect, w
+    assert q.ideal_span() == span
+    # soundness: each rule of virtual degree e lies in the oracle's I_e
+    oracles = {d: (words, col, span)}
+    for lead, (drop, repl) in q._rules().items():
+        e = len(lead) + drop
+        if e not in oracles:
+            oracles[e] = oracle(pres, e)
+        _, col_e, ideal_e = oracles[e]
+        rule = {col_e[lead]: Q(1)}
+        for u, c in repl.items():
+            rule[col_e[u]] = -c
+        assert ideal_e.contains(rule), (lead, drop)
+
+
+@st.composite
+def presentations(draw):
+    nletters = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(-1, 1), min_size=nletters, max_size=nletters))
+    alg = FreeAlgebra([GeneratorSet(f"x{i}", 1, 1, wt) for i, wt in enumerate(weights)])
+    word = st.lists(st.integers(0, nletters - 1), max_size=3).map(tuple)
+    coef = st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    relation = st.dictionaries(word, coef, min_size=1, max_size=4).map(alg.element)
+    rels = draw(st.lists(relation, min_size=1, max_size=3))
+    d = draw(st.integers(max(r.degree() for r in rels), 5))
+    return Presentation(alg, rels), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_normal_forms_match_oracle_on_random_presentations(case):
+    assert_matches_oracle(*case)
+
+
+def test_older_lead_inside_a_new_lead_is_completed():
+    # the rule x2 h -> -1 (degree 2) has its lead inside the later lead x2 x0
+    # (x2 x0 -> 1/2, degree 2); only their inclusion pair, at degree 3, gives
+    # x0 h^2 -> -1/2
+    alg = FreeAlgebra([GeneratorSet(f"x{i}", 1, 1, 0) for i in range(3)])
+    x0, x1, x2 = (alg.gen(f"x{i}", 0, 0) for i in range(3))
+    one = alg.one()
+    pres = Presentation(alg, [Q(1, 3) * one + x1, Q(1, 3) * one - x1 * x2, one - 2 * (x2 * x0)])
+    assert TruncatedQuotient(pres, 3).normal_form_word((0,)) == {(): Q(-1, 2)}
+    assert_matches_oracle(pres, 3)
+
+
+@pytest.mark.parametrize("t, d", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)])
+@pytest.mark.parametrize("F", ["identity", "diag", "jordan"])
+def test_hopf_normal_forms_match_oracle(t, d, F):
+    F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
+         "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[F]
+    assert_matches_oracle(build_hf(F).presentation, d)
+
+
+@pytest.mark.parametrize("t, F, k", [(3, "preset:identity", 2), (2, "preset:jordan", 3)])
+def test_certify_fft_past_the_old_block_sizes(t, F, k, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["certify-fft", "-m", "1", "-n", "1", "-t", str(t), "--F", F, "-k", str(k),
+            "--format", "json", "-o", str(out)]
+    assert cli.run(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["status"] == "certified"
+    assert [(c["dim_coinv"], c["dim_theta"], c["certified"]) for c in report["cases"]] == \
+        [(1, 1, True)] * (k + 1)
