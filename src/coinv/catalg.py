@@ -234,7 +234,7 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> list[Inte
     source._compatible(target)
     q = source.hopf.quotient(d)
     nsrc, ntgt = source.dim, target.dim
-    constraints = [[(row * nsrc + col, h) for (row, col), h in terms]
+    constraints = [[(row * nsrc + col, w, c) for (row, col), h in terms for w, c in h.terms.items()]
                    for _, terms in _morphism_conditions(source, target)]
     sol = certified_kernel(q, nsrc * ntgt, constraints)
     out = []

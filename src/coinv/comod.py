@@ -6,6 +6,14 @@ A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x) z_kj.  The
 tensor product A(m,t) (x) A(t,n) is then a left comodule algebra, and its
 coinvariants {x : alpha(x) = 1 (x) x} are computed bidegree by bidegree.
 
+Since S is anti-multiplicative with S(u_kj) = v_jk, the H-leg of every
+term of alpha on a word pair is one word (a reversed v-word followed by a
+u-word) with coefficient 1, and the entry alpha[s, tau] of the coaction
+matrix between two basis pairs is a single H-word.  Coinvariance at target
+pair tau is therefore handed to certified_kernel as the constraint
+[(s, alpha[s, tau], 1) for each source pair s] + [(tau, empty word, -1)]
+of (unknown, H-word, coefficient) triples.
+
 Certification logic (the squeeze): the solver accepts x as coinvariant only
 when every H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal
 membership witness, so the computed space V is a subspace of the true
@@ -100,19 +108,18 @@ class CoactionContext:
     def flipped_word_terms(self, wa: Word):
         """Terms of rho'(w) for a word w of A(m,t), as (H-word, target word).
 
-        The H-leg of rho is accumulated left-to-right as a u-word and the
-        antipode is applied once, anti-multiplicatively, to the whole leg.
+        rho sends y_(i1 j1)...y_(ir jr) to the sum over k of
+        y_(i1 k1)...y_(ir kr) (x) u_(k1 j1)...u_(kr jr), and the antipode is
+        anti-multiplicative with S(u_kj) = v_jk, so each leg is the single
+        v-word v_(jr kr)...v_(j1 k1) with coefficient 1.
         """
-        h = self.hopf
-        halg = h.algebra
+        halg = self.hopf.algebra
         infos = [self.amt.letter_info(l) for l in wa]
         for kvec in product(range(self.t), repeat=len(wa)):
-            uword = tuple(halg.letter("u", k, info[2]) for k, info in zip(kvec, infos))
-            s_img = h.antipode(FreeElement(halg, {uword: Q(1)}))
-            assert len(s_img.terms) >= 1
+            hword = tuple(halg.letter("v", info[2], k)
+                          for info, k in zip(reversed(infos), reversed(kvec)))
             target = tuple(self.amt.letter("y", info[1], k) for info, k in zip(infos, kvec))
-            for hw, c in s_img.terms.items():
-                yield hw, c, target
+            yield hword, target
 
     def left_word_terms(self, wb: Word):
         """Terms of lambda(w) for a word w of A(t,n), as (H-word, target word)."""
@@ -124,29 +131,12 @@ class CoactionContext:
             yield hword, target
 
     def tensor_word_terms(self, wa: Word, wb: Word):
-        """Terms of alpha(w_A (x) w_B): (H-word, coefficient, target pair)."""
+        """Terms of alpha(w_A (x) w_B), as (H-word, target pair); every
+        coefficient is 1 and no two terms share a target pair."""
         left_terms = list(self.left_word_terms(wb))
-        for hwa, ca, ta in self.flipped_word_terms(wa):
+        for hwa, ta in self.flipped_word_terms(wa):
             for hwb, tb in left_terms:
-                yield hwa + hwb, ca, (ta, tb)
-
-    def tensor_coaction(self, bidegree: tuple[int, int]) -> dict[tuple[PairKey, PairKey], FreeElement]:
-        """Matrix of alpha on the bidegree component: (source pair, target pair)
-        -> H-free-cover element of degree exactly i+j (i v-letters, j u-letters)."""
-        i, j = bidegree
-        if i < 0 or j < 0:
-            raise ValueError("bidegree components must be nonnegative")
-        halg = self.hopf.algebra
-        out: dict[tuple[PairKey, PairKey], FreeElement] = {}
-        for wa in self.amt.degree_basis(i):
-            for wb in self.atn.degree_basis(j):
-                acc: dict[PairKey, dict[Word, Q]] = {}
-                for hw, c, tgt in self.tensor_word_terms(wa, wb):
-                    add_to(acc.setdefault(tgt, {}), hw, c)
-                for tgt, terms in acc.items():
-                    if terms:
-                        out[((wa, wb), tgt)] = FreeElement(halg, terms)
-        return out
+                yield hwa + hwb, (ta, tb)
 
     # -- pair-basis bookkeeping ---------------------------------------------
 
@@ -196,12 +186,10 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     pairs = ctx.pair_basis(bidegree)
     index = {p: s for s, p in enumerate(pairs)}
     # one constraint per target pair tau: sum_s x_s alpha[s, tau] - x_tau = 0
-    constraints: list[list[tuple[int, FreeElement]]] = [[] for _ in pairs]
-    for (src, tgt), h in ctx.tensor_coaction(bidegree).items():
-        constraints[index[tgt]].append((index[src], h))
-    minus_one = -ctx.hopf.algebra.one()
-    for tau, terms in enumerate(constraints):
-        terms.append((tau, minus_one))
+    constraints: list[list[tuple[int, Word, Q]]] = [[(tau, (), Q(-1))] for tau in range(len(pairs))]
+    for s, (wa, wb) in enumerate(pairs):
+        for hw, tgt in ctx.tensor_word_terms(wa, wb):
+            constraints[index[tgt]].append((s, hw, Q(1)))
     return certified_kernel(q, len(pairs), constraints)
 
 
@@ -219,8 +207,8 @@ def coinvariance_residual(ctx: CoactionContext, x: TensorElement, d: int):
     halg = ctx.hopf.algebra
     acc: dict[PairKey, dict[Word, Q]] = {}
     for (wa, wb), coeff in x.terms.items():
-        for hw, c, tgt in ctx.tensor_word_terms(wa, wb):
-            add_to(acc.setdefault(tgt, {}), hw, coeff * c)
+        for hw, tgt in ctx.tensor_word_terms(wa, wb):
+            add_to(acc.setdefault(tgt, {}), hw, coeff)
     for tgt, coeff in x.terms.items():
         add_to(acc.setdefault(tgt, {}), (), -coeff)
     residuals = {}

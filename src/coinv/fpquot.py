@@ -26,13 +26,11 @@ Implementation notes
 * Every rule is an exact combination of products a*r*b, so a zero normal
   form is a membership proof.  Reduction touches only the words a query
   reaches; normal forms of queried words are memoised per quotient, and
-  quotients are shared in-process by (presentation fingerprint, d).
+  quotients are shared in-process by (presentation, d).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from enum import Enum
@@ -58,7 +56,7 @@ class CertStatus(Enum):
 class Presentation:
     """A free algebra together with a finite list of nonzero relations."""
 
-    __slots__ = ("algebra", "relations", "_fingerprint")
+    __slots__ = ("algebra", "relations", "_hash")
 
     def __init__(self, algebra: FreeAlgebra, relations):
         relations = tuple(relations)
@@ -69,7 +67,7 @@ class Presentation:
                 raise ValueError("zero relations are not allowed")
         self.algebra = algebra
         self.relations = relations
-        self._fingerprint: str | None = None
+        self._hash = hash((algebra, relations))
 
     @property
     def max_relation_degree(self) -> int:
@@ -80,28 +78,13 @@ class Presentation:
         """True iff every relation is homogeneous for the generator weights."""
         return all(r.weight() is not None for r in self.relations)
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable content hash of the presentation (used as cache key)."""
-        if self._fingerprint is None:
-            payload = {
-                "gens": [[g.name, g.rows, g.cols, g.weight] for g in self.algebra.gen_sets],
-                "rels": sorted(
-                    sorted([list(w), str(c)] for w, c in r.terms.items())
-                    for r in self.relations
-                ),
-            }
-            blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
-            self._fingerprint = hashlib.sha256(blob).hexdigest()
-        return self._fingerprint
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Presentation)
                 and self.algebra == other.algebra
                 and self.relations == other.relations)
 
     def __hash__(self):
-        return hash((self.algebra, self.relations))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Presentation({self.algebra!r}, {len(self.relations)} relations)"
@@ -313,14 +296,14 @@ def _complete(relations, d: int) -> dict[Word, tuple[int, dict[Word, Q]]]:
 
 MAX_QUOTIENTS = 16
 
-_QUOTIENTS: OrderedDict[tuple[str, int], TruncatedQuotient] = OrderedDict()
+_QUOTIENTS: OrderedDict[tuple[Presentation, int], TruncatedQuotient] = OrderedDict()
 _QUOTIENTS_LOCK = threading.Lock()
 
 
 def truncated_quotient(presentation: Presentation, d: int) -> TruncatedQuotient:
     """Shared quotient for (presentation, d); the MAX_QUOTIENTS most recently
     used ones are kept."""
-    key = (presentation.fingerprint, d)
+    key = (presentation, d)
     with _QUOTIENTS_LOCK:
         q = _QUOTIENTS.get(key)
         if q is None:
@@ -335,16 +318,17 @@ def truncated_quotient(presentation: Presentation, d: int) -> TruncatedQuotient:
 def certified_kernel(q: TruncatedQuotient, nunknowns: int, constraints) -> Subspace:
     """Common solver for linear conditions modulo the truncated ideal.
 
-    Each constraint is an iterable of (unknown index, FreeElement) pairs and
-    encodes the condition `sum_u c_u * h_u  is certified zero mod q`.  The
-    returned subspace of Q^nunknowns is the exact solution set of the
-    certified conditions, hence a sound subspace of the true solution set
-    (both coinvariant equations and comodule-morphism equations take this
-    shape).
+    Each constraint is an iterable of (unknown index u, word w, coefficient
+    c) triples and encodes the condition `sum c * lambda_u * w  is certified
+    zero mod q`; one unknown may appear with several words.  The returned
+    subspace of Q^nunknowns is the exact solution set of the certified
+    conditions, hence a sound subspace of the true solution set.  In a
+    coinvariant constraint each coaction entry alpha[s, tau] is one H-word;
+    a comodule-morphism constraint lists every word of each coaction entry.
     """
     rows: dict[tuple[int, Word], dict[int, Q]] = {}
     for cid, terms in enumerate(constraints):
-        for u_idx, elem in terms:
-            for w, c in q.normal_form(elem).items():
-                add_to(rows.setdefault((cid, w), {}), u_idx, c)
+        for u_idx, word, coeff in terms:
+            for w, c in q.normal_form_word(word).items():
+                add_to(rows.setdefault((cid, w), {}), u_idx, coeff * c)
     return solve_homogeneous(rows.values(), nunknowns)

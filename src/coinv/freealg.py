@@ -361,70 +361,45 @@ def tensor_one(left_algebra: FreeAlgebra, right_algebra: FreeAlgebra) -> TensorE
 
 
 class AlgebraHom:
-    """Algebra map from a free algebra, determined by images of the letters.
-
-    Images may be FreeElements of a target free algebra or TensorElements of
-    a fixed tensor square; words map to the ordered product of their letter
-    images, and the map extends linearly.
-    """
+    """Algebra map from a free algebra into a tensor square, determined by the
+    images of the letters; words map to the ordered product of their letter
+    images."""
 
     __slots__ = ("source", "images", "_one")
 
-    def __init__(self, source: FreeAlgebra, images: Mapping[int, FreeElement | TensorElement]):
+    def __init__(self, source: FreeAlgebra, images: Mapping[int, TensorElement]):
         if set(images) != set(range(source.nletters)):
             raise ValueError("images must be given for every generator")
-        vals = list(images.values())
-        first = vals[0]
-        if isinstance(first, TensorElement):
-            for v in vals:
-                if not isinstance(v, TensorElement) or v.left_algebra != first.left_algebra \
-                        or v.right_algebra != first.right_algebra:
-                    raise ValueError("images must share one target tensor square")
-            one = tensor_one(first.left_algebra, first.right_algebra)
-        else:
-            for v in vals:
-                if not isinstance(v, FreeElement) or v.algebra != first.algebra:
-                    raise ValueError("images must share one target algebra")
-            one = first.algebra.one()
+        first = next(iter(images.values()))
+        for v in images.values():
+            if not isinstance(v, TensorElement) or v.left_algebra != first.left_algebra \
+                    or v.right_algebra != first.right_algebra:
+                raise ValueError("images must share one target tensor square")
         self.source = source
         self.images = dict(images)
-        self._one = one
+        self._one = tensor_one(first.left_algebra, first.right_algebra)
 
     @property
     def tensor_target(self) -> tuple[FreeAlgebra, FreeAlgebra]:
-        if not isinstance(self._one, TensorElement):
-            raise ValueError("hom does not target a tensor square")
         return self._one.left_algebra, self._one.right_algebra
 
-    def apply_word(self, word: Word):
+    def apply_word(self, word: Word) -> TensorElement:
         out = self._one
         for letter in word:
             out = out * self.images[letter]
         return out
-
-    def apply(self, x: FreeElement):
-        if x.algebra != self.source:
-            raise ValueError("element not in the source algebra")
-        out = self._one.scale(0)
-        for w, c in x.terms.items():
-            out = out + self.apply_word(w).scale(c)
-        return out
-
-    def __call__(self, x: FreeElement):
-        return self.apply(x)
 
 
 # -- the universal embedding θ ----------------------------------------------
 
 
 def theta(m: int, n: int, t: int,
-          source: FreeAlgebra | None = None,
           left: FreeAlgebra | None = None,
           right: FreeAlgebra | None = None) -> AlgebraHom:
     """The algebra map A(m,n) -> A(m,t) (x) A(t,n), x_ij -> sum_k y_ik (x) z_kj."""
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
-    src = source if source is not None else matrix_entry_algebra("x", m, n)
+    src = matrix_entry_algebra("x", m, n)
     amt = left if left is not None else matrix_entry_algebra("y", m, t)
     atn = right if right is not None else matrix_entry_algebra("z", t, n)
     images: dict[int, TensorElement] = {}

@@ -14,7 +14,8 @@ from coinv.comod import (
     subalgebra_check,
     theta_image_vectors,
 )
-from coinv.freealg import theta
+from coinv.exactlin import add_to, solve_homogeneous
+from coinv.freealg import FreeElement, tensor_one, theta
 from coinv.hopf import FMatrix
 
 Q = Fraction
@@ -67,10 +68,77 @@ def test_tensor_coaction_h_legs_are_v_then_u(ctx212j):
     alg = ctx212j.hopf.algebra
     wa = (ctx212j.amt.letter("y", 0, 0), ctx212j.amt.letter("y", 1, 1))
     wb = (ctx212j.atn.letter("z", 0, 0), ctx212j.atn.letter("z", 1, 0))
-    for hw, _, _ in ctx212j.tensor_word_terms(wa, wb):
+    for hw, _ in ctx212j.tensor_word_terms(wa, wb):
         assert len(hw) == 4
         names = [alg.letter_info(letter)[0] for letter in hw]
         assert names == ["v", "v", "u", "u"]
+
+
+def _flipped_via_antipode(ctx, wa):
+    """rho'(w) as {(H-word, target word): coefficient}: rho as the product of
+    rho_gen over the letters of w, then the antipode on each u-leg."""
+    halg = ctx.hopf.algebra
+    rho = tensor_one(ctx.amt, halg)
+    for letter in wa:
+        _, i, j = ctx.amt.letter_info(letter)
+        rho = rho * ctx.rho_gen(i, j)
+    out = {}
+    for (wy, wu), c in rho.terms.items():
+        for ws, cs in ctx.hopf.antipode(FreeElement(halg, {wu: Q(1)})).terms.items():
+            add_to(out, (ws, wy), c * cs)
+    return out
+
+
+def _alpha_via_antipode(ctx, wa, wb):
+    """alpha(w_A (x) w_B) as {target pair: FreeElement}, built from the
+    antipode reference and lambda as the product of lam_gen."""
+    halg = ctx.hopf.algebra
+    lam = tensor_one(halg, ctx.atn)
+    for letter in wb:
+        _, i, j = ctx.atn.letter_info(letter)
+        lam = lam * ctx.lam_gen(i, j)
+    acc = {}
+    for (hs, ta), ca in _flipped_via_antipode(ctx, wa).items():
+        for (hu, tb), cb in lam.terms.items():
+            add_to(acc.setdefault((ta, tb), {}), hs + hu, ca * cb)
+    return {tgt: FreeElement(halg, terms) for tgt, terms in acc.items() if terms}
+
+
+@pytest.mark.parametrize("t, F, max_degree", [
+    (2, FMatrix.identity(2), 3),
+    (2, FMatrix.jordan(2), 3),
+    (2, FMatrix.from_rows([[1, 2], [3, -1]]), 3),
+    (3, FMatrix.identity(3), 2),
+    (3, FMatrix.jordan(3), 2),
+    (3, FMatrix.from_rows([[1, 2, 0], [3, -1, 0], [0, 0, 1]]), 2),
+])
+def test_flipped_word_terms_match_antipode(t, F, max_degree):
+    ctx = CoactionContext(2, 1, t, F)
+    for deg in range(max_degree + 1):
+        for wa in ctx.amt.degree_basis(deg):
+            direct = {}
+            for hw, tgt in ctx.flipped_word_terms(wa):
+                assert (hw, tgt) not in direct
+                direct[hw, tgt] = Q(1)
+            assert direct == _flipped_via_antipode(ctx, wa)
+
+
+@pytest.mark.parametrize("bidegree", [(1, 1), (2, 1), (2, 2)])
+def test_coinvariants_match_antipode_kernel(ctx212j, bidegree):
+    d = sum(bidegree) + 2
+    q = ctx212j.hopf.quotient(d)
+    pairs = ctx212j.pair_basis(bidegree)
+    index = {p: s for s, p in enumerate(pairs)}
+    rows = {}
+    for s, (wa, wb) in enumerate(pairs):
+        for tgt, h in _alpha_via_antipode(ctx212j, wa, wb).items():
+            for w, c in q.normal_form(h).items():
+                add_to(rows.setdefault((index[tgt], w), {}), s, c)
+    for tau in range(len(pairs)):
+        for w, c in q.normal_form(-ctx212j.hopf.algebra.one()).items():
+            add_to(rows.setdefault((tau, w), {}), tau, c)
+    expected = solve_homogeneous(rows.values(), len(pairs))
+    assert coinvariants(ctx212j, bidegree, d) == expected
 
 
 def test_pair_basis_round_trip(ctx221):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinv.freealg import (
-    AlgebraHom,
     FreeAlgebra,
     GeneratorSet,
     matrix_entry_algebra,
