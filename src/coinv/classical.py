@@ -12,6 +12,12 @@ polarization derivations E_ab with E_ab(Y_ic) = -delta_bc Y_ia and
 E_ab(Z_cj) = delta_ac Z_bj.  Over Q this is equivalent to invariance under
 the group action (A, B) -> (A g^-1, g B); the equivalence is classical and
 assumed, not certified.
+
+The joint kernel is solved on the weight-zero monomials only, with the
+off-diagonal E_ab (a != b).  This is exact: a diagonal E_aa multiplies a
+monomial by its weight deg_{Z_a.} - deg_{Y_.a}, so a polynomial is killed by
+every E_aa iff each of its monomials has weight zero in every a.  At odd
+total degree no monomial has weight zero.
 """
 
 from __future__ import annotations
@@ -262,6 +268,12 @@ class DerivationAction:
                     imgs[self.ring.var_index("Z", a, j)] = self.ring.var("Z", b, j)
                 self.var_images[(a, b)] = imgs
 
+    def weight(self, mono: Mono) -> list[int]:
+        """E_aa(mono) = weight[a] * mono: deg of Z row a minus deg of Y column a."""
+        t, n, ydeg = self.t, self.n, self.m * self.t
+        return [sum(mono[ydeg + a * n:ydeg + (a + 1) * n]) - sum(mono[a:ydeg:t])
+                for a in range(t)]
+
     def apply(self, a: int, b: int, p: Poly) -> Poly:
         """E_ab extended to polynomials by the Leibniz rule."""
         imgs = self.var_images[(a, b)]
@@ -280,20 +292,25 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     """Joint kernel of all t^2 derivations on the total-degree component of Q[Y,Z].
 
     `degree` is the total degree in the tensor ring (each theta* image of an
-    X-degree-k monomial lands in total degree 2k).
+    X-degree-k monomial lands in total degree 2k).  The subspace is over all
+    monomials of that degree; it is solved on the weight-zero monomials with
+    the off-diagonal derivations only (see the module docstring).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     act = DerivationAction(m, n, t)
-    ring = act.ring
-    monos = ring.monomials_of_degree(degree)
-    equations: dict[tuple[tuple[int, int], int], dict[int, Q]] = {}
-    for idx, mono in enumerate(monos):
-        for ab in act.var_images:
-            img = act.apply(ab[0], ab[1], {mono: Q(1)})
-            for target, c in img.items():
-                equations.setdefault((ab, ring.monomial_position(target)), {})[idx] = c
-    return solve_homogeneous(equations.values(), len(monos))
+    monos = act.ring.monomials_of_degree(degree)
+    cols = [idx for idx, mono in enumerate(monos) if not any(act.weight(mono))]
+    off_diagonal = [ab for ab in act.var_images if ab[0] != ab[1]]
+    equations: dict[tuple[tuple[int, int], Mono], dict[int, Q]] = {}
+    for local, idx in enumerate(cols):
+        for ab in off_diagonal:
+            for target, c in act.apply(ab[0], ab[1], {monos[idx]: Q(1)}).items():
+                equations.setdefault((ab, target), {})[local] = c
+    kernel = solve_homogeneous(equations.values(), len(cols))
+    # cols is increasing, so relabelling keeps each row's lead first: still RREF
+    return Subspace(len(monos), {cols[lead]: {cols[c]: v for c, v in row.items()}
+                                 for lead, row in zip(kernel.pivot_cols, kernel.basis.rows)})
 
 
 # -- theorem reports ---------------------------------------------------------------

@@ -449,7 +449,11 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     return Subspace.from_vectors(m.ncols, vectors)
 
 
-def solve_homogeneous(rows: Iterable[Row], nunknowns: int) -> Subspace:
-    """Kernel of the linear system given by sparse equation rows over `nunknowns`."""
-    cleaned = [_clean_row(r) for r in rows]
+def solve_homogeneous(rows: Iterable[Mapping[int, Q | int]], nunknowns: int) -> Subspace:
+    """Kernel of the linear system given by sparse equation rows over `nunknowns`.
+
+    Each row maps an int column to a Fraction or int value; zero entries are
+    dropped, and values are used as given, not coerced.
+    """
+    cleaned = [{c: v for c, v in r.items() if v} for r in rows]
     return kernel_basis(RationalMatrix(len(cleaned), nunknowns, cleaned))

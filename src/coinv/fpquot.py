@@ -103,15 +103,17 @@ class TruncatedQuotient:
         self.presentation = presentation
         self.d = d
         self._basis: dict[Word, tuple[int, dict[Word, Q]]] | None = None
+        self._lengths: tuple[int, ...] = ()
         self._nf_cache: dict[Word, dict[Word, Q]] = {}
 
     # -- completion ----------------------------------------------------------
 
     def _rules(self) -> dict[Word, tuple[int, dict[Word, Q]]]:
         """Lead word -> (drop, replacement) of the basis completed up to
-        virtual degree d; computed on first use."""
+        virtual degree d; computed on first use, with its lead lengths."""
         if self._basis is None:
             self._basis = _complete(self.presentation.relations, self.d)
+            self._lengths = _lead_lengths(self._basis)
         return self._basis
 
     # -- public queries ------------------------------------------------------
@@ -135,7 +137,8 @@ class TruncatedQuotient:
         if got is None:
             if len(w) > self.d:
                 raise ValueError(f"degree {len(w)} exceeds truncation {self.d}")
-            got = _reduce(self._rules(), {w: Q(1)}, self.d, self._nf_cache)
+            rules = self._rules()
+            got = _reduce(rules, self._lengths, {w: Q(1)}, self.d, self._nf_cache)
             self._nf_cache[w] = got
         return got
 
@@ -145,8 +148,8 @@ class TruncatedQuotient:
 
     def quotient_basis(self) -> tuple[Word, ...]:
         """Words no rule can rewrite (degree-ascending, then lex): a basis of the quotient."""
-        rules, lengths = self._rules(), _lead_lengths(self._rules())
-        out = [w for w in self.word_order() if _match(rules, lengths, w, self.d - len(w)) is None]
+        rules = self._rules()
+        out = [w for w in self.word_order() if _match(rules, self._lengths, w, self.d - len(w)) is None]
         out.sort(key=lambda w: (len(w), w))
         return tuple(out)
 
@@ -208,13 +211,13 @@ def _match(rules, lengths, w: Word, slack: int):
     return None
 
 
-def _reduce(rules, vec: dict[Word, Q], deg: int, memo=None) -> dict[Word, Q]:
-    """Rewrite the largest word until none can be rewritten; words found in
-    memo (normal forms at the same virtual degree) are substituted whole."""
+def _reduce(rules, lengths, vec: dict[Word, Q], deg: int, memo=None) -> dict[Word, Q]:
+    """Rewrite the largest word until none can be rewritten; `lengths` are the
+    rules' lead lengths, and words found in memo (normal forms at the same
+    virtual degree) are substituted whole."""
     vec = dict(vec)
     heap = [_order(w) for w in vec]
     heapify(heap)
-    lengths = _lead_lengths(rules)
     out: dict[Word, Q] = {}
     while heap:
         w = heappop(heap)[1]
@@ -265,18 +268,21 @@ def _complete(relations, d: int) -> dict[Word, tuple[int, dict[Word, Q]]]:
     enters at the larger of its two drops plus the length of its ambiguity
     word.  A pair that does not reduce to zero becomes a monic rule."""
     rules: dict[Word, tuple[int, dict[Word, Q]]] = {}
+    lengths: tuple[int, ...] = ()
     queue = [(r.degree(), i, dict(r.terms)) for i, r in enumerate(relations)]
     heapify(queue)
     seq = len(queue)
     while queue:
         deg, _, vec = heappop(queue)
-        nf = _reduce(rules, vec, deg)
+        nf = _reduce(rules, lengths, vec, deg)
         if not nf:
             continue
         lead = min(nf, key=_order)
         inv = -1 / nf.pop(lead)
         rule = (deg - len(lead), {u: c * inv for u, c in nf.items()})
         rules[lead] = rule
+        if len(lead) not in lengths:
+            lengths = _lead_lengths(rules)
         for other, (drop, repl) in rules.items():
             top = max(rule[0], drop)
             for word, a1, b1, a2, b2 in _ambiguities(lead, other):

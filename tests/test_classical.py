@@ -22,6 +22,7 @@ from coinv.classical import (
     theta_star_images,
     theta_star_kernel,
 )
+from coinv.exactlin import solve_homogeneous
 from coinv.freealg import theta_matrix
 
 Q = Fraction
@@ -137,6 +138,45 @@ def test_invariants_match_image_in_low_degree():
     assert glt_invariants(2, 2, 1, 2) == theta_star_image(2, 2, 1, 1)
     assert glt_invariants(2, 2, 1, 3).dim == 0
     assert glt_invariants(2, 2, 1, 0).dim == 1
+
+
+def brute_force_glt_invariants(m, n, t, degree):
+    """Reference: every degree-D monomial under all t^2 derivations, one system."""
+    act = DerivationAction(m, n, t)
+    ring = act.ring
+    monos = ring.monomials_of_degree(degree)
+    equations = {}
+    for idx, mono in enumerate(monos):
+        for ab in act.var_images:
+            img = act.apply(ab[0], ab[1], {mono: Q(1)})
+            for target, c in img.items():
+                equations.setdefault((ab, ring.monomial_position(target)), {})[idx] = c
+    return solve_homogeneous(equations.values(), len(monos))
+
+
+@pytest.mark.parametrize("m, n, t, degree", [
+    *((2, 2, 1, d) for d in range(5)),
+    (2, 1, 2, 4), (2, 2, 2, 4), (3, 2, 2, 5), (3, 3, 2, 4), (1, 1, 3, 4), (2, 2, 3, 4),
+    (1, 2, 2, 3), (2, 1, 3, 2),
+])
+def test_glt_invariants_match_brute_force(m, n, t, degree):
+    assert glt_invariants(m, n, t, degree) == brute_force_glt_invariants(m, n, t, degree)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_diagonal_derivation_scales_by_weight(t):
+    # the premise of solving on weight-zero monomials: E_aa is diagonal
+    act = DerivationAction(2, 3, t)
+    rng = random.Random(t)
+    for _ in range(30):
+        mono = tuple(rng.randint(0, 2) for _ in range(act.ring.nvars))
+        weight = act.weight(mono)
+        for a in range(t):
+            y_col = sum(mono[act.ring.var_index("Y", i, a)] for i in range(2))
+            z_row = sum(mono[act.ring.var_index("Z", a, j)] for j in range(3))
+            assert weight[a] == z_row - y_col
+            expected = {mono: Q(weight[a])} if weight[a] else {}
+            assert act.apply(a, a, {mono: Q(1)}) == expected
 
 
 def test_fft1_report():
