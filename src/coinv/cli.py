@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"coinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quotient=True):
+    def common(p, quotient=True, auto_trunc="bidegree sum + 2"):
         p.add_argument("-m", type=int, default=1, help="rows of the source matrix ring")
         p.add_argument("-n", type=int, default=1, help="columns of the source matrix ring")
         p.add_argument("-t", type=int, default=1, help="inner size / F dimension")
@@ -356,7 +356,7 @@ def build_parser() -> _Parser:
                            help="preset:identity | preset:diag:a,b,... | preset:jordan "
                                 "| file:PATH (JSON t x t array of rational strings)")
             p.add_argument("--trunc", default="auto",
-                           help="ideal truncation degree, or 'auto' (= bidegree sum + 2)")
+                           help=f"ideal truncation degree, or 'auto' (= {auto_trunc})")
         p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--timings", action="store_true",
@@ -382,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("-j", type=int, required=True)
 
     p = sub.add_parser("hopf-check", help="certify Hopf structure maps descend")
-    common(p)
+    common(p, auto_trunc=str(COMPAT_MIN_DEGREE))
 
     p = sub.add_parser("classical", help="commutative FFT1/FFT2 degree by degree")
     common(p, quotient=False)

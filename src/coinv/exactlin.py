@@ -8,16 +8,17 @@ triangular basis of gcd-normalized integer rows (`_insert`); vectors are
 reduced modulo such a basis to their unique residual on the non-pivot
 columns (`_reduce`); and back-substitution turns the basis into reduced row
 echelon form (`_back_substitute`).  RREF is canonical, so subspace equality
-is dict equality of RREF rows.  The certified kernels of `fpquot` are
-solved here too; its normal forms come from rewriting, not from this
-eliminator.
+is dict equality of RREF rows.  Every kernel (`solve_homogeneous`) comes
+from one elimination with the columns in reversed order, whose reduced rows
+read off directly as the kernel's RREF basis.  The certified kernels of
+`fpquot` are solved here too; its normal forms come from rewriting, not
+from this eliminator.
 
 `add_to` is the sparse accumulator used by every other module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -99,17 +100,10 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, [{i: Q(1)} for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls(nrows, ncols, [dict() for _ in range(nrows)])
-
     # -- access ----------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Q:
         return self.rows[r].get(c, Q(0))
-
-    def to_dense(self) -> list[list[Q]]:
-        return [[self.entry(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
 
     def iter_entries(self) -> Iterator[tuple[int, int, Q]]:
         for r, row in enumerate(self.rows):
@@ -118,30 +112,7 @@ class RationalMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        rows = []
-        for a, b in zip(self.rows, other.rows):
-            r = dict(a)
-            for c, v in b.items():
-                add_to(r, c, v)
-            rows.append(r)
-        return RationalMatrix(self.nrows, self.ncols, rows)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(Q(-1))
-
-    def scale(self, a: object) -> "RationalMatrix":
-        q = Q(a)
-        if not q:
-            return RationalMatrix.zero(self.nrows, self.ncols)
-        return RationalMatrix(self.nrows, self.ncols, [{c: q * v for c, v in r.items()} for r in self.rows])
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self.mul(other)
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         """Matrix product self @ other."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -153,27 +124,6 @@ class RationalMatrix:
                     add_to(acc, c, v * w)
             rows.append(acc)
         return RationalMatrix(self.nrows, other.ncols, rows)
-
-    def mul_vector(self, vec: Sequence[object] | Mapping[int, object]) -> Row:
-        """Matrix-vector product as a sparse column (row index -> value)."""
-        v = _clean_row(vec) if isinstance(vec, Mapping) else row_from_sequence(vec)
-        out: Row = {}
-        for r, row in enumerate(self.rows):
-            s = Q(0)
-            for c, w in row.items():
-                x = v.get(c)
-                if x:
-                    s += w * x
-            if s:
-                out[r] = s
-        return out
-
-    def transpose(self) -> "RationalMatrix":
-        rows: list[Row] = [dict() for _ in range(self.ncols)]
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                rows[c][r] = v
-        return RationalMatrix(self.ncols, self.nrows, rows)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         """Kronecker product; block (r, c) of the result is entry(r, c) * other."""
@@ -204,19 +154,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
-
-
-def vstack(mats: Sequence[RationalMatrix]) -> RationalMatrix:
-    """Stack matrices with equal column counts vertically."""
-    if not mats:
-        raise ValueError("vstack of nothing")
-    ncols = mats[0].ncols
-    rows: list[Row] = []
-    for m in mats:
-        if m.ncols != ncols:
-            raise ValueError("column count mismatch in vstack")
-        rows.extend(dict(r) for r in m.rows)
-    return RationalMatrix(len(rows), ncols, rows)
 
 
 # -- the eliminator --------------------------------------------------------
@@ -342,21 +279,6 @@ def _back_substitute(pivots: Mapping[int, IntRow]) -> dict[int, Row]:
     return reduced
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: RationalMatrix
-    rank: int
-    pivot_cols: tuple[int, ...]
-
-
-def rref(m: RationalMatrix) -> RrefResult:
-    """Reduced row echelon form (canonical for the row space)."""
-    reduced = _back_substitute(_echelon(m.rows))
-    leads = sorted(reduced)
-    rows = [reduced[c] for c in leads]
-    return RrefResult(RationalMatrix(len(rows), m.ncols, rows), len(rows), tuple(leads))
-
-
 def rank(m: RationalMatrix) -> int:
     return len(_echelon(m.rows))
 
@@ -409,16 +331,6 @@ class Subspace:
     def contains(self, vector: Mapping[int, object] | Sequence[object]) -> bool:
         return not self.reduce(vector)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(other.contains(row) for row in self.basis.rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis.rows) + list(other.basis.rows))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subspace)
@@ -433,27 +345,34 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_basis(m: RationalMatrix) -> Subspace:
-    """Right kernel {x : m @ x = 0} as a subspace of Q^(ncols)."""
-    res = rref(m)
-    pivot_set = set(res.pivot_cols)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    vectors: list[Row] = []
-    for f in free_cols:
-        v: Row = {f: Q(1)}
-        for prow, pcol in zip(res.matrix.rows, res.pivot_cols):
-            a = prow.get(f)
-            if a:
-                v[pcol] = -a
-        vectors.append(v)
-    return Subspace.from_vectors(m.ncols, vectors)
-
-
 def solve_homogeneous(rows: Iterable[Mapping[int, Q | int]], nunknowns: int) -> Subspace:
     """Kernel of the linear system given by sparse equation rows over `nunknowns`.
 
-    Each row maps an int column to a Fraction or int value; zero entries are
-    dropped, and values are used as given, not coerced.
+    Each row maps an int column in [0, nunknowns) to a Fraction or int value;
+    zero entries are dropped, and values are used as given, not coerced.
+
+    One elimination gives the kernel's canonical basis.  The rows are
+    eliminated with column c relabelled nunknowns-1-c, so each reduced row R[p]
+    leads at its largest original column p and is otherwise supported on
+    free columns below p.  For a free column f, the vector
+    e_f - sum_p R[p][f] e_p therefore leads at f (every p with R[p][f] != 0
+    exceeds f) and vanishes on every other free column: these vectors are
+    already the RREF rows of the kernel, whose pivots are the free columns.
     """
-    cleaned = [{c: v for c, v in r.items() if v} for r in rows]
-    return kernel_basis(RationalMatrix(len(cleaned), nunknowns, cleaned))
+    top = nunknowns - 1
+
+    def reversed_rows():
+        for r in rows:
+            row = {top - c: v for c, v in r.items() if v}
+            if row and (min(row) < 0 or max(row) > top):
+                raise ValueError("column index out of range")
+            yield row
+
+    reduced = _back_substitute(_echelon(reversed_rows()))
+    kernel: dict[int, Row] = {f: {f: Q(1)} for f in range(nunknowns) if top - f not in reduced}
+    for lead, row in reduced.items():
+        p = top - lead
+        for c, v in row.items():
+            if c != lead:
+                kernel[top - c][p] = -v
+    return Subspace(nunknowns, kernel)

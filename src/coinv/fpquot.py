@@ -164,9 +164,6 @@ class TruncatedQuotient:
     def quotient_dim(self) -> int:
         return len(self.quotient_basis())
 
-    def ideal_dim(self) -> int:
-        return len(self.word_order()) - self.quotient_dim()
-
     def ideal_span(self) -> Subspace:
         """The truncated ideal as a canonical subspace over word_order columns:
         one RREF row w - NF(w) per word w that a rule rewrites."""

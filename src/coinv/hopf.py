@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import RationalMatrix, add_to, rref
+from .exactlin import RationalMatrix, Subspace, add_to
 from .freealg import FreeAlgebra, FreeElement, GeneratorSet, TensorElement, Word
 from .fpquot import CertStatus, Presentation, TruncatedQuotient, truncated_quotient
 
@@ -48,15 +48,11 @@ class FMatrix:
         if matrix.nrows != matrix.ncols or matrix.nrows < 1:
             raise ValueError("F must be square and nonempty")
         t = matrix.nrows
-        aug_rows = []
-        for i in range(t):
-            row = dict(matrix.rows[i])
-            row[t + i] = Q(1)
-            aug_rows.append(row)
-        res = rref(RationalMatrix(t, 2 * t, aug_rows))
+        # the RREF of [F | I] is [I | F^-1] exactly when F is invertible
+        res = Subspace.from_vectors(2 * t, [{**matrix.rows[i], t + i: Q(1)} for i in range(t)])
         if res.pivot_cols != tuple(range(t)):
             raise ValueError("F must be invertible")
-        inv_rows = [{c - t: v for c, v in row.items() if c >= t} for row in res.matrix.rows]
+        inv_rows = [{c - t: v for c, v in row.items() if c >= t} for row in res.basis.rows]
         self.t = t
         self.matrix = matrix
         self.inverse = RationalMatrix(t, t, inv_rows)

@@ -186,6 +186,21 @@ def test_removed_flags_are_usage_errors(command, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(set(_REQUIRED) - {"theta-rank", "classical"}))
+def test_trunc_help_names_the_auto_degree(command, capsys, tmp_path):
+    with pytest.raises(SystemExit):
+        run([command, "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    out = tmp_path / "r.json"
+    assert run([command, *_REQUIRED[command], "--format", "json", "-o", str(out)]) == 0
+    case = json.loads(out.read_text())["cases"][-1]
+    if command == "hopf-check":
+        assert f"'auto' (= {case['witness_degree']})" in help_text
+    else:
+        assert "'auto' (= bidegree sum + 2)" in help_text
+        assert case["witness_degree"] == sum(case["bidegree"]) + 2
+
+
 def test_run_usage_error_exits_three():
     with pytest.raises(SystemExit) as exc:
         run(["certify-fft", "-m", "1"])  # missing -k
