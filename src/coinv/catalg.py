@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .comod import CoactionContext, coinvariance_residual
 from .exactlin import RationalMatrix, Subspace, add_to
-from .freealg import FreeElement, TensorElement, Word, matrix_entry_algebra, theta
+from .freealg import FreeElement, TensorElement, Word, matrix_entry_algebra, theta_images
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
@@ -35,16 +35,13 @@ Q = Fraction
 
 
 class ComoduleSpace:
-    """Finite-dimensional comodule: delta(e_a) = sum_b h[a,b] (x) e_b (left side)
-    or delta(e_a) = sum_b e_b (x) h[a,b] (right side), entries in the free cover."""
+    """Finite-dimensional left comodule: delta(e_a) = sum_b h[a,b] (x) e_b, with
+    entries h[a,b] in the free cover."""
 
     def __init__(self, hopf: HopfCover, dim: int,
-                 coaction: dict[tuple[int, int], FreeElement],
-                 side: str = "left", label: str = "?"):
+                 coaction: dict[tuple[int, int], FreeElement], label: str = "?"):
         if dim < 1:
             raise ValueError("comodule dimension must be positive")
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         for (a, b), h in coaction.items():
             if not (0 <= a < dim and 0 <= b < dim):
                 raise ValueError("coaction index out of range")
@@ -53,27 +50,20 @@ class ComoduleSpace:
         self.hopf = hopf
         self.dim = dim
         self.coaction = dict(coaction)
-        self.side = side
         self.label = label
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def trivial(cls, hopf: HopfCover, dim: int = 1, side: str = "left") -> "ComoduleSpace":
+    def trivial(cls, hopf: HopfCover, dim: int = 1) -> "ComoduleSpace":
         one = hopf.algebra.one()
-        return cls(hopf, dim, {(a, a): one for a in range(dim)}, side, "I" if dim == 1 else f"I^{dim}")
+        return cls(hopf, dim, {(a, a): one for a in range(dim)}, "I" if dim == 1 else f"I^{dim}")
 
     @classmethod
     def standard_left(cls, hopf: HopfCover) -> "ComoduleSpace":
         t = hopf.t
         co = {(i, j): hopf.u(i, j) for i in range(t) for j in range(t)}
-        return cls(hopf, t, co, "left", "U_l")
-
-    @classmethod
-    def standard_right(cls, hopf: HopfCover) -> "ComoduleSpace":
-        t = hopf.t
-        co = {(i, j): hopf.u(j, i) for i in range(t) for j in range(t)}
-        return cls(hopf, t, co, "right", "U_r")
+        return cls(hopf, t, co, "U_l")
 
     def dual(self) -> "ComoduleSpace":
         """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map."""
@@ -82,14 +72,14 @@ class ComoduleSpace:
             img = self.hopf.antipode(h)
             if not img.is_zero:
                 co[(a, b)] = img
-        return ComoduleSpace(self.hopf, self.dim, co, self.side, self.label + "*")
+        return ComoduleSpace(self.hopf, self.dim, co, self.label + "*")
 
     def direct_sum(self, other: "ComoduleSpace") -> "ComoduleSpace":
         self._compatible(other)
         co = dict(self.coaction)
         for (a, b), h in other.coaction.items():
             co[(a + self.dim, b + self.dim)] = h
-        return ComoduleSpace(self.hopf, self.dim + other.dim, co, self.side,
+        return ComoduleSpace(self.hopf, self.dim + other.dim, co,
                              f"({self.label}(+){other.label})")
 
     def direct_power(self, m: int) -> "ComoduleSpace":
@@ -110,14 +100,14 @@ class ComoduleSpace:
                 h = h1 * h2
                 if not h.is_zero:
                     co[(a * other.dim + c, b * other.dim + dd)] = h
-        return ComoduleSpace(self.hopf, self.dim * other.dim, co, self.side,
+        return ComoduleSpace(self.hopf, self.dim * other.dim, co,
                              f"{self.label}(x){other.label}")
 
     def tensor_power(self, k: int) -> "ComoduleSpace":
         if k < 0:
             raise ValueError("tensor power requires k >= 0")
         if k == 0:
-            return ComoduleSpace.trivial(self.hopf, 1, self.side)
+            return ComoduleSpace.trivial(self.hopf, 1)
         out = self
         for _ in range(k - 1):
             out = out.tensor(self)
@@ -127,8 +117,6 @@ class ComoduleSpace:
     def _compatible(self, other: "ComoduleSpace"):
         if self.hopf.algebra is not other.hopf.algebra or self.hopf.F != other.hopf.F:
             raise ValueError("comodules live over different Hopf covers")
-        if self.side != other.side:
-            raise ValueError("cannot combine left and right comodules")
 
     # -- structure checks -----------------------------------------------------
 
@@ -141,8 +129,7 @@ class ComoduleSpace:
         return all((a, a) in seen for a in range(self.dim))
 
     def is_coassociative(self) -> bool:
-        """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c] (left) or sum_b h[b,c] (x) h[a,b]
-        (right), exactly in the free cover."""
+        """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c], exactly in the free cover."""
         for a in range(self.dim):
             for c in range(self.dim):
                 lhs = self.hopf.delta(self.coaction.get((a, c), self.hopf.algebra.zero()))
@@ -152,23 +139,21 @@ class ComoduleSpace:
                     h2 = self.coaction.get((b, c))
                     if h1 is None or h2 is None:
                         continue
-                    first, second = (h1, h2) if self.side == "left" else (h2, h1)
-                    for w1, c1 in first.terms.items():
-                        for w2, c2 in second.terms.items():
+                    for w1, c1 in h1.terms.items():
+                        for w2, c2 in h2.terms.items():
                             add_to(acc, (w1, w2), c1 * c2)
-                if dict(lhs.terms) != acc:
+                if lhs != acc:
                     return False
         return True
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ComoduleSpace) and self.dim == other.dim
-                and self.side == other.side and self.coaction == other.coaction
-                and self.hopf.F == other.hopf.F)
+                and self.coaction == other.coaction and self.hopf.F == other.hopf.F)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"ComoduleSpace({self.label}, dim={self.dim}, side={self.side})"
+        return f"ComoduleSpace({self.label}, dim={self.dim})"
 
 
 class Intertwiner:
@@ -363,8 +348,7 @@ def psi(m: int, n: int, t: int, word: Word) -> RationalMatrix:
 # -- transporting coinvariants to morphisms -------------------------------------
 
 
-def coinv_to_hom(ctx: CoactionContext, element: TensorElement,
-                 d: int | None = None) -> RationalMatrix:
+def coinv_to_hom(ctx: CoactionContext, element: TensorElement, d: int) -> RationalMatrix:
     """Transport a certified coinvariant of bidegree (k,k) to the matrix of a
     morphism (U^m)^(x k) -> (U^n)^(x k).
 
@@ -381,8 +365,6 @@ def coinv_to_hom(ctx: CoactionContext, element: TensorElement,
     if i != j:
         raise ValueError(f"bidegree ({i},{j}) is not balanced")
     k = i
-    if d is None:
-        d = 2 * k + 2
     if coinvariance_residual(ctx, element, d):
         raise ValueError(f"element is not a certified coinvariant at truncation {d}")
     m, n, t = ctx.m, ctx.n, ctx.t
@@ -428,7 +410,7 @@ class CorrespondenceReport:
 
 
 def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
-                              k: int, d: int | None = None) -> CorrespondenceReport:
+                              k: int, d: int) -> CorrespondenceReport:
     """Certify coinv_to_hom(theta(w)) = psi(w) for every degree-k word w.
 
     Also records the computed dim End(U_l) (must be 1 before the psi basis
@@ -437,25 +419,23 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if d is None:
-        d = 2 * k + 2
     if d < 2 * k:
         raise ValueError(f"truncation {d} below 2k = {2 * k}")
     ctx = CoactionContext(m, n, t, F)
     end_u = intertwiner_space(1, 1, t, ctx.hopf, 1, 1, RELATION_DEGREE)
-    hom = theta(m, n, t, left=ctx.amt, right=ctx.atn)
+    amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []
     nrows = (n * t) ** k
     ncols = (m * t) ** k
-    words = hom.source.degree_basis(k)
-    for w in words:
+    for w, pairs in theta_images(m, n, t, k):
         direct = psi(m, n, t, w)
-        if coinv_to_hom(ctx, hom.apply_word(w), d=d) != direct:
-            mismatches.append(hom.source.word_label(w))
+        image = TensorElement(ctx.amt, ctx.atn, dict.fromkeys(pairs, Q(1)))
+        if coinv_to_hom(ctx, image, d) != direct:
+            mismatches.append(amn.word_label(w))
         vecs.append({r * ncols + c: val for r, c, val in direct.iter_entries()})
     rank = Subspace.from_vectors(nrows * ncols, vecs).dim
     return CorrespondenceReport(m=m, n=n, t=t, f_label=ctx.hopf.F.label, k=k, d=d,
                                 end_u_dim=len(end_u),
-                                equalities_checked=len(words),
+                                equalities_checked=len(vecs),
                                 mismatches=tuple(mismatches), psi_rank=rank)

@@ -2,7 +2,8 @@
 
 A(m,t) carries the right coaction rho(y_ij) = sum_k y_ik (x) u_kj and is
 turned into a left comodule by the flip rho' = tau o (id (x) S) o rho;
-A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x) z_kj.  The
+A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x) z_kj, which
+on words is freealg.split_word with z splitting into (u, z).  The
 tensor product A(m,t) (x) A(t,n) is then a left comodule algebra, and its
 coinvariants {x : alpha(x) = 1 (x) x} are computed bidegree by bidegree.
 
@@ -21,6 +22,8 @@ coinvariants C; the explicit image of theta is checked to sit inside V.  In
 the chain Im theta_k <= V <= C at bidegree (k,k), dim V = rank theta_k =
 (mn)^k proves Im theta_k = V <= C, independent of how much of the ideal the
 truncation saw.  C <= Im theta_k is the paper's theorem and is not computed.
+A dim V above (mn)^k contradicts soundness and the theorem together; it is
+reported (certified stays False) and the caller classifies it as a mismatch.
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:
@@ -36,8 +39,8 @@ from fractions import Fraction
 from itertools import product
 
 from .exactlin import Subspace, add_to
-from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra,
-                      theta, theta_matrix)
+from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra, split_word,
+                      theta_images, theta_matrix)
 from .fpquot import certified_kernel
 from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
 
@@ -45,13 +48,8 @@ Q = Fraction
 
 PairKey = tuple[Word, Word]
 
-
-class CoinvariantOvercountError(RuntimeError):
-    """Raised when the computed coinvariant space exceeds the theorem bound.
-
-    Soundness makes this impossible for a correct implementation, so it is
-    treated as a loud internal failure rather than a report entry.
-    """
+# lambda(z_ij) = sum_k u_ik (x) z_kj
+_LAMBDA_NAMES = {"z": ("u", "z")}
 
 
 class CoactionContext:
@@ -86,23 +84,6 @@ class CoactionContext:
                  for k in range(self.t)}
         return TensorElement(h, self.atn, terms)
 
-    def flip_gen(self, i: int, j: int) -> TensorElement:
-        """rho'(y_ij) = sum_k v_jk (x) y_ik, the direct formula."""
-        h = self.hopf.algebra
-        terms = {((h.letter("v", j, k),), (self.amt.letter("y", i, k),)): Q(1)
-                 for k in range(self.t)}
-        return TensorElement(h, self.amt, terms)
-
-    def flip_gen_via_antipode(self, i: int, j: int) -> TensorElement:
-        """rho'(y_ij) computed as tau o (id (x) S) o rho — the second code path."""
-        h = self.hopf.algebra
-        out: dict[tuple[Word, Word], Q] = {}
-        for (wy, wu), c in self.rho_gen(i, j).terms.items():
-            s_img = self.hopf.antipode(FreeElement(h, {wu: Q(1)}))
-            for ws, cs in s_img.terms.items():
-                add_to(out, (ws, wy), c * cs)
-        return TensorElement(h, self.amt, out)
-
     # -- word-level coaction terms -------------------------------------------
 
     def flipped_word_terms(self, wa: Word):
@@ -123,12 +104,7 @@ class CoactionContext:
 
     def left_word_terms(self, wb: Word):
         """Terms of lambda(w) for a word w of A(t,n), as (H-word, target word)."""
-        halg = self.hopf.algebra
-        infos = [self.atn.letter_info(l) for l in wb]
-        for lvec in product(range(self.t), repeat=len(wb)):
-            hword = tuple(halg.letter("u", info[1], l) for info, l in zip(infos, lvec))
-            target = tuple(self.atn.letter("z", l, info[2]) for info, l in zip(infos, lvec))
-            yield hword, target
+        return split_word(wb, self.atn, self.hopf.algebra, self.atn, self.t, _LAMBDA_NAMES)
 
     def tensor_word_terms(self, wa: Word, wb: Word):
         """Terms of alpha(w_A (x) w_B), as (H-word, target pair); every
@@ -223,16 +199,12 @@ def coinvariance_residual(ctx: CoactionContext, x: TensorElement, d: int):
 
 def theta_image_vectors(ctx: CoactionContext, k: int):
     """Coordinates of theta(w) over pair_basis((k,k)) for each degree-k word w."""
-    hom = theta(ctx.m, ctx.n, ctx.t, left=ctx.amt, right=ctx.atn)
     bwords = ctx.atn.degree_basis(k)
     aindex = {w: i for i, w in enumerate(ctx.amt.degree_basis(k))}
     bindex = {w: i for i, w in enumerate(bwords)}
     nb = len(bwords)
-    vectors = []
-    for w in hom.source.degree_basis(k):
-        img = hom.apply_word(w)
-        vectors.append({aindex[wl] * nb + bindex[wr]: c for (wl, wr), c in img.terms.items()})
-    return vectors
+    return [{aindex[wl] * nb + bindex[wr]: Q(1) for wl, wr in pairs}
+            for _, pairs in theta_images(ctx.m, ctx.n, ctx.t, k)]
 
 
 # -- the exact off-diagonal certificate -----------------------------------------
@@ -314,9 +286,9 @@ def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
 
     Computes V = coinvariants((k,k), d), the explicit image of theta_k, and
     the independent rank of the theta matrix; certifies Im theta_k <= V and
-    dim V = rank theta_k = (mn)^k.   A dim V above (mn)^k contradicts
-    soundness + the theorem and raises CoinvariantOvercountError.  The
-    unbalanced bidegrees are certified separately by off_diagonal_vanish.
+    dim V = rank theta_k = (mn)^k.  A dim V above (mn)^k is returned as
+    computed, uncertified, for the caller to classify.  The unbalanced
+    bidegrees are certified separately by off_diagonal_vanish.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -326,10 +298,6 @@ def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
     contained = all(V.contains(vec) for vec in theta_image_vectors(ctx, k))
     target = (ctx.m * ctx.n) ** k
     rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
-    if V.dim > target:
-        raise CoinvariantOvercountError(
-            f"computed coinvariant dimension {V.dim} exceeds the theorem bound "
-            f"{target} at bidegree ({k},{k}) — implementation bug")
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
         dim_coinv=V.dim, theta_rank=rank_theta, image_contained=contained,

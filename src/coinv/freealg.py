@@ -7,6 +7,10 @@ convention, e.g. ``y11``).  Words are tuples of flat letter indices,
 elements are sparse rational linear combinations of words, and tensor
 elements live in the tensor square of two such algebras.
 
+`split_word` enumerates the matrix comultiplication g_ij -> sum_k g'_ik (x)
+g''_kj on a word.  The embedding θ here, the coproduct of H(F) and the
+coaction lambda on A(t,n) are all this one map with different letter names.
+
 Generator sets may carry an integer weight; the induced word weight is the
 grading used for the Laurent specialization of Hopf covers.
 """
@@ -291,32 +295,8 @@ class TensorElement:
         if self.left_algebra != other.left_algebra or self.right_algebra != other.right_algebra:
             raise ValueError("tensor elements live in different tensor squares")
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            add_to(terms, p, c)
-        return TensorElement(self.left_algebra, self.right_algebra, terms)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.left_algebra, self.right_algebra,
-                             {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, a: Scalar) -> "TensorElement":
-        q = Q(a)
-        return TensorElement(self.left_algebra, self.right_algebra,
-                             {p: q * c for p, c in self.terms.items()} if q else {})
-
-    def __rmul__(self, a: Scalar) -> "TensorElement":
-        return self.scale(a)
-
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
-        if not isinstance(other, TensorElement):
-            return self.scale(other)
         self._check(other)
         terms: dict[tuple[Word, Word], Q] = {}
         for (la, ra), ca in self.terms.items():
@@ -347,67 +327,47 @@ class TensorElement:
         return f"TensorElement({self})"
 
 
-def tensor(a: FreeElement, b: FreeElement) -> TensorElement:
-    """Elementary tensor a (x) b."""
-    terms = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            terms[(wa, wb)] = ca * cb
-    return TensorElement(a.algebra, b.algebra, terms)
+def split_word(word: Word, source: FreeAlgebra, left: FreeAlgebra, right: FreeAlgebra,
+               inner: int, names: Mapping[str, tuple[str, str]]) -> Iterator[tuple[Word, Word]]:
+    """Terms of the matrix comultiplication g_ij -> sum_k g'_ik (x) g''_kj on a word.
 
-
-def tensor_one(left_algebra: FreeAlgebra, right_algebra: FreeAlgebra) -> TensorElement:
-    return TensorElement(left_algebra, right_algebra, {((), ()): Q(1)})
-
-
-class AlgebraHom:
-    """Algebra map from a free algebra into a tensor square, determined by the
-    images of the letters; words map to the ordered product of their letter
-    images."""
-
-    __slots__ = ("source", "images", "_one")
-
-    def __init__(self, source: FreeAlgebra, images: Mapping[int, TensorElement]):
-        if set(images) != set(range(source.nletters)):
-            raise ValueError("images must be given for every generator")
-        first = next(iter(images.values()))
-        for v in images.values():
-            if not isinstance(v, TensorElement) or v.left_algebra != first.left_algebra \
-                    or v.right_algebra != first.right_algebra:
-                raise ValueError("images must share one target tensor square")
-        self.source = source
-        self.images = dict(images)
-        self._one = tensor_one(first.left_algebra, first.right_algebra)
-
-    @property
-    def tensor_target(self) -> tuple[FreeAlgebra, FreeAlgebra]:
-        return self._one.left_algebra, self._one.right_algebra
-
-    def apply_word(self, word: Word) -> TensorElement:
-        out = self._one
-        for letter in word:
-            out = out * self.images[letter]
-        return out
+    `names[g] = (g', g'')` names the generator sets of `left` and `right` that
+    the letters of set g of `source` split into, and k runs over `inner`
+    values.  The map is multiplicative, so a word of length r yields one
+    (left word, right word) pair per choice of inner indices (k_1, ..., k_r),
+    in lexicographic order of that choice.  Every coefficient is 1 and no two
+    terms share a pair.  theta, the coproduct of H(F) and the coaction
+    lambda are all this map.
+    """
+    tables = []
+    for letter in word:
+        g, i, j = source.letter_info(letter)
+        gl, gr = names[g]
+        tables.append(tuple((left.letter(gl, i, k), right.letter(gr, k, j))
+                            for k in range(inner)))
+    for choice in product(*tables):
+        yield tuple(a for a, _ in choice), tuple(b for _, b in choice)
 
 
 # -- the universal embedding θ ----------------------------------------------
 
 
-def theta(m: int, n: int, t: int,
-          left: FreeAlgebra | None = None,
-          right: FreeAlgebra | None = None) -> AlgebraHom:
-    """The algebra map A(m,n) -> A(m,t) (x) A(t,n), x_ij -> sum_k y_ik (x) z_kj."""
+_THETA_NAMES = {"x": ("y", "z")}
+
+
+def theta_images(m: int, n: int, t: int,
+                 k: int) -> Iterator[tuple[Word, Iterator[tuple[Word, Word]]]]:
+    """(w, terms of θ(w)) for each degree-k word w of A(m,n), in degree_basis order.
+
+    θ : A(m,n) -> A(m,t) (x) A(t,n) is the algebra map x_ij -> sum_k y_ik (x) z_kj;
+    the terms are (A(m,t)-word, A(t,n)-word) pairs, each with coefficient 1.
+    """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
     src = matrix_entry_algebra("x", m, n)
-    amt = left if left is not None else matrix_entry_algebra("y", m, t)
-    atn = right if right is not None else matrix_entry_algebra("z", t, n)
-    images: dict[int, TensorElement] = {}
-    for i in range(m):
-        for j in range(n):
-            terms = {((amt.letter("y", i, k),), (atn.letter("z", k, j),)): Q(1) for k in range(t)}
-            images[src.letter("x", i, j)] = TensorElement(amt, atn, terms)
-    return AlgebraHom(src, images)
+    amt = matrix_entry_algebra("y", m, t)
+    atn = matrix_entry_algebra("z", t, n)
+    return ((w, split_word(w, src, amt, atn, t, _THETA_NAMES)) for w in src.degree_basis(k))
 
 
 @dataclass(frozen=True)
@@ -428,20 +388,17 @@ class ThetaMatrixResult:
 
 def theta_matrix(m: int, n: int, t: int, k: int) -> ThetaMatrixResult:
     """Matrix of the degree-k component of θ (always of full column rank)."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    hom = theta(m, n, t)
-    src_words = hom.source.degree_basis(k)
-    amt, atn = hom.tensor_target
-    left_words = amt.degree_basis(k)
-    right_words = atn.degree_basis(k)
+    images = theta_images(m, n, t, k)
+    left_words = matrix_entry_algebra("y", m, t).degree_basis(k)
+    right_words = matrix_entry_algebra("z", t, n).degree_basis(k)
     lidx = {w: i for i, w in enumerate(left_words)}
     ridx = {w: i for i, w in enumerate(right_words)}
     nb = len(right_words)
+    src_words = []
     entries: dict[tuple[int, int], Q] = {}
-    for col, w in enumerate(src_words):
-        img = hom.apply_word(w)
-        for (wl, wr), c in img.terms.items():
-            entries[(lidx[wl] * nb + ridx[wr], col)] = c
+    for col, (w, pairs) in enumerate(images):
+        src_words.append(w)
+        for wl, wr in pairs:
+            entries[(lidx[wl] * nb + ridx[wr], col)] = Q(1)
     mat = RationalMatrix.from_sparse(len(left_words) * nb, len(src_words), entries)
-    return ThetaMatrixResult(mat, rank(mat), src_words, left_words, right_words)
+    return ThetaMatrixResult(mat, rank(mat), tuple(src_words), left_words, right_words)

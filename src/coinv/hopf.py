@@ -5,7 +5,8 @@ by generators u_ij, v_ij (0 <= i, j < t) and the relation families
 
     u v^T = I,   v^T u = I,   v (F u^T F^-1) = I,   (F u^T F^-1) v = I,
 
-with coproduct Delta(u_ij) = sum_k u_ik (x) u_kj (same for v), counit
+with coproduct Delta(u_ij) = sum_k u_ik (x) u_kj (same for v; on words it
+is freealg.split_word, and its legs stay words), counit
 eps(u_ij) = eps(v_ij) = delta_ij, and antipode S(u_ij) = v_ji,
 S(v_ij) = (F u^T F^-1)_ij.  This module builds that presentation over the
 free cover (u carries grading weight +1, v weight -1), the structure maps
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import RationalMatrix, Subspace, add_to
-from .freealg import FreeAlgebra, FreeElement, GeneratorSet, TensorElement, Word
+from .freealg import FreeAlgebra, FreeElement, GeneratorSet, Word, split_word
 from .fpquot import CertStatus, Presentation, TruncatedQuotient, truncated_quotient
 
 Q = Fraction
@@ -37,6 +38,9 @@ COMPAT_MIN_DEGREE = max(4, RELATION_DEGREE)
 
 # Laurent polynomial in the grading variable: exponent -> coefficient
 LaurentPoly = dict[int, Q]
+
+# Delta(g_ij) = sum_k g_ik (x) g_kj splits each letter into its own set
+_DELTA_NAMES = {"u": ("u", "u"), "v": ("v", "v")}
 
 
 class FMatrix:
@@ -155,8 +159,7 @@ def _scalar_mul(f: RationalMatrix, m: SymMat, left: bool) -> SymMat:
 class HopfCover:
     """Free cover of H(F): generators, relations, and structure maps."""
 
-    __slots__ = ("F", "t", "algebra", "presentation", "labeled_relations",
-                 "_s_images", "_delta")
+    __slots__ = ("F", "t", "algebra", "presentation", "labeled_relations", "_s_images")
 
     def __init__(self, F: FMatrix):
         t = F.t
@@ -195,15 +198,6 @@ class HopfCover:
                 s_images[alg.letter("u", i, j)] = alg.gen("v", j, i)
                 s_images[alg.letter("v", i, j)] = fuf[i][j]
         self._s_images = s_images
-        # coproduct images: Delta(g_ij) = sum_k g_ik (x) g_kj for g in {u, v}
-        delta: dict[int, TensorElement] = {}
-        for name in ("u", "v"):
-            for i in range(t):
-                for j in range(t):
-                    terms = {((alg.letter(name, i, k),), (alg.letter(name, k, j),)): Q(1)
-                             for k in range(t)}
-                    delta[alg.letter(name, i, j)] = TensorElement(alg, alg, terms)
-        self._delta = delta
         for label, rel in labeled:
             spec = grading_specialize(rel)
             if spec:
@@ -220,18 +214,19 @@ class HopfCover:
 
     # -- structure maps on the cover ----------------------------------------
 
-    def delta_word(self, w: Word) -> TensorElement:
-        out = TensorElement(self.algebra, self.algebra, {((), ()): Q(1)})
-        for letter in w:
-            out = out * self._delta[letter]
-        return out
+    def delta_word(self, w: Word):
+        """Terms of Delta(w) as (left word, right word) pairs, each with coefficient 1."""
+        alg = self.algebra
+        return split_word(w, alg, alg, alg, self.t, _DELTA_NAMES)
 
-    def delta(self, x: FreeElement) -> TensorElement:
+    def delta(self, x: FreeElement) -> dict[tuple[Word, Word], Q]:
+        """Delta(x) as a sparse {(left word, right word): coefficient} dict."""
         if x.algebra != self.algebra:
             raise ValueError("element not in this Hopf cover")
-        acc = TensorElement(self.algebra, self.algebra, {})
+        acc: dict[tuple[Word, Word], Q] = {}
         for w, c in x.terms.items():
-            acc = acc + self.delta_word(w).scale(c)
+            for pair in self.delta_word(w):
+                add_to(acc, pair, c)
         return acc
 
     def counit(self, x: FreeElement) -> Q:
@@ -333,23 +328,21 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
     counit_ok = True
     for letter in alg.letters():
         g_word = (letter,)
-        dg = h.delta_word(g_word)
+        dg = list(h.delta_word(g_word))
         lhs: dict[tuple[Word, Word, Word], Q] = {}
         rhs: dict[tuple[Word, Word, Word], Q] = {}
-        for (w1, w2), c in dg.terms.items():
-            for (a, b), cc in h.delta_word(w1).terms.items():
-                add_to(lhs, (a, b, w2), c * cc)
-            for (a, b), cc in h.delta_word(w2).terms.items():
-                add_to(rhs, (w1, a, b), c * cc)
+        for w1, w2 in dg:
+            for a, b in h.delta_word(w1):
+                add_to(lhs, (a, b, w2), Q(1))
+            for a, b in h.delta_word(w2):
+                add_to(rhs, (w1, a, b), Q(1))
         if lhs != rhs:
             coassoc_ok = False
         left_law: dict[Word, Q] = {}
         right_law: dict[Word, Q] = {}
-        for (w1, w2), c in dg.terms.items():
-            e1 = h.counit(FreeElement(alg, {w1: Q(1)}))
-            e2 = h.counit(FreeElement(alg, {w2: Q(1)}))
-            add_to(left_law, w2, c * e1)
-            add_to(right_law, w1, c * e2)
+        for w1, w2 in dg:
+            add_to(left_law, w2, h.counit(FreeElement(alg, {w1: Q(1)})))
+            add_to(right_law, w1, h.counit(FreeElement(alg, {w2: Q(1)})))
         expect = {g_word: Q(1)}
         if left_law != expect or right_law != expect:
             counit_ok = False
@@ -360,9 +353,8 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
 
     rel_coprod = []
     for _, r in h.labeled_relations:
-        dr = h.delta(r)
         residual: dict[tuple[Word, Word], Q] = {}
-        for (w1, w2), c in dr.terms.items():
+        for (w1, w2), c in h.delta(r).items():
             nf1 = q.normal_form_word(w1)
             if not nf1:
                 continue
@@ -378,15 +370,13 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
     axiom = []
     for letter in alg.letters():
         g = FreeElement(alg, {(letter,): Q(1)})
-        dg = h.delta(g)
         eps = h.counit(g)
         left = alg.zero()
         right = alg.zero()
-        for (w1, w2), c in dg.terms.items():
-            left = left + (h.antipode(FreeElement(alg, {w1: Q(1)}))
-                           * FreeElement(alg, {w2: Q(1)})).scale(c)
-            right = right + (FreeElement(alg, {w1: Q(1)})
-                             * h.antipode(FreeElement(alg, {w2: Q(1)}))).scale(c)
+        for w1, w2 in h.delta_word((letter,)):
+            a, b = FreeElement(alg, {w1: Q(1)}), FreeElement(alg, {w2: Q(1)})
+            left = left + h.antipode(a) * b
+            right = right + a * h.antipode(b)
         unit = alg.one().scale(eps)
         axiom.append(q.is_zero_mod(left - unit))
         axiom.append(q.is_zero_mod(right - unit))

@@ -105,7 +105,7 @@ def test_c04_correspondence_with_word_morphisms():
     for m, n, t, kmax in GRID:
         for F in f_matrices(t):
             for k in range(min(kmax, 2) + 1):
-                rep = main_correspondence_check(m, n, t, F, k)
+                rep = main_correspondence_check(m, n, t, F, k, 2 * k + 2)
                 assert rep.ok, (m, n, t, F.label, k, rep.mismatches)
                 assert rep.end_u_dim == 1
                 assert rep.psi_rank == (m * n) ** k

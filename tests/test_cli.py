@@ -167,6 +167,27 @@ def test_main_internal_error_exits_four(monkeypatch, capsys):
     assert "Traceback" in err and "ValueError: internal failure" in err
 
 
+def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys):
+    """A computed coinvariant space above the theorem's (mn)^k is a mismatch
+    (exit 1) with its dimension in the report, not an internal error."""
+    from coinv import comod
+    from coinv.exactlin import Subspace
+
+    def oversized(ctx, bidegree, d):
+        n = len(ctx.pair_basis(bidegree))
+        return Subspace.from_vectors(n, [{i: 1} for i in range(n)])
+
+    monkeypatch.setattr(comod, "coinvariants", oversized)
+    monkeypatch.setattr(sys, "argv", ["coinv", "certify-fft", "-t", "2", "--F", "preset:jordan",
+                                      "-k", "1", "--format", "json"])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main()
+    assert exc.value.code == cli_module.EXIT_MISMATCH == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "mismatch"
+    assert [(c["dim_coinv"], c["certified"]) for c in report["cases"]] == [(1, True), (4, False)]
+
+
 _REQUIRED = {"certify-fft": ["-k", "0"], "coinvariants": ["-i", "0", "-j", "0"],
              "theta-rank": ["-k", "0"], "intertwiners": ["-i", "0", "-j", "0"],
              "hopf-check": [], "classical": ["--max-degree", "0"],

@@ -6,7 +6,6 @@ import pytest
 
 from coinv.comod import (
     CoactionContext,
-    CoinvariantOvercountError,
     certify_fft,
     coinvariance_residual,
     coinvariants,
@@ -15,7 +14,7 @@ from coinv.comod import (
     theta_image_vectors,
 )
 from coinv.exactlin import add_to, solve_homogeneous
-from coinv.freealg import FreeElement, tensor_one, theta
+from coinv.freealg import FreeElement, TensorElement, theta_images
 from coinv.hopf import FMatrix
 
 Q = Fraction
@@ -49,19 +48,14 @@ def test_rho_and_lambda_on_generators(ctx212j):
     assert img.coeff((h.algebra.letter("u", 1, 1),), (atn.letter("z", 1, 0),)) == 1
 
 
-def test_flipped_coaction_two_code_paths_agree(ctx212j):
-    for i in range(2):
-        for j in range(2):
-            assert ctx212j.flip_gen(i, j) == ctx212j.flip_gen_via_antipode(i, j)
-
-
 def test_flipped_coaction_uses_v_matrix(ctx212j):
     h = ctx212j.hopf
     amt = ctx212j.amt
-    img = ctx212j.flip_gen(0, 1)
     # flipped rho(y_01) = sum_k v_1k (x) y_0k
-    assert img.coeff((h.algebra.letter("v", 1, 0),), (amt.letter("y", 0, 0),)) == 1
-    assert img.coeff((h.algebra.letter("v", 1, 1),), (amt.letter("y", 0, 1),)) == 1
+    assert list(ctx212j.flipped_word_terms((amt.letter("y", 0, 1),))) == [
+        ((h.algebra.letter("v", 1, 0),), (amt.letter("y", 0, 0),)),
+        ((h.algebra.letter("v", 1, 1),), (amt.letter("y", 0, 1),)),
+    ]
 
 
 def test_tensor_coaction_h_legs_are_v_then_u(ctx212j):
@@ -78,7 +72,7 @@ def _flipped_via_antipode(ctx, wa):
     """rho'(w) as {(H-word, target word): coefficient}: rho as the product of
     rho_gen over the letters of w, then the antipode on each u-leg."""
     halg = ctx.hopf.algebra
-    rho = tensor_one(ctx.amt, halg)
+    rho = TensorElement(ctx.amt, halg, {((), ()): Q(1)})
     for letter in wa:
         _, i, j = ctx.amt.letter_info(letter)
         rho = rho * ctx.rho_gen(i, j)
@@ -89,14 +83,20 @@ def _flipped_via_antipode(ctx, wa):
     return out
 
 
+def _lambda_via_lam_gen(ctx, wb):
+    """lambda(w) as the product of lam_gen over the letters of w."""
+    lam = TensorElement(ctx.hopf.algebra, ctx.atn, {((), ()): Q(1)})
+    for letter in wb:
+        _, i, j = ctx.atn.letter_info(letter)
+        lam = lam * ctx.lam_gen(i, j)
+    return lam
+
+
 def _alpha_via_antipode(ctx, wa, wb):
     """alpha(w_A (x) w_B) as {target pair: FreeElement}, built from the
     antipode reference and lambda as the product of lam_gen."""
     halg = ctx.hopf.algebra
-    lam = tensor_one(halg, ctx.atn)
-    for letter in wb:
-        _, i, j = ctx.atn.letter_info(letter)
-        lam = lam * ctx.lam_gen(i, j)
+    lam = _lambda_via_lam_gen(ctx, wb)
     acc = {}
     for (hs, ta), ca in _flipped_via_antipode(ctx, wa).items():
         for (hu, tb), cb in lam.terms.items():
@@ -121,6 +121,16 @@ def test_flipped_word_terms_match_antipode(t, F, max_degree):
                 assert (hw, tgt) not in direct
                 direct[hw, tgt] = Q(1)
             assert direct == _flipped_via_antipode(ctx, wa)
+
+
+@pytest.mark.parametrize("n, t", [(1, 2), (2, 2), (2, 3)])
+def test_left_word_terms_match_lam_gen_product(n, t):
+    ctx = CoactionContext(1, n, t, FMatrix.jordan(t))
+    for deg in range(4):
+        for wb in ctx.atn.degree_basis(deg):
+            terms = list(ctx.left_word_terms(wb))
+            assert len(set(terms)) == len(terms)
+            assert dict.fromkeys(terms, Q(1)) == _lambda_via_lam_gen(ctx, wb).terms
 
 
 @pytest.mark.parametrize("bidegree", [(1, 1), (2, 1), (2, 2)])
@@ -168,9 +178,9 @@ def test_theta_image_inside_computed_space(ctx212j):
 
 
 def test_theta_image_is_coinvariant_exactly(ctx212j):
-    hom = theta(2, 1, 2, left=ctx212j.amt, right=ctx212j.atn)
-    img = hom.apply_word((hom.source.letter("x", 1, 0),))
-    assert coinvariance_residual(ctx212j, img, 4) == {}
+    for _, pairs in theta_images(2, 1, 2, 1):
+        img = TensorElement(ctx212j.amt, ctx212j.atn, dict.fromkeys(pairs, Q(1)))
+        assert coinvariance_residual(ctx212j, img, 4) == {}
 
 
 def test_bare_pair_is_not_coinvariant(ctx212j):

@@ -1,4 +1,4 @@
-"""Free algebra arithmetic, word bases, and the splitting map theta."""
+"""Free algebra arithmetic, word bases, the word splitter and the map theta."""
 
 from fractions import Fraction
 
@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from coinv.freealg import (
     FreeAlgebra,
     GeneratorSet,
+    TensorElement,
     matrix_entry_algebra,
-    tensor,
-    theta,
+    split_word,
+    theta_images,
     theta_matrix,
 )
 
@@ -90,27 +91,71 @@ def test_power(a22):
 
 def test_tensor_componentwise_product(a22):
     b = matrix_entry_algebra("z", 2, 2)
-    x, z = a22.gen("x", 0, 0), b.gen("z", 1, 1)
-    t = tensor(x, z)
-    assert (t * t).coeff((a22.letter("x", 0, 0),) * 2, (b.letter("z", 1, 1),) * 2) == 1
+    x, z = a22.letter("x", 0, 0), b.letter("z", 1, 1)
+    t = TensorElement(a22, b, {((x,), (z,)): 2})
+    assert (t * t).coeff((x, x), (z, z)) == 4
 
 
 def test_theta_images():
-    hom = theta(2, 2, 2)
-    amt, atn = hom.tensor_target
-    img = hom.apply_word((hom.source.letter("x", 0, 1),))
+    src = matrix_entry_algebra("x", 2, 2)
+    amt, atn = matrix_entry_algebra("y", 2, 2), matrix_entry_algebra("z", 2, 2)
+    images = dict(theta_images(2, 2, 2, 1))
     # x_01 -> sum_k y_0k (x) z_k1
-    assert img.coeff((amt.letter("y", 0, 0),), (atn.letter("z", 0, 1),)) == 1
-    assert img.coeff((amt.letter("y", 0, 1),), (atn.letter("z", 1, 1),)) == 1
-    assert len(img.support()) == 2
+    assert list(images[(src.letter("x", 0, 1),)]) == [
+        ((amt.letter("y", 0, 0),), (atn.letter("z", 0, 1),)),
+        ((amt.letter("y", 0, 1),), (atn.letter("z", 1, 1),)),
+    ]
+
+
+def _tensor(left, right, pairs):
+    """The sum of the given word pairs, each with coefficient 1."""
+    pairs = list(pairs)
+    assert len(set(pairs)) == len(pairs)
+    return TensorElement(left, right, dict.fromkeys(pairs, 1))
+
+
+def _letter_product(left, right, word, letter_image):
+    """The product of letter_image(letter) over the word, via TensorElement.__mul__."""
+    out = TensorElement(left, right, {((), ()): 1})
+    for letter in word:
+        out = out * letter_image(letter)
+    return out
 
 
 def test_hom_multiplicative():
-    hom = theta(2, 1, 2)
-    src = hom.source
-    w1 = (src.letter("x", 0, 0),)
-    w2 = (src.letter("x", 1, 0),)
-    assert hom.apply_word(w1 + w2) == hom.apply_word(w1) * hom.apply_word(w2)
+    """theta(w1 w2) = theta(w1) theta(w2) for all word pairs of total degree <= 3,
+    and theta(w) is the product of the images x_ij -> sum_k y_ik (x) z_kj."""
+    for m, n, t in ((2, 2, 2), (2, 1, 3)):
+        src = matrix_entry_algebra("x", m, n)
+        amt, atn = matrix_entry_algebra("y", m, t), matrix_entry_algebra("z", t, n)
+        images = {w: _tensor(amt, atn, pairs)
+                  for k in range(4) for w, pairs in theta_images(m, n, t, k)}
+
+        def gen_image(letter):
+            _, i, j = src.letter_info(letter)
+            return _tensor(amt, atn, [((amt.letter("y", i, k),), (atn.letter("z", k, j),))
+                                      for k in range(t)])
+
+        for w, img in images.items():
+            assert img == _letter_product(amt, atn, w, gen_image)
+        for w1 in images:
+            for w2 in images:
+                if len(w1) + len(w2) <= 3:
+                    assert images[w1 + w2] == images[w1] * images[w2]
+
+
+def test_split_word_order_and_empty_word():
+    src = matrix_entry_algebra("x", 1, 1)
+    amt, atn = matrix_entry_algebra("y", 1, 2), matrix_entry_algebra("z", 2, 1)
+    x = src.letter("x", 0, 0)
+    y0, y1 = amt.letter("y", 0, 0), amt.letter("y", 0, 1)
+    z0, z1 = atn.letter("z", 0, 0), atn.letter("z", 1, 0)
+    names = {"x": ("y", "z")}
+    assert list(split_word((), src, amt, atn, 2, names)) == [((), ())]
+    # one term per inner-index choice (k1, k2), in lexicographic order
+    assert list(split_word((x, x), src, amt, atn, 2, names)) == [
+        ((y0, y0), (z0, z0)), ((y0, y1), (z0, z1)),
+        ((y1, y0), (z1, z0)), ((y1, y1), (z1, z1))]
 
 
 @pytest.mark.parametrize("m,n,t,k", [(1, 1, 1, 3), (2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 2, 1)])

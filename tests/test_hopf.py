@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinv.freealg import TensorElement
 from coinv.hopf import (
     RELATION_DEGREE,
     FMatrix,
@@ -91,13 +92,38 @@ def test_coproduct_is_matrix_comultiplication():
             for j in range(2):
                 img = h.delta(gen(i, j))
                 ks = set()
-                for (wl, wr), c in img.terms.items():
+                for (wl, wr), c in img.items():
                     assert c == 1 and len(wl) == 1 and len(wr) == 1
                     _, a, b = h.algebra.letter_info(wl[0])
                     _, b2, c2 = h.algebra.letter_info(wr[0])
                     assert (a, c2) == (i, j) and b == b2
                     ks.add(b)
                 assert ks == {0, 1}
+
+
+@pytest.mark.parametrize("F", [
+    FMatrix.identity(2), FMatrix.jordan(2), FMatrix.from_rows([[1, 2], [3, -1]]),
+    FMatrix.identity(3), FMatrix.jordan(3), FMatrix.from_rows([[1, 2, 0], [3, -1, 0], [0, 0, 1]]),
+], ids=lambda F: F.label)
+def test_delta_word_is_product_of_generator_coproducts(F):
+    """delta_word(w) is the product of Delta(g_ij) = sum_k g_ik (x) g_kj over the
+    letters of w, for every word of degree <= 3."""
+    h = build_hf(F)
+    alg = h.algebra
+    gen_delta = {}
+    for letter in alg.letters():
+        name, i, j = alg.letter_info(letter)
+        gen_delta[letter] = TensorElement(alg, alg, {
+            ((alg.letter(name, i, k),), (alg.letter(name, k, j),)): 1 for k in range(h.t)})
+    one = TensorElement(alg, alg, {((), ()): 1})
+    for deg in range(4):
+        for w in alg.degree_basis(deg):
+            expected = one
+            for letter in w:
+                expected = expected * gen_delta[letter]
+            terms = list(h.delta_word(w))
+            assert len(set(terms)) == len(terms)
+            assert dict.fromkeys(terms, Q(1)) == expected.terms
 
 
 def test_counit_on_generators_and_words():
