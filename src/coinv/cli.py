@@ -17,6 +17,7 @@ fixed configuration: cases are sorted by bidegree, and millis stay 0 unless
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -254,7 +255,8 @@ def cmd_coinvariants(config: RunConfig, F: FMatrix):
     if i == j:
         return [_balanced_case(config, ctx, i, d)], d, ()
     t0 = time.monotonic()
-    dim = coinvariants(ctx, (i, j), d).dim
+    # the component is m^i n^j copies of the (1,1) one (spectator factorisation)
+    dim = config.m ** i * config.n ** j * coinvariants(ctx.block(), (i, j), d).dim
     certified = off_diagonal_vanish(config.m, config.n, config.t, (i, j), ctx.hopf).holds \
         and dim == 0
     case = make_case((i, j), dim, 0, certified, d, _millis(config, t0))
@@ -277,7 +279,9 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
     d = resolve_trunc(config.trunc, i + j + 2, i + j)
     t0 = time.monotonic()
-    dim = len(intertwiner_space(config.m, config.n, config.t, F, i, j, d))
+    # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i), and
+    # the morphism conditions are block-diagonal in the same way
+    dim = config.m ** i * config.n ** j * len(intertwiner_space(1, 1, config.t, F, i, j, d))
     expected = (config.m * config.n) ** i if i == j else 0
     case = make_case((i, j), dim, expected, dim == expected, d, _millis(config, t0))
     return [(case, classify(dim, expected, expected, dim == expected))], d, ()
@@ -405,8 +409,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if min(args.m, args.n, args.t) < 1:
             raise CliUsageError("m, n, t must be positive")

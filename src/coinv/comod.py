@@ -25,6 +25,21 @@ truncation saw.  C <= Im theta_k is the paper's theorem and is not computed.
 A dim V above (mn)^k contradicts soundness and the theorem together; it is
 reported (certified stays False) and the caller classifies it as a mismatch.
 
+Spectator factorisation: the coaction changes only the t-index of a letter
+(rho'(y_ij) = sum_k v_jk (x) y_ik keeps i, lambda(z_ij) = sum_k u_ik (x) z_kj
+keeps j), and the H-word of a term depends on t-indices alone.  So the
+bidegree (i,j) component is (Q^m)^(x i) (x) W (x) (Q^n)^(x j), W the same
+component at m = n = 1, the coaction acts as id (x) alpha_W (x) id, and the
+constraint system of `coinvariants` is m^i n^j identical copies of the
+system on W.  The kernel of a block-diagonal system with identical blocks is
+exactly the lift of one block's kernel, so the certified space at (m,n) is
+that lift and has m^i n^j times its dimension.  certify_fft therefore solves
+on `CoactionContext.block()` alone; theta factors the same way,
+theta(x_(i1 j1)...x_(ik jk)) = e_(i1..ik) (x) theta_11(x^k) (x) e_(j1..jk),
+so containment is checked for theta_11(x^k).  Only the rank of theta is
+still computed at full size, as the independent second pipeline.  The
+full-size `coinvariants` stays available and is the oracle of the tests.
+
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:
 alpha(x) specializes to z^(j-i) (x) x, so a coinvariant in bidegree (i,j),
@@ -68,6 +83,11 @@ class CoactionContext:
         self.amt = matrix_entry_algebra("y", m, t)
         self.atn = matrix_entry_algebra("z", t, n)
 
+    def block(self) -> "CoactionContext":
+        """The (1, 1, t) context over the same Hopf cover, so the same quotients;
+        every bidegree (i, j) component here is m^i n^j copies of its own."""
+        return CoactionContext(1, 1, self.t, self.hopf)
+
     # -- generator-level coactions ------------------------------------------
 
     def rho_gen(self, i: int, j: int) -> TensorElement:
@@ -95,12 +115,13 @@ class CoactionContext:
         v-word v_(jr kr)...v_(j1 k1) with coefficient 1.
         """
         halg = self.hopf.algebra
-        infos = [self.amt.letter_info(l) for l in wa]
-        for kvec in product(range(self.t), repeat=len(wa)):
-            hword = tuple(halg.letter("v", info[2], k)
-                          for info, k in zip(reversed(infos), reversed(kvec)))
-            target = tuple(self.amt.letter("y", info[1], k) for info, k in zip(infos, kvec))
-            yield hword, target
+        tables = []
+        for letter in wa:
+            _, i, j = self.amt.letter_info(letter)
+            tables.append(tuple((halg.letter("v", j, k), self.amt.letter("y", i, k))
+                                for k in range(self.t)))
+        for choice in product(*tables):
+            yield tuple(v for v, _ in reversed(choice)), tuple(y for _, y in choice)
 
     def left_word_terms(self, wb: Word):
         """Terms of lambda(w) for a word w of A(t,n), as (H-word, target word)."""
@@ -284,24 +305,31 @@ class CoinvariantReport:
 def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
     """Certify the k-th degree of the fundamental-theorem isomorphism.
 
-    Computes V = coinvariants((k,k), d), the explicit image of theta_k, and
-    the independent rank of the theta matrix; certifies Im theta_k <= V and
-    dim V = rank theta_k = (mn)^k.  A dim V above (mn)^k is returned as
-    computed, uncertified, for the caller to classify.  The unbalanced
-    bidegrees are certified separately by off_diagonal_vanish.
+    Certifies Im theta_k <= V and dim V = rank theta_k = (mn)^k, where V is
+    the certified coinvariant space at bidegree (k,k).  By the spectator
+    factorisation (module docstring) V is (mn)^k copies of V_11 =
+    coinvariants((k,k), d) on ctx.block(), so only V_11 is solved: dim V =
+    (mn)^k dim V_11, and Im theta_k <= V iff theta_11(x^k) lies in V_11.  The
+    rank of the theta matrix is computed at full size, independently.  A
+    dim V above (mn)^k is returned as computed, uncertified, for the caller
+    to classify.  The unbalanced bidegrees are certified separately by
+    off_diagonal_vanish.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if d < 2 * k:
         raise ValueError(f"truncation {d} below coaction-leg degree {2 * k}")
-    V = coinvariants(ctx, (k, k), d)
-    contained = all(V.contains(vec) for vec in theta_image_vectors(ctx, k))
+    block = ctx.block()
+    V = coinvariants(block, (k, k), d)
+    (image,) = theta_image_vectors(block, k)
+    contained = V.contains(image)
     target = (ctx.m * ctx.n) ** k
+    dim = target * V.dim
     rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
-        dim_coinv=V.dim, theta_rank=rank_theta, image_contained=contained,
-        certified=contained and V.dim == target and rank_theta == target,
+        dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,
+        certified=contained and dim == target and rank_theta == target,
     )
 
 

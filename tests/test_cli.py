@@ -330,7 +330,9 @@ def test_cli_cache_dir_roundtrip(tmp_path):
 
 
 def test_cli_timings_flag_populates_millis():
-    code, out, _ = cli("certify-fft", "-m", "2", "-n", "2", "-t", "1", "-k", "2",
+    # a run whose own work takes well over 1 ms: a t = 1 run finishes each
+    # case in under 1 ms, so its millis may all legitimately read 0
+    code, out, _ = cli("certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "2",
                        "--format", "json", "--timings")
     assert code == 0
     report = json.loads(out)

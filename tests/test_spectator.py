@@ -1,0 +1,138 @@
+"""Spectator factorisation: the (1,1) block decides every (m,n) shape.
+
+The coaction changes only the t-index of a letter, so the bidegree (i,j)
+component at (m,n) is m^i n^j copies of the one at (1,1).  The full-size
+`coinvariants` and `intertwiner_space` are the oracle here: the lifted
+(1,1) space must equal the directly computed one, and every command that
+solves only the block must report what the full-size solve gives.
+"""
+
+import json
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from coinv import cli as cli_module
+from coinv import comod
+from coinv.catalg import intertwiner_space
+from coinv.comod import CoactionContext, certify_fft, coinvariants, theta_image_vectors
+from coinv.exactlin import Subspace
+from coinv.hopf import FMatrix, build_hf
+
+Q = Fraction
+
+_FS = {
+    "jordan": FMatrix.jordan(2),
+    "diag12": FMatrix.diagonal([1, 2]),
+    "generic": FMatrix.from_rows([[1, 2], [3, -1]]),
+}
+_SHAPES = ((2, 2, 2, 2), (2, 1, 1, 1), (3, 2, 1, 1), (2, 3, 2, 1))
+
+
+def lift(ctx: CoactionContext, block: CoactionContext, bidegree, V11: Subspace) -> Subspace:
+    """The m^i n^j copies of V11 in pair_basis coordinates of ctx: each full
+    pair splits as (row i-tuple of its A-word, block pair, column j-tuple of
+    its B-word)."""
+    i, j = bidegree
+    index = {p: s for s, p in enumerate(ctx.pair_basis(bidegree))}
+    block_pairs = block.pair_basis(bidegree)
+    vectors = []
+    for rows in product(range(ctx.m), repeat=i):
+        for cols in product(range(ctx.n), repeat=j):
+            for vec in V11.basis.rows:
+                out = {}
+                for s, c in vec.items():
+                    wa, wb = block_pairs[s]
+                    fa = tuple(ctx.amt.letter("y", a, block.amt.letter_info(l)[2])
+                               for a, l in zip(rows, wa))
+                    fb = tuple(ctx.atn.letter("z", block.atn.letter_info(l)[1], b)
+                               for b, l in zip(cols, wb))
+                    out[index[fa, fb]] = c
+                vectors.append(out)
+    return Subspace.from_vectors(len(index), vectors)
+
+
+def _report(capsys, argv):
+    assert cli_module.run(argv + ["--format", "json"]) in (0, 1, 2)
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("m,n,i,j", _SHAPES)
+@pytest.mark.parametrize("fname", sorted(_FS))
+def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
+    hopf = build_hf(_FS[fname])
+    d = i + j + 2
+    ctx = CoactionContext(m, n, 2, hopf)
+    block = ctx.block()
+    assert (block.m, block.n, block.t) == (1, 1, 2) and block.hopf is hopf
+    V11 = coinvariants(block, (i, j), d)
+    full = coinvariants(ctx, (i, j), d)
+    assert lift(ctx, block, (i, j), V11) == full
+    assert full.dim == m ** i * n ** j * V11.dim
+
+    homs = len(intertwiner_space(m, n, 2, hopf, i, j, d))
+    assert homs == m ** i * n ** j * len(intertwiner_space(1, 1, 2, hopf, i, j, d))
+
+    # the commands that solve the block alone report the full-size figures
+    if fname == "generic":
+        return  # no --F preset; the CLI path is the same for every F
+    spec = {"jordan": "preset:jordan", "diag12": "preset:diag:1,2"}[fname]
+    base = ["-m", str(m), "-n", str(n), "-t", "2", "--F", spec, "-i", str(i), "-j", str(j)]
+    (case,) = _report(capsys, ["intertwiners"] + base)["cases"]
+    assert case["dim_coinv"] == homs
+    (case,) = _report(capsys, ["coinvariants"] + base)["cases"]
+    assert case["dim_coinv"] == full.dim
+    if i == j:
+        rep = certify_fft(ctx, i, d)
+        assert rep.dim_coinv == full.dim
+        assert rep.image_contained == all(full.contains(v) for v in theta_image_vectors(ctx, i))
+
+
+def test_certify_fft_solves_only_the_block(monkeypatch):
+    t, kmax = 2, 3
+    ctx = CoactionContext(2, 2, t, FMatrix.jordan(t))
+    sizes = []
+    kernel = comod.certified_kernel
+
+    def recorder(q, nunknowns, constraints):
+        sizes.append(nunknowns)
+        return kernel(q, nunknowns, constraints)
+
+    monkeypatch.setattr(comod, "certified_kernel", recorder)
+    for k in range(kmax + 1):
+        sizes.clear()
+        rep = certify_fft(ctx, k, 2 * k + 2)
+        assert rep.certified and rep.dim_coinv == 4 ** k
+        assert sizes and max(sizes) <= t ** (2 * k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
+    """With V_11 forced to the span of a vector, certify_fft accepts exactly
+    theta_11(x^k), scaled, and nothing else."""
+    ctx = CoactionContext(2, 3, 2, FMatrix.jordan(2))
+    (image,) = theta_image_vectors(ctx.block(), k)
+    n = len(ctx.block().pair_basis((k, k)))
+    others = [{s: Q(1)} for s in range(n)]
+    others.append({s: Q(s + 1) for s in image})
+    for vec, expected in [({s: Q(-3) for s in image}, True)] + [(v, False) for v in others]:
+        monkeypatch.setattr(comod, "coinvariants",
+                            lambda c, b, d, vec=vec: Subspace.from_vectors(n, [vec]))
+        rep = certify_fft(ctx, k, 2 * k + 2)
+        assert rep.dim_coinv == 6 ** k
+        assert rep.image_contained is expected and rep.certified is expected
+
+
+def test_unbalanced_overcount_reports_the_full_size_dimension(monkeypatch, capsys):
+    """A block space that is everything lifts to the whole (m,n) component."""
+    def everything(ctx, bidegree, d):
+        n = len(ctx.pair_basis(bidegree))
+        return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
+
+    monkeypatch.setattr(cli_module, "coinvariants", everything)
+    report = _report(capsys, ["coinvariants", "-m", "2", "-n", "3", "-t", "2",
+                              "--F", "preset:jordan", "-i", "2", "-j", "1"])
+    full = CoactionContext(2, 3, 2, FMatrix.jordan(2)).pair_basis((2, 1))
+    assert report["status"] == "mismatch"
+    assert [c["dim_coinv"] for c in report["cases"]] == [len(full)] == [96]
