@@ -18,6 +18,35 @@ into the opposite algebra), z_ij -> u_j(e_i), and the nested evaluation
 pairing; the two word reversals cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
 image - the computational content of the isomorphism proof.
+
+certify_fft certifies C_(k,k) = Im theta_k through End(U^(x k)).  For a
+finite-dimensional comodule V, Hom^H(V, W) = (W (x) V*)^coH (Klimyk &
+Schmuedgen, Quantum Groups and Their Representations, ch. 11), so at
+m = n = 1 the coinvariants of bidegree (k,k) have the dimension of
+End^H(U^(x k)), whose morphism conditions hold only the t^(2k) u-words of
+degree k; a certified morphism is a true one, so the certified End is a
+proven lower bound, and the spectator factorisation (comod) scales it by
+(mn)^k.  Containment Im theta_k <= C needs no word of degree 2k, by a
+product lemma.  Write leg(s, tau) for the H-word of the coaction term from
+the basis pair s = (wa, wb) to the pair tau, so x = sum_s c_s s is
+coinvariant modulo a two-sided ideal I iff sum_s c_s leg(s, tau) = c_tau
+mod I for every tau.  Pairs multiply factor-wise, (wa, wb)(wa', wb') =
+(wa wa', wb wb'), and legs nest:
+
+    leg(s s', tau tau') = rev v(wa', ta') . leg(s, tau) . u(wb', tb'),
+
+rev v(wa', ta') the reversed v-word and u(wb', tb') the u-word of the
+single term from s' to tau' = (ta', tb'), because rho' reverses the
+v-letters of a word and lambda keeps the order of the u-letters.  Lemma: if
+x and x' are coinvariant modulo I, so is x x'.  Proof: the coefficient of
+tau tau' in alpha(x x') is sum_s' c'_s' rev v(wa', ta') (sum_s c_s
+leg(s, tau)) u(wb', tb'); since I is two-sided, the inner sum may be
+replaced by c_tau, which leaves c_tau sum_s' c'_s' leg(s', tau') = c_tau
+c'_tau' mod I, the coefficient of tau tau' in x x'.  Now theta_11(x^k) =
+theta_11(x)^k, and theta_11(x) is coinvariant modulo I_2 because its
+condition is the relation tv.u = I itself; so one degree-2 solve proves
+theta_11(x^k), hence by the factorisation all of Im theta_k, coinvariant
+for every k.
 """
 
 from __future__ import annotations
@@ -25,9 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .comod import CoactionContext, coinvariance_residual
+from .comod import (CoactionContext, PairKey, coinvariance_residual, coinvariants,
+                    theta_image_vectors)
 from .exactlin import RationalMatrix, Subspace, add_to
-from .freealg import FreeElement, TensorElement, Word, matrix_entry_algebra, theta_images
+from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra, theta_images,
+                      theta_matrix)
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
@@ -173,10 +204,10 @@ class Intertwiner:
         alg = self.source.hopf.algebra
         for sr, terms in _morphism_conditions(self.source, self.target):
             acc = alg.zero()
-            for (row, col), h in terms:
+            for (row, col), h, sign in terms:
                 c = self.matrix.entry(row, col)
                 if c:
-                    acc = acc + h.scale(c)
+                    acc = acc + h.scale(sign * c)
             if not acc.is_zero:
                 yield sr, acc
 
@@ -200,12 +231,13 @@ class Intertwiner:
 
 def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
     """The condition sum_b h[s,b] T[r,b] - sum_c T[c,s] h'[c,r] = 0 for each
-    (source index s, target index r), as its terms ((row, col) of T, H-element)."""
+    (source index s, target index r), as its terms ((row, col) of T,
+    H-element, sign)."""
     for s in range(source.dim):
         for r in range(target.dim):
-            terms = [((r, b), source.coaction[s, b]) for b in range(source.dim)
+            terms = [((r, b), source.coaction[s, b], 1) for b in range(source.dim)
                      if (s, b) in source.coaction]
-            terms += [((c, s), -target.coaction[c, r]) for c in range(target.dim)
+            terms += [((c, s), target.coaction[c, r], -1) for c in range(target.dim)
                       if (c, r) in target.coaction]
             yield (s, r), terms
 
@@ -219,7 +251,8 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> list[Inte
     source._compatible(target)
     q = source.hopf.quotient(d)
     nsrc, ntgt = source.dim, target.dim
-    constraints = [[(row * nsrc + col, w, c) for (row, col), h in terms for w, c in h.terms.items()]
+    constraints = [[(row * nsrc + col, w, c if sign > 0 else -c)
+                    for (row, col), h, sign in terms for w, c in h.terms.items()]
                    for _, terms in _morphism_conditions(source, target)]
     sol = certified_kernel(q, nsrc * ntgt, constraints)
     out = []
@@ -236,18 +269,74 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
 
     For i != j the grading specialization sends the morphism condition to
     (z^i - z^j) T = 0, so the true Hom space is exactly zero; the computed
-    (sound) space is then zero as well.
+    (sound) space is then zero as well.  The conditions hold words of
+    degree i and j only, so d >= max(i, j, RELATION_DEGREE) is enough.
     """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
     if min(i, j) < 0:
         raise ValueError("tensor powers must be nonnegative")
-    if d < i + j:
-        raise ValueError(f"truncation {d} below i + j = {i + j}")
+    if d < max(i, j, RELATION_DEGREE):
+        raise ValueError(f"truncation {d} below max(i, j, {RELATION_DEGREE})")
     hopf = F if isinstance(F, HopfCover) else build_hf(F)
     u = ComoduleSpace.standard_left(hopf)
     return hom_space(u.direct_power(m).tensor_power(i),
                      u.direct_power(n).tensor_power(j), d)
+
+
+# -- Theorem certification ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoinvariantReport:
+    """Squeeze-certification outcome for one balanced bidegree (k, k)."""
+
+    m: int
+    n: int
+    t: int
+    f_label: str
+    bidegree: tuple[int, int]
+    d: int
+    dim_coinv: int
+    theta_rank: int
+    image_contained: bool
+    certified: bool
+
+
+def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
+    """Certify the k-th degree of the fundamental-theorem isomorphism.
+
+    dim_coinv is (mn)^k dim End(U^(x k)) certified at truncation d >=
+    max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
+    docstring).  Im theta_k <= C comes from the product lemma, whose base
+    case theta_11(x) in coinvariants((1,1), RELATION_DEGREE) of ctx.block()
+    is checked here for k >= 1.  At k = 1 the End solve and the base case
+    are the same t^2-unknown problem, so coinvariants((1,1), d) of the block
+    alone gives both the dimension and the containment.  The rank of the
+    theta matrix is computed at full size, independently.  Certified iff the
+    image is contained and dim_coinv = rank theta_k = (mn)^k; a dim_coinv
+    above (mn)^k is returned as computed, uncertified, for the caller to
+    classify.  The unbalanced bidegrees are certified separately by
+    comod.off_diagonal_vanish.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if d < max(k, RELATION_DEGREE):
+        raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE}) = "
+                         f"{max(k, RELATION_DEGREE)}")
+    block = ctx.block()
+    (image,) = theta_image_vectors(block, 1)
+    base = coinvariants(block, (1, 1), d if k == 1 else RELATION_DEGREE) if k else None
+    contained = k == 0 or base.contains(image)
+    end = base.dim if k == 1 else len(intertwiner_space(1, 1, ctx.t, ctx.hopf, k, k, d))
+    target = (ctx.m * ctx.n) ** k
+    dim = target * end
+    rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
+    return CoinvariantReport(
+        m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
+        dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,
+        certified=contained and dim == target and rank_theta == target,
+    )
 
 
 # -- duality data -------------------------------------------------------------
@@ -364,12 +453,16 @@ def coinv_to_hom(ctx: CoactionContext, element: TensorElement, d: int) -> Ration
     i, j = ctx.bidegree_of(element)
     if i != j:
         raise ValueError(f"bidegree ({i},{j}) is not balanced")
-    k = i
     if coinvariance_residual(ctx, element, d):
         raise ValueError(f"element is not a certified coinvariant at truncation {d}")
+    return _hom_matrix(ctx, element.terms, i)
+
+
+def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> RationalMatrix:
+    """The index bookkeeping of coinv_to_hom, for pairs of bidegree (k,k)."""
     m, n, t = ctx.m, ctx.n, ctx.t
     entries: dict[tuple[int, int], Q] = {}
-    for (wa, wb), coeff in element.terms.items():
+    for (wa, wb), coeff in terms.items():
         col = 0
         for letter in wa:
             _, ia, a = ctx.amt.letter_info(letter)
@@ -413,9 +506,12 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
                               k: int, d: int) -> CorrespondenceReport:
     """Certify coinv_to_hom(theta(w)) = psi(w) for every degree-k word w.
 
-    Also records the computed dim End(U_l) (must be 1 before the psi basis
-    claim means anything), computed once at RELATION_DEGREE whatever k is,
-    and the rank of the psi matrices (must be (mn)^k).
+    theta(w) = e_i (x) theta_11(x^k) (x) e_j (spectator factorisation, see
+    comod), so one residual of theta_11(x^k) on the block certifies every
+    image as a coinvariant; if it fails, every word is a mismatch.  Also
+    records the computed dim End(U_l) (must be 1 before the psi basis claim
+    means anything), computed once at RELATION_DEGREE whatever k is, and the
+    rank of the psi matrices (must be (mn)^k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -423,6 +519,10 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
         raise ValueError(f"truncation {d} below 2k = {2 * k}")
     ctx = CoactionContext(m, n, t, F)
     end_u = intertwiner_space(1, 1, t, ctx.hopf, 1, 1, RELATION_DEGREE)
+    block = ctx.block()
+    ((_, pairs11),) = theta_images(1, 1, t, k)
+    image11 = TensorElement(block.amt, block.atn, dict.fromkeys(pairs11, Q(1)))
+    coinvariant = not coinvariance_residual(block, image11, d)
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []
@@ -430,8 +530,7 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     ncols = (m * t) ** k
     for w, pairs in theta_images(m, n, t, k):
         direct = psi(m, n, t, w)
-        image = TensorElement(ctx.amt, ctx.atn, dict.fromkeys(pairs, Q(1)))
-        if coinv_to_hom(ctx, image, d) != direct:
+        if not coinvariant or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1)), k) != direct:
             mismatches.append(amn.word_label(w))
         vecs.append({r * ncols + c: val for r, c, val in direct.iter_entries()})
     rank = Subspace.from_vectors(nrows * ncols, vecs).dim

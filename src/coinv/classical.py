@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .exactlin import Subspace, add_to, solve_homogeneous
@@ -148,7 +149,10 @@ def pmul(a: Poly, b: Poly) -> Poly:
 # -- theta* -----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def _rings(m: int, n: int, t: int) -> tuple[PolyRing, PolyRing]:
+    """The rings Q[X] and Q[Y,Z] of a shape, built once so their monomial
+    enumerations are shared by every degree and every check."""
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
     return (PolyRing((("X", m, n),)), PolyRing((("Y", m, t), ("Z", t, n))))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .catalg import intertwiner_space, main_correspondence_check
+from .catalg import certify_fft, intertwiner_space, main_correspondence_check
 from .classical import fft1_check, fft2_check
-from .comod import CoactionContext, certify_fft, coinvariants, off_diagonal_vanish
+from .comod import CoactionContext, coinvariants, off_diagonal_vanish
 from .freealg import theta_matrix
 from .hopf import (COMPAT_MIN_DEGREE, RELATION_DEGREE, FMatrix, build_hf,
                    check_hopf_compat)
@@ -242,7 +242,8 @@ def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int):
 
 
 def cmd_certify_fft(config: RunConfig, F: FMatrix):
-    ds = [resolve_trunc(config.trunc, 2 * k + 2, 2 * k) for k in range(config.k + 1)]
+    # the End(U^(x k)) conditions hold u-words of degree k: d = max(k, RELATION_DEGREE)
+    ds = [resolve_trunc(config.trunc, k, k) for k in range(config.k + 1)]
     ctx = CoactionContext(config.m, config.n, config.t, F)
     results = [_balanced_case(config, ctx, k, d) for k, d in enumerate(ds)]
     return results, trunc_param(config.trunc), ()
@@ -277,7 +278,7 @@ def cmd_theta_rank(config: RunConfig, F: FMatrix):
 
 def cmd_intertwiners(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
-    d = resolve_trunc(config.trunc, i + j + 2, i + j)
+    d = resolve_trunc(config.trunc, i + j + 2, max(i, j))
     t0 = time.monotonic()
     # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i), and
     # the morphism conditions are block-diagonal in the same way
@@ -368,7 +369,7 @@ def build_parser() -> _Parser:
         p.add_argument("-o", "--output", default=None, help="write the report to a file")
 
     p = sub.add_parser("certify-fft", help="squeeze-certify coinvariants = theta image")
-    common(p)
+    common(p, auto_trunc=f"max(k, {RELATION_DEGREE})")
     p.add_argument("-k", type=int, required=True, help="certify bidegrees (0,0)..(k,k)")
 
     p = sub.add_parser("coinvariants", help="coinvariant dimension at one bidegree")

@@ -15,15 +15,13 @@ pair tau is therefore handed to certified_kernel as the constraint
 [(s, alpha[s, tau], 1) for each source pair s] + [(tau, empty word, -1)]
 of (unknown, H-word, coefficient) triples.
 
-Certification logic (the squeeze): the solver accepts x as coinvariant only
-when every H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal
-membership witness, so the computed space V is a subspace of the true
-coinvariants C; the explicit image of theta is checked to sit inside V.  In
-the chain Im theta_k <= V <= C at bidegree (k,k), dim V = rank theta_k =
-(mn)^k proves Im theta_k = V <= C, independent of how much of the ideal the
-truncation saw.  C <= Im theta_k is the paper's theorem and is not computed.
-A dim V above (mn)^k contradicts soundness and the theorem together; it is
-reported (certified stays False) and the caller classifies it as a mismatch.
+Certification logic: the solver accepts x as coinvariant only when every
+H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal membership
+witness, so the computed space is a subspace of the true coinvariants C.
+This module computes that space literally; catalg.certify_fft reaches the
+same verdict at bidegree (k,k) through End(U^(x k)) and proves
+Im theta_k <= C by a product lemma whose base case is coinvariants((1,1), 2)
+(see catalg).  C <= Im theta_k is the paper's theorem and is not computed.
 
 Spectator factorisation: the coaction changes only the t-index of a letter
 (rho'(y_ij) = sum_k v_jk (x) y_ik keeps i, lambda(z_ij) = sum_k u_ik (x) z_kj
@@ -33,12 +31,10 @@ component at m = n = 1, the coaction acts as id (x) alpha_W (x) id, and the
 constraint system of `coinvariants` is m^i n^j identical copies of the
 system on W.  The kernel of a block-diagonal system with identical blocks is
 exactly the lift of one block's kernel, so the certified space at (m,n) is
-that lift and has m^i n^j times its dimension.  certify_fft therefore solves
-on `CoactionContext.block()` alone; theta factors the same way,
-theta(x_(i1 j1)...x_(ik jk)) = e_(i1..ik) (x) theta_11(x^k) (x) e_(j1..jk),
-so containment is checked for theta_11(x^k).  Only the rank of theta is
-still computed at full size, as the independent second pipeline.  The
-full-size `coinvariants` stays available and is the oracle of the tests.
+that lift and has m^i n^j times its dimension; callers solve on
+`CoactionContext.block()` alone.  theta factors the same way,
+theta(x_(i1 j1)...x_(ik jk)) = e_(i1..ik) (x) theta_11(x^k) (x) e_(j1..jk).
+The full-size `coinvariants` stays available and is the oracle of the tests.
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:
@@ -55,7 +51,7 @@ from itertools import product
 
 from .exactlin import Subspace, add_to
 from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra, split_word,
-                      theta_images, theta_matrix)
+                      theta_images)
 from .fpquot import certified_kernel
 from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
 
@@ -280,56 +276,6 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
         relations_annihilated=relations_ok,
         diagonal_action_ok=diag_ok,
         basis_dimension=(m * t) ** i * (t * n) ** j,
-    )
-
-
-# -- Theorem certification --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoinvariantReport:
-    """Squeeze-certification outcome for one balanced bidegree (k, k)."""
-
-    m: int
-    n: int
-    t: int
-    f_label: str
-    bidegree: tuple[int, int]
-    d: int
-    dim_coinv: int
-    theta_rank: int
-    image_contained: bool
-    certified: bool
-
-
-def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
-    """Certify the k-th degree of the fundamental-theorem isomorphism.
-
-    Certifies Im theta_k <= V and dim V = rank theta_k = (mn)^k, where V is
-    the certified coinvariant space at bidegree (k,k).  By the spectator
-    factorisation (module docstring) V is (mn)^k copies of V_11 =
-    coinvariants((k,k), d) on ctx.block(), so only V_11 is solved: dim V =
-    (mn)^k dim V_11, and Im theta_k <= V iff theta_11(x^k) lies in V_11.  The
-    rank of the theta matrix is computed at full size, independently.  A
-    dim V above (mn)^k is returned as computed, uncertified, for the caller
-    to classify.  The unbalanced bidegrees are certified separately by
-    off_diagonal_vanish.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if d < 2 * k:
-        raise ValueError(f"truncation {d} below coaction-leg degree {2 * k}")
-    block = ctx.block()
-    V = coinvariants(block, (k, k), d)
-    (image,) = theta_image_vectors(block, k)
-    contained = V.contains(image)
-    target = (ctx.m * ctx.n) ** k
-    dim = target * V.dim
-    rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
-    return CoinvariantReport(
-        m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
-        dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,
-        certified=contained and dim == target and rank_theta == target,
     )
 
 

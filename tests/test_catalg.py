@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinv import catalg
 from coinv.catalg import (
     ComoduleSpace,
     Intertwiner,
@@ -14,6 +15,7 @@ from coinv.catalg import (
     main_correspondence_check,
     psi,
 )
+from coinv.cli import run
 from coinv.comod import CoactionContext
 from coinv.exactlin import RationalMatrix, Subspace
 from coinv.freealg import TensorElement, matrix_entry_algebra, theta_images
@@ -110,8 +112,11 @@ def test_intertwiner_space_maps_have_no_morphism_rows(m, n, t, F, i, j):
 
 
 def test_intertwiner_space_rejects_low_truncation(hj2):
-    with pytest.raises(ValueError):
-        intertwiner_space(1, 1, 2, hj2, 2, 2, 3)
+    # the morphism conditions hold words of degree i and j: the floor is max(i, j, 2)
+    for i, j, d in [(3, 3, 2), (1, 3, 2), (3, 0, 2), (1, 1, 1)]:
+        with pytest.raises(ValueError):
+            intertwiner_space(1, 1, 2, hj2, i, j, d)
+    assert len(intertwiner_space(1, 1, 2, hj2, 3, 3, 3)) == 1
 
 
 @pytest.mark.parametrize("F", [FMatrix.identity(2), FMatrix.diagonal([1, 2]),
@@ -191,6 +196,33 @@ def test_correspondence_check_small_cases(hj2):
     assert rep.ok
     assert rep.equalities_checked == 2
     assert rep.mismatches == ()
+
+
+def test_correspondence_runs_one_block_residual_per_k(hj2, monkeypatch):
+    calls = []
+    residual = catalg.coinvariance_residual
+
+    def recorder(ctx, x, d):
+        calls.append((ctx.m, ctx.n, ctx.bidegree_of(x), d))
+        return residual(ctx, x, d)
+
+    monkeypatch.setattr(catalg, "coinvariance_residual", recorder)
+    for k in range(3):
+        calls.clear()
+        rep = main_correspondence_check(2, 2, 2, hj2, k, 2 * k + 2)
+        assert rep.ok and rep.equalities_checked == 4 ** k
+        assert calls == [(1, 1, (k, k), 2 * k + 2)]
+
+
+def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys):
+    """A theta image whose residual does not vanish fails every word of its
+    degree: exit 1 with the words listed, not an internal error."""
+    monkeypatch.setattr(catalg, "coinvariance_residual", lambda ctx, x, d: {"tau": {(): Q(1)}})
+    rep = main_correspondence_check(2, 1, 2, hj2, 1, 4)
+    assert not rep.ok and len(rep.mismatches) == rep.equalities_checked == 2
+    assert run(["correspondence", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan",
+                "-k", "1"]) == 1
+    assert "degree 1 mismatching words: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("t", [1, 2])

@@ -118,12 +118,20 @@ def test_run_rejects_bad_bounds(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "1", "--jobs", "0"])
     assert exc.value.code == 3
-    assert run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "2",
-                "--trunc", "3"]) == 3
+    # certify-fft needs d >= max(k, 2) at every k
+    assert run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "3",
+                "--trunc", "2"]) == 3
     # below the degree of the H(F) relations, or of the Hopf compatibility checks
     assert run(["certify-fft", "-t", "1", "-k", "0", "--trunc", "1"]) == 3
     assert run(["intertwiners", "-t", "1", "-i", "0", "-j", "0", "--trunc", "0"]) == 3
     assert run(["hopf-check", "-t", "1", "--trunc", "3"]) == 3
+
+
+def test_intertwiners_truncation_floor_is_the_larger_power(capsys):
+    # the morphism conditions hold words of degree i and j, not i + j
+    assert run(["intertwiners", "-i", "2", "-j", "2", "--trunc", "2"]) == 0
+    assert run(["intertwiners", "-i", "2", "-j", "2", "--trunc", "1"]) == 3
+    assert run(["intertwiners", "-i", "3", "-j", "1", "--trunc", "2"]) == 3
 
 
 def test_run_non_integer_trunc_exits_three(capsys):
@@ -168,24 +176,33 @@ def test_main_internal_error_exits_four(monkeypatch, capsys):
 
 
 def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys):
-    """A computed coinvariant space above the theorem's (mn)^k is a mismatch
-    (exit 1) with its dimension in the report, not an internal error."""
-    from coinv import comod
-    from coinv.exactlin import Subspace
+    """A computed End(U^(x k)) above dimension 1, so a coinvariant space above
+    the theorem's (mn)^k, is a mismatch (exit 1) with its dimension in the
+    report, not an internal error.  At k = 1 End(U) is the block's C_(1,1),
+    solved by comod.coinvariants; from k = 2 on it is the hom_space solve."""
+    from coinv import catalg
+    from coinv.exactlin import RationalMatrix, Subspace
 
-    def oversized(ctx, bidegree, d):
+    def oversized(source, target, d):
+        return [catalg.Intertwiner(source, target,
+                                   RationalMatrix.from_sparse(target.dim, source.dim, {(r, c): 1}))
+                for r in range(target.dim) for c in range(source.dim)]
+
+    def everything(ctx, bidegree, d):
         n = len(ctx.pair_basis(bidegree))
-        return Subspace.from_vectors(n, [{i: 1} for i in range(n)])
+        return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
 
-    monkeypatch.setattr(comod, "coinvariants", oversized)
+    monkeypatch.setattr(catalg, "hom_space", oversized)
+    monkeypatch.setattr(catalg, "coinvariants", everything)
     monkeypatch.setattr(sys, "argv", ["coinv", "certify-fft", "-t", "2", "--F", "preset:jordan",
-                                      "-k", "1", "--format", "json"])
+                                      "-k", "2", "--format", "json"])
     with pytest.raises(SystemExit) as exc:
         cli_module.main()
     assert exc.value.code == cli_module.EXIT_MISMATCH == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "mismatch"
-    assert [(c["dim_coinv"], c["certified"]) for c in report["cases"]] == [(1, True), (4, False)]
+    assert [(c["dim_coinv"], c["certified"]) for c in report["cases"]] == \
+        [(1, True), (4, False), (16, False)]
 
 
 _REQUIRED = {"certify-fft": ["-k", "0"], "coinvariants": ["-i", "0", "-j", "0"],
@@ -217,6 +234,9 @@ def test_trunc_help_names_the_auto_degree(command, capsys, tmp_path):
     case = json.loads(out.read_text())["cases"][-1]
     if command == "hopf-check":
         assert f"'auto' (= {case['witness_degree']})" in help_text
+    elif command == "certify-fft":
+        assert "'auto' (= max(k, 2))" in help_text
+        assert case["witness_degree"] == max(case["bidegree"][0], 2)
     else:
         assert "'auto' (= bidegree sum + 2)" in help_text
         assert case["witness_degree"] == sum(case["bidegree"]) + 2
@@ -330,9 +350,10 @@ def test_cli_cache_dir_roundtrip(tmp_path):
 
 
 def test_cli_timings_flag_populates_millis():
-    # a run whose own work takes well over 1 ms: a t = 1 run finishes each
-    # case in under 1 ms, so its millis may all legitimately read 0
-    code, out, _ = cli("certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "2",
+    # a run whose own work takes well over 1 ms: a t = 1 run, or a t = 2 run
+    # up to k = 2, finishes each case in about 1 ms, so its millis may all
+    # legitimately read 0
+    code, out, _ = cli("certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "4",
                        "--format", "json", "--timings")
     assert code == 0
     report = json.loads(out)

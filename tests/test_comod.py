@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from coinv.catalg import certify_fft
 from coinv.comod import (
     CoactionContext,
-    certify_fft,
     coinvariance_residual,
     coinvariants,
     off_diagonal_vanish,
@@ -221,8 +221,13 @@ def test_certify_fft_nontrivial_f():
 
 
 def test_certify_fft_rejects_low_truncation(ctx221):
+    # the End(U^(x k)) conditions hold u-words of degree k, and no quotient
+    # exists below the relation degree 2: the floor is max(k, 2)
     with pytest.raises(ValueError):
-        certify_fft(ctx221, 2, 3)
+        certify_fft(ctx221, 3, 2)
+    with pytest.raises(ValueError):
+        certify_fft(ctx221, 0, 1)
+    assert certify_fft(ctx221, 3, 3).certified
 
 
 def test_subalgebra_products_stay_coinvariant(ctx221):

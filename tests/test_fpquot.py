@@ -273,11 +273,16 @@ def test_hopf_normal_forms_match_oracle(t, d, F):
 
 @pytest.mark.parametrize("t, F, k", [(3, "preset:identity", 2), (2, "preset:jordan", 3)])
 def test_certify_fft_past_the_old_block_sizes(t, F, k, tmp_path):
+    """Under the auto truncation max(k, 2) and under an explicit 2k+2, which
+    completes the quotient at d = 6 (t = 3) and d = 8 (t = 2)."""
     out = tmp_path / "report.json"
-    argv = ["certify-fft", "-m", "1", "-n", "1", "-t", str(t), "--F", F, "-k", str(k),
-            "--format", "json", "-o", str(out)]
-    assert cli.run(argv) == 0
-    report = json.loads(out.read_text())
-    assert report["status"] == "certified"
-    assert [(c["dim_coinv"], c["dim_theta"], c["certified"]) for c in report["cases"]] == \
-        [(1, 1, True)] * (k + 1)
+    for trunc, ds in [("auto", [max(i, 2) for i in range(k + 1)]),
+                      (str(2 * k + 2), [2 * k + 2] * (k + 1))]:
+        argv = ["certify-fft", "-m", "1", "-n", "1", "-t", str(t), "--F", F, "-k", str(k),
+                "--trunc", trunc, "--format", "json", "-o", str(out)]
+        assert cli.run(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["status"] == "certified"
+        assert [(c["dim_coinv"], c["dim_theta"], c["certified"]) for c in report["cases"]] == \
+            [(1, 1, True)] * (k + 1)
+        assert [c["witness_degree"] for c in report["cases"]] == ds

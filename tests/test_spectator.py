@@ -13,10 +13,10 @@ from itertools import product
 
 import pytest
 
+from coinv import catalg, comod
 from coinv import cli as cli_module
-from coinv import comod
-from coinv.catalg import intertwiner_space
-from coinv.comod import CoactionContext, certify_fft, coinvariants, theta_image_vectors
+from coinv.catalg import certify_fft, intertwiner_space
+from coinv.comod import CoactionContext, coinvariants, theta_image_vectors
 from coinv.exactlin import Subspace
 from coinv.hopf import FMatrix, build_hf
 
@@ -90,38 +90,49 @@ def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
 
 
 def test_certify_fft_solves_only_the_block(monkeypatch):
+    """Whatever m and n are, the End solve has the t^(2k) unknowns of
+    End(U^(x k)) and the lemma's base case the t^2 of the (1,1) block; at
+    k = 1 the two are one problem, solved once."""
     t, kmax = 2, 3
     ctx = CoactionContext(2, 2, t, FMatrix.jordan(t))
-    sizes = []
-    kernel = comod.certified_kernel
+    sizes = {"comod": [], "catalg": []}
+    for name, module in (("comod", comod), ("catalg", catalg)):
+        def recorder(q, nunknowns, constraints, kernel=module.certified_kernel, name=name):
+            sizes[name].append(nunknowns)
+            return kernel(q, nunknowns, constraints)
 
-    def recorder(q, nunknowns, constraints):
-        sizes.append(nunknowns)
-        return kernel(q, nunknowns, constraints)
-
-    monkeypatch.setattr(comod, "certified_kernel", recorder)
+        monkeypatch.setattr(module, "certified_kernel", recorder)
     for k in range(kmax + 1):
-        sizes.clear()
-        rep = certify_fft(ctx, k, 2 * k + 2)
+        for recorded in sizes.values():
+            recorded.clear()
+        rep = certify_fft(ctx, k, max(k, 2))
         assert rep.certified and rep.dim_coinv == 4 ** k
-        assert sizes and max(sizes) <= t ** (2 * k)
+        assert sizes["catalg"] == ([] if k == 1 else [t ** (2 * k)])
+        assert sizes["comod"] == ([t ** 2] if k else [])
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
-    """With V_11 forced to the span of a vector, certify_fft accepts exactly
-    theta_11(x^k), scaled, and nothing else."""
+    """With the base-case space V_11 at bidegree (1,1) forced to the span of a
+    vector, certify_fft accepts exactly theta_11(x), scaled, and nothing else,
+    at every k >= 1."""
     ctx = CoactionContext(2, 3, 2, FMatrix.jordan(2))
-    (image,) = theta_image_vectors(ctx.block(), k)
-    n = len(ctx.block().pair_basis((k, k)))
+    (image,) = theta_image_vectors(ctx.block(), 1)
+    n = len(ctx.block().pair_basis((1, 1)))
     others = [{s: Q(1)} for s in range(n)]
     others.append({s: Q(s + 1) for s in image})
+    calls = []
+
+    def forced(c, b, d, vec):
+        calls.append((c.m, c.n, b, d))
+        return Subspace.from_vectors(n, [vec])
+
     for vec, expected in [({s: Q(-3) for s in image}, True)] + [(v, False) for v in others]:
-        monkeypatch.setattr(comod, "coinvariants",
-                            lambda c, b, d, vec=vec: Subspace.from_vectors(n, [vec]))
-        rep = certify_fft(ctx, k, 2 * k + 2)
+        monkeypatch.setattr(catalg, "coinvariants", lambda c, b, d, vec=vec: forced(c, b, d, vec))
+        rep = certify_fft(ctx, k, max(k, 2))
         assert rep.dim_coinv == 6 ** k
         assert rep.image_contained is expected and rep.certified is expected
+    assert set(calls) == {(1, 1, (1, 1), 2)}
 
 
 def test_unbalanced_overcount_reports_the_full_size_dimension(monkeypatch, capsys):
