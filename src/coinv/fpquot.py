@@ -24,15 +24,17 @@ Implementation notes
   rewrites a word W of a truncation-d query only when L occurs in W and
   e - |L| <= d - |W| (the h power of the lead fits into that of W).
 * Every rule is an exact combination of products a*r*b, so a zero normal
-  form is a membership proof.  Reduction touches only the words a query
-  reaches; normal forms of queried words are memoised per quotient, and
-  quotients are shared in-process by (presentation, d).
+  form is a membership proof.  Completion pops its items in (virtual degree,
+  sequence) order, so the rules of a completion to d are exactly the rules
+  of virtual degree <= d of any larger one, and a query at d uses no other
+  rule.  Each presentation therefore keeps one resumable completion,
+  extended on demand, and one quotient per d that reads it.  Reduction
+  touches only the words a query reaches; normal forms of queried words are
+  memoised per quotient.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -54,9 +56,10 @@ class CertStatus(Enum):
 
 
 class Presentation:
-    """A free algebra together with a finite list of nonzero relations."""
+    """A free algebra together with a finite list of nonzero relations, the
+    one resumable completion of its relations and its truncated quotients."""
 
-    __slots__ = ("algebra", "relations", "_hash")
+    __slots__ = ("algebra", "relations", "completion", "_quotients")
 
     def __init__(self, algebra: FreeAlgebra, relations):
         relations = tuple(relations)
@@ -67,7 +70,8 @@ class Presentation:
                 raise ValueError("zero relations are not allowed")
         self.algebra = algebra
         self.relations = relations
-        self._hash = hash((algebra, relations))
+        self.completion = Completion(relations)
+        self._quotients: dict[int, TruncatedQuotient] = {}
 
     @property
     def max_relation_degree(self) -> int:
@@ -78,13 +82,12 @@ class Presentation:
         """True iff every relation is homogeneous for the generator weights."""
         return all(r.weight() is not None for r in self.relations)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Presentation)
-                and self.algebra == other.algebra
-                and self.relations == other.relations)
-
-    def __hash__(self):
-        return self._hash
+    def quotient(self, d: int) -> "TruncatedQuotient":
+        """The truncated quotient at degree d; one per presentation and d."""
+        q = self._quotients.get(d)
+        if q is None:
+            q = self._quotients[d] = TruncatedQuotient(self, d)
+        return q
 
     def __repr__(self) -> str:
         return f"Presentation({self.algebra!r}, {len(self.relations)} relations)"
@@ -102,19 +105,13 @@ class TruncatedQuotient:
                 f"{presentation.max_relation_degree}")
         self.presentation = presentation
         self.d = d
-        self._basis: dict[Word, tuple[int, dict[Word, Q]]] | None = None
-        self._lengths: tuple[int, ...] = ()
         self._nf_cache: dict[Word, dict[Word, Q]] = {}
 
-    # -- completion ----------------------------------------------------------
-
-    def _rules(self) -> dict[Word, tuple[int, dict[Word, Q]]]:
-        """Lead word -> (drop, replacement) of the basis completed up to
-        virtual degree d; computed on first use, with its lead lengths."""
-        if self._basis is None:
-            self._basis = _complete(self.presentation.relations, self.d)
-            self._lengths = _lead_lengths(self._basis)
-        return self._basis
+    def _completion(self) -> "Completion":
+        """The presentation's completion, extended to virtual degree d."""
+        completion = self.presentation.completion
+        completion.extend(self.d)
+        return completion
 
     # -- public queries ------------------------------------------------------
 
@@ -137,8 +134,8 @@ class TruncatedQuotient:
         if got is None:
             if len(w) > self.d:
                 raise ValueError(f"degree {len(w)} exceeds truncation {self.d}")
-            rules = self._rules()
-            got = _reduce(rules, self._lengths, {w: Q(1)}, self.d, self._nf_cache)
+            comp = self._completion()
+            got = _reduce(comp.rules, comp.lengths, {w: Q(1)}, self.d, self._nf_cache)
             self._nf_cache[w] = got
         return got
 
@@ -148,32 +145,10 @@ class TruncatedQuotient:
 
     def quotient_basis(self) -> tuple[Word, ...]:
         """Words no rule can rewrite (degree-ascending, then lex): a basis of the quotient."""
-        rules = self._rules()
-        out = [w for w in self.word_order() if _match(rules, self._lengths, w, self.d - len(w)) is None]
-        out.sort(key=lambda w: (len(w), w))
-        return tuple(out)
-
-    def word_order(self) -> tuple[Word, ...]:
-        """All words of degree <= d in reduction order (degree desc, then lex);
-        this is the column convention of ideal_span()."""
-        ws: list[Word] = []
-        for k in range(self.d, -1, -1):
-            ws.extend(self.presentation.algebra.degree_basis(k))
-        return tuple(ws)
-
-    def quotient_dim(self) -> int:
-        return len(self.quotient_basis())
-
-    def ideal_span(self) -> Subspace:
-        """The truncated ideal as a canonical subspace over word_order columns:
-        one RREF row w - NF(w) per word w that a rule rewrites."""
-        order = {w: i for i, w in enumerate(self.word_order())}
-        rows: dict[int, dict[int, Q]] = {}
-        for w, i in order.items():
-            nf = self.normal_form_word(w)
-            if nf != {w: Q(1)}:
-                rows[i] = {i: Q(1), **{order[u]: -c for u, c in nf.items()}}
-        return Subspace(len(order), rows)
+        comp = self._completion()
+        return tuple(w for k in range(self.d + 1)
+                     for w in self.presentation.algebra.degree_basis(k)
+                     if _match(comp.rules, comp.lengths, w, self.d - k) is None)
 
     def __repr__(self) -> str:
         return f"TruncatedQuotient(d={self.d}, {self.presentation!r})"
@@ -259,63 +234,56 @@ def _ambiguities(lead: Word, other: Word):
             yield other, other[:p], other[p + n1:], (), ()
 
 
-def _complete(relations, d: int) -> dict[Word, tuple[int, dict[Word, Q]]]:
-    """Buchberger completion of the homogenised relations, one virtual degree
-    at a time up to d.  Each relation enters at its own degree; each S-pair
-    enters at the larger of its two drops plus the length of its ambiguity
-    word.  A pair that does not reduce to zero becomes a monic rule."""
-    rules: dict[Word, tuple[int, dict[Word, Q]]] = {}
-    lengths: tuple[int, ...] = ()
-    queue = [(r.degree(), i, dict(r.terms)) for i, r in enumerate(relations)]
-    heapify(queue)
-    seq = len(queue)
-    while queue:
-        deg, _, vec = heappop(queue)
-        nf = _reduce(rules, lengths, vec, deg)
-        if not nf:
-            continue
-        lead = min(nf, key=_order)
-        inv = -1 / nf.pop(lead)
-        rule = (deg - len(lead), {u: c * inv for u, c in nf.items()})
-        rules[lead] = rule
-        if len(lead) not in lengths:
-            lengths = _lead_lengths(rules)
-        for other, (drop, repl) in rules.items():
-            top = max(rule[0], drop)
-            for word, a1, b1, a2, b2 in _ambiguities(lead, other):
-                if top + len(word) > d:
-                    continue
-                spoly: dict[Word, Q] = {}
-                for u, c in rule[1].items():
-                    add_to(spoly, a1 + u + b1, c)
-                for u, c in repl.items():
-                    add_to(spoly, a2 + u + b2, -c)
-                heappush(queue, (top + len(word), seq, spoly))
-                seq += 1
-    return rules
+class Completion:
+    """Buchberger completion of the homogenised relations, resumable.
 
+    Items wait in a heap keyed by (virtual degree, sequence): each relation
+    at its own degree, and each ambiguity of two leads at the larger of their
+    drops plus the length of its word.  An item (x, a1, b1, y, a2, b2)
+    stands for a1 x b1 - a2 y b2: a relation r is (r, (), (), {}, (), ()),
+    and an ambiguity holds its two rules' replacements, so its S-polynomial
+    is built only when it is popped.  extend(d) pops every item of degree
+    <= d, and an item that does not reduce to zero becomes a monic rule.  A
+    new rule's ambiguities are never below its own degree, so pops run in
+    nondecreasing degree, and extending step by step leaves the rules (and
+    their order) of a completion straight to d.
+    """
 
-# -- shared quotients ---------------------------------------------------------
+    __slots__ = ("rules", "lengths", "_queue", "_seq")
 
-MAX_QUOTIENTS = 16
+    def __init__(self, relations):
+        self.rules: dict[Word, tuple[int, dict[Word, Q]]] = {}
+        self.lengths: tuple[int, ...] = ()
+        self._queue = [(r.degree(), i, r.terms, (), (), {}, (), ())
+                       for i, r in enumerate(relations)]
+        heapify(self._queue)
+        self._seq = len(self._queue)
 
-_QUOTIENTS: OrderedDict[tuple[Presentation, int], TruncatedQuotient] = OrderedDict()
-_QUOTIENTS_LOCK = threading.Lock()
-
-
-def truncated_quotient(presentation: Presentation, d: int) -> TruncatedQuotient:
-    """Shared quotient for (presentation, d); the MAX_QUOTIENTS most recently
-    used ones are kept."""
-    key = (presentation, d)
-    with _QUOTIENTS_LOCK:
-        q = _QUOTIENTS.get(key)
-        if q is None:
-            q = _QUOTIENTS[key] = TruncatedQuotient(presentation, d)
-            if len(_QUOTIENTS) > MAX_QUOTIENTS:
-                _QUOTIENTS.popitem(last=False)
-        else:
-            _QUOTIENTS.move_to_end(key)
-        return q
+    def extend(self, d: int) -> None:
+        """Complete up to virtual degree d (rules of degree <= d are final)."""
+        queue, rules = self._queue, self.rules
+        while queue and queue[0][0] <= d:
+            deg, _, x, a1, b1, y, a2, b2 = heappop(queue)
+            vec: dict[Word, Q] = {}
+            for u, c in x.items():
+                add_to(vec, a1 + u + b1, c)
+            for u, c in y.items():
+                add_to(vec, a2 + u + b2, -c)
+            nf = _reduce(rules, self.lengths, vec, deg)
+            if not nf:
+                continue
+            lead = min(nf, key=_order)
+            inv = -1 / nf.pop(lead)
+            rule = (deg - len(lead), {u: c * inv for u, c in nf.items()})
+            rules[lead] = rule
+            if len(lead) not in self.lengths:
+                self.lengths = _lead_lengths(rules)
+            for other, (drop, repl) in rules.items():
+                top = max(rule[0], drop)
+                for word, a1, b1, a2, b2 in _ambiguities(lead, other):
+                    heappush(queue, (top + len(word), self._seq,
+                                     rule[1], a1, b1, repl, a2, b2))
+                    self._seq += 1
 
 
 def certified_kernel(q: TruncatedQuotient, nunknowns: int, constraints) -> Subspace:

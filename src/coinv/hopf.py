@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .exactlin import RationalMatrix, Subspace, add_to
 from .freealg import FreeAlgebra, FreeElement, GeneratorSet, Word, split_word
-from .fpquot import CertStatus, Presentation, TruncatedQuotient, truncated_quotient
+from .fpquot import CertStatus, Presentation, TruncatedQuotient
 
 Q = Fraction
 
@@ -107,55 +107,6 @@ class FMatrix:
         return f"FMatrix({self.label})"
 
 
-SymMat = list[list[FreeElement]]
-
-
-def _sym_u(alg: FreeAlgebra, t: int) -> SymMat:
-    return [[alg.gen("u", i, j) for j in range(t)] for i in range(t)]
-
-
-def _sym_v(alg: FreeAlgebra, t: int) -> SymMat:
-    return [[alg.gen("v", i, j) for j in range(t)] for i in range(t)]
-
-
-def _sym_transpose(m: SymMat) -> SymMat:
-    t = len(m)
-    return [[m[j][i] for j in range(t)] for i in range(t)]
-
-
-def _sym_mul(a: SymMat, b: SymMat) -> SymMat:
-    t = len(a)
-    out = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, t):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _scalar_mul(f: RationalMatrix, m: SymMat, left: bool) -> SymMat:
-    t = len(m)
-    out = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            if left:
-                acc = m[0][j].scale(f.entry(i, 0))
-                for k in range(1, t):
-                    acc = acc + m[k][j].scale(f.entry(i, k))
-            else:
-                acc = m[i][0].scale(f.entry(0, j))
-                for k in range(1, t):
-                    acc = acc + m[i][k].scale(f.entry(k, j))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 class HopfCover:
     """Free cover of H(F): generators, relations, and structure maps."""
 
@@ -165,27 +116,36 @@ class HopfCover:
         t = F.t
         alg = FreeAlgebra((GeneratorSet("u", t, t, weight=1),
                            GeneratorSet("v", t, t, weight=-1)))
-        U = _sym_u(alg, t)
-        V = _sym_v(alg, t)
-        Ut = _sym_transpose(U)
-        Vt = _sym_transpose(V)
-        fuf = _scalar_mul(F.matrix, _scalar_mul(F.inverse, Ut, left=False), left=True)
-        one = alg.one()
-        families = (("u.tv", _sym_mul(U, Vt)),
-                    ("tv.u", _sym_mul(Vt, U)),
-                    ("v.FtuFi", _sym_mul(V, fuf)),
-                    ("FtuFi.v", _sym_mul(fuf, V)))
+        u = [[alg.letter("u", i, j) for j in range(t)] for i in range(t)]
+        v = [[alg.letter("v", i, j) for j in range(t)] for i in range(t)]
+        # (F u^T F^-1)_ij = sum_kl F_ik u_lk F^-1_lj, as sparse word dicts
+        fuf = [[{} for _ in range(t)] for _ in range(t)]
+        for i in range(t):
+            for j in range(t):
+                for k in range(t):
+                    for l in range(t):
+                        add_to(fuf[i][j], (u[l][k],), F.entry(i, k) * F.inverse.entry(l, j))
+        # entry (i, j) of each family is the sum over k of these word dicts
+        families = (("u.tv", lambda i, j, k: {(u[i][k], v[j][k]): Q(1)}),
+                    ("tv.u", lambda i, j, k: {(v[k][i], u[k][j]): Q(1)}),
+                    ("v.FtuFi", lambda i, j, k: {(v[i][k],) + w: c for w, c in fuf[k][j].items()}),
+                    ("FtuFi.v", lambda i, j, k: {w + (v[k][j],): c for w, c in fuf[i][k].items()}))
         labeled: list[tuple[str, FreeElement]] = []
         seen: set = set()
-        for fam, mat in families:
+        for fam, entry in families:
             for i in range(t):
                 for j in range(t):
-                    rel = mat[i][j] - (one if i == j else alg.zero())
-                    key = tuple(sorted(rel.terms.items()))
+                    terms: dict[Word, Q] = {}
+                    for k in range(t):
+                        for w, c in entry(i, j, k).items():
+                            add_to(terms, w, c)
+                    if i == j:
+                        add_to(terms, (), Q(-1))
+                    key = tuple(sorted(terms.items()))
                     if key in seen:
                         continue
                     seen.add(key)
-                    labeled.append((f"{fam}[{i + 1},{j + 1}]", rel))
+                    labeled.append((f"{fam}[{i + 1},{j + 1}]", FreeElement(alg, terms)))
         self.F = F
         self.t = t
         self.algebra = alg
@@ -195,8 +155,8 @@ class HopfCover:
         s_images: dict[int, FreeElement] = {}
         for i in range(t):
             for j in range(t):
-                s_images[alg.letter("u", i, j)] = alg.gen("v", j, i)
-                s_images[alg.letter("v", i, j)] = fuf[i][j]
+                s_images[u[i][j]] = alg.gen("v", j, i)
+                s_images[v[i][j]] = FreeElement(alg, fuf[i][j])
         self._s_images = s_images
         for label, rel in labeled:
             spec = grading_specialize(rel)
@@ -252,8 +212,8 @@ class HopfCover:
         return acc
 
     def quotient(self, d: int) -> TruncatedQuotient:
-        """Shared truncated quotient of the relation ideal at degree d."""
-        return truncated_quotient(self.presentation, d)
+        """The truncated quotient of the relation ideal at degree d; one per cover and d."""
+        return self.presentation.quotient(d)
 
     def __repr__(self) -> str:
         return f"HopfCover(t={self.t}, F={self.F.label})"

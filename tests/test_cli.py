@@ -18,7 +18,7 @@ from coinv.cli import (
     resolve_trunc,
     run,
 )
-from coinv.hopf import FMatrix
+from coinv.hopf import FMatrix, HopfCover
 
 
 def cli(*args, env=None):
@@ -282,6 +282,29 @@ def test_run_correspondence(capsys):
 
 def test_run_theta_rank(capsys):
     assert run(["theta-rank", "-m", "2", "-n", "2", "-t", "2", "-k", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-fft", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan", "-k", "2"],
+    ["coinvariants", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan", "-i", "1", "-j", "1"],
+    ["coinvariants", "-m", "2", "-n", "1", "-t", "1", "-i", "2", "-j", "1"],
+    ["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "1", "-j", "2"],
+    ["hopf-check", "-t", "2", "--F", "preset:diag:1,2"],
+    ["correspondence", "-t", "2", "--F", "preset:jordan", "-k", "2"],
+], ids=["certify-fft", "coinvariants-balanced", "coinvariants-unbalanced", "intertwiners",
+        "hopf-check", "correspondence"])
+def test_each_run_builds_one_hopf_cover(argv, monkeypatch, capsys):
+    # every truncation of a run reads the completion its one cover keeps
+    built = []
+    init = HopfCover.__init__
+
+    def counting_init(self, F):
+        built.append(F)
+        init(self, F)
+
+    monkeypatch.setattr(HopfCover, "__init__", counting_init)
+    assert run(argv) == 0
+    assert len(built) == 1
 
 
 # -- subprocess integration -------------------------------------------------------

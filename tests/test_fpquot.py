@@ -1,22 +1,18 @@
 """Truncated ideal quotients: normal forms, soundness, determinism, caching."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinv import cli, fpquot
+from coinv import cli
 from coinv.exactlin import Subspace
-from coinv.fpquot import (
-    CertStatus,
-    Presentation,
-    TruncatedQuotient,
-    certified_kernel,
-    truncated_quotient,
-)
+from coinv.fpquot import CertStatus, Presentation, TruncatedQuotient, certified_kernel
 from coinv.freealg import FreeAlgebra, GeneratorSet
 from coinv.hopf import FMatrix, build_hf
 
@@ -48,15 +44,20 @@ def test_truncation_below_relation_degree_rejected():
         TruncatedQuotient(laurent_presentation(), 1)
 
 
-def test_equal_presentations_share_one_quotient():
-    assert build_hf(FMatrix.jordan(2)).quotient(4) is build_hf(FMatrix.jordan(2)).quotient(4)
+def test_one_cover_gives_one_quotient_per_degree():
+    h = build_hf(FMatrix.jordan(2))
+    qs = {d: h.quotient(d) for d in (2, 4, 6)}
+    assert all(h.quotient(d) is q and q.d == d for d, q in qs.items())
+    assert all(q.presentation is h.presentation for q in qs.values())
+    # an equal presentation of another cover keeps its own quotients
+    assert build_hf(FMatrix.jordan(2)).quotient(4) is not qs[4]
 
 
 def test_laurent_quotient_dimension():
     # in k[x, x^-1] every weight class is one-dimensional; weights -d..d survive
     for d in (2, 3, 4):
         q = TruncatedQuotient(laurent_presentation(), d)
-        assert q.quotient_dim() == 2 * d + 1
+        assert len(q.quotient_basis()) == 2 * d + 1
 
 
 def test_laurent_normal_forms():
@@ -73,7 +74,7 @@ def test_laurent_normal_forms():
 
 def test_relations_and_ideal_multiples_certified_zero():
     pres = laurent_presentation()
-    q = truncated_quotient(pres, 4)
+    q = pres.quotient(4)
     alg = pres.algebra
     x = alg.gen("x", 0, 0)
     for r in pres.relations:
@@ -84,7 +85,7 @@ def test_relations_and_ideal_multiples_certified_zero():
 
 def test_nonmember_not_certified():
     pres = laurent_presentation()
-    q = truncated_quotient(pres, 4)
+    q = pres.quotient(4)
     x = pres.algebra.gen("x", 0, 0)
     assert q.is_zero_mod(x) is CertStatus.NOT_CERTIFIED
     assert bool(CertStatus.NOT_CERTIFIED) is False
@@ -93,7 +94,7 @@ def test_nonmember_not_certified():
 
 def test_ideal_dim_monotone_in_truncation():
     pres = laurent_presentation()
-    dims = [truncated_quotient(pres, d).ideal_span().dim for d in range(2, 6)]
+    dims = [ideal_span(pres.quotient(d), words_upto(pres.algebra, d)).dim for d in range(2, 6)]
     assert dims == sorted(dims)
 
 
@@ -134,18 +135,29 @@ def test_quotient_basis_deterministic_across_fresh_objects():
     q1 = TruncatedQuotient(laurent_presentation(), 4)
     q2 = TruncatedQuotient(laurent_presentation(), 4)
     assert q1.quotient_basis() == q2.quotient_basis()
-    assert q1.word_order() == q2.word_order()
+    words = words_upto(q1.presentation.algebra, 4)
+    assert [list(q1.normal_form_word(w).items()) for w in words] == \
+        [list(q2.normal_form_word(w).items()) for w in words]
 
 
 def test_shared_quotient_cache_returns_same_object():
-    q1 = truncated_quotient(laurent_presentation(), 3)
-    q2 = truncated_quotient(laurent_presentation(), 3)
-    assert q1 is q2
+    pres = laurent_presentation()
+    completion = pres.completion
+    x, y = pres.algebra.letter("x", 0, 0), pres.algebra.letter("y", 0, 0)
+    qs = {}
+    for d in (3, 5, 3, 2):
+        q = qs.setdefault(d, pres.quotient(d))
+        assert pres.quotient(d) is q
+        assert q.normal_form_word((y, x)) == {(): Q(1)}
+        # every truncation reads the one completion, extended as far as needed
+        assert pres.completion is completion
+    assert qs[3] is not qs[5]
+    assert max(len(lead) + drop for lead, (drop, _) in completion.rules.items()) <= 5
 
 
 def test_module_level_wrappers():
     pres = laurent_presentation()
-    q = truncated_quotient(pres, 3)
+    q = pres.quotient(3)
     x = pres.algebra.gen("x", 0, 0)
     y = pres.algebra.gen("y", 0, 0)
     assert q.normal_form(x * y) == {(): Q(1)}
@@ -167,7 +179,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
 
 def test_certified_kernel_small_system():
     pres = laurent_presentation()
-    q = truncated_quotient(pres, 3)
+    q = pres.quotient(3)
     alg = pres.algebra
     x = alg.letter("x", 0, 0)
     y = alg.letter("y", 0, 0)
@@ -180,25 +192,41 @@ def test_certified_kernel_small_system():
     assert sol2.dim == 0
 
 
-def test_shared_quotients_are_bounded():
-    alg = FreeAlgebra([GeneratorSet("x", 1, 1, +1), GeneratorSet("y", 1, 1, -1)])
-    x, y = alg.gen("x", 0, 0), alg.gen("y", 0, 0)
-    sweep = [Presentation(alg, [x * y - c * alg.one()])
-             for c in range(1, fpquot.MAX_QUOTIENTS + 6)]
-    shared = [truncated_quotient(p, 2) for p in sweep]
-    assert len(fpquot._QUOTIENTS) == fpquot.MAX_QUOTIENTS
-    assert truncated_quotient(sweep[-1], 2) is shared[-1]
-    assert truncated_quotient(sweep[0], 2) is not shared[0]
+def test_dropped_cover_quotient_is_collected():
+    h = build_hf(FMatrix.jordan(2))
+    q = h.quotient(4)
+    assert q.is_zero_mod(h.labeled_relations[0][1]) is CertStatus.CERTIFIED_ZERO
+    ref = weakref.ref(q)
+    del h, q
+    gc.collect()
+    assert ref() is None
 
 
 # -- differential tests against a linear-algebra oracle ---------------------------
+
+
+def words_upto(alg: FreeAlgebra, d: int) -> list:
+    """The words of degree <= d in reduction order (degree desc, then lex)."""
+    return [w for k in range(d, -1, -1) for w in alg.degree_basis(k)]
+
+
+def ideal_span(q: TruncatedQuotient, words) -> Subspace:
+    """q's truncated ideal over the columns `words`, read off its normal forms:
+    one RREF row w - NF(w) per word w that a rule rewrites."""
+    col = {w: i for i, w in enumerate(words)}
+    rows = {}
+    for w, i in col.items():
+        nf = q.normal_form_word(w)
+        if nf != {w: Q(1)}:
+            rows[i] = {i: Q(1), **{col[u]: -c for u, c in nf.items()}}
+    return Subspace(len(words), rows)
 
 
 def oracle(pres: Presentation, d: int):
     """I_d as the span of every product a*r*b of degree <= d, over the words of
     degree <= d in reduction order (degree desc, then lex)."""
     alg = pres.algebra
-    words = [w for k in range(d, -1, -1) for w in alg.degree_basis(k)]
+    words = words_upto(alg, d)
     col = {w: i for i, w in enumerate(words)}
     vecs = []
     for r in pres.relations:
@@ -214,14 +242,13 @@ def oracle(pres: Presentation, d: int):
 def assert_matches_oracle(pres: Presentation, d: int):
     words, col, span = oracle(pres, d)
     q = TruncatedQuotient(pres, d)
-    assert q.word_order() == tuple(words)
     for w in words:
         expect = {words[i]: c for i, c in span.reduce({col[w]: Q(1)}).items()}
         assert q.normal_form_word(w) == expect, w
-    assert q.ideal_span() == span
+    assert ideal_span(q, words) == span
     # soundness: each rule of virtual degree e lies in the oracle's I_e
     oracles = {d: (words, col, span)}
-    for lead, (drop, repl) in q._rules().items():
+    for lead, (drop, repl) in pres.completion.rules.items():
         e = len(lead) + drop
         if e not in oracles:
             oracles[e] = oracle(pres, e)
@@ -249,6 +276,45 @@ def presentations(draw):
 @given(presentations())
 def test_normal_forms_match_oracle_on_random_presentations(case):
     assert_matches_oracle(*case)
+
+
+def rule_list(completion):
+    """Leads, drops and replacements of a completion, in insertion order."""
+    return [(lead, drop, list(repl.items())) for lead, (drop, repl) in completion.rules.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.data())
+def test_resumed_completion_matches_a_fresh_one(case, data):
+    pres, d1 = case
+    d2 = data.draw(st.integers(d1, 6))
+    oracles = {d: oracle(pres, d) for d in {d1, d2} if d <= 5}
+    first = pres.quotient(d1)
+    # query at d1, then d2, then d1 again; the last pass reads the completion
+    # extended to d2 through a fresh quotient, without the first one's memo
+    for d, q in [(d1, first), (d2, pres.quotient(d2)), (d1, TruncatedQuotient(pres, d1))]:
+        q.quotient_basis()
+        if d in oracles:
+            words, col, span = oracles[d]
+            for w in words:
+                expect = {words[i]: c for i, c in span.reduce({col[w]: Q(1)}).items()}
+                assert q.normal_form_word(w) == expect, (d, w)
+    assert pres.quotient(d1) is first
+    fresh = Presentation(pres.algebra, pres.relations)
+    fresh.completion.extend(d2)
+    assert rule_list(pres.completion) == rule_list(fresh.completion)
+
+
+@pytest.mark.parametrize("F", ["identity", "diag", "jordan"])
+def test_stepwise_completion_equals_one_straight_to_8(F):
+    F = {"identity": FMatrix.identity(2), "diag": FMatrix.diagonal([2, 3]),
+         "jordan": FMatrix.jordan(2)}[F]
+    stepwise = build_hf(F)
+    for d in range(2, 9):
+        stepwise.quotient(d).normal_form_word(())  # the first query extends the completion
+    straight = build_hf(F).presentation.completion
+    straight.extend(8)
+    assert rule_list(stepwise.presentation.completion) == rule_list(straight)
 
 
 def test_older_lead_inside_a_new_lead_is_completed():

@@ -84,6 +84,56 @@ def test_duplicate_relations_collapse_for_trivial_f():
     assert len(h.labeled_relations) == 2
 
 
+def reference_relations(h):
+    """The four relation families and S(v) of h's F, rebuilt from FreeElement
+    matrix products: labels in family, row, column order, duplicates dropped."""
+    t, alg, F = h.t, h.algebra, h.F
+    rng = range(t)
+
+    def mul(a, b):
+        out = [[alg.zero() for _ in rng] for _ in rng]
+        for i in rng:
+            for j in rng:
+                for k in rng:
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+        return out
+
+    def scalars(m):
+        return [[alg.one().scale(m.entry(i, j)) for j in rng] for i in rng]
+
+    u = [[alg.gen("u", i, j) for j in rng] for i in rng]
+    v = [[alg.gen("v", i, j) for j in rng] for i in rng]
+    ut = [[u[j][i] for j in rng] for i in rng]
+    vt = [[v[j][i] for j in rng] for i in rng]
+    fuf = mul(mul(scalars(F.matrix), ut), scalars(F.inverse))
+    labeled, seen = [], set()
+    for fam, mat in (("u.tv", mul(u, vt)), ("tv.u", mul(vt, u)),
+                     ("v.FtuFi", mul(v, fuf)), ("FtuFi.v", mul(fuf, v))):
+        for i in rng:
+            for j in rng:
+                rel = mat[i][j] - (alg.one() if i == j else alg.zero())
+                if rel not in seen:
+                    seen.add(rel)
+                    labeled.append((f"{fam}[{i + 1},{j + 1}]", rel))
+    return labeled, fuf
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_relations_match_the_matrix_product_reference(t):
+    rng = random.Random(t)
+    mats = [FMatrix.identity(t), FMatrix.diagonal([i + 2 for i in range(t)]), FMatrix.jordan(t)]
+    mats += [random_invertible(t, rng) for _ in range(5)]
+    for F in mats:
+        h = build_hf(F)
+        labeled, fuf = reference_relations(h)
+        assert [(label, rel.terms) for label, rel in h.labeled_relations] == \
+            [(label, rel.terms) for label, rel in labeled], F
+        for i in range(t):
+            for j in range(t):
+                assert h.antipode(h.u(i, j)) == h.v(j, i)
+                assert h.antipode(h.v(i, j)) == fuf[i][j]
+
+
 def test_coproduct_is_matrix_comultiplication():
     h = build_hf(FMatrix.jordan(2))
     for name in ("u", "v"):
