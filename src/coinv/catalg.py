@@ -4,7 +4,12 @@ coinvariant <-> morphism correspondence.
 The objects are finite-dimensional H(F)-comodules built from the standard
 one U_l (coaction entries u_ij) by direct sums, tensor powers, and the
 S-twisted dual; nested tensor factors are ordered left-to-right and flattened
-row-major, so all associators are identities on basis vectors.
+row-major, so all associators are identities on basis vectors.  Every
+nonzero coaction entry of such a comodule is one H-word with coefficient 1:
+the unit gives the empty word, U_l the letter u_ij, a tensor product the
+concatenation of its factors' words, and the dual the reversed v-word
+HopfCover.antipode_word.  The dual is defined only for comodules of u-words
+(the one dual taken is U*), since S(v_ij) is not a word.
 
 hom_space solves, and Intertwiner.morphism_rows evaluates, the same
 morphism conditions, built once by _morphism_conditions.
@@ -57,8 +62,7 @@ from fractions import Fraction
 from .comod import (CoactionContext, PairKey, coinvariance_residual, coinvariants,
                     theta_image_vectors)
 from .exactlin import RationalMatrix, Subspace, add_to
-from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra, theta_images,
-                      theta_matrix)
+from .freealg import Word, matrix_entry_algebra, theta_images, theta_matrix
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
@@ -67,17 +71,15 @@ Q = Fraction
 
 class ComoduleSpace:
     """Finite-dimensional left comodule: delta(e_a) = sum_b h[a,b] (x) e_b, with
-    entries h[a,b] in the free cover."""
+    each nonzero entry h[a,b] one word of the free cover (coefficient 1)."""
 
     def __init__(self, hopf: HopfCover, dim: int,
-                 coaction: dict[tuple[int, int], FreeElement], label: str = "?"):
+                 coaction: dict[tuple[int, int], Word], label: str = "?"):
         if dim < 1:
             raise ValueError("comodule dimension must be positive")
-        for (a, b), h in coaction.items():
+        for a, b in coaction:
             if not (0 <= a < dim and 0 <= b < dim):
                 raise ValueError("coaction index out of range")
-            if h.is_zero:
-                raise ValueError("coaction entries must be nonzero")
         self.hopf = hopf
         self.dim = dim
         self.coaction = dict(coaction)
@@ -87,22 +89,18 @@ class ComoduleSpace:
 
     @classmethod
     def trivial(cls, hopf: HopfCover, dim: int = 1) -> "ComoduleSpace":
-        one = hopf.algebra.one()
-        return cls(hopf, dim, {(a, a): one for a in range(dim)}, "I" if dim == 1 else f"I^{dim}")
+        return cls(hopf, dim, {(a, a): () for a in range(dim)}, "I" if dim == 1 else f"I^{dim}")
 
     @classmethod
     def standard_left(cls, hopf: HopfCover) -> "ComoduleSpace":
         t = hopf.t
-        co = {(i, j): hopf.u(i, j) for i in range(t) for j in range(t)}
+        co = {(i, j): (hopf.algebra.letter("u", i, j),) for i in range(t) for j in range(t)}
         return cls(hopf, t, co, "U_l")
 
     def dual(self) -> "ComoduleSpace":
-        """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map."""
-        co = {}
-        for (b, a), h in self.coaction.items():
-            img = self.hopf.antipode(h)
-            if not img.is_zero:
-                co[(a, b)] = img
+        """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
+        Defined for comodules of u-words only (ValueError otherwise)."""
+        co = {(a, b): self.hopf.antipode_word(h) for (b, a), h in self.coaction.items()}
         return ComoduleSpace(self.hopf, self.dim, co, self.label + "*")
 
     def direct_sum(self, other: "ComoduleSpace") -> "ComoduleSpace":
@@ -123,14 +121,12 @@ class ComoduleSpace:
         return out
 
     def tensor(self, other: "ComoduleSpace") -> "ComoduleSpace":
-        """Basis e_a (x) f_c at index a*other.dim + c; H-legs multiply left-to-right."""
+        """Basis e_a (x) f_c at index a*other.dim + c; H-words concatenate left-to-right."""
         self._compatible(other)
         co = {}
         for (a, b), h1 in self.coaction.items():
             for (c, dd), h2 in other.coaction.items():
-                h = h1 * h2
-                if not h.is_zero:
-                    co[(a * other.dim + c, b * other.dim + dd)] = h
+                co[(a * other.dim + c, b * other.dim + dd)] = h1 + h2
         return ComoduleSpace(self.hopf, self.dim * other.dim, co,
                              f"{self.label}(x){other.label}")
 
@@ -155,24 +151,20 @@ class ComoduleSpace:
         """epsilon(h[a,b]) = delta_ab, an exact rational computation."""
         seen = set(self.coaction)
         for (a, b), h in self.coaction.items():
-            if self.hopf.counit(h) != (Q(1) if a == b else Q(0)):
+            if self.hopf.counit(self.hopf.algebra.element({h: 1})) != (Q(1) if a == b else Q(0)):
                 return False
         return all((a, a) in seen for a in range(self.dim))
 
     def is_coassociative(self) -> bool:
         """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c], exactly in the free cover."""
+        co = self.coaction
         for a in range(self.dim):
             for c in range(self.dim):
-                lhs = self.hopf.delta(self.coaction.get((a, c), self.hopf.algebra.zero()))
-                acc: dict[tuple[Word, Word], Q] = {}
+                lhs = dict.fromkeys(self.hopf.delta_word(co[a, c]), 1) if (a, c) in co else {}
+                acc: dict[tuple[Word, Word], int] = {}
                 for b in range(self.dim):
-                    h1 = self.coaction.get((a, b))
-                    h2 = self.coaction.get((b, c))
-                    if h1 is None or h2 is None:
-                        continue
-                    for w1, c1 in h1.terms.items():
-                        for w2, c2 in h2.terms.items():
-                            add_to(acc, (w1, w2), c1 * c2)
+                    if (a, b) in co and (b, c) in co:
+                        add_to(acc, (co[a, b], co[b, c]), 1)
                 if lhs != acc:
                     return False
         return True
@@ -203,13 +195,13 @@ class Intertwiner:
         lie in the ideal for T to be a comodule morphism."""
         alg = self.source.hopf.algebra
         for sr, terms in _morphism_conditions(self.source, self.target):
-            acc = alg.zero()
+            acc: dict[Word, Q] = {}
             for (row, col), h, sign in terms:
                 c = self.matrix.entry(row, col)
                 if c:
-                    acc = acc + h.scale(sign * c)
-            if not acc.is_zero:
-                yield sr, acc
+                    add_to(acc, h, sign * c)
+            if acc:
+                yield sr, alg.element(acc)
 
     def certify(self, d: int) -> bool:
         """Certify the comodule-morphism condition at truncation d."""
@@ -232,7 +224,7 @@ class Intertwiner:
 def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
     """The condition sum_b h[s,b] T[r,b] - sum_c T[c,s] h'[c,r] = 0 for each
     (source index s, target index r), as its terms ((row, col) of T,
-    H-element, sign)."""
+    H-word, sign)."""
     for s in range(source.dim):
         for r in range(target.dim):
             terms = [((r, b), source.coaction[s, b], 1) for b in range(source.dim)
@@ -251,8 +243,7 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> list[Inte
     source._compatible(target)
     q = source.hopf.quotient(d)
     nsrc, ntgt = source.dim, target.dim
-    constraints = [[(row * nsrc + col, w, c if sign > 0 else -c)
-                    for (row, col), h, sign in terms for w, c in h.terms.items()]
+    constraints = [[(row * nsrc + col, h, sign) for (row, col), h, sign in terms]
                    for _, terms in _morphism_conditions(source, target)]
     sol = certified_kernel(q, nsrc * ntgt, constraints)
     out = []
@@ -437,9 +428,10 @@ def psi(m: int, n: int, t: int, word: Word) -> RationalMatrix:
 # -- transporting coinvariants to morphisms -------------------------------------
 
 
-def coinv_to_hom(ctx: CoactionContext, element: TensorElement, d: int) -> RationalMatrix:
+def coinv_to_hom(ctx: CoactionContext, element: dict[PairKey, Q], d: int) -> RationalMatrix:
     """Transport a certified coinvariant of bidegree (k,k) to the matrix of a
-    morphism (U^m)^(x k) -> (U^n)^(x k).
+    morphism (U^m)^(x k) -> (U^n)^(x k); the element is a
+    {(A(m,t)-word, A(t,n)-word): coefficient} dict.
 
     The identifications send y_ij to v_i(e_j)* (reversing words, into the
     opposite algebra) and z_ij to u_j(e_i); closing the source leg with the
@@ -448,14 +440,14 @@ def coinv_to_hom(ctx: CoactionContext, element: TensorElement, d: int) -> Ration
     with w_A read as digits i_r*t + a_r (radix mt) and w_B as digits
     c_r*t + b_r (radix nt), leftmost letter most significant.
     """
-    if element.is_zero:
+    if not element:
         raise ValueError("cannot transport the zero element")
     i, j = ctx.bidegree_of(element)
     if i != j:
         raise ValueError(f"bidegree ({i},{j}) is not balanced")
     if coinvariance_residual(ctx, element, d):
         raise ValueError(f"element is not a certified coinvariant at truncation {d}")
-    return _hom_matrix(ctx, element.terms, i)
+    return _hom_matrix(ctx, element, i)
 
 
 def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> RationalMatrix:
@@ -521,8 +513,7 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     end_u = intertwiner_space(1, 1, t, ctx.hopf, 1, 1, RELATION_DEGREE)
     block = ctx.block()
     ((_, pairs11),) = theta_images(1, 1, t, k)
-    image11 = TensorElement(block.amt, block.atn, dict.fromkeys(pairs11, Q(1)))
-    coinvariant = not coinvariance_residual(block, image11, d)
+    coinvariant = not coinvariance_residual(block, dict.fromkeys(pairs11, Q(1)), d)
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []

@@ -2,18 +2,20 @@
 
 A(m,t) carries the right coaction rho(y_ij) = sum_k y_ik (x) u_kj and is
 turned into a left comodule by the flip rho' = tau o (id (x) S) o rho;
-A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x) z_kj, which
-on words is freealg.split_word with z splitting into (u, z).  The
+A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x) z_kj.  On
+words both are freealg.split_word, with y splitting into (y, u) and z into
+(u, z); rho' then applies HopfCover.antipode_word to each u-leg.  The
 tensor product A(m,t) (x) A(t,n) is then a left comodule algebra, and its
 coinvariants {x : alpha(x) = 1 (x) x} are computed bidegree by bidegree.
+Its elements are {(A-word, B-word): coefficient} dicts.
 
 Since S is anti-multiplicative with S(u_kj) = v_jk, the H-leg of every
 term of alpha on a word pair is one word (a reversed v-word followed by a
 u-word) with coefficient 1, and the entry alpha[s, tau] of the coaction
 matrix between two basis pairs is a single H-word.  Coinvariance at target
 pair tau is therefore handed to certified_kernel as the constraint
-[(s, alpha[s, tau], 1) for each source pair s] + [(tau, empty word, -1)]
-of (unknown, H-word, coefficient) triples.
+[(s, alpha[s, tau], +1) for each source pair s] + [(tau, empty word, -1)]
+of (unknown, H-word, sign) triples.
 
 Certification logic: the solver accepts x as coinvariant only when every
 H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal membership
@@ -47,19 +49,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .exactlin import Subspace, add_to
-from .freealg import (FreeElement, TensorElement, Word, matrix_entry_algebra, split_word,
-                      theta_images)
+from .freealg import (FreeElement, PairKey, Word, matrix_entry_algebra, pair_product,
+                      split_word, theta_images)
 from .fpquot import certified_kernel
 from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
 
 Q = Fraction
 
-PairKey = tuple[Word, Word]
-
-# lambda(z_ij) = sum_k u_ik (x) z_kj
+# rho(y_ij) = sum_k y_ik (x) u_kj and lambda(z_ij) = sum_k u_ik (x) z_kj
+_RHO_NAMES = {"y": ("y", "u")}
 _LAMBDA_NAMES = {"z": ("u", "z")}
 
 
@@ -84,40 +84,17 @@ class CoactionContext:
         every bidegree (i, j) component here is m^i n^j copies of its own."""
         return CoactionContext(1, 1, self.t, self.hopf)
 
-    # -- generator-level coactions ------------------------------------------
-
-    def rho_gen(self, i: int, j: int) -> TensorElement:
-        """rho(y_ij) = sum_k y_ik (x) u_kj."""
-        h = self.hopf.algebra
-        terms = {((self.amt.letter("y", i, k),), (h.letter("u", k, j),)): Q(1)
-                 for k in range(self.t)}
-        return TensorElement(self.amt, h, terms)
-
-    def lam_gen(self, i: int, j: int) -> TensorElement:
-        """lambda(z_ij) = sum_k u_ik (x) z_kj."""
-        h = self.hopf.algebra
-        terms = {((h.letter("u", i, k),), (self.atn.letter("z", k, j),)): Q(1)
-                 for k in range(self.t)}
-        return TensorElement(h, self.atn, terms)
-
     # -- word-level coaction terms -------------------------------------------
 
     def flipped_word_terms(self, wa: Word):
         """Terms of rho'(w) for a word w of A(m,t), as (H-word, target word).
 
-        rho sends y_(i1 j1)...y_(ir jr) to the sum over k of
-        y_(i1 k1)...y_(ir kr) (x) u_(k1 j1)...u_(kr jr), and the antipode is
-        anti-multiplicative with S(u_kj) = v_jk, so each leg is the single
-        v-word v_(jr kr)...v_(j1 k1) with coefficient 1.
+        Each term of rho(w) is a (y-word, u-word) pair, and the antipode sends
+        the u-word to the single reversed v-word, with coefficient 1.
         """
-        halg = self.hopf.algebra
-        tables = []
-        for letter in wa:
-            _, i, j = self.amt.letter_info(letter)
-            tables.append(tuple((halg.letter("v", j, k), self.amt.letter("y", i, k))
-                                for k in range(self.t)))
-        for choice in product(*tables):
-            yield tuple(v for v, _ in reversed(choice)), tuple(y for _, y in choice)
+        antipode = self.hopf.antipode_word
+        for wy, wu in split_word(wa, self.amt, self.amt, self.hopf.algebra, self.t, _RHO_NAMES):
+            yield antipode(wu), wy
 
     def left_word_terms(self, wb: Word):
         """Terms of lambda(w) for a word w of A(t,n), as (H-word, target word)."""
@@ -140,7 +117,7 @@ class CoactionContext:
         bs = self.atn.degree_basis(j)
         return tuple((wa, wb) for wa in self.amt.degree_basis(i) for wb in bs)
 
-    def element_from_coords(self, bidegree: tuple[int, int], coords) -> TensorElement:
+    def element_from_coords(self, bidegree: tuple[int, int], coords) -> dict[PairKey, Q]:
         pairs = self.pair_basis(bidegree)
         terms = {}
         if hasattr(coords, "items"):
@@ -150,10 +127,10 @@ class CoactionContext:
         for idx, c in items:
             if c:
                 terms[pairs[idx]] = Q(c)
-        return TensorElement(self.amt, self.atn, terms)
+        return terms
 
-    def bidegree_of(self, x: TensorElement) -> tuple[int, int]:
-        degs = {(len(wa), len(wb)) for wa, wb in x.terms}
+    def bidegree_of(self, x: dict[PairKey, Q]) -> tuple[int, int]:
+        degs = {(len(wa), len(wb)) for wa, wb in x}
         if len(degs) != 1:
             raise ValueError("element is not bidegree-homogeneous")
         return degs.pop()
@@ -179,19 +156,19 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     pairs = ctx.pair_basis(bidegree)
     index = {p: s for s, p in enumerate(pairs)}
     # one constraint per target pair tau: sum_s x_s alpha[s, tau] - x_tau = 0
-    constraints: list[list[tuple[int, Word, Q]]] = [[(tau, (), Q(-1))] for tau in range(len(pairs))]
+    constraints: list[list[tuple[int, Word, int]]] = [[(tau, (), -1)] for tau in range(len(pairs))]
     for s, (wa, wb) in enumerate(pairs):
         for hw, tgt in ctx.tensor_word_terms(wa, wb):
-            constraints[index[tgt]].append((s, hw, Q(1)))
+            constraints[index[tgt]].append((s, hw, 1))
     return certified_kernel(q, len(pairs), constraints)
 
 
-def coinvariance_residual(ctx: CoactionContext, x: TensorElement, d: int):
+def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
     """Nonzero normal forms of the H-coefficients of alpha(x) - 1 (x) x.
 
     Empty result == certified coinvariant at truncation d.
     """
-    if x.is_zero:
+    if not x:
         return {}
     i, j = ctx.bidegree_of(x)
     if d < i + j:
@@ -199,10 +176,10 @@ def coinvariance_residual(ctx: CoactionContext, x: TensorElement, d: int):
     q = ctx.hopf.quotient(d)
     halg = ctx.hopf.algebra
     acc: dict[PairKey, dict[Word, Q]] = {}
-    for (wa, wb), coeff in x.terms.items():
+    for (wa, wb), coeff in x.items():
         for hw, tgt in ctx.tensor_word_terms(wa, wb):
             add_to(acc.setdefault(tgt, {}), hw, coeff)
-    for tgt, coeff in x.terms.items():
+    for tgt, coeff in x.items():
         add_to(acc.setdefault(tgt, {}), (), -coeff)
     residuals = {}
     for tgt, words in acc.items():
@@ -331,7 +308,7 @@ def subalgebra_check(ctx: CoactionContext, samples: int = 100, margin: int = 2,
         qdeg = rng.choice(degs)
         x = _random_combination(ctx, bases[p], (p, p), rng)
         y = _random_combination(ctx, bases[qdeg], (qdeg, qdeg), rng)
-        prod = x * y
+        prod = pair_product(x, y)
         bid = (p + qdeg, p + qdeg)
         trunc = 2 * (p + qdeg) + margin
         ok = not coinvariance_residual(ctx, prod, trunc)
@@ -340,7 +317,7 @@ def subalgebra_check(ctx: CoactionContext, samples: int = 100, margin: int = 2,
                             seed=seed, margin=margin, samples=tuple(out))
 
 
-def _random_combination(ctx: CoactionContext, basis_rows, bidegree, rng) -> TensorElement:
+def _random_combination(ctx: CoactionContext, basis_rows, bidegree, rng) -> dict[PairKey, Q]:
     coords: dict[int, Q] = {}
     for row in basis_rows:
         c = rng.randint(-3, 3)

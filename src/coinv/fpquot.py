@@ -289,17 +289,18 @@ class Completion:
 def certified_kernel(q: TruncatedQuotient, nunknowns: int, constraints) -> Subspace:
     """Common solver for linear conditions modulo the truncated ideal.
 
-    Each constraint is an iterable of (unknown index u, word w, coefficient
-    c) triples and encodes the condition `sum c * lambda_u * w  is certified
-    zero mod q`; one unknown may appear with several words.  The returned
-    subspace of Q^nunknowns is the exact solution set of the certified
-    conditions, hence a sound subspace of the true solution set.  In a
-    coinvariant constraint each coaction entry alpha[s, tau] is one H-word;
-    a comodule-morphism constraint lists every word of each coaction entry.
+    Each constraint is an iterable of (unknown index u, word w, sign s)
+    triples and encodes the condition `sum s * lambda_u * w  is certified
+    zero mod q`, where s > 0 reads +1 and any other s reads -1; one unknown
+    may appear with several words.  The returned subspace of Q^nunknowns is
+    the exact solution set of the certified conditions, hence a sound
+    subspace of the true solution set.  Every coaction entry of a comodule
+    built from I, U and U* is one H-word with coefficient 1, so coinvariant
+    and comodule-morphism constraints are all of this form.
     """
     rows: dict[tuple[int, Word], dict[int, Q]] = {}
     for cid, terms in enumerate(constraints):
-        for u_idx, word, coeff in terms:
+        for u_idx, word, sign in terms:
             for w, c in q.normal_form_word(word).items():
-                add_to(rows.setdefault((cid, w), {}), u_idx, coeff * c)
+                add_to(rows.setdefault((cid, w), {}), u_idx, c if sign > 0 else -c)
     return solve_homogeneous(rows.values(), nunknowns)

@@ -4,12 +4,14 @@ An algebra holds one or more generator sets; a set named ``y`` of shape
 (rows, cols) contributes generators y_ij for 0 <= i < rows, 0 <= j < cols
 (indices are 0-based in code; rendered labels use the 1-based math
 convention, e.g. ``y11``).  Words are tuples of flat letter indices,
-elements are sparse rational linear combinations of words, and tensor
-elements live in the tensor square of two such algebras.
+elements are sparse rational linear combinations of words, and an element
+of the tensor product of two such algebras is a plain
+{(left word, right word): coefficient} dict; `pair_product` multiplies two.
 
 `split_word` enumerates the matrix comultiplication g_ij -> sum_k g'_ik (x)
-g''_kj on a word.  The embedding θ here, the coproduct of H(F) and the
-coaction lambda on A(t,n) are all this one map with different letter names.
+g''_kj on a word.  The embedding θ here, the coproduct of H(F), the
+coaction lambda on A(t,n) and the coaction rho on A(m,t) are all this one
+map with different letter names.
 
 Generator sets may carry an integer weight; the induced word weight is the
 grading used for the Laurent specialization of Hopf covers.
@@ -27,6 +29,7 @@ from .exactlin import RationalMatrix, add_to, rank
 Q = Fraction
 
 Word = tuple[int, ...]
+PairKey = tuple[Word, Word]
 Scalar = Union[Fraction, int]
 
 
@@ -265,66 +268,14 @@ class FreeElement:
         return f"FreeElement({self})"
 
 
-class TensorElement:
-    """Element of the tensor product of two free algebras."""
-
-    __slots__ = ("left_algebra", "right_algebra", "terms")
-
-    def __init__(self, left_algebra: FreeAlgebra, right_algebra: FreeAlgebra,
-                 terms: Mapping[tuple[Word, Word], Scalar]):
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        clean: dict[tuple[Word, Word], Q] = {}
-        for (wl, wr), c in terms.items():
-            q = Q(c)
-            if q:
-                clean[(tuple(wl), tuple(wr))] = q
-        self.terms = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, wl: Word, wr: Word) -> Q:
-        return self.terms.get((tuple(wl), tuple(wr)), Q(0))
-
-    def support(self) -> list[tuple[Word, Word]]:
-        return sorted(self.terms, key=lambda p: (len(p[0]) + len(p[1]), p))
-
-    def _check(self, other: "TensorElement"):
-        if self.left_algebra != other.left_algebra or self.right_algebra != other.right_algebra:
-            raise ValueError("tensor elements live in different tensor squares")
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
-        self._check(other)
-        terms: dict[tuple[Word, Word], Q] = {}
-        for (la, ra), ca in self.terms.items():
-            for (lb, rb), cb in other.terms.items():
-                add_to(terms, (la + lb, ra + rb), ca * cb)
-        return TensorElement(self.left_algebra, self.right_algebra, terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TensorElement)
-                and self.left_algebra == other.left_algebra
-                and self.right_algebra == other.right_algebra
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.left_algebra, self.right_algebra, tuple(sorted(self.terms.items()))))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for wl, wr in self.support():
-            c = self.terms[(wl, wr)]
-            lab = f"{self.left_algebra.word_label(wl)} (x) {self.right_algebra.word_label(wr)}"
-            bits.append(lab if c == 1 else f"{c}*[{lab}]")
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"TensorElement({self})"
+def pair_product(x: Mapping[PairKey, Scalar], y: Mapping[PairKey, Scalar]) -> dict[PairKey, Q]:
+    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd of two tensor elements,
+    each a {(left word, right word): coefficient} dict."""
+    out: dict[PairKey, Q] = {}
+    for (la, ra), ca in x.items():
+        for (lb, rb), cb in y.items():
+            add_to(out, (la + lb, ra + rb), ca * cb)
+    return out
 
 
 def split_word(word: Word, source: FreeAlgebra, left: FreeAlgebra, right: FreeAlgebra,
@@ -336,8 +287,8 @@ def split_word(word: Word, source: FreeAlgebra, left: FreeAlgebra, right: FreeAl
     values.  The map is multiplicative, so a word of length r yields one
     (left word, right word) pair per choice of inner indices (k_1, ..., k_r),
     in lexicographic order of that choice.  Every coefficient is 1 and no two
-    terms share a pair.  theta, the coproduct of H(F) and the coaction
-    lambda are all this map.
+    terms share a pair.  theta, the coproduct of H(F) and the coactions
+    lambda and rho are all this map.
     """
     tables = []
     for letter in word:

@@ -8,7 +8,8 @@ by generators u_ij, v_ij (0 <= i, j < t) and the relation families
 with coproduct Delta(u_ij) = sum_k u_ik (x) u_kj (same for v; on words it
 is freealg.split_word, and its legs stay words), counit
 eps(u_ij) = eps(v_ij) = delta_ij, and antipode S(u_ij) = v_ji,
-S(v_ij) = (F u^T F^-1)_ij.  This module builds that presentation over the
+S(v_ij) = (F u^T F^-1)_ij; on a u-word S is one word, the reversed v-word
+(`HopfCover.antipode_word`).  This module builds that presentation over the
 free cover (u carries grading weight +1, v weight -1), the structure maps
 on the cover, and a truncation-certified compatibility check: structure
 maps descend to the quotient as soon as they send relations into the
@@ -110,7 +111,8 @@ class FMatrix:
 class HopfCover:
     """Free cover of H(F): generators, relations, and structure maps."""
 
-    __slots__ = ("F", "t", "algebra", "presentation", "labeled_relations", "_s_images")
+    __slots__ = ("F", "t", "algebra", "presentation", "labeled_relations", "_s_letters",
+                 "_s_images")
 
     def __init__(self, F: FMatrix):
         t = F.t
@@ -152,12 +154,10 @@ class HopfCover:
         self.labeled_relations = tuple(labeled)
         self.presentation = Presentation(alg, [r for _, r in labeled])
         # antipode images: S(u_ij) = v_ji, S(v_ij) = (F u^T F^-1)_ij
-        s_images: dict[int, FreeElement] = {}
-        for i in range(t):
-            for j in range(t):
-                s_images[u[i][j]] = alg.gen("v", j, i)
-                s_images[v[i][j]] = FreeElement(alg, fuf[i][j])
-        self._s_images = s_images
+        self._s_letters = {u[i][j]: v[j][i] for i in range(t) for j in range(t)}
+        self._s_images = {a: FreeElement(alg, {(b,): Q(1)}) for a, b in self._s_letters.items()}
+        self._s_images.update((v[i][j], FreeElement(alg, fuf[i][j]))
+                              for i in range(t) for j in range(t))
         for label, rel in labeled:
             spec = grading_specialize(rel)
             if spec:
@@ -210,6 +210,16 @@ class HopfCover:
                 prod = prod * self._s_images[letter]
             acc = acc + prod.scale(c)
         return acc
+
+    def antipode_word(self, w: Word) -> Word:
+        """S(w) for a u-word w: the reversed v-word, since S(u_ij) = v_ji.
+
+        S(v_ij) is a sum of u-letters, not a word, so a v-letter is an error.
+        """
+        try:
+            return tuple(self._s_letters[letter] for letter in reversed(w))
+        except KeyError:
+            raise ValueError("antipode_word takes words of u-letters only") from None
 
     def quotient(self, d: int) -> TruncatedQuotient:
         """The truncated quotient of the relation ideal at degree d; one per cover and d."""

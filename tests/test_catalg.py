@@ -18,7 +18,7 @@ from coinv.catalg import (
 from coinv.cli import run
 from coinv.comod import CoactionContext
 from coinv.exactlin import RationalMatrix, Subspace
-from coinv.freealg import TensorElement, matrix_entry_algebra, theta_images
+from coinv.freealg import matrix_entry_algebra, theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
 
 Q = Fraction
@@ -39,20 +39,70 @@ def test_trivial_comodule(hj2):
     triv = ComoduleSpace.trivial(hj2)
     assert triv.dim == 1
     assert triv.is_counital() and triv.is_coassociative()
-    assert triv.coaction[(0, 0)] == hj2.algebra.one()
+    assert hj2.algebra.element({triv.coaction[(0, 0)]: 1}) == hj2.algebra.one()
 
 
 def test_dual_coaction_is_v_matrix(hj2):
     dual = ComoduleSpace.standard_left(hj2).dual()
     for a in range(2):
         for b in range(2):
-            assert dual.coaction[(a, b)] == hj2.v(a, b)
+            assert hj2.algebra.element({dual.coaction[(a, b)]: 1}) == hj2.v(a, b)
 
 
 def test_dual_comodule_exactly_coassociative(hj2):
     dual = ComoduleSpace.standard_left(hj2).dual()
     assert dual.is_counital()
     assert dual.is_coassociative()
+
+
+def _reference_coaction(hopf, spec):
+    """Coaction entries as FreeElements, built the way the word matrices must
+    agree with: U has entries u_ij, U* has S(u_ba) at (a, b), direct sums are
+    block diagonal and tensor products multiply entries left to right."""
+    t = hopf.t
+    if spec == "U":
+        return t, {(i, j): hopf.u(i, j) for i in range(t) for j in range(t)}
+    if spec == "U*":
+        return t, {(a, b): hopf.antipode(hopf.u(b, a)) for a in range(t) for b in range(t)}
+    op, left, right = spec
+    (dl, cl), (dr, cr) = _reference_coaction(hopf, left), _reference_coaction(hopf, right)
+    if op == "+":
+        return dl + dr, {**cl, **{(a + dl, b + dl): h for (a, b), h in cr.items()}}
+    co = {}
+    for (a, b), h1 in cl.items():
+        for (c, d), h2 in cr.items():
+            h = h1 * h2
+            if not h.is_zero:
+                co[(a * dr + c, b * dr + d)] = h
+    return dl * dr, co
+
+
+@pytest.mark.parametrize("F", [FMatrix.jordan(2), FMatrix.from_rows([[1, 2], [3, -1]]),
+                               FMatrix.identity(3)], ids=lambda F: F.label)
+def test_word_coactions_match_element_products(F):
+    """Every coaction entry of U^(x k) (k <= 3), (U^2)^(x 2), U (x) U* and
+    U* (x) U is the one word of the FreeElement product it stands for."""
+    hopf = build_hf(F)
+    alg = hopf.algebra
+    u = ComoduleSpace.standard_left(hopf)
+    u2 = ("+", "U", "U")
+    cases = [(u.tensor_power(1), "U"), (u.tensor_power(2), ("x", "U", "U")),
+             (u.tensor_power(3), ("x", ("x", "U", "U"), "U")),
+             (u.direct_power(2).tensor_power(2), ("x", u2, u2)),
+             (u.tensor(u.dual()), ("x", "U", "U*")), (u.dual().tensor(u), ("x", "U*", "U"))]
+    for space, spec in cases:
+        dim, reference = _reference_coaction(hopf, spec)
+        assert space.dim == dim
+        assert {key: alg.element({h: 1}) for key, h in space.coaction.items()} == reference
+        assert space.is_counital() and space.is_coassociative()
+
+
+def test_dual_is_defined_for_u_words_only(hj2):
+    u_dual = ComoduleSpace.standard_left(hj2).dual()
+    with pytest.raises(ValueError):
+        u_dual.dual()
+    with pytest.raises(ValueError):
+        ComoduleSpace.standard_left(hj2).tensor(u_dual).dual()
 
 
 def test_tensor_and_power_comodules(hj2):
@@ -175,8 +225,7 @@ def test_psi_images_linearly_independent():
 def test_coinv_to_hom_matches_psi(hj2):
     ctx = CoactionContext(2, 1, 2, hj2)
     for w, pairs in theta_images(2, 1, 2, 1):
-        image = TensorElement(ctx.amt, ctx.atn, dict.fromkeys(pairs, Q(1)))
-        assert coinv_to_hom(ctx, image, 4) == psi(2, 1, 2, w)
+        assert coinv_to_hom(ctx, dict.fromkeys(pairs, Q(1)), 4) == psi(2, 1, 2, w)
 
 
 def test_coinv_to_hom_rejects_bad_inputs(hj2):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from coinv.freealg import (
     FreeAlgebra,
     GeneratorSet,
-    TensorElement,
     matrix_entry_algebra,
+    pair_product,
     split_word,
     theta_images,
     theta_matrix,
@@ -92,8 +92,13 @@ def test_power(a22):
 def test_tensor_componentwise_product(a22):
     b = matrix_entry_algebra("z", 2, 2)
     x, z = a22.letter("x", 0, 0), b.letter("z", 1, 1)
-    t = TensorElement(a22, b, {((x,), (z,)): 2})
-    assert (t * t).coeff((x, x), (z, z)) == 4
+    t = {((x,), (z,)): Q(2)}
+    assert pair_product(t, t) == {((x, x), (z, z)): Q(4)}
+    # (x (x) 1 + 1)(1 - x (x) 1) = 1 - x^2 (x) 1: the terms that cancel are dropped
+    one = ((), ())
+    assert pair_product({((x,), ()): Q(1), one: Q(1)}, {one: Q(1), ((x,), ()): Q(-1)}) == {
+        one: Q(1), ((x, x), ()): Q(-1)}
+    assert pair_product(t, {}) == {}
 
 
 def test_theta_images():
@@ -107,18 +112,18 @@ def test_theta_images():
     ]
 
 
-def _tensor(left, right, pairs):
+def _tensor(pairs):
     """The sum of the given word pairs, each with coefficient 1."""
     pairs = list(pairs)
     assert len(set(pairs)) == len(pairs)
-    return TensorElement(left, right, dict.fromkeys(pairs, 1))
+    return dict.fromkeys(pairs, Q(1))
 
 
-def _letter_product(left, right, word, letter_image):
-    """The product of letter_image(letter) over the word, via TensorElement.__mul__."""
-    out = TensorElement(left, right, {((), ()): 1})
+def _letter_product(word, letter_image):
+    """The product of letter_image(letter) over the word, via pair_product."""
+    out = {((), ()): Q(1)}
     for letter in word:
-        out = out * letter_image(letter)
+        out = pair_product(out, letter_image(letter))
     return out
 
 
@@ -128,20 +133,20 @@ def test_hom_multiplicative():
     for m, n, t in ((2, 2, 2), (2, 1, 3)):
         src = matrix_entry_algebra("x", m, n)
         amt, atn = matrix_entry_algebra("y", m, t), matrix_entry_algebra("z", t, n)
-        images = {w: _tensor(amt, atn, pairs)
+        images = {w: _tensor(pairs)
                   for k in range(4) for w, pairs in theta_images(m, n, t, k)}
 
         def gen_image(letter):
             _, i, j = src.letter_info(letter)
-            return _tensor(amt, atn, [((amt.letter("y", i, k),), (atn.letter("z", k, j),))
-                                      for k in range(t)])
+            return _tensor([((amt.letter("y", i, k),), (atn.letter("z", k, j),))
+                            for k in range(t)])
 
         for w, img in images.items():
-            assert img == _letter_product(amt, atn, w, gen_image)
+            assert img == _letter_product(w, gen_image)
         for w1 in images:
             for w2 in images:
                 if len(w1) + len(w2) <= 3:
-                    assert images[w1 + w2] == images[w1] * images[w2]
+                    assert images[w1 + w2] == pair_product(images[w1], images[w2])
 
 
 def test_split_word_order_and_empty_word():

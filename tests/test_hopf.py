@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinv.freealg import TensorElement
+from coinv.freealg import pair_product
 from coinv.hopf import (
     RELATION_DEGREE,
     FMatrix,
@@ -151,10 +151,13 @@ def test_coproduct_is_matrix_comultiplication():
                 assert ks == {0, 1}
 
 
-@pytest.mark.parametrize("F", [
+SIX_F = [
     FMatrix.identity(2), FMatrix.jordan(2), FMatrix.from_rows([[1, 2], [3, -1]]),
     FMatrix.identity(3), FMatrix.jordan(3), FMatrix.from_rows([[1, 2, 0], [3, -1, 0], [0, 0, 1]]),
-], ids=lambda F: F.label)
+]
+
+
+@pytest.mark.parametrize("F", SIX_F, ids=lambda F: F.label)
 def test_delta_word_is_product_of_generator_coproducts(F):
     """delta_word(w) is the product of Delta(g_ij) = sum_k g_ik (x) g_kj over the
     letters of w, for every word of degree <= 3."""
@@ -163,17 +166,35 @@ def test_delta_word_is_product_of_generator_coproducts(F):
     gen_delta = {}
     for letter in alg.letters():
         name, i, j = alg.letter_info(letter)
-        gen_delta[letter] = TensorElement(alg, alg, {
-            ((alg.letter(name, i, k),), (alg.letter(name, k, j),)): 1 for k in range(h.t)})
-    one = TensorElement(alg, alg, {((), ()): 1})
+        gen_delta[letter] = {
+            ((alg.letter(name, i, k),), (alg.letter(name, k, j),)): Q(1) for k in range(h.t)}
     for deg in range(4):
         for w in alg.degree_basis(deg):
-            expected = one
+            expected = {((), ()): Q(1)}
             for letter in w:
-                expected = expected * gen_delta[letter]
+                expected = pair_product(expected, gen_delta[letter])
             terms = list(h.delta_word(w))
             assert len(set(terms)) == len(terms)
-            assert dict.fromkeys(terms, Q(1)) == expected.terms
+            assert dict.fromkeys(terms, Q(1)) == expected
+
+
+@pytest.mark.parametrize("F", SIX_F, ids=lambda F: F.label)
+def test_antipode_word_is_the_antipode_on_u_words(F):
+    """antipode_word(w) is the one word of hopf.antipode(w) for every u-word of
+    degree <= 3, and a v-letter anywhere in the word is rejected."""
+    h = build_hf(F)
+    alg = h.algebra
+    u_words = [w for deg in range(4) for w in alg.degree_basis(deg)
+               if all(alg.letter_info(a)[0] == "u" for a in w)]
+    assert len(u_words) == sum(h.t ** (2 * deg) for deg in range(4))
+    for w in u_words:
+        s = h.antipode_word(w)
+        assert alg.element({s: 1}) == h.antipode(alg.element({w: 1}))
+        assert len(s) == len(w) and all(alg.letter_info(a)[0] == "v" for a in s)
+    v = alg.letter("v", 0, h.t - 1)
+    for w in [(v,), (v, alg.letter("u", 0, 0)), (alg.letter("u", 1, 0), v)]:
+        with pytest.raises(ValueError):
+            h.antipode_word(w)
 
 
 def test_counit_on_generators_and_words():
