@@ -346,7 +346,6 @@ class DualityData:
     snake_ok: bool
     e_certified: bool
     d_certified: bool
-    trunc: int
 
     def e_power(self, n: int) -> RationalMatrix:
         """Nested evaluation e_n : U^(x n) (x) U*^(x n) -> I (innermost pair first)."""
@@ -376,13 +375,14 @@ class DualityData:
                 and eye.kron(en) @ dn.kron(eye) == eye)
 
 
-def build_duality(t: int, F: FMatrix | HopfCover, trunc: int = 4) -> DualityData:
+def build_duality(t: int, F: FMatrix | HopfCover) -> DualityData:
     """Evaluation/coevaluation for U_l with the S-twisted dual.
 
     e(e_a (x) f_b) = delta_ab and d(1) = sum_a f_a (x) e_a; the snake
     identities are exact matrix identities, and the comodule-morphism
     property of e and d (equivalent to the two antipode laws on the
-    generators u) is certified at the given truncation.
+    generators u) is certified at RELATION_DEGREE, where its conditions are
+    the relations u v^T = I and v^T u = I themselves.
     """
     hopf = F if isinstance(F, HopfCover) else build_hf(F)
     if hopf.t != t:
@@ -394,11 +394,10 @@ def build_duality(t: int, F: FMatrix | HopfCover, trunc: int = 4) -> DualityData
     d = RationalMatrix.from_sparse(t * t, 1, {(a * t + a, 0): Q(1) for a in range(t)})
     eye = RationalMatrix.identity(t)
     snake_ok = (e.kron(eye) @ eye.kron(d) == eye and eye.kron(e) @ d.kron(eye) == eye)
-    e_cert = Intertwiner(u.tensor(u_dual), triv, e).certify(trunc)
-    d_cert = Intertwiner(triv, u_dual.tensor(u), d).certify(trunc)
+    e_cert = Intertwiner(u.tensor(u_dual), triv, e).certify(RELATION_DEGREE)
+    d_cert = Intertwiner(triv, u_dual.tensor(u), d).certify(RELATION_DEGREE)
     return DualityData(t=t, f_label=hopf.F.label, u=u, u_dual=u_dual, e=e, d=d,
-                       snake_ok=snake_ok, e_certified=e_cert, d_certified=d_cert,
-                       trunc=trunc)
+                       snake_ok=snake_ok, e_certified=e_cert, d_certified=d_cert)
 
 
 # -- the word-to-morphism map psi ----------------------------------------------

@@ -8,10 +8,12 @@ or singular F, bounds out of range, an -o path that cannot be written), 4 =
 internal error (any other exception; `main` prints its traceback to stderr).
 
 --F and --trunc belong to the five commands that build a truncated quotient;
-theta-rank and classical need neither.  A report is {schema: 2, version,
-command, params{m,n,t,F,k,d}, cases[], status}.  It is deterministic for a
-fixed configuration: cases are sorted by bidegree, and millis stay 0 unless
---timings is given.
+theta-rank and classical need neither.  --trunc auto is the smallest
+truncation that holds a command's conditions, max(w, 2) for w the degree of
+their longest word (each cmd_* passes its w); a lower --trunc is a usage
+error.  A report is {schema: 2, version, command, params{m,n,t,F,k,d},
+cases[], status}.  It is deterministic for a fixed configuration: cases are
+sorted by bidegree, and millis stay 0 unless --timings is given.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .catalg import certify_fft, intertwiner_space, main_correspondence_check
 from .classical import fft1_check, fft2_check
 from .comod import CoactionContext, coinvariants, off_diagonal_vanish
 from .freealg import theta_matrix
-from .hopf import (COMPAT_MIN_DEGREE, RELATION_DEGREE, FMatrix, build_hf,
-                   check_hopf_compat)
+from .hopf import RELATION_DEGREE, FMatrix, build_hf, check_hopf_compat
 
 Q = Fraction
 
@@ -128,11 +129,12 @@ def trunc_param(trunc: str):
         raise CliUsageError(f"--trunc must be an integer or 'auto' (got {trunc!r})") from exc
 
 
-def resolve_trunc(trunc: str, auto_value: int, minimum: int) -> int:
-    minimum = max(minimum, RELATION_DEGREE)
+def resolve_trunc(trunc: str, floor: int) -> int:
+    """max(floor, RELATION_DEGREE) under 'auto'; an integer may not lie below it."""
+    minimum = max(floor, RELATION_DEGREE)
     d = trunc_param(trunc)
     if d == "auto":
-        return max(auto_value, minimum)
+        return minimum
     if d < minimum:
         raise CliUsageError(f"--trunc {d} below the minimum {minimum} for this run")
     return d
@@ -242,8 +244,8 @@ def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int):
 
 
 def cmd_certify_fft(config: RunConfig, F: FMatrix):
-    # the End(U^(x k)) conditions hold u-words of degree k: d = max(k, RELATION_DEGREE)
-    ds = [resolve_trunc(config.trunc, k, k) for k in range(config.k + 1)]
+    # the End(U^(x k)) conditions hold u-words of degree k
+    ds = [resolve_trunc(config.trunc, k) for k in range(config.k + 1)]
     ctx = CoactionContext(config.m, config.n, config.t, F)
     results = [_balanced_case(config, ctx, k, d) for k, d in enumerate(ds)]
     return results, trunc_param(config.trunc), ()
@@ -251,7 +253,8 @@ def cmd_certify_fft(config: RunConfig, F: FMatrix):
 
 def cmd_coinvariants(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
-    d = resolve_trunc(config.trunc, i + j + 2, i + j)
+    # the coaction legs have degree i + j; at i = j the solve is End(U^(x i))'s
+    d = resolve_trunc(config.trunc, i if i == j else i + j)
     ctx = CoactionContext(config.m, config.n, config.t, F)
     if i == j:
         return [_balanced_case(config, ctx, i, d)], d, ()
@@ -278,7 +281,7 @@ def cmd_theta_rank(config: RunConfig, F: FMatrix):
 
 def cmd_intertwiners(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
-    d = resolve_trunc(config.trunc, i + j + 2, max(i, j))
+    d = resolve_trunc(config.trunc, max(i, j))  # the morphism conditions' words
     t0 = time.monotonic()
     # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i), and
     # the morphism conditions are block-diagonal in the same way
@@ -289,7 +292,7 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
 
 
 def cmd_hopf_check(config: RunConfig, F: FMatrix):
-    d = resolve_trunc(config.trunc, COMPAT_MIN_DEGREE, COMPAT_MIN_DEGREE)
+    d = resolve_trunc(config.trunc, RELATION_DEGREE)  # its conditions are relations
     t0 = time.monotonic()
     rep = check_hopf_compat(build_hf(F), d)
     case = make_case((0, 0), 0, 0, rep.certified, d, _millis(config, t0))
@@ -331,7 +334,7 @@ def cmd_correspondence(config: RunConfig, F: FMatrix):
     extra = []
     hopf = build_hf(F)
     for k in range(config.k + 1):
-        d = resolve_trunc(config.trunc, 2 * k + 2, 2 * k)
+        d = resolve_trunc(config.trunc, 2 * k)  # the coaction legs of theta(w)
         t0 = time.monotonic()
         rep = main_correspondence_check(config.m, config.n, config.t, hopf, k, d)
         results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
@@ -352,7 +355,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"coinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quotient=True, auto_trunc="bidegree sum + 2"):
+    def common(p, quotient=True):
         p.add_argument("-m", type=int, default=1, help="rows of the source matrix ring")
         p.add_argument("-n", type=int, default=1, help="columns of the source matrix ring")
         p.add_argument("-t", type=int, default=1, help="inner size / F dimension")
@@ -361,7 +364,7 @@ def build_parser() -> _Parser:
                            help="preset:identity | preset:diag:a,b,... | preset:jordan "
                                 "| file:PATH (JSON t x t array of rational strings)")
             p.add_argument("--trunc", default="auto",
-                           help=f"ideal truncation degree, or 'auto' (= {auto_trunc})")
+                           help="ideal truncation degree, or 'auto': the least its conditions need")
         p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
                        default="text")
         p.add_argument("--timings", action="store_true",
@@ -369,7 +372,7 @@ def build_parser() -> _Parser:
         p.add_argument("-o", "--output", default=None, help="write the report to a file")
 
     p = sub.add_parser("certify-fft", help="squeeze-certify coinvariants = theta image")
-    common(p, auto_trunc=f"max(k, {RELATION_DEGREE})")
+    common(p)
     p.add_argument("-k", type=int, required=True, help="certify bidegrees (0,0)..(k,k)")
 
     p = sub.add_parser("coinvariants", help="coinvariant dimension at one bidegree")
@@ -387,7 +390,7 @@ def build_parser() -> _Parser:
     p.add_argument("-j", type=int, required=True)
 
     p = sub.add_parser("hopf-check", help="certify Hopf structure maps descend")
-    common(p, auto_trunc=str(COMPAT_MIN_DEGREE))
+    common(p)
 
     p = sub.add_parser("classical", help="commutative FFT1/FFT2 degree by degree")
     common(p, quotient=False)

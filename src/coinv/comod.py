@@ -54,7 +54,7 @@ from .exactlin import Subspace, add_to
 from .freealg import (FreeElement, PairKey, Word, matrix_entry_algebra, pair_product,
                       split_word, theta_images)
 from .fpquot import certified_kernel
-from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
+from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf, grading_specialize
 
 Q = Fraction
 
@@ -275,7 +275,6 @@ class SubalgebraReport:
     t: int
     f_label: str
     seed: int
-    margin: int
     samples: tuple[SubalgebraSample, ...]
 
     @property
@@ -287,19 +286,20 @@ class SubalgebraReport:
         return self.failures == 0
 
 
-def subalgebra_check(ctx: CoactionContext, samples: int = 100, margin: int = 2,
-                     seed: int = 0, max_bidegree: int = 2) -> SubalgebraReport:
+def subalgebra_check(ctx: CoactionContext, samples: int = 100, seed: int = 0,
+                     max_bidegree: int = 2) -> SubalgebraReport:
     """Check products of random certified coinvariants stay certified coinvariant.
 
     Random elements are drawn from the computed coinvariant bases of the
-    balanced bidegrees (p, p), p <= max_bidegree (each computed at truncation
-    2p + margin); each sampled product of bidegrees (p, p), (q, q) is
-    re-certified at truncation 2(p + q) + margin.
+    balanced bidegrees (p, p), p <= max_bidegree, each computed at truncation
+    max(2p, RELATION_DEGREE); each sampled product of bidegrees (p, p),
+    (q, q) is re-certified at max(2(p + q), RELATION_DEGREE), the degree of
+    its coaction legs, where the product lemma of catalg says it holds.
     """
     rng = random.Random(seed)
     bases = {}
     for p in range(0, max_bidegree + 1):
-        V = coinvariants(ctx, (p, p), 2 * p + margin)
+        V = coinvariants(ctx, (p, p), max(2 * p, RELATION_DEGREE))
         bases[p] = [dict(row) for row in V.basis.rows]
     degs = [p for p in bases if bases[p]]
     out = []
@@ -310,11 +310,11 @@ def subalgebra_check(ctx: CoactionContext, samples: int = 100, margin: int = 2,
         y = _random_combination(ctx, bases[qdeg], (qdeg, qdeg), rng)
         prod = pair_product(x, y)
         bid = (p + qdeg, p + qdeg)
-        trunc = 2 * (p + qdeg) + margin
+        trunc = max(2 * (p + qdeg), RELATION_DEGREE)
         ok = not coinvariance_residual(ctx, prod, trunc)
         out.append(SubalgebraSample((p, p), (qdeg, qdeg), bid, trunc, bool(ok)))
     return SubalgebraReport(m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label,
-                            seed=seed, margin=margin, samples=tuple(out))
+                            seed=seed, samples=tuple(out))
 
 
 def _random_combination(ctx: CoactionContext, basis_rows, bidegree, rng) -> dict[PairKey, Q]:

@@ -19,6 +19,7 @@ from coinv.cli import (
     run,
 )
 from coinv.hopf import FMatrix, HopfCover
+from test_golden import CASES as GOLDEN_CASES
 
 
 def cli(*args, env=None):
@@ -78,12 +79,16 @@ def test_parse_f_file_errors(tmp_path):
 
 
 def test_resolve_trunc():
-    assert resolve_trunc("auto", 6, 4) == 6
-    assert resolve_trunc("8", 6, 4) == 8
+    assert resolve_trunc("auto", 4) == 4
+    assert resolve_trunc("auto", 0) == 2  # never below the relation degree
+    assert resolve_trunc("8", 4) == 8
+    assert resolve_trunc("4", 4) == 4
     with pytest.raises(CliUsageError):
-        resolve_trunc("3", 6, 4)
+        resolve_trunc("3", 4)
     with pytest.raises(CliUsageError):
-        resolve_trunc("soon", 6, 4)
+        resolve_trunc("1", 0)
+    with pytest.raises(CliUsageError):
+        resolve_trunc("soon", 4)
 
 
 def test_aggregate_status():
@@ -121,10 +126,10 @@ def test_run_rejects_bad_bounds(capsys):
     # certify-fft needs d >= max(k, 2) at every k
     assert run(["certify-fft", "-m", "1", "-n", "1", "-t", "1", "-k", "3",
                 "--trunc", "2"]) == 3
-    # below the degree of the H(F) relations, or of the Hopf compatibility checks
+    # below the degree of the H(F) relations
     assert run(["certify-fft", "-t", "1", "-k", "0", "--trunc", "1"]) == 3
     assert run(["intertwiners", "-t", "1", "-i", "0", "-j", "0", "--trunc", "0"]) == 3
-    assert run(["hopf-check", "-t", "1", "--trunc", "3"]) == 3
+    assert run(["hopf-check", "-t", "1", "--trunc", "1"]) == 3
 
 
 def test_intertwiners_truncation_floor_is_the_larger_power(capsys):
@@ -225,21 +230,81 @@ def test_removed_flags_are_usage_errors(command, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(set(_REQUIRED) - {"theta-rank", "classical"}))
-def test_trunc_help_names_the_auto_degree(command, capsys, tmp_path):
+def test_trunc_help_names_the_auto_degree(command, capsys):
     with pytest.raises(SystemExit):
         run([command, "-h"])
     help_text = " ".join(capsys.readouterr().out.split())
+    assert "or 'auto': the least its conditions need" in help_text
+
+
+# (argv, the auto truncation of each case): max(w, 2), w the degree of the
+# longest word the case's conditions hold
+_FLOORS = [
+    (["certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "3"], [2, 2, 2, 3]),
+    (["coinvariants", "-t", "2", "--F", "preset:jordan", "-i", "0", "-j", "0"], [2]),
+    (["coinvariants", "-t", "2", "--F", "preset:jordan", "-i", "3", "-j", "3"], [3]),
+    (["coinvariants", "-m", "2", "-t", "2", "--F", "preset:diag:1,2", "-i", "2", "-j", "1"],
+     [3]),
+    (["coinvariants", "-t", "1", "-i", "0", "-j", "1"], [2]),
+    (["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "3", "-j", "1"], [3]),
+    (["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "2", "-j", "2"], [2]),
+    (["intertwiners", "-t", "1", "-i", "0", "-j", "0"], [2]),
+    (["correspondence", "-t", "2", "--F", "preset:jordan", "-k", "2"], [2, 2, 4]),
+    (["hopf-check", "-t", "2", "--F", "preset:jordan"], [2]),
+]
+
+
+@pytest.mark.parametrize("argv, floors", _FLOORS, ids=[" ".join(a) for a, _ in _FLOORS])
+def test_auto_trunc_is_the_floor(argv, floors, capsys, tmp_path):
     out = tmp_path / "r.json"
-    assert run([command, *_REQUIRED[command], "--format", "json", "-o", str(out)]) == 0
-    case = json.loads(out.read_text())["cases"][-1]
-    if command == "hopf-check":
-        assert f"'auto' (= {case['witness_degree']})" in help_text
-    elif command == "certify-fft":
-        assert "'auto' (= max(k, 2))" in help_text
-        assert case["witness_degree"] == max(case["bidegree"][0], 2)
-    else:
-        assert "'auto' (= bidegree sum + 2)" in help_text
-        assert case["witness_degree"] == sum(case["bidegree"]) + 2
+    assert run([*argv, "--format", "json", "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [c["witness_degree"] for c in report["cases"]] == floors
+    assert report["params"]["d"] == (floors[0] if len(floors) == 1 else "auto")
+    capsys.readouterr()
+    assert run([*argv, "--trunc", str(max(floors) - 1)]) == 3
+    assert "below the minimum" in capsys.readouterr().err
+
+
+def test_balanced_coinvariants_run_at_the_end_route_degree(capsys):
+    # (2,2) is solved through End(U^(x 2)), whose conditions hold words of
+    # degree 2, not the 2 + 2 of its coaction legs
+    assert run(["coinvariants", "-t", "2", "--F", "preset:jordan", "-i", "2", "-j", "2",
+                "--trunc", "2"]) == 0
+    assert "status: certified" in capsys.readouterr().out
+
+
+def _invariance_argvs():
+    argvs = [case.split() for name, case in GOLDEN_CASES.items()
+             if not name.startswith(("classical", "theta-rank"))]
+    for t, spec in [(1, "preset:identity"), (2, "preset:identity"),
+                    (2, "preset:diag:1,2"), (2, "preset:jordan")]:
+        shape = ["-t", str(t), "--F", spec]
+        for command in ("coinvariants", "intertwiners"):
+            for i, j in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+                argvs.append([command, *shape, "-i", str(i), "-j", str(j)])
+        argvs.append(["correspondence", *shape, "-k", "2"])
+        argvs.append(["hopf-check", *shape])
+    return argvs
+
+
+def _blank_degrees(report):
+    report["params"]["d"] = None
+    for case in report["cases"]:
+        case["witness_degree"] = None
+    return report
+
+
+@pytest.mark.parametrize("argv", _invariance_argvs(), ids=" ".join)
+def test_auto_trunc_verdicts_hold_two_degrees_higher(argv, tmp_path):
+    # the lowest auto truncation reaches the verdict, dimensions and case
+    # list that two more degrees of the relation ideal reach
+    low, high = tmp_path / "auto.json", tmp_path / "high.json"
+    code = run([*argv, "--format", "json", "-o", str(low)])
+    low_report = json.loads(low.read_text())
+    floor = max(c["witness_degree"] for c in low_report["cases"])
+    assert run([*argv, "--trunc", str(floor + 2), "--format", "json", "-o", str(high)]) == code
+    assert _blank_degrees(json.loads(high.read_text())) == _blank_degrees(low_report)
 
 
 def test_run_usage_error_exits_three():

@@ -237,6 +237,20 @@ def test_subalgebra_products_stay_coinvariant(ctx221):
     assert len(rep.samples) == 12
 
 
+@pytest.mark.parametrize("m", [1, 2], ids=["block", "m2"])
+@pytest.mark.parametrize("F", [FMatrix.jordan(2), FMatrix.diagonal([1, 2])],
+                         ids=["jordan", "diag"])
+def test_subalgebra_products_stay_coinvariant_at_t2(F, m):
+    # at t = 2 the quotients are not trivial, so the product lemma has content:
+    # products of bidegree (p+q, p+q) are certified at 2(p+q), their legs' degree
+    rep = subalgebra_check(CoactionContext(m, 1, 2, F), samples=20, seed=5)
+    assert rep.certified and len(rep.samples) == 20
+    for s in rep.samples:
+        k = s.product_bidegree[0]
+        assert s.truncation == max(2 * k, 2)
+    assert any(min(s.left_bidegree[0], s.right_bidegree[0]) >= 1 for s in rep.samples)
+
+
 def test_subalgebra_report_records_bidegrees(ctx221):
     rep = subalgebra_check(ctx221, samples=4, seed=1)
     for s in rep.samples:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coinv.freealg import pair_product
 from coinv.hopf import (
@@ -253,8 +255,32 @@ def test_hopf_compat_certified_on_grid(t):
 
 
 def test_hopf_compat_rejects_low_truncation():
+    # below the relation degree there is no quotient to check in
     with pytest.raises(ValueError):
-        check_hopf_compat(build_hf(FMatrix.identity(2)), 3)
+        check_hopf_compat(build_hf(FMatrix.identity(2)), 1)
+
+
+@st.composite
+def invertible_f(draw):
+    t = draw(st.sampled_from([2, 3]))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=t, max_size=t))
+    try:
+        return FMatrix.from_rows(rows)
+    except ValueError:
+        return draw(st.nothing())
+
+
+@settings(max_examples=25, deadline=None)
+@given(invertible_f())
+@example(FMatrix.identity(2))
+@example(FMatrix.diagonal([1, 2]))
+@example(FMatrix.jordan(2))
+def test_hopf_compat_certified_at_relation_degree(F):
+    # every compatibility condition lies in the span of the relations
+    rep = check_hopf_compat(build_hf(F), RELATION_DEGREE)
+    assert rep.d == RELATION_DEGREE == 2
+    assert rep.certified
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
