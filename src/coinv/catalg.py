@@ -22,7 +22,9 @@ A(m,t) (x) A(t,n) through the identifications y_ij -> v_i(e_j)* (reversed,
 into the opposite algebra), z_ij -> u_j(e_i), and the nested evaluation
 pairing; the two word reversals cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
-image - the computational content of the isomorphism proof.
+image - the computational content of the isomorphism proof - and proves
+the images coinvariant by the product lemma below, whose degree-2 base case
+it reads from certify_fft, so the lemma is the program's one proof of it.
 
 certify_fft certifies C_(k,k) = Im theta_k through End(U^(x k)).  For a
 finite-dimensional comodule V, Hom^H(V, W) = (W (x) V*)^coH (Klimyk &
@@ -497,22 +499,21 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
                               k: int, d: int) -> CorrespondenceReport:
     """Certify coinv_to_hom(theta(w)) = psi(w) for every degree-k word w.
 
-    theta(w) = e_i (x) theta_11(x^k) (x) e_j (spectator factorisation, see
-    comod), so one residual of theta_11(x^k) on the block certifies every
-    image as a coinvariant; if it fails, every word is a mismatch.  Also
-    records the computed dim End(U_l) (must be 1 before the psi basis claim
-    means anything), computed once at RELATION_DEGREE whatever k is, and the
-    rank of the psi matrices (must be (mn)^k).
+    theta(w) = e_i (x) theta_11(x)^k (x) e_j (spectator factorisation, see
+    comod), so by the product lemma (module docstring) every image is a
+    coinvariant once theta_11(x) is one.  That base case is certify_fft on
+    the block at k = 1: one solve of C_(1,1) at d >= RELATION_DEGREE, whose
+    dimension is the computed dim End(U_l) (must be 1 before the psi basis
+    claim means anything); if it misses theta_11(x), every word of degree k
+    is a mismatch.  What remains is index bookkeeping and the rank of the
+    psi matrices (must be (mn)^k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if d < 2 * k:
-        raise ValueError(f"truncation {d} below 2k = {2 * k}")
+    if d < RELATION_DEGREE:
+        raise ValueError(f"truncation {d} below {RELATION_DEGREE}")
     ctx = CoactionContext(m, n, t, F)
-    end_u = intertwiner_space(1, 1, t, ctx.hopf, 1, 1, RELATION_DEGREE)
-    block = ctx.block()
-    ((_, pairs11),) = theta_images(1, 1, t, k)
-    coinvariant = not coinvariance_residual(block, dict.fromkeys(pairs11, Q(1)), d)
+    base = certify_fft(ctx.block(), 1, d)
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []
@@ -520,11 +521,11 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     ncols = (m * t) ** k
     for w, pairs in theta_images(m, n, t, k):
         direct = psi(m, n, t, w)
-        if not coinvariant or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1)), k) != direct:
+        if not base.image_contained or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1)), k) != direct:
             mismatches.append(amn.word_label(w))
         vecs.append({r * ncols + c: val for r, c, val in direct.iter_entries()})
     rank = Subspace.from_vectors(nrows * ncols, vecs).dim
     return CorrespondenceReport(m=m, n=n, t=t, f_label=ctx.hopf.F.label, k=k, d=d,
-                                end_u_dim=len(end_u),
+                                end_u_dim=base.dim_coinv,
                                 equalities_checked=len(vecs),
                                 mismatches=tuple(mismatches), psi_rank=rank)

@@ -333,8 +333,8 @@ def cmd_correspondence(config: RunConfig, F: FMatrix):
     results = []
     extra = []
     hopf = build_hf(F)
+    d = resolve_trunc(config.trunc, RELATION_DEGREE)  # theta_11(x)'s condition is a relation
     for k in range(config.k + 1):
-        d = resolve_trunc(config.trunc, 2 * k)  # the coaction legs of theta(w)
         t0 = time.monotonic()
         rep = main_correspondence_check(config.m, config.n, config.t, hopf, k, d)
         results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,

@@ -23,7 +23,8 @@ witness, so the computed space is a subspace of the true coinvariants C.
 This module computes that space literally; catalg.certify_fft reaches the
 same verdict at bidegree (k,k) through End(U^(x k)) and proves
 Im theta_k <= C by a product lemma whose base case is coinvariants((1,1), 2)
-(see catalg).  C <= Im theta_k is the paper's theorem and is not computed.
+(see catalg), the one proof that products of coinvariants stay coinvariant.
+C <= Im theta_k is the paper's theorem and is not computed.
 
 Spectator factorisation: the coaction changes only the t-index of a letter
 (rho'(y_ij) = sum_k v_jk (x) y_ik keeps i, lambda(z_ij) = sum_k u_ik (x) z_kj
@@ -46,15 +47,13 @@ i != j, is zero.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import Subspace, add_to
-from .freealg import (FreeElement, PairKey, Word, matrix_entry_algebra, pair_product,
-                      split_word, theta_images)
+from .freealg import FreeElement, PairKey, Word, matrix_entry_algebra, split_word, theta_images
 from .fpquot import certified_kernel
-from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf, grading_specialize
+from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
 
 Q = Fraction
 
@@ -116,18 +115,6 @@ class CoactionContext:
         i, j = bidegree
         bs = self.atn.degree_basis(j)
         return tuple((wa, wb) for wa in self.amt.degree_basis(i) for wb in bs)
-
-    def element_from_coords(self, bidegree: tuple[int, int], coords) -> dict[PairKey, Q]:
-        pairs = self.pair_basis(bidegree)
-        terms = {}
-        if hasattr(coords, "items"):
-            items = coords.items()
-        else:
-            items = enumerate(coords)
-        for idx, c in items:
-            if c:
-                terms[pairs[idx]] = Q(c)
-        return terms
 
     def bidegree_of(self, x: dict[PairKey, Q]) -> tuple[int, int]:
         degs = {(len(wa), len(wb)) for wa, wb in x}
@@ -254,77 +241,3 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
         diagonal_action_ok=diag_ok,
         basis_dimension=(m * t) ** i * (t * n) ** j,
     )
-
-
-# -- subalgebra property: products of coinvariants stay coinvariant ----------------
-
-
-@dataclass(frozen=True)
-class SubalgebraSample:
-    left_bidegree: tuple[int, int]
-    right_bidegree: tuple[int, int]
-    product_bidegree: tuple[int, int]
-    truncation: int
-    certified: bool
-
-
-@dataclass(frozen=True)
-class SubalgebraReport:
-    m: int
-    n: int
-    t: int
-    f_label: str
-    seed: int
-    samples: tuple[SubalgebraSample, ...]
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for s in self.samples if not s.certified)
-
-    @property
-    def certified(self) -> bool:
-        return self.failures == 0
-
-
-def subalgebra_check(ctx: CoactionContext, samples: int = 100, seed: int = 0,
-                     max_bidegree: int = 2) -> SubalgebraReport:
-    """Check products of random certified coinvariants stay certified coinvariant.
-
-    Random elements are drawn from the computed coinvariant bases of the
-    balanced bidegrees (p, p), p <= max_bidegree, each computed at truncation
-    max(2p, RELATION_DEGREE); each sampled product of bidegrees (p, p),
-    (q, q) is re-certified at max(2(p + q), RELATION_DEGREE), the degree of
-    its coaction legs, where the product lemma of catalg says it holds.
-    """
-    rng = random.Random(seed)
-    bases = {}
-    for p in range(0, max_bidegree + 1):
-        V = coinvariants(ctx, (p, p), max(2 * p, RELATION_DEGREE))
-        bases[p] = [dict(row) for row in V.basis.rows]
-    degs = [p for p in bases if bases[p]]
-    out = []
-    for _ in range(samples):
-        p = rng.choice(degs)
-        qdeg = rng.choice(degs)
-        x = _random_combination(ctx, bases[p], (p, p), rng)
-        y = _random_combination(ctx, bases[qdeg], (qdeg, qdeg), rng)
-        prod = pair_product(x, y)
-        bid = (p + qdeg, p + qdeg)
-        trunc = max(2 * (p + qdeg), RELATION_DEGREE)
-        ok = not coinvariance_residual(ctx, prod, trunc)
-        out.append(SubalgebraSample((p, p), (qdeg, qdeg), bid, trunc, bool(ok)))
-    return SubalgebraReport(m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label,
-                            seed=seed, samples=tuple(out))
-
-
-def _random_combination(ctx: CoactionContext, basis_rows, bidegree, rng) -> dict[PairKey, Q]:
-    coords: dict[int, Q] = {}
-    for row in basis_rows:
-        c = rng.randint(-3, 3)
-        if not c:
-            continue
-        for idx, v in row.items():
-            add_to(coords, idx, c * v)
-    if not coords and basis_rows:
-        coords = dict(basis_rows[rng.randrange(len(basis_rows))])
-    return ctx.element_from_coords(bidegree, coords)

@@ -1,5 +1,6 @@
 """Comodule spaces, intertwiner solving, duality data, word morphisms."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -230,10 +231,9 @@ def test_coinv_to_hom_matches_psi(hj2):
 
 def test_coinv_to_hom_rejects_bad_inputs(hj2):
     ctx = CoactionContext(2, 1, 2, hj2)
-    zero = ctx.element_from_coords((1, 1), {})
     with pytest.raises(ValueError):
-        coinv_to_hom(ctx, zero, 4)
-    bare = ctx.element_from_coords((1, 1), {0: Q(1)})
+        coinv_to_hom(ctx, {}, 4)
+    bare = {ctx.pair_basis((1, 1))[0]: Q(1)}
     with pytest.raises(ValueError):
         coinv_to_hom(ctx, bare, 4)
 
@@ -248,44 +248,44 @@ def test_correspondence_check_small_cases(hj2):
 
 
 def test_correspondence_runs_one_block_residual_per_k(hj2, monkeypatch):
+    """The product lemma's base case is the one proof of coinvariance: one
+    certify_fft call on the (1,1,t) block at k = 1, whatever k is."""
     calls = []
-    residual = catalg.coinvariance_residual
+    base = catalg.certify_fft
 
-    def recorder(ctx, x, d):
-        calls.append((ctx.m, ctx.n, ctx.bidegree_of(x), d))
-        return residual(ctx, x, d)
+    def recorder(ctx, k, d):
+        calls.append((ctx.m, ctx.n, ctx.t, k, d))
+        return base(ctx, k, d)
 
-    monkeypatch.setattr(catalg, "coinvariance_residual", recorder)
-    for k in range(3):
+    monkeypatch.setattr(catalg, "certify_fft", recorder)
+    for k in range(4):
         calls.clear()
-        rep = main_correspondence_check(2, 2, 2, hj2, k, 2 * k + 2)
+        rep = main_correspondence_check(2, 2, 2, hj2, k, k + 2)
         assert rep.ok and rep.equalities_checked == 4 ** k
-        assert calls == [(1, 1, (k, k), 2 * k + 2)]
+        assert calls == [(1, 1, 2, 1, k + 2)]
 
 
 def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys):
-    """A theta image whose residual does not vanish fails every word of its
+    """A base case that does not contain theta_11(x) fails every word of the
     degree: exit 1 with the words listed, not an internal error."""
-    monkeypatch.setattr(catalg, "coinvariance_residual", lambda ctx, x, d: {"tau": {(): Q(1)}})
+    base = catalg.certify_fft
+    monkeypatch.setattr(catalg, "certify_fft", lambda ctx, k, d: dataclasses.replace(
+        base(ctx, k, d), image_contained=False))
     rep = main_correspondence_check(2, 1, 2, hj2, 1, 4)
     assert not rep.ok and len(rep.mismatches) == rep.equalities_checked == 2
     assert run(["correspondence", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan",
                 "-k", "1"]) == 1
-    assert "degree 1 mismatching words: " in capsys.readouterr().out
+    amn = matrix_entry_algebra("x", 2, 1)
+    words = ", ".join(amn.word_label(w) for w in amn.degree_basis(1))
+    out = capsys.readouterr().out
+    assert f"degree 1 mismatching words: {words}\n" in out
+    assert "degree 0 mismatching words: 1\n" in out
 
 
 @pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize("family", ["identity", "diag", "jordan"])
-def test_correspondence_end_u_dim_is_one_at_relation_degree(t, family, monkeypatch):
+def test_correspondence_end_u_dim_is_one_at_relation_degree(t, family):
     F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
          "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[family]
-    seen = []
-
-    def recording(*args):
-        seen.append(args[-1])
-        return intertwiner_space(*args)
-
-    monkeypatch.setattr("coinv.catalg.intertwiner_space", recording)
-    rep = main_correspondence_check(1, 1, t, F, 2, 6)
+    rep = main_correspondence_check(1, 1, t, F, 2, RELATION_DEGREE)
     assert rep.end_u_dim == 1 and rep.ok
-    assert seen == [RELATION_DEGREE]

@@ -249,7 +249,7 @@ _FLOORS = [
     (["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "3", "-j", "1"], [3]),
     (["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "2", "-j", "2"], [2]),
     (["intertwiners", "-t", "1", "-i", "0", "-j", "0"], [2]),
-    (["correspondence", "-t", "2", "--F", "preset:jordan", "-k", "2"], [2, 2, 4]),
+    (["correspondence", "-t", "2", "--F", "preset:jordan", "-k", "2"], [2, 2, 2]),
     (["hopf-check", "-t", "2", "--F", "preset:jordan"], [2]),
 ]
 

@@ -10,7 +10,6 @@ from coinv.comod import (
     coinvariance_residual,
     coinvariants,
     off_diagonal_vanish,
-    subalgebra_check,
     theta_image_vectors,
 )
 from coinv.exactlin import add_to, solve_homogeneous
@@ -155,10 +154,10 @@ def test_coinvariants_match_antipode_kernel(ctx212j, bidegree):
 def test_pair_basis_round_trip(ctx221):
     basis = ctx221.pair_basis((1, 1))
     assert len(basis) == 4
-    x = ctx221.element_from_coords((1, 1), {0: Q(1), 3: Q(-2)})
+    assert basis == tuple((wa, wb) for wa in ctx221.amt.degree_basis(1)
+                          for wb in ctx221.atn.degree_basis(1))
+    x = {basis[0]: Q(1), basis[3]: Q(-2)}
     assert ctx221.bidegree_of(x) == (1, 1)
-    assert x == {basis[0]: Q(1), basis[3]: Q(-2)}
-    assert ctx221.element_from_coords((1, 1), [1, 0, 0, -2]) == x
 
 
 def test_coinvariants_dimension_balanced(ctx221):
@@ -184,7 +183,7 @@ def test_theta_image_is_coinvariant_exactly(ctx212j):
 
 
 def test_bare_pair_is_not_coinvariant(ctx212j):
-    x = ctx212j.element_from_coords((1, 1), {0: Q(1)})
+    x = {ctx212j.pair_basis((1, 1))[0]: Q(1)}
     residual = coinvariance_residual(ctx212j, x, 4)
     assert residual
 
@@ -228,31 +227,3 @@ def test_certify_fft_rejects_low_truncation(ctx221):
     with pytest.raises(ValueError):
         certify_fft(ctx221, 0, 1)
     assert certify_fft(ctx221, 3, 3).certified
-
-
-def test_subalgebra_products_stay_coinvariant(ctx221):
-    rep = subalgebra_check(ctx221, samples=12, seed=3)
-    assert rep.certified
-    assert rep.failures == 0
-    assert len(rep.samples) == 12
-
-
-@pytest.mark.parametrize("m", [1, 2], ids=["block", "m2"])
-@pytest.mark.parametrize("F", [FMatrix.jordan(2), FMatrix.diagonal([1, 2])],
-                         ids=["jordan", "diag"])
-def test_subalgebra_products_stay_coinvariant_at_t2(F, m):
-    # at t = 2 the quotients are not trivial, so the product lemma has content:
-    # products of bidegree (p+q, p+q) are certified at 2(p+q), their legs' degree
-    rep = subalgebra_check(CoactionContext(m, 1, 2, F), samples=20, seed=5)
-    assert rep.certified and len(rep.samples) == 20
-    for s in rep.samples:
-        k = s.product_bidegree[0]
-        assert s.truncation == max(2 * k, 2)
-    assert any(min(s.left_bidegree[0], s.right_bidegree[0]) >= 1 for s in rep.samples)
-
-
-def test_subalgebra_report_records_bidegrees(ctx221):
-    rep = subalgebra_check(ctx221, samples=4, seed=1)
-    for s in rep.samples:
-        (p, _), (q, _) = s.left_bidegree, s.right_bidegree
-        assert s.product_bidegree == (p + q, p + q)

@@ -3,8 +3,9 @@
 The route solves the morphism conditions of End(U^(x k)) at m = n = 1 and
 proves Im theta_k <= C from one degree-2 check plus the nesting of coaction
 legs.  The tests pin the nesting identity against the coaction itself, the
-lemma's verdict against a direct residual of theta_11(x^k), and the End
-dimensions against the full-size coinvariant solve.
+lemma's verdict and the correspondence that reads its base case against a
+direct residual of theta_11(x^k), and the End dimensions against the
+full-size coinvariant solve.
 """
 
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinv.catalg import certify_fft
+from coinv.catalg import certify_fft, main_correspondence_check
 from coinv.comod import CoactionContext, coinvariance_residual, coinvariants
 from coinv.freealg import pair_product, theta_images
 from coinv.hopf import FMatrix, build_hf
@@ -68,6 +69,7 @@ def test_lemma_verdict_matches_direct_residual(t, kmax, family):
         power = pair_product(power, x)
         assert power == theta11(block, k)  # theta_11(x^k) = theta_11(x)^k
         assert certify_fft(block, k, max(k, 2)).image_contained
+        assert main_correspondence_check(1, 1, t, block.hopf, k, 2).ok
         assert coinvariance_residual(block, power, 2 * k) == {}
         # the residual does see a wrong coefficient
         pair = next(iter(power))
