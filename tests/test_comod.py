@@ -1,5 +1,6 @@
 """Coactions on bimodule word spaces and squeeze-certified coinvariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -227,3 +228,58 @@ def test_certify_fft_rejects_low_truncation(ctx221):
     with pytest.raises(ValueError):
         certify_fft(ctx221, 0, 1)
     assert certify_fft(ctx221, 3, 3).certified
+
+
+def seeded_coinvariants(ctx, seed, max_bidegree=2):
+    """One seeded integer combination of the coinvariant basis rows at each
+    balanced bidegree (p, p), p <= max_bidegree, each computed at max(2p, 2)."""
+    rng = random.Random(seed)
+    out = {}
+    for p in range(max_bidegree + 1):
+        pairs = ctx.pair_basis((p, p))
+        x = {}
+        for row in coinvariants(ctx, (p, p), max(2 * p, 2)).basis.rows:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            for idx, v in row.items():
+                add_to(x, pairs[idx], c * v)
+        if x:
+            out[p] = x
+    return out
+
+
+def test_subalgebra_products_stay_coinvariant(ctx221):
+    # the product lemma: a product of coinvariants of bidegrees (p, p), (q, q)
+    # has an empty residual at max(2(p+q), 2), the degree of its coaction legs
+    xs = seeded_coinvariants(ctx221, seed=3)
+    assert sorted(xs) == [0, 1, 2]
+    for p, x in xs.items():
+        for q, y in xs.items():
+            assert coinvariance_residual(ctx221, pair_product(x, y), max(2 * (p + q), 2)) == {}
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["block", "m2"])
+@pytest.mark.parametrize("F", [FMatrix.jordan(2), FMatrix.diagonal([1, 2])],
+                         ids=["jordan", "diag"])
+def test_subalgebra_products_stay_coinvariant_at_t2(F, m):
+    # at t = 2 the quotients are not trivial, so the product lemma has content:
+    # each product is certified at its legs' degree, and the same product with
+    # one coefficient changed is refuted there
+    ctx = CoactionContext(m, 1, 2, F)
+    xs = seeded_coinvariants(ctx, seed=5)
+    assert min(xs) == 0 and max(xs) == 2
+    for p, x in xs.items():
+        for q, y in xs.items():
+            prod = pair_product(x, y)
+            d = max(2 * (p + q), 2)
+            assert coinvariance_residual(ctx, prod, d) == {}
+            if p + q:  # at bidegree (0,0) every scalar is coinvariant
+                pair = next(iter(prod))
+                assert coinvariance_residual(ctx, {**prod, pair: prod[pair] + 1}, d)
+
+
+def test_subalgebra_report_records_bidegrees(ctx221):
+    xs = seeded_coinvariants(ctx221, seed=1)
+    for p, x in xs.items():
+        assert ctx221.bidegree_of(x) == (p, p)
+        for q, y in xs.items():
+            assert ctx221.bidegree_of(pair_product(x, y)) == (p + q, p + q)
