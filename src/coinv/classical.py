@@ -16,8 +16,17 @@ assumed, not certified.
 The joint kernel is solved on the weight-zero monomials only, with the
 off-diagonal E_ab (a != b).  This is exact: a diagonal E_aa multiplies a
 monomial by its weight deg_{Z_a.} - deg_{Y_.a}, so a polynomial is killed by
-every E_aa iff each of its monomials has weight zero in every a.  At odd
-total degree no monomial has weight zero.
+every E_aa iff each of its monomials has weight zero in every a.  Those
+monomials are enumerated directly, never filtered: each is a degree-k
+Y-monomial times a degree-k Z-monomial whose Z-row degrees equal the
+Y-column degrees, in total degree 2k.  At odd total degree there is none,
+so the invariants there are zero by counting.
+
+The theta* images of the X-monomials of each degree are built once, with
+integer coefficients, from those of the degree below, and are shared by the
+image (first theorem) and the kernel (second theorem).  The `Poly` functions
+`theta_star_apply` and `DerivationAction.apply` state the definitions and
+are kept as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 from .exactlin import Subspace, add_to, solve_homogeneous
 
@@ -57,7 +67,6 @@ class PolyRing:
             off += rows * cols
         self.nvars = off
         self._deg_cache: dict[int, tuple[Mono, ...]] = {}
-        self._pos_cache: dict[int, dict[Mono, int]] = {}
 
     def var_index(self, sym: str, i: int, j: int) -> int:
         off, rows, cols = self._offsets[sym]
@@ -88,31 +97,39 @@ class PolyRing:
     def one(self) -> Poly:
         return {(0,) * self.nvars: Q(1)}
 
+    def component_dim(self, k: int) -> int:
+        """The number of degree-k monomials, counted without enumerating them."""
+        if k < 0:
+            raise ValueError("degree must be nonnegative")
+        return comb(self.nvars + k - 1, k)
+
     def monomials_of_degree(self, k: int) -> tuple[Mono, ...]:
         if k < 0:
             raise ValueError("degree must be nonnegative")
         if k not in self._deg_cache:
             out: list[Mono] = []
-
-            def rec(prefix: list[int], remaining: int, pos: int):
-                if pos == self.nvars - 1:
-                    out.append(tuple(prefix + [remaining]))
-                    return
-                for e in range(remaining, -1, -1):
-                    rec(prefix + [e], remaining - e, pos + 1)
-
-            if self.nvars == 0:
-                raise ValueError("ring has no variables")
-            rec([], k, 0)
-            out.sort()
+            for combo in combinations_with_replacement(range(self.nvars), k):
+                mono = [0] * self.nvars
+                for v in combo:
+                    mono[v] += 1
+                out.append(tuple(mono))
+            # the multisets come in descending lex order of their exponent vectors
+            out.reverse()
             self._deg_cache[k] = tuple(out)
-            self._pos_cache[k] = {m: i for i, m in enumerate(out)}
         return self._deg_cache[k]
 
     def monomial_position(self, mono: Mono) -> int:
-        k = sum(mono)
-        self.monomials_of_degree(k)
-        return self._pos_cache[k][mono]
+        """Index of a monomial in `monomials_of_degree`, counted without
+        enumerating: the exponent vectors of its degree that agree with it
+        before some entry e and are smaller there leave a degree in
+        (rest - e, rest] to the `left` later variables."""
+        pos, rest, left = 0, sum(mono), len(mono)
+        for e in mono[:-1]:
+            left -= 1
+            if e:
+                pos += comb(rest + left, left) - comb(rest - e + left, left)
+                rest -= e
+        return pos
 
     def to_vector(self, p: Poly, k: int) -> dict[int, Q]:
         """Coordinates of a degree-k homogeneous polynomial."""
@@ -179,29 +196,82 @@ def theta_star_apply(mono: Mono, images: dict[int, Poly], ryz: PolyRing) -> Poly
     return out
 
 
-def theta_star_kernel(m: int, n: int, t: int, k: int) -> Subspace:
-    """Kernel of the degree-k component of theta*, over degree-k X-monomials."""
+def _degree_images(m: int, n: int, t: int, lower: dict[Mono, dict[Mono, int]],
+                   k: int) -> dict[Mono, dict[Mono, int]]:
+    """theta* of every degree-k X-monomial, in `monomials_of_degree` order, with
+    int coefficients: the image of its degree-(k-1) quotient by its first
+    variable X_ij, times sum_s Y_is Z_sj."""
+    rx, _ = _rings(m, n, t)
+    out = {}
+    for x in rx.monomials_of_degree(k):
+        v = next(v for v, e in enumerate(x) if e)
+        i, j = divmod(v, n)
+        below = list(x)
+        below[v] -= 1
+        img: dict[Mono, int] = {}
+        for mono, c in lower[tuple(below)].items():
+            for s in range(t):
+                target = list(mono)
+                target[i * t + s] += 1
+                target[m * t + s * n + j] += 1
+                target = tuple(target)
+                img[target] = img.get(target, 0) + c
+        out[x] = img
+    return out
+
+
+@lru_cache(maxsize=8)
+def _images_by_degree(m: int, n: int, t: int) -> list[dict[Mono, dict[Mono, int]]]:
+    """theta* images per X-degree, grown one degree at a time by `theta_star_degree`."""
+    rx, ryz = _rings(m, n, t)
+    return [{(0,) * rx.nvars: {(0,) * ryz.nvars: 1}}]
+
+
+def theta_star_degree(m: int, n: int, t: int, k: int) -> dict[Mono, dict[Mono, int]]:
+    """theta* of every degree-k X-monomial, each degree built once per shape."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    rx, ryz, images = theta_star_images(m, n, t)
-    monos = rx.monomials_of_degree(k)
-    equations: dict[int, dict[int, Q]] = {}
-    for idx, mono in enumerate(monos):
-        img = theta_star_apply(mono, images, ryz)
+    images = _images_by_degree(m, n, t)
+    while len(images) <= k:
+        images.append(_degree_images(m, n, t, images[-1], len(images)))
+    return images[k]
+
+
+@lru_cache(maxsize=8)
+def _weight_zero(m: int, n: int, t: int, k: int) -> dict[Mono, int]:
+    """The weight-zero monomials of Q[Y,Z] in total degree 2k, ascending, each
+    mapped to its position in the whole component: a degree-k Y-monomial
+    times, for every row a of Z, a monomial of Z row a of the degree of
+    Y column a."""
+    _, ryz = _rings(m, n, t)
+    ymonos = PolyRing((("Y", m, t),)).monomials_of_degree(k)
+    zrow = PolyRing((("Z", 1, n),))
+    monos = []
+    for y in ymonos:
+        rows = [zrow.monomials_of_degree(sum(y[a::t])) for a in range(t)]
+        monos += [y + sum(z, ()) for z in product(*rows)]
+    monos.sort()
+    return {mono: ryz.monomial_position(mono) for mono in monos}
+
+
+def theta_star_kernel(m: int, n: int, t: int, k: int) -> Subspace:
+    """Kernel of the degree-k component of theta*, over degree-k X-monomials."""
+    images = theta_star_degree(m, n, t, k)
+    equations: dict[Mono, dict[int, int]] = {}
+    for idx, img in enumerate(images.values()):
         for target, c in img.items():
-            equations.setdefault(ryz.monomial_position(target), {})[idx] = c
-    return solve_homogeneous(equations.values(), len(monos))
+            equations.setdefault(target, {})[idx] = c
+    return solve_homogeneous(equations.values(), len(images))
 
 
 def theta_star_image(m: int, n: int, t: int, k: int) -> Subspace:
     """Image of the degree-k component of theta*, over degree-2k target monomials."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    rx, ryz, images = theta_star_images(m, n, t)
-    ntarget = len(ryz.monomials_of_degree(2 * k))
-    vectors = [ryz.to_vector(theta_star_apply(mono, images, ryz), 2 * k)
-               for mono in rx.monomials_of_degree(k)]
-    return Subspace.from_vectors(ntarget, vectors)
+    images = theta_star_degree(m, n, t, k)
+    _, ryz = _rings(m, n, t)
+    # every image is gl_t-invariant, so its monomials have weight zero
+    position = _weight_zero(m, n, t, k)
+    vectors = [{position[mono]: c for mono, c in img.items()} for img in images.values()]
+    return Subspace.from_vectors(ryz.component_dim(2 * k), vectors)
 
 
 # -- the minors ideal -------------------------------------------------------------
@@ -236,7 +306,7 @@ def minors_component(m: int, n: int, t: int, k: int) -> Subspace:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     rx, _ = _rings(m, n, t)
-    nmonos = len(rx.monomials_of_degree(k))
+    nmonos = rx.component_dim(k)
     gens = minor_polys(m, n, t)
     if not gens or k < t + 1:
         return Subspace.zero(nmonos)
@@ -292,6 +362,25 @@ class DerivationAction:
         return out
 
 
+def _derivation_moves(m: int, n: int, t: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """E_ab as (variable, its replacement, sign): E_ab(Y_ib) = -Y_ia, E_ab(Z_aj) = Z_bj."""
+    return ([(i * t + b, i * t + a, -1) for i in range(m)]
+            + [(m * t + a * n + j, m * t + b * n + j, 1) for j in range(n)])
+
+
+def _derivation_row(moves: list[tuple[int, int, int]], mono: Mono) -> dict[Mono, int]:
+    """E_ab(mono) with int coefficients, as `DerivationAction.apply` defines it."""
+    out: dict[Mono, int] = {}
+    for v, w, sign in moves:
+        e = mono[v]
+        if e:
+            target = list(mono)
+            target[v] -= 1
+            target[w] += 1
+            add_to(out, tuple(target), sign * e)
+    return out
+
+
 def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     """Joint kernel of all t^2 derivations on the total-degree component of Q[Y,Z].
 
@@ -300,21 +389,24 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     monomials of that degree; it is solved on the weight-zero monomials with
     the off-diagonal derivations only (see the module docstring).
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    act = DerivationAction(m, n, t)
-    monos = act.ring.monomials_of_degree(degree)
-    cols = [idx for idx, mono in enumerate(monos) if not any(act.weight(mono))]
-    off_diagonal = [ab for ab in act.var_images if ab[0] != ab[1]]
-    equations: dict[tuple[tuple[int, int], Mono], dict[int, Q]] = {}
-    for local, idx in enumerate(cols):
-        for ab in off_diagonal:
-            for target, c in act.apply(ab[0], ab[1], {monos[idx]: Q(1)}).items():
-                equations.setdefault((ab, target), {})[local] = c
-    kernel = solve_homogeneous(equations.values(), len(cols))
-    # cols is increasing, so relabelling keeps each row's lead first: still RREF
-    return Subspace(len(monos), {cols[lead]: {cols[c]: v for c, v in row.items()}
-                                 for lead, row in zip(kernel.pivot_cols, kernel.basis.rows)})
+    _, ryz = _rings(m, n, t)
+    ambient = ryz.component_dim(degree)
+    if degree % 2:
+        return Subspace.zero(ambient)
+    weight_zero = _weight_zero(m, n, t, degree // 2)
+    off_diagonal = [_derivation_moves(m, n, t, a, b) for a in range(t) for b in range(t) if a != b]
+    # E_ab shifts the weight by -1 at a and +1 at b, so a target monomial
+    # names its derivation and is a row key on its own
+    equations: dict[Mono, dict[int, int]] = {}
+    for local, mono in enumerate(weight_zero):
+        for moves in off_diagonal:
+            for target, c in _derivation_row(moves, mono).items():
+                equations.setdefault(target, {})[local] = c
+    kernel = solve_homogeneous(equations.values(), len(weight_zero))
+    # the positions increase, so relabelling keeps each row's lead first: still RREF
+    cols = list(weight_zero.values())
+    return Subspace(ambient, {cols[lead]: {cols[c]: v for c, v in row.items()}
+                              for lead, row in zip(kernel.pivot_cols, kernel.basis.rows)})
 
 
 # -- theorem reports ---------------------------------------------------------------
@@ -358,7 +450,7 @@ def fft1_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
         if D % 2 == 0:
             img = theta_star_image(m, n, t, D // 2)
         else:
-            img = Subspace.zero(len(ryz.monomials_of_degree(D)))
+            img = Subspace.zero(ryz.component_dim(D))
         rows.append(DegreeComparison(D, inv.dim, img.dim, inv == img))
     return FftReport(m=m, n=n, t=t, kind="fft1", rows=tuple(rows))
 

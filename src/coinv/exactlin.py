@@ -7,10 +7,13 @@ rational rows are cleared to primitive integer rows and inserted into a
 triangular basis of gcd-normalized integer rows (`_insert`); vectors are
 reduced modulo such a basis to their unique residual on the non-pivot
 columns (`_reduce`); and back-substitution turns the basis into reduced row
-echelon form (`_back_substitute`).  RREF is canonical, so subspace equality
-is dict equality of RREF rows.  Every kernel (`solve_homogeneous`) comes
-from one elimination with the columns in reversed order, whose reduced rows
-read off directly as the kernel's RREF basis.  The certified kernels of
+echelon form (`_back_substitute`).  Back-substitution is fraction-free too:
+each integer row is cleared of the other pivot columns in integers, and its
+`Fraction`s are made only when its RREF row is emitted.  RREF is canonical,
+so subspace equality is dict equality of RREF rows.  Every kernel
+(`solve_homogeneous`) comes from one elimination with the columns in
+reversed order, whose reduced rows read off directly as the kernel's RREF
+basis.  The certified kernels of
 `fpquot` are solved here too; its normal forms come from rewriting, not
 from this eliminator.
 
@@ -160,9 +163,10 @@ class RationalMatrix:
 #
 # A triangular basis maps each pivot column to a row whose minimal column is
 # that pivot.  `_insert` builds one from integer rows fraction-free and
-# `_back_substitute` reduces it; `_reduce` accepts any triangular basis,
-# integer or rational.  `_insert` and `_reduce` are the innermost loops of
-# every elimination, so they accumulate inline rather than through add_to.
+# `_back_substitute` reduces it, both through the integer step `_eliminate`;
+# `_reduce` accepts any triangular basis, integer or rational.  `_eliminate`
+# and `_reduce` are the innermost loops of every elimination, so they
+# accumulate inline rather than through add_to.
 
 
 def _normalize_content(row: IntRow) -> None:
@@ -188,6 +192,30 @@ def _integer_row(row: Mapping) -> dict:
     return out
 
 
+def _eliminate(row: IntRow, piv: IntRow, col: int) -> None:
+    """Clear column `col` of an integer row, in place, with the integer row
+    `piv` that has a nonzero entry there: row <- (b/g)·row - (a/g)·piv for
+    a = row[col], b = piv[col] and g = gcd(a, b), the multiple of row kept
+    positive."""
+    a = row.pop(col)
+    b = piv[col]
+    g = gcd(a, b)
+    bb, aa = b // g, a // g
+    if bb < 0:
+        bb, aa = -bb, -aa
+    if bb != 1:
+        for c in row:
+            row[c] *= bb
+    for c, v in piv.items():
+        if c == col:
+            continue
+        w = row.get(c, 0) - aa * v
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
+
+
 def _insert(pivots: dict[int, IntRow], row: IntRow) -> int | None:
     """Fraction-free insertion of an integer row into a triangular basis.
 
@@ -202,23 +230,7 @@ def _insert(pivots: dict[int, IntRow], row: IntRow) -> int | None:
             _normalize_content(row)
             pivots[lead] = row
             return lead
-        a = row.pop(lead)
-        b = piv[lead]
-        g = gcd(a, b)
-        bb, aa = b // g, a // g
-        if bb < 0:
-            bb, aa = -bb, -aa
-        if bb != 1:
-            for c in row:
-                row[c] *= bb
-        for c, v in piv.items():
-            if c == lead:
-                continue
-            w = row.get(c, 0) - aa * v
-            if w:
-                row[c] = w
-            else:
-                row.pop(c, None)
+        _eliminate(row, piv, lead)
         steps += 1
         if steps & 15 == 0 and row:
             _normalize_content(row)
@@ -266,16 +278,34 @@ def _echelon(rows: Iterable[Row]) -> dict[int, IntRow]:
     return pivots
 
 
-def _back_substitute(pivots: Mapping[int, IntRow]) -> dict[int, Row]:
-    """The reduced row echelon basis of a triangular integer basis, keyed by pivot column."""
-    reduced: dict[int, Row] = {}
+def _clear_pivots(pivots: dict[int, IntRow]) -> None:
+    """Clear each row of a triangular integer basis, in place, of every other pivot column.
+
+    From the largest pivot down, each row is cleared in integers of the pivots
+    above it, against rows already so cleared: their entries past their lead
+    sit on non-pivot columns only, so no step brings a pivot column back.
+    Each row ends primitive with a positive lead: a multiple of its RREF row.
+    """
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _eliminate(row, pivots[c], c)
+        _normalize_content(row)
+
+
+def _back_substitute(pivots: dict[int, IntRow]) -> dict[int, Row]:
+    """The reduced row echelon basis of a triangular integer basis, keyed by pivot column.
+
+    Consumes `pivots`.  Fraction-free: the only `Fraction`s made are the
+    emitted RREF entries, and each integer row is dropped as its RREF row is
+    emitted.
+    """
+    _clear_pivots(pivots)
+    reduced: dict[int, Row] = {}
+    while pivots:
+        lead, row = pivots.popitem()
         a = row[lead]
-        tail = {c: Q(v, a) for c, v in row.items() if c != lead}
-        out = {lead: Q(1)}
-        out.update(_reduce(reduced, tail))
-        reduced[lead] = out
+        reduced[lead] = {c: Q(v, a) for c, v in row.items()}
     return reduced
 
 

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from coinv import classical, cli
 from coinv.classical import (
     DerivationAction,
     PolyRing,
+    _derivation_moves,
+    _derivation_row,
+    _weight_zero,
     fft1_check,
     fft2_check,
     glt_invariants,
@@ -18,6 +22,7 @@ from coinv.classical import (
     pmul,
     pscale,
     theta_star_apply,
+    theta_star_degree,
     theta_star_image,
     theta_star_images,
     theta_star_kernel,
@@ -41,6 +46,17 @@ def test_monomial_order_deterministic():
     assert monos == tuple(sorted(monos))
     assert ring.mono_label(monos[0]) == "X13^2"
     assert ring.mono_label(monos[-1]) == "X11^2"
+
+
+@pytest.mark.parametrize("groups", [(("X", 2, 2),), (("Y", 2, 3), ("Z", 3, 1)), (("X", 1, 1),)])
+def test_monomials_sorted_and_positions_counted(groups):
+    ring = PolyRing(groups)
+    for k in range(5):
+        monos = ring.monomials_of_degree(k)
+        assert len(monos) == ring.component_dim(k) == len(set(monos))
+        assert monos == tuple(sorted(monos))
+        assert all(sum(mono) == k for mono in monos)
+        assert [ring.monomial_position(mono) for mono in monos] == list(range(len(monos)))
 
 
 def test_to_vector_coordinates():
@@ -157,7 +173,7 @@ def brute_force_glt_invariants(m, n, t, degree):
 @pytest.mark.parametrize("m, n, t, degree", [
     *((2, 2, 1, d) for d in range(5)),
     (2, 1, 2, 4), (2, 2, 2, 4), (3, 2, 2, 5), (3, 3, 2, 4), (1, 1, 3, 4), (2, 2, 3, 4),
-    (1, 2, 2, 3), (2, 1, 3, 2),
+    (1, 2, 2, 3), (2, 1, 3, 2), (3, 3, 2, 6), (3, 3, 2, 5), (3, 2, 2, 6),
 ])
 def test_glt_invariants_match_brute_force(m, n, t, degree):
     assert glt_invariants(m, n, t, degree) == brute_force_glt_invariants(m, n, t, degree)
@@ -197,3 +213,83 @@ def test_free_theta_injective_where_commutative_collapses():
     # shadow already kills the determinant
     assert theta_matrix(2, 2, 1, 2).rank == 16
     assert theta_star_kernel(2, 2, 1, 2).dim == 1
+
+
+@pytest.mark.parametrize("m, n, t, k", [(3, 3, 2, 3), (3, 2, 2, 3), (2, 3, 3, 2), (1, 2, 3, 2)])
+def test_weight_zero_monomials_are_the_weight_zero_component(m, n, t, k):
+    act = DerivationAction(m, n, t)
+    monos = act.ring.monomials_of_degree(2 * k)
+    expected = {mono: pos for pos, mono in enumerate(monos) if not any(act.weight(mono))}
+    assert list(_weight_zero(m, n, t, k).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("m, n, t", [(3, 2, 2), (2, 3, 3), (1, 1, 2)])
+def test_integer_derivation_rows_match_poly_definition(m, n, t):
+    act = DerivationAction(m, n, t)
+    rng = random.Random(m * 100 + n * 10 + t)
+    monos = [tuple(rng.randint(0, 2) for _ in range(act.ring.nvars)) for _ in range(20)]
+    monos += list(_weight_zero(m, n, t, 2))
+    for mono in monos:
+        for a in range(t):
+            for b in range(t):
+                row = _derivation_row(_derivation_moves(m, n, t, a, b), mono)
+                assert row == act.apply(a, b, {mono: Q(1)})
+
+
+@pytest.mark.parametrize("m, n, t", [(3, 2, 2), (2, 3, 3), (2, 2, 1)])
+def test_integer_theta_star_images_match_poly_definition(m, n, t):
+    rx, ryz, images = theta_star_images(m, n, t)
+    for k in range(4):
+        degree = theta_star_degree(m, n, t, k)
+        assert tuple(degree) == rx.monomials_of_degree(k)
+        for mono, img in degree.items():
+            assert img == theta_star_apply(mono, images, ryz)
+
+
+@pytest.mark.parametrize("m, n, t, degree", [(3, 3, 2, 4), (2, 2, 3, 4)])
+def test_invariants_solve_every_off_diagonal_derivation(monkeypatch, m, n, t, degree):
+    # one missing E_ab leaves the kernel unchanged (the rest generate it), so
+    # the system itself is compared with the Poly definition
+    systems = []
+    solve = classical.solve_homogeneous
+
+    def captured(rows, nunknowns):
+        rows = list(rows)
+        systems.append(rows)
+        return solve(rows, nunknowns)
+    monkeypatch.setattr(classical, "solve_homogeneous", captured)
+    glt_invariants(m, n, t, degree)
+    act = DerivationAction(m, n, t)
+    expected = {}
+    for local, mono in enumerate(_weight_zero(m, n, t, degree // 2)):
+        for a in range(t):
+            for b in range(t):
+                if a != b:
+                    for target, c in act.apply(a, b, {mono: Q(1)}).items():
+                        expected.setdefault((a, b, target), {})[local] = c
+    key = lambda row: sorted(row.items())
+    assert sorted(systems[0], key=key) == sorted(expected.values(), key=key)
+
+
+def test_odd_degree_invariants_enumerate_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an odd degree enumerated monomials")
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", refuse)
+    monkeypatch.setattr(classical, "_weight_zero", refuse)
+    inv = glt_invariants(3, 3, 2, 5)
+    assert inv.dim == 0 and inv.ambient_dim == math.comb(12 + 5 - 1, 5)
+
+
+def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
+    built = []
+    degree_images = classical._degree_images
+
+    def counted(m, n, t, lower, k):
+        built.append(k)
+        return degree_images(m, n, t, lower, k)
+    monkeypatch.setattr(classical, "_degree_images", counted)
+    classical._images_by_degree.cache_clear()
+    argv = ["classical", "-m", "3", "-n", "3", "-t", "2", "--max-degree", "3",
+            "-o", str(tmp_path / "report.json")]
+    assert cli.run(argv) == 0
+    assert built == [1, 2, 3]

@@ -1,12 +1,15 @@
 """Exact rational linear algebra: echelon forms, kernels, subspaces."""
 
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinv.exactlin import RationalMatrix, Subspace, rank, solve_homogeneous
+from coinv import exactlin
+from coinv.exactlin import RationalMatrix, Subspace, add_to, rank, solve_homogeneous
 
 Q = Fraction
 
@@ -226,3 +229,63 @@ def test_solve_homogeneous_matches_dense_null_space(system):
 def test_solve_homogeneous_rejects_out_of_range_columns(col):
     with pytest.raises(ValueError):
         solve_homogeneous([{0: Q(1)}, {col: Q(2)}], 3)
+
+
+# -- fraction-free back-substitution against the Fraction one ------------------------
+
+
+def fraction_back_substitute(pivots):
+    """Oracle: back-substitution in `Fraction`s, each row divided by its lead
+    first and then reduced modulo the RREF rows already emitted."""
+    reduced = {}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        a = row[lead]
+        tail = {c: Q(v, a) for c, v in row.items() if c != lead}
+        out = {lead: Q(1)}
+        out.update(exactlin._reduce(reduced, tail))
+        reduced[lead] = out
+    return reduced
+
+
+big_entries = st.builds(Q, st.integers(min_value=-10**6, max_value=10**6),
+                        st.one_of(st.integers(min_value=1, max_value=6),
+                                  st.integers(min_value=1, max_value=10**6)))
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """(rows, n): sparse rational rows over n <= 8 columns with entries and
+    denominators up to 10^6, then rational combinations of them appended."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    row = st.dictionaries(st.integers(min_value=0, max_value=n - 1), big_entries, max_size=n)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        combo = {}
+        for r in rows:
+            f = draw(st.builds(Q, st.integers(min_value=-9, max_value=9),
+                               st.integers(min_value=1, max_value=5)))
+            for c, v in r.items():
+                add_to(combo, c, f * v)
+        rows.append(combo)
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_systems())
+def test_integer_back_substitution_matches_fraction_oracle(system):
+    rows, n = system
+    with mock.patch.object(exactlin, "_back_substitute", fraction_back_substitute):
+        span, ker = Subspace.from_vectors(n, rows), solve_homogeneous(rows, n)
+    assert Subspace.from_vectors(n, rows) == span
+    assert solve_homogeneous(rows, n) == ker
+    # the integer rows are primitive, lead positive, each a multiple of its RREF row
+    cleared = exactlin._echelon(map(exactlin._clean_row, rows))
+    exactlin._clear_pivots(cleared)
+    for lead, row in cleared.items():
+        content = 0
+        for v in row.values():
+            content = gcd(content, v)
+        assert content == 1 and min(row) == lead and row[lead] > 0
+        rref_row = span.basis.rows[span.pivot_cols.index(lead)]
+        assert {c: v * row[lead] for c, v in rref_row.items()} == row
