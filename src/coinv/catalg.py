@@ -33,12 +33,13 @@ m = n = 1 the coinvariants of bidegree (k,k) have the dimension of
 End^H(U^(x k)), whose morphism conditions hold only the t^(2k) u-words of
 degree k; a certified morphism is a true one, so the certified End is a
 proven lower bound, and the spectator factorisation (comod) scales it by
-(mn)^k.  Containment Im theta_k <= C needs no word of degree 2k, by a
-product lemma.  Write leg(s, tau) for the H-word of the coaction term from
-the basis pair s = (wa, wb) to the pair tau, so x = sum_s c_s s is
-coinvariant modulo a two-sided ideal I iff sum_s c_s leg(s, tau) = c_tau
-mod I for every tau.  Pairs multiply factor-wise, (wa, wb)(wa', wb') =
-(wa wa', wb wb'), and legs nest:
+(mn)^k.  balanced_hom_dim reads that dimension off the Groebner leads, with
+no solve, unless some lead is a pure u-word.  Containment Im theta_k <= C
+needs no word of degree 2k, by a product lemma.  Write leg(s, tau) for the
+H-word of the coaction term from the basis pair s = (wa, wb) to the pair
+tau, so x = sum_s c_s s is coinvariant modulo a two-sided ideal I iff
+sum_s c_s leg(s, tau) = c_tau mod I for every tau.  Pairs multiply
+factor-wise, (wa, wb)(wa', wb') = (wa wa', wb wb'), and legs nest:
 
     leg(s s', tau tau') = rev v(wa', ta') . leg(s, tau) . u(wb', tb'),
 
@@ -58,8 +59,8 @@ for every k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .comod import (CoactionContext, PairKey, coinvariance_residual, coinvariants,
                     theta_image_vectors)
@@ -69,6 +70,15 @@ from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
 Q = Fraction
+
+# balanced_hom_dim's fallback builds 2 t^(3k) constraint terms, at roughly
+# 450 bytes each: (t, k) = (2, 7) is 4.2 million terms and 1.9 GB of peak RSS
+END_SOLVE_TERM_LIMIT = 5_000_000
+
+
+class SolveTooLarge(ValueError):
+    """A solve refused before any of it is built, because its estimated size is
+    above a module limit."""
 
 
 class ComoduleSpace:
@@ -277,11 +287,56 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
                      u.direct_power(n).tensor_power(j), d)
 
 
+def balanced_hom_dim(m: int, n: int, F: FMatrix | HopfCover, k: int, d: int) -> int:
+    """dim Hom((U^m)^(x k), (U^n)^(x k)) certified at truncation d >= max(k,
+    RELATION_DEGREE): (mn)^k dim End(U^(x k)), the latter read off the
+    Groebner leads whenever they allow it.
+
+    The lead-word certificate.  Complete the relations to d.  If no rule has a
+    lead word of u-letters only (the empty lead counts as one), then:
+    - every u-word of degree k is irreducible, since each of its subwords is a
+      u-word, so it is its own normal form, and distinct u-words are
+      independent modulo I_d (the irreducible words are a basis of the
+      truncated quotient, by Bergman's diamond lemma);
+    - so the certified End is the solution set of the morphism conditions in
+      the free algebra.  In the condition (s, r) of _morphism_conditions the
+      coefficient of u_(x,y) is [x = s] T[r,y] - [y = r] T[x,s].  At x = s it
+      gives T[r,y] = 0 for y != r and T[r,r] = T[s,s], so T = lambda I: the
+      dimension is 1, exactly what the hom_space solve would return.
+    For F = I this is Banica's irreducibility of u^(x k) (Comm. Math. Phys.
+    190, 1997), computed modulo I_d; no F tried has a pure-u lead.
+
+    Otherwise hom_space solves End(U^(x k)) at d.  Its 2 t^(3k) constraint
+    terms are estimated first; above END_SOLVE_TERM_LIMIT it raises
+    SolveTooLarge before any is built.  Rules above d, which an earlier and
+    larger extension of the same completion added, can only send a case to
+    this fallback, and the fallback is exact at d, so they never change a
+    dimension.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if d < max(k, RELATION_DEGREE):
+        raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE})")
+    hopf = F if isinstance(F, HopfCover) else build_hf(F)
+    completion = hopf.presentation.completion
+    completion.extend(d)
+    u_letters = set(hopf.algebra.letters("u"))
+    if any(u_letters.issuperset(lead) for lead in completion.rules):
+        terms = 2 * hopf.t ** (3 * k)
+        if terms > END_SOLVE_TERM_LIMIT:
+            raise SolveTooLarge(
+                f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k} needs a solve of about "
+                f"{terms:,} constraint terms, above the limit of {END_SOLVE_TERM_LIMIT:,}")
+        end = len(intertwiner_space(1, 1, hopf.t, hopf, k, k, d))
+    else:
+        end = 1
+    return (m * n) ** k * end
+
+
 # -- Theorem certification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoinvariantReport:
+class CoinvariantReport(NamedTuple):
     """Squeeze-certification outcome for one balanced bidegree (k, k)."""
 
     m: int
@@ -301,11 +356,12 @@ def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
 
     dim_coinv is (mn)^k dim End(U^(x k)) certified at truncation d >=
     max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
-    docstring).  Im theta_k <= C comes from the product lemma, whose base
-    case theta_11(x) in coinvariants((1,1), RELATION_DEGREE) of ctx.block()
-    is checked here for k >= 1.  At k = 1 the End solve and the base case
-    are the same t^2-unknown problem, so coinvariants((1,1), d) of the block
-    alone gives both the dimension and the containment.  The rank of the
+    docstring), read from balanced_hom_dim's lead-word certificate.  Im
+    theta_k <= C comes from the product lemma, whose base case theta_11(x)
+    in coinvariants((1,1), RELATION_DEGREE) of ctx.block() is checked here
+    for k >= 1.  At k = 1 the End solve and the base case are the same
+    t^2-unknown problem, so coinvariants((1,1), d) of the block alone gives
+    both the dimension and the containment.  The rank of the
     theta matrix is computed at full size, independently.  Certified iff the
     image is contained and dim_coinv = rank theta_k = (mn)^k; a dim_coinv
     above (mn)^k is returned as computed, uncertified, for the caller to
@@ -321,9 +377,8 @@ def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
     (image,) = theta_image_vectors(block, 1)
     base = coinvariants(block, (1, 1), d if k == 1 else RELATION_DEGREE) if k else None
     contained = k == 0 or base.contains(image)
-    end = base.dim if k == 1 else len(intertwiner_space(1, 1, ctx.t, ctx.hopf, k, k, d))
     target = (ctx.m * ctx.n) ** k
-    dim = target * end
+    dim = target * base.dim if k == 1 else balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
     rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
@@ -335,8 +390,7 @@ def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
 # -- duality data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityData:
+class DualityData(NamedTuple):
     """Right-dual structure of U_l: e : U (x) U* -> I and d : I -> U* (x) U."""
 
     t: int
@@ -471,8 +525,7 @@ def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> Ration
 # -- the endpoint comparison -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """Word-by-word comparison of the two pipelines at degree k."""
 
     m: int
@@ -495,25 +548,33 @@ class CorrespondenceReport:
         return (self.end_u_dim == 1 and not self.mismatches and self.psi_independent)
 
 
+def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
+    """certify_fft on the (1, 1, t) block at k = 1: the product lemma's base
+    case and dim End(U_l), the same for every degree of the correspondence."""
+    return certify_fft(CoactionContext(1, 1, hopf.t, hopf), 1, d)
+
+
 def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
-                              k: int, d: int) -> CorrespondenceReport:
+                              k: int, d: int,
+                              base: CoinvariantReport | None = None) -> CorrespondenceReport:
     """Certify coinv_to_hom(theta(w)) = psi(w) for every degree-k word w.
 
     theta(w) = e_i (x) theta_11(x)^k (x) e_j (spectator factorisation, see
     comod), so by the product lemma (module docstring) every image is a
-    coinvariant once theta_11(x) is one.  That base case is certify_fft on
-    the block at k = 1: one solve of C_(1,1) at d >= RELATION_DEGREE, whose
-    dimension is the computed dim End(U_l) (must be 1 before the psi basis
-    claim means anything); if it misses theta_11(x), every word of degree k
-    is a mismatch.  What remains is index bookkeeping and the rank of the
-    psi matrices (must be (mn)^k).
+    coinvariant once theta_11(x) is one.  That base case is
+    lemma_base_case(hopf, d), given as `base` or computed here: one solve of
+    C_(1,1) at d >= RELATION_DEGREE, whose dimension is the computed dim
+    End(U_l) (must be 1 before the psi basis claim means anything); if it
+    misses theta_11(x), every word of degree k is a mismatch.  What remains
+    is index bookkeeping and the rank of the psi matrices (must be (mn)^k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if d < RELATION_DEGREE:
         raise ValueError(f"truncation {d} below {RELATION_DEGREE}")
     ctx = CoactionContext(m, n, t, F)
-    base = certify_fft(ctx.block(), 1, d)
+    if base is None:
+        base = lemma_base_case(ctx.hopf, d)
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []

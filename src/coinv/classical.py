@@ -31,11 +31,11 @@ are kept as the tests' oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
+from typing import NamedTuple
 
 from .exactlin import Subspace, add_to, solve_homogeneous
 
@@ -412,16 +412,14 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
 # -- theorem reports ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
+class DegreeComparison(NamedTuple):
     degree: int
     dim_left: int
     dim_right: int
     equal: bool
 
 
-@dataclass(frozen=True)
-class FftReport:
+class FftReport(NamedTuple):
     m: int
     n: int
     t: int

@@ -4,8 +4,9 @@ Exit codes: 0 = everything certified/passed, 1 = a mathematical mismatch (a
 computed value contradicts a theorem prediction or an independent oracle — a
 bug signal), 2 = inconclusive (some condition stayed NotCertified at the
 chosen truncation; raise --trunc), 3 = usage error (bad arguments, malformed
-or singular F, bounds out of range, an -o path that cannot be written), 4 =
-internal error (any other exception; `main` prints its traceback to stderr).
+or singular F, bounds out of range, an -o path that cannot be written, a solve
+refused as too large before it is built), 4 = internal error (any other
+exception; `main` prints its traceback to stderr).
 
 --F and --trunc belong to the five commands that build a truncated quotient;
 theta-rank and classical need neither.  --trunc auto is the smallest
@@ -23,13 +24,12 @@ import functools
 import json
 import sys
 import time
-import traceback
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
-from .catalg import certify_fft, intertwiner_space, main_correspondence_check
-from .classical import fft1_check, fft2_check
+from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, intertwiner_space,
+                     lemma_base_case, main_correspondence_check)
 from .comod import CoactionContext, coinvariants, off_diagonal_vanish
 from .freealg import theta_matrix
 from .hopf import RELATION_DEGREE, FMatrix, build_hf, check_hopf_compat
@@ -58,8 +58,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run parameters, echoed into every report."""
 
     command: str
@@ -283,9 +282,12 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
     d = resolve_trunc(config.trunc, max(i, j))  # the morphism conditions' words
     t0 = time.monotonic()
-    # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i), and
-    # the morphism conditions are block-diagonal in the same way
-    dim = config.m ** i * config.n ** j * len(intertwiner_space(1, 1, config.t, F, i, j, d))
+    if i == j:
+        dim = balanced_hom_dim(config.m, config.n, F, i, d)
+    else:
+        # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i),
+        # and the morphism conditions are block-diagonal in the same way
+        dim = config.m ** i * config.n ** j * len(intertwiner_space(1, 1, config.t, F, i, j, d))
     expected = (config.m * config.n) ** i if i == j else 0
     case = make_case((i, j), dim, expected, dim == expected, d, _millis(config, t0))
     return [(case, classify(dim, expected, expected, dim == expected))], d, ()
@@ -308,6 +310,8 @@ def cmd_hopf_check(config: RunConfig, F: FMatrix):
 
 
 def cmd_classical(config: RunConfig, F: FMatrix):
+    # imported here: no other command needs classical, so start-up skips it
+    from .classical import fft1_check, fft2_check
     kmax = config.k
     t0 = time.monotonic()
     r1 = fft1_check(config.m, config.n, config.t, 2 * kmax)
@@ -334,9 +338,10 @@ def cmd_correspondence(config: RunConfig, F: FMatrix):
     extra = []
     hopf = build_hf(F)
     d = resolve_trunc(config.trunc, RELATION_DEGREE)  # theta_11(x)'s condition is a relation
+    base = lemma_base_case(hopf, d)  # every degree reads this one base case
     for k in range(config.k + 1):
         t0 = time.monotonic()
-        rep = main_correspondence_check(config.m, config.n, config.t, hopf, k, d)
+        rep = main_correspondence_check(config.m, config.n, config.t, hopf, k, d, base)
         results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
                                   rep.ok, d, _millis(config, t0)),
                         "certified" if rep.ok else "mismatch"))
@@ -440,7 +445,7 @@ def run(argv) -> int:
         results, d_param, extra = _COMMANDS[args.command](config, F)
         status = aggregate_status(s for _, s in results)
         emit(make_report(config, d_param, [c for c, _ in results], status), config, extra)
-    except CliUsageError as exc:
+    except (CliUsageError, SolveTooLarge) as exc:
         sys.stderr.write(f"coinv: error: {exc}\n")
         return EXIT_USAGE
     return _STATUS_EXIT[status]
@@ -450,6 +455,7 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
     except Exception:
+        import traceback  # only an internal error needs it, so start-up skips it
         traceback.print_exc()
         code = EXIT_INTERNAL
     sys.exit(code)

@@ -47,8 +47,8 @@ i != j, is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactlin import Subspace, add_to
 from .freealg import FreeElement, PairKey, Word, matrix_entry_algebra, split_word, theta_images
@@ -191,8 +191,7 @@ def theta_image_vectors(ctx: CoactionContext, k: int):
 # -- the exact off-diagonal certificate -----------------------------------------
 
 
-@dataclass(frozen=True)
-class OffDiagonalCertificate:
+class OffDiagonalCertificate(NamedTuple):
     """Exact proof that true coinvariants vanish in an unbalanced bidegree."""
 
     m: int

@@ -19,10 +19,9 @@ grading used for the Laurent specialization of Hopf covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .exactlin import RationalMatrix, add_to, rank
 
@@ -33,16 +32,16 @@ PairKey = tuple[Word, Word]
 Scalar = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A doubly indexed family of free generators with an optional grading weight."""
+class GeneratorSet(NamedTuple):
+    """A doubly indexed family of free generators with an optional grading
+    weight; FreeAlgebra, which consumes every set, validates it."""
 
     name: str
     rows: int
     cols: int
     weight: int = 0
 
-    def __post_init__(self):
+    def validate(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("generator set shape must be positive")
         if not self.name or not self.name.isidentifier():
@@ -60,6 +59,8 @@ class FreeAlgebra:
 
     def __init__(self, gen_sets: Sequence[GeneratorSet]):
         gen_sets = tuple(gen_sets)
+        for g in gen_sets:
+            g.validate()
         names = [g.name for g in gen_sets]
         if len(set(names)) != len(names):
             raise ValueError("generator set names must be distinct")
@@ -321,8 +322,7 @@ def theta_images(m: int, n: int, t: int,
     return ((w, split_word(w, src, amt, atn, t, _THETA_NAMES)) for w in src.degree_basis(k))
 
 
-@dataclass(frozen=True)
-class ThetaMatrixResult:
+class ThetaMatrixResult(NamedTuple):
     """Matrix of θ restricted to degree k, with its exact rank.
 
     Columns follow degree_basis of A(m,n) in degree k; row index of a word

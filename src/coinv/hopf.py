@@ -23,8 +23,8 @@ bidegrees downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactlin import RationalMatrix, Subspace, add_to
 from .freealg import FreeAlgebra, FreeElement, GeneratorSet, Word, split_word
@@ -249,8 +249,7 @@ def grading_specialize(x: FreeElement) -> LaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
-class HopfCompatReport:
+class HopfCompatReport(NamedTuple):
     """Outcome of the Hopf-structure compatibility checks at truncation d."""
 
     t: int

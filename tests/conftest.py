@@ -1,0 +1,25 @@
+"""Shared fixtures."""
+
+import pytest
+
+
+@pytest.fixture
+def add_pure_u_rules():
+    """inject(hopf, leads=None, d=None): give the completion of hopf's
+    relations one rule lead -> 0 per pure u-word in leads (default: u11^64
+    alone), after extending it to d if d is given; returns hopf.
+
+    A lead longer than every word a test queries rewrites nothing, so every
+    normal form stays what it was: only the lead-word certificate of
+    catalg.balanced_hom_dim sees the rule, and it must fall back to the solve.
+    Short leads make the rules of another algebra, in which those words are
+    zero; the fallback then solves in that algebra."""
+    def inject(hopf, leads=None, d=None):
+        completion = hopf.presentation.completion
+        if d is not None:
+            completion.extend(d)
+        for lead in leads or [(hopf.algebra.letter("u", 0, 0),) * 64]:
+            completion.rules[lead] = (0, {})
+        completion.lengths = tuple(sorted({len(lead) for lead in completion.rules}))
+        return hopf
+    return inject

@@ -1,6 +1,5 @@
 """Comodule spaces, intertwiner solving, duality data, word morphisms."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -247,9 +246,10 @@ def test_correspondence_check_small_cases(hj2):
     assert rep.mismatches == ()
 
 
-def test_correspondence_runs_one_block_residual_per_k(hj2, monkeypatch):
+def test_correspondence_runs_one_block_residual_per_run(hj2, monkeypatch, capsys):
     """The product lemma's base case is the one proof of coinvariance: one
-    certify_fft call on the (1,1,t) block at k = 1, whatever k is."""
+    certify_fft call on the (1,1,t) block at k = 1 per check, whatever k is,
+    and one per `correspondence` run, whatever -k is."""
     calls = []
     base = catalg.certify_fft
 
@@ -263,14 +263,18 @@ def test_correspondence_runs_one_block_residual_per_k(hj2, monkeypatch):
         rep = main_correspondence_check(2, 2, 2, hj2, k, k + 2)
         assert rep.ok and rep.equalities_checked == 4 ** k
         assert calls == [(1, 1, 2, 1, k + 2)]
+    calls.clear()
+    assert run(["correspondence", "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan",
+                "-k", "3"]) == 0
+    assert calls == [(1, 1, 2, 1, 2)]
 
 
 def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys):
     """A base case that does not contain theta_11(x) fails every word of the
     degree: exit 1 with the words listed, not an internal error."""
     base = catalg.certify_fft
-    monkeypatch.setattr(catalg, "certify_fft", lambda ctx, k, d: dataclasses.replace(
-        base(ctx, k, d), image_contained=False))
+    monkeypatch.setattr(catalg, "certify_fft", lambda ctx, k, d: base(ctx, k, d)._replace(
+        image_contained=False))
     rep = main_correspondence_check(2, 1, 2, hj2, 1, 4)
     assert not rep.ok and len(rep.mismatches) == rep.equalities_checked == 2
     assert run(["correspondence", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan",

@@ -180,12 +180,13 @@ def test_main_internal_error_exits_four(monkeypatch, capsys):
     assert "Traceback" in err and "ValueError: internal failure" in err
 
 
-def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys):
+def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_u_rules):
     """A computed End(U^(x k)) above dimension 1, so a coinvariant space above
     the theorem's (mn)^k, is a mismatch (exit 1) with its dimension in the
     report, not an internal error.  At k = 1 End(U) is the block's C_(1,1),
-    solved by comod.coinvariants; from k = 2 on it is the hom_space solve."""
-    from coinv import catalg
+    solved by comod.coinvariants; from k = 2 on it is the hom_space solve,
+    which a pure-u lead makes the lead-word certificate fall back to."""
+    from coinv import catalg, comod, hopf
     from coinv.exactlin import RationalMatrix, Subspace
 
     def oversized(source, target, d):
@@ -197,6 +198,7 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys):
         n = len(ctx.pair_basis(bidegree))
         return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
 
+    monkeypatch.setattr(comod, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
     monkeypatch.setattr(catalg, "hom_space", oversized)
     monkeypatch.setattr(catalg, "coinvariants", everything)
     monkeypatch.setattr(sys, "argv", ["coinv", "certify-fft", "-t", "2", "--F", "preset:jordan",
@@ -208,6 +210,64 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys):
     assert report["status"] == "mismatch"
     assert [(c["dim_coinv"], c["certified"]) for c in report["cases"]] == \
         [(1, True), (4, False), (16, False)]
+
+
+def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, capsys,
+                                                                 add_pure_u_rules):
+    """With a pure-u lead the End(U^(x k)) solve is the fallback; its
+    2 t^(3k) constraint terms are estimated first, and above the module
+    limit the run exits 3 naming the case and the estimate, with no solve."""
+    from coinv import catalg, comod, hopf
+
+    monkeypatch.setattr(catalg, "hom_space", lambda *args: pytest.fail("the solve was built"))
+    monkeypatch.setattr(catalg, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
+    assert run(["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "8", "-j", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "m=1, n=1, t=2, k=8" in captured.err and f"{2 * 2 ** 24:,}" in captured.err
+
+    monkeypatch.undo()
+    monkeypatch.setattr(comod, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
+    monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", 2 * 2 ** 9 - 1)
+    assert run(["certify-fft", "-m", "2", "-n", "3", "-t", "2", "--F", "preset:jordan",
+                "-k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m=2, n=3, t=2, k=3" in captured.err and "1,024" in captured.err
+
+
+def test_balanced_intertwiners_read_the_lead_certificate(monkeypatch, capsys):
+    """At i = j the intertwiners command solves nothing when no lead is pure-u;
+    at i != j it keeps the hom_space solve."""
+    from coinv import catalg
+
+    solved = []
+    solve = catalg.hom_space
+
+    def recorder(source, target, d):
+        solved.append((source.dim, target.dim))
+        return solve(source, target, d)
+
+    monkeypatch.setattr(catalg, "hom_space", recorder)
+    assert run(["intertwiners", "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan",
+                "-i", "3", "-j", "3", "--format", "json"]) == 0
+    assert [c["dim_coinv"] for c in json.loads(capsys.readouterr().out)["cases"]] == [64]
+    assert solved == []
+    assert run(["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "1", "-j", "2"]) == 0
+    assert solved == [(2, 4)]
+
+
+def test_startup_loads_only_what_runs():
+    """`import coinv.cli` in a bare interpreter loads neither dataclasses nor
+    inspect, nor traceback or coinv.classical, which only an internal error
+    and the classical command need."""
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import coinv.cli; print(' '.join("
+            "m for m in ('dataclasses', 'inspect', 'traceback', 'coinv.classical') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 _REQUIRED = {"certify-fft": ["-k", "0"], "coinvariants": ["-i", "0", "-j", "0"],

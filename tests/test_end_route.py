@@ -5,15 +5,20 @@ proves Im theta_k <= C from one degree-2 check plus the nesting of coaction
 legs.  The tests pin the nesting identity against the coaction itself, the
 lemma's verdict and the correspondence that reads its base case against a
 direct residual of theta_11(x^k), and the End dimensions against the
-full-size coinvariant solve.
+full-size coinvariant solve.  End(U^(x k)) itself is read off the Groebner
+leads when no lead is a pure u-word; the hom_space solve is that
+certificate's oracle, and its fallback.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coinv.catalg import certify_fft, main_correspondence_check
+from coinv import catalg
+from coinv.catalg import balanced_hom_dim, certify_fft, intertwiner_space, main_correspondence_check
 from coinv.comod import CoactionContext, coinvariance_residual, coinvariants
 from coinv.freealg import pair_product, theta_images
 from coinv.hopf import FMatrix, build_hf
@@ -85,3 +90,66 @@ def test_end_route_dims_equal_full_size_coinvariants(m, n, t, kmax):
             rep = certify_fft(ctx, k, max(k, 2))
             assert rep.certified
             assert rep.dim_coinv == coinvariants(ctx, (k, k), 2 * k + 2).dim == (m * n) ** k
+
+
+# -- the lead-word certificate ----------------------------------------------------
+
+
+def _forbidden(*args):
+    raise AssertionError("the lead-word certificate ran a solve")
+
+
+@pytest.mark.parametrize("t, kmax", [(1, 4), (2, 4), (3, 3)])
+def test_lead_certificate_equals_the_end_solve(t, kmax, monkeypatch):
+    """With no pure-u lead, balanced_hom_dim reads dim End(U^(x k)) = 1 off
+    the leads, with no solve, and the hom_space solve agrees."""
+    for family in ("identity", "diag", "jordan") + (("generic",) if t == 2 else ()):
+        hopf = build_hf(f_matrix(family, t))
+        for k in range(kmax + 1):
+            d = max(k, 2)
+            with monkeypatch.context() as patch:
+                patch.setattr(catalg, "hom_space", _forbidden)
+                dim = balanced_hom_dim(2, 3, hopf, k, d)
+            assert dim == 6 ** k * len(intertwiner_space(1, 1, t, hopf, k, k, d)) == 6 ** k
+
+
+@st.composite
+def invertible_f(draw):
+    entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
+    assume(rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0])
+    return FMatrix.from_rows(rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(invertible_f())
+def test_lead_certificate_equals_the_end_solve_for_random_f(F):
+    hopf = build_hf(F)
+    for k in range(5):
+        d = max(k, 2)
+        assert balanced_hom_dim(1, 1, hopf, k, d) == len(intertwiner_space(1, 1, 2, hopf, k, k, d))
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_a_pure_u_lead_sends_the_certificate_to_the_solve(t, add_pure_u_rules, monkeypatch):
+    """A pure-u lead that rewrites nothing still sends every k to the solve,
+    which gives 1; with every u-letter a rule to zero, the solve finds all of
+    End(U^(x k)) in that algebra, t^(2k) dimensions, and the certificate must
+    report the same."""
+    solved = []
+
+    def recorder(source, target, d, solve=catalg.hom_space):
+        solved.append(source.dim)
+        return solve(source, target, d)
+
+    monkeypatch.setattr(catalg, "hom_space", recorder)
+    hopf = add_pure_u_rules(build_hf(FMatrix.jordan(t)))
+    for k in range(4):
+        assert balanced_hom_dim(1, 1, hopf, k, max(k, 2)) == 1
+    assert solved == [t ** k for k in range(4)]
+    for k in range(4):
+        d = max(k, 2)
+        hopf = build_hf(FMatrix.jordan(t))
+        add_pure_u_rules(hopf, [(u,) for u in hopf.algebra.letters("u")], d)
+        assert balanced_hom_dim(1, 1, hopf, k, d) == t ** (2 * k) \
+            == len(intertwiner_space(1, 1, t, hopf, k, k, d))

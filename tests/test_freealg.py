@@ -48,6 +48,16 @@ def test_degree_basis_sorted_deterministic(a22):
     assert basis[0] == (a22.letter("x", 0, 0),) * 2
 
 
+@pytest.mark.parametrize("name, rows, cols", [("x", 0, 1), ("x", 1, 0), ("x", -1, 2),
+                                               ("", 1, 1), ("1x", 1, 1), ("x y", 1, 1)])
+def test_generator_set_shape_and_name_are_validated(name, rows, cols):
+    with pytest.raises(ValueError):
+        GeneratorSet(name, rows, cols).validate()
+    with pytest.raises(ValueError):
+        FreeAlgebra([GeneratorSet("ok", 1, 1), GeneratorSet(name, rows, cols)])
+    GeneratorSet("x1", 2, 3, -1).validate()
+
+
 def test_word_weight_mixed_signs():
     alg = FreeAlgebra([GeneratorSet("u", 2, 2, +1), GeneratorSet("v", 2, 2, -1)])
     w = (alg.letter("u", 0, 1), alg.letter("u", 1, 1), alg.letter("v", 0, 0))
