@@ -24,7 +24,7 @@ pairing; the two word reversals cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
 image - the computational content of the isomorphism proof - and proves
 the images coinvariant by the product lemma below, whose degree-2 base case
-it reads from certify_fft, so the lemma is the program's one proof of it.
+it reads from lemma_base_case, so the lemma is the program's one proof of it.
 
 certify_fft certifies C_(k,k) = Im theta_k through End(U^(x k)).  For a
 finite-dimensional comodule V, Hom^H(V, W) = (W (x) V*)^coH (Klimyk &
@@ -351,40 +351,52 @@ class CoinvariantReport(NamedTuple):
     certified: bool
 
 
-def certify_fft(ctx: CoactionContext, k: int, d: int) -> CoinvariantReport:
+def certify_fft(ctx: CoactionContext, k: int, d: int,
+                base: CoinvariantReport | None = None) -> CoinvariantReport:
     """Certify the k-th degree of the fundamental-theorem isomorphism.
 
     dim_coinv is (mn)^k dim End(U^(x k)) certified at truncation d >=
     max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
     docstring), read from balanced_hom_dim's lead-word certificate.  Im
-    theta_k <= C comes from the product lemma, whose base case theta_11(x)
-    in coinvariants((1,1), RELATION_DEGREE) of ctx.block() is checked here
-    for k >= 1.  At k = 1 the End solve and the base case are the same
-    t^2-unknown problem, so coinvariants((1,1), d) of the block alone gives
-    both the dimension and the containment.  The rank of the
-    theta matrix is computed at full size, independently.  Certified iff the
-    image is contained and dim_coinv = rank theta_k = (mn)^k; a dim_coinv
+    theta_k <= C comes from the product lemma, whose base case `base` is
+    lemma_base_case(ctx.hopf, d') for a d' <= d (containment in I_d' holds in
+    I_d); if not given, it is computed at d' = RELATION_DEGREE, or at d' = d
+    for k = 1, where the End solve and the base case are one t^2-unknown
+    problem that gives both the dimension and the containment.  rank
+    theta_k is computed exactly from its (mn)^k image columns.  Certified iff
+    the image is contained and dim_coinv = rank theta_k = (mn)^k; a dim_coinv
     above (mn)^k is returned as computed, uncertified, for the caller to
-    classify.  The unbalanced bidegrees are certified separately by
-    comod.off_diagonal_vanish.
+    classify.  Unbalanced bidegrees are comod.off_diagonal_vanish's.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if d < max(k, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE}) = "
                          f"{max(k, RELATION_DEGREE)}")
-    block = ctx.block()
-    (image,) = theta_image_vectors(block, 1)
-    base = coinvariants(block, (1, 1), d if k == 1 else RELATION_DEGREE) if k else None
-    contained = k == 0 or base.contains(image)
+    if base is not None and (base.d > d or k == 1 and base.d != d):
+        raise ValueError(f"base case at truncation {base.d} cannot serve k = {k} at {d}")
+    if k and base is None:
+        base = lemma_base_case(ctx.hopf, d if k == 1 else RELATION_DEGREE)
+    contained = k == 0 or base.image_contained
     target = (ctx.m * ctx.n) ** k
-    dim = target * base.dim if k == 1 else balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
+    dim = target * base.dim_coinv if k == 1 else balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
     rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
         dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,
         certified=contained and dim == target and rank_theta == target,
     )
+
+
+def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
+    """C_(1,1) of the (1, 1, t) block solved once at d >= RELATION_DEGREE: dim
+    End(U_l), and whether it holds theta_11(x), one nonzero column (rank 1),
+    the product lemma's base case for every degree."""
+    block = CoactionContext(1, 1, hopf.t, hopf)
+    space = coinvariants(block, (1, 1), d)
+    contained = space.contains(theta_image_vectors(block, 1)[0])
+    return CoinvariantReport(1, 1, hopf.t, hopf.F.label, (1, 1), d, space.dim, 1, contained,
+                             contained and space.dim == 1)
 
 
 # -- duality data -------------------------------------------------------------
@@ -546,12 +558,6 @@ class CorrespondenceReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return (self.end_u_dim == 1 and not self.mismatches and self.psi_independent)
-
-
-def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
-    """certify_fft on the (1, 1, t) block at k = 1: the product lemma's base
-    case and dim End(U_l), the same for every degree of the correspondence."""
-    return certify_fft(CoactionContext(1, 1, hopf.t, hopf), 1, d)
 
 
 def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,

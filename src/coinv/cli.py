@@ -233,10 +233,10 @@ def _millis(config: RunConfig, t0: float) -> int:
 # extra text lines; `run` turns them into the report and the exit code ------------
 
 
-def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int):
+def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int, base=None):
     """The squeeze at bidegree (k,k): its case and status."""
     t0 = time.monotonic()
-    rep = certify_fft(ctx, k, d)
+    rep = certify_fft(ctx, k, d, base)
     status = classify(rep.dim_coinv, rep.theta_rank, (config.m * config.n) ** k, rep.certified)
     return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d,
                       _millis(config, t0)), status)
@@ -246,7 +246,9 @@ def cmd_certify_fft(config: RunConfig, F: FMatrix):
     # the End(U^(x k)) conditions hold u-words of degree k
     ds = [resolve_trunc(config.trunc, k) for k in range(config.k + 1)]
     ctx = CoactionContext(config.m, config.n, config.t, F)
-    results = [_balanced_case(config, ctx, k, d) for k, d in enumerate(ds)]
+    # one lemma base case for every k: containment in I_d holds in I_d' for d' >= d
+    base = lemma_base_case(ctx.hopf, ds[1]) if config.k else None
+    results = [_balanced_case(config, ctx, k, d, base) for k, d in enumerate(ds)]
     return results, trunc_param(config.trunc), ()
 
 

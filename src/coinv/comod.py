@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactlin import Subspace, add_to
-from .freealg import FreeElement, PairKey, Word, matrix_entry_algebra, split_word, theta_images
+from .freealg import FreeElement, PairKey, Word, matrix_entry_algebra, split_word, theta_matrix
 from .fpquot import certified_kernel
 from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
 
@@ -179,13 +179,9 @@ def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
 
 
 def theta_image_vectors(ctx: CoactionContext, k: int):
-    """Coordinates of theta(w) over pair_basis((k,k)) for each degree-k word w."""
-    bwords = ctx.atn.degree_basis(k)
-    aindex = {w: i for i, w in enumerate(ctx.amt.degree_basis(k))}
-    bindex = {w: i for i, w in enumerate(bwords)}
-    nb = len(bwords)
-    return [{aindex[wl] * nb + bindex[wr]: Q(1) for wl, wr in pairs}
-            for _, pairs in theta_images(ctx.m, ctx.n, ctx.t, k)]
+    """Coordinates of theta(w) over pair_basis((k,k)) for each degree-k word w:
+    the columns of freealg.theta_matrix, whose pair index is pair_basis's."""
+    return theta_matrix(ctx.m, ctx.n, ctx.t, k).columns
 
 
 # -- the exact off-diagonal certificate -----------------------------------------

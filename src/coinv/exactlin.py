@@ -309,8 +309,9 @@ def _back_substitute(pivots: dict[int, IntRow]) -> dict[int, Row]:
     return reduced
 
 
-def rank(m: RationalMatrix) -> int:
-    return len(_echelon(m.rows))
+def rank(rows: Iterable[Row]) -> int:
+    """Dimension of the span of sparse rational rows."""
+    return len(_echelon(rows))
 
 
 class Subspace:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .exactlin import RationalMatrix, add_to, rank
+from .exactlin import add_to, rank
 
 Q = Fraction
 
@@ -323,33 +323,27 @@ def theta_images(m: int, n: int, t: int,
 
 
 class ThetaMatrixResult(NamedTuple):
-    """Matrix of θ restricted to degree k, with its exact rank.
+    """θ in degree k as its columns, one per degree_basis word of A(m,n), with
+    their exact rank; a column maps each word pair (w_A, w_B) of its image to
+    ia * (tn)^k + ib, ia and ib the positions of w_A and w_B in degree_basis."""
 
-    Columns follow degree_basis of A(m,n) in degree k; row index of a word
-    pair (w_A, w_B) is ia * len(B-basis) + ib with ia, ib the positions of
-    w_A, w_B in the degree-k bases of A(m,t) and A(t,n).
-    """
-
-    matrix: RationalMatrix
+    columns: list[dict[int, Q]]
     rank: int
-    source_words: tuple[Word, ...]
-    left_words: tuple[Word, ...]
-    right_words: tuple[Word, ...]
 
 
 def theta_matrix(m: int, n: int, t: int, k: int) -> ThetaMatrixResult:
-    """Matrix of the degree-k component of θ (always of full column rank)."""
-    images = theta_images(m, n, t, k)
-    left_words = matrix_entry_algebra("y", m, t).degree_basis(k)
-    right_words = matrix_entry_algebra("z", t, n).degree_basis(k)
-    lidx = {w: i for i, w in enumerate(left_words)}
-    ridx = {w: i for i, w in enumerate(right_words)}
-    nb = len(right_words)
-    src_words = []
-    entries: dict[tuple[int, int], Q] = {}
-    for col, (w, pairs) in enumerate(images):
-        src_words.append(w)
+    """The degree-k component of θ (always of full column rank).  A word of
+    A(m,t) sits at the number its letters spell in radix mt, and one of A(t,n)
+    in radix tn, so no degree-k basis is built."""
+    ra, rb, nb = m * t, t * n, (t * n) ** k
+    one = Q(1)
+    columns = []
+    for _, pairs in theta_images(m, n, t, k):
+        column = {}
         for wl, wr in pairs:
-            entries[(lidx[wl] * nb + ridx[wr], col)] = Q(1)
-    mat = RationalMatrix.from_sparse(len(left_words) * nb, len(src_words), entries)
-    return ThetaMatrixResult(mat, rank(mat), tuple(src_words), left_words, right_words)
+            ia = ib = 0
+            for a, b in zip(wl, wr):
+                ia, ib = ia * ra + a, ib * rb + b
+            column[ia * nb + ib] = one
+        columns.append(column)
+    return ThetaMatrixResult(columns, rank(columns))

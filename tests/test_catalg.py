@@ -248,33 +248,33 @@ def test_correspondence_check_small_cases(hj2):
 
 def test_correspondence_runs_one_block_residual_per_run(hj2, monkeypatch, capsys):
     """The product lemma's base case is the one proof of coinvariance: one
-    certify_fft call on the (1,1,t) block at k = 1 per check, whatever k is,
-    and one per `correspondence` run, whatever -k is."""
+    solve of C_(1,1) on the (1,1,t) block per check, whatever k is, and one
+    per `correspondence` run, whatever -k is."""
     calls = []
-    base = catalg.certify_fft
+    base = catalg.coinvariants
 
-    def recorder(ctx, k, d):
-        calls.append((ctx.m, ctx.n, ctx.t, k, d))
-        return base(ctx, k, d)
+    def recorder(ctx, bidegree, d):
+        calls.append((ctx.m, ctx.n, ctx.t, bidegree, d))
+        return base(ctx, bidegree, d)
 
-    monkeypatch.setattr(catalg, "certify_fft", recorder)
+    monkeypatch.setattr(catalg, "coinvariants", recorder)
     for k in range(4):
         calls.clear()
         rep = main_correspondence_check(2, 2, 2, hj2, k, k + 2)
         assert rep.ok and rep.equalities_checked == 4 ** k
-        assert calls == [(1, 1, 2, 1, k + 2)]
+        assert calls == [(1, 1, 2, (1, 1), k + 2)]
     calls.clear()
     assert run(["correspondence", "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan",
                 "-k", "3"]) == 0
-    assert calls == [(1, 1, 2, 1, 2)]
+    assert calls == [(1, 1, 2, (1, 1), 2)]
 
 
 def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys):
     """A base case that does not contain theta_11(x) fails every word of the
     degree: exit 1 with the words listed, not an internal error."""
-    base = catalg.certify_fft
-    monkeypatch.setattr(catalg, "certify_fft", lambda ctx, k, d: base(ctx, k, d)._replace(
-        image_contained=False))
+    # the block's C_(1,1) forced to the line of one pair, which misses theta_11(x)
+    monkeypatch.setattr(catalg, "coinvariants", lambda ctx, bidegree, d: Subspace.from_vectors(
+        len(ctx.pair_basis(bidegree)), [{0: 1}]))
     rep = main_correspondence_check(2, 1, 2, hj2, 1, 4)
     assert not rep.ok and len(rep.mismatches) == rep.equalities_checked == 2
     assert run(["correspondence", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan",

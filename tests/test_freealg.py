@@ -1,11 +1,18 @@
 """Free algebra arithmetic, word bases, the word splitter and the map theta."""
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinv import freealg
+from coinv.comod import CoactionContext, theta_image_vectors
+from coinv.exactlin import RationalMatrix, rank
 from coinv.freealg import (
     FreeAlgebra,
     GeneratorSet,
@@ -15,6 +22,7 @@ from coinv.freealg import (
     theta_images,
     theta_matrix,
 )
+from coinv.hopf import FMatrix
 
 Q = Fraction
 
@@ -176,8 +184,56 @@ def test_split_word_order_and_empty_word():
 @pytest.mark.parametrize("m,n,t,k", [(1, 1, 1, 3), (2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 2, 1)])
 def test_theta_matrix_full_column_rank(m, n, t, k):
     res = theta_matrix(m, n, t, k)
-    assert res.matrix.ncols == (m * n) ** k
+    assert len(res.columns) == (m * n) ** k
     assert res.rank == (m * n) ** k
+
+
+def _row_form_theta(m, n, t, k):
+    """θ_k as the full-size matrix with one row per degree-k word pair, the
+    pair (w_A, w_B) at row ia * (tn)^k + ib, built with index dicts."""
+    left = {w: i for i, w in enumerate(matrix_entry_algebra("y", m, t).degree_basis(k))}
+    right = {w: i for i, w in enumerate(matrix_entry_algebra("z", t, n).degree_basis(k))}
+    entries = {}
+    ncols = 0
+    for col, (_, pairs) in enumerate(theta_images(m, n, t, k)):
+        ncols += 1
+        for wl, wr in pairs:
+            entries[(left[wl] * len(right) + right[wr], col)] = 1
+    return RationalMatrix.from_sparse(len(left) * len(right), ncols, entries)
+
+
+@pytest.mark.parametrize("m,n,t,k", [(1, 1, 1, 0), (2, 3, 2, 0), (1, 1, 2, 3), (2, 1, 2, 2),
+                                     (2, 2, 2, 2), (1, 2, 3, 2), (2, 2, 1, 3)])
+def test_theta_columns_are_the_row_form_matrix(m, n, t, k):
+    """The column form of θ_k has the rank and the columns of the full-size
+    row form, (mn)^k columns of t^k entries each, and comod reads the same."""
+    old = _row_form_theta(m, n, t, k)
+    res = theta_matrix(m, n, t, k)
+    assert rank(old.rows) == res.rank == (m * n) ** k
+    old_columns = [{} for _ in range(old.ncols)]
+    for r, c, v in old.iter_entries():
+        old_columns[c][r] = v
+    assert res.columns == old_columns
+    assert len(res.columns) == (m * n) ** k
+    assert all(len(col) == t ** k for col in res.columns)
+    ctx = CoactionContext(m, n, t, FMatrix.identity(t))
+    assert theta_image_vectors(ctx, k) == res.columns
+
+
+def test_theta_matrix_fits_in_half_a_gigabyte():
+    """θ_12 at m = n = 1, t = 2 is one column of 4,096 entries; the row form
+    allocated 16,777,216 rows and ran out of a 512 MB address space."""
+    src = os.path.dirname(os.path.dirname(freealg.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from coinv.freealg import theta_matrix; "
+            "print(theta_matrix(1, 1, 2, 12).rank)")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_theta_matrix_negative_degree_rejected():

@@ -116,6 +116,22 @@ def test_certify_fft_solves_only_the_block(pure_u_lead, monkeypatch, add_pure_u_
         assert sizes["comod"] == ([t ** 2] if k else [])
 
 
+def test_certify_fft_run_solves_one_base_case(monkeypatch, capsys):
+    """A `certify-fft -k K` run solves the product lemma's base case once,
+    at k = 1's truncation, and every k reads it."""
+    sizes = {"comod": [], "catalg": []}
+    for name, module in (("comod", comod), ("catalg", catalg)):
+        def recorder(q, nunknowns, constraints, kernel=module.certified_kernel, name=name):
+            sizes[name].append(nunknowns)
+            return kernel(q, nunknowns, constraints)
+
+        monkeypatch.setattr(module, "certified_kernel", recorder)
+    report = _report(capsys, ["certify-fft", "-m", "2", "-n", "2", "-t", "2",
+                              "--F", "preset:jordan", "-k", "3"])
+    assert report["status"] == "certified"
+    assert sizes == {"comod": [4], "catalg": []}
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
     """With the base-case space V_11 at bidegree (1,1) forced to the span of a
