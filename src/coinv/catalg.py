@@ -270,10 +270,9 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
                       i: int, j: int, d: int) -> list[Intertwiner]:
     """Certified basis of Hom((U^m)^(x i), (U^n)^(x j)) at truncation d.
 
-    For i != j the grading specialization sends the morphism condition to
-    (z^i - z^j) T = 0, so the true Hom space is exactly zero; the computed
-    (sound) space is then zero as well.  The conditions hold words of
-    degree i and j only, so d >= max(i, j, RELATION_DEGREE) is enough.
+    For i != j the true Hom space is zero (comod.off_diagonal_vanish), so
+    the computed (sound) one is too.  The conditions hold words of degree i
+    and j only, so d >= max(i, j, RELATION_DEGREE) is enough.
     """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
@@ -363,10 +362,14 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     I_d); if not given, it is computed at d' = RELATION_DEGREE, or at d' = d
     for k = 1, where the End solve and the base case are one t^2-unknown
     problem that gives both the dimension and the containment.  rank
-    theta_k is computed exactly from its (mn)^k image columns.  Certified iff
-    the image is contained and dim_coinv = rank theta_k = (mn)^k; a dim_coinv
-    above (mn)^k is returned as computed, uncertified, for the caller to
-    classify.  Unbalanced bidegrees are comod.off_diagonal_vanish's.
+    theta_k = (mn)^k rank theta_11(x^k): by the spectator factorisation
+    theta(x_I^J) = e_I (x) theta_11(x^k) (x) e_J, a pair in the column of
+    x_I^J has the digits i_r t + a_r in its A-word and a_r n + j_r in its
+    B-word, so it determines (I, J), and the (mn)^k columns are copies of
+    theta_11(x^k) on disjoint supports.  Certified iff the image is contained
+    and dim_coinv = rank theta_k = (mn)^k; a dim_coinv above (mn)^k is
+    returned as computed, uncertified, for the caller to classify.
+    Unbalanced bidegrees are comod.off_diagonal_vanish's.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -380,7 +383,7 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     contained = k == 0 or base.image_contained
     target = (ctx.m * ctx.n) ** k
     dim = target * base.dim_coinv if k == 1 else balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
-    rank_theta = theta_matrix(ctx.m, ctx.n, ctx.t, k).rank
+    rank_theta = target * theta_matrix(1, 1, ctx.t, k).rank
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
         dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,

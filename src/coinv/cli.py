@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import __version__
 from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, intertwiner_space,
                      lemma_base_case, main_correspondence_check)
-from .comod import CoactionContext, coinvariants, off_diagonal_vanish
+from .comod import CoactionContext, off_diagonal_vanish
 from .freealg import theta_matrix
 from .hopf import RELATION_DEGREE, FMatrix, build_hf, check_hopf_compat
 
@@ -254,17 +254,14 @@ def cmd_certify_fft(config: RunConfig, F: FMatrix):
 
 def cmd_coinvariants(config: RunConfig, F: FMatrix):
     i, j = config.bidegree
-    # the coaction legs have degree i + j; at i = j the solve is End(U^(x i))'s
+    # at i = j the solve is End(U^(x i))'s; at i != j, d is the coaction legs' degree
     d = resolve_trunc(config.trunc, i if i == j else i + j)
-    ctx = CoactionContext(config.m, config.n, config.t, F)
     if i == j:
-        return [_balanced_case(config, ctx, i, d)], d, ()
+        return [_balanced_case(config, CoactionContext(config.m, config.n, config.t, F), i, d)], d, ()
     t0 = time.monotonic()
-    # the component is m^i n^j copies of the (1,1) one (spectator factorisation)
-    dim = config.m ** i * config.n ** j * coinvariants(ctx.block(), (i, j), d).dim
-    certified = off_diagonal_vanish(config.m, config.n, config.t, (i, j), ctx.hopf).holds \
-        and dim == 0
-    case = make_case((i, j), dim, 0, certified, d, _millis(config, t0))
+    # the grading certificate proves the space zero, with no truncation
+    certified = off_diagonal_vanish(config.m, config.n, config.t, (i, j), F).holds
+    case = make_case((i, j), 0, 0, certified, d, _millis(config, t0))
     return [(case, "certified" if certified else "mismatch")], d, ()
 
 
@@ -272,8 +269,8 @@ def cmd_theta_rank(config: RunConfig, F: FMatrix):
     results = []
     for k in range(config.k + 1):
         t0 = time.monotonic()
-        rank = theta_matrix(config.m, config.n, config.t, k).rank
         target = (config.m * config.n) ** k
+        rank = target * theta_matrix(1, 1, config.t, k).rank  # disjoint copies: certify_fft
         ok = rank == target
         results.append((make_case((k, k), target, rank, ok, 0, _millis(config, t0)),
                         "certified" if ok else "mismatch"))
@@ -286,13 +283,17 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
     t0 = time.monotonic()
     if i == j:
         dim = balanced_hom_dim(config.m, config.n, F, i, d)
+        expected, proven = (config.m * config.n) ** i, True
     else:
+        hopf = build_hf(F)
         # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i),
         # and the morphism conditions are block-diagonal in the same way
-        dim = config.m ** i * config.n ** j * len(intertwiner_space(1, 1, config.t, F, i, j, d))
-    expected = (config.m * config.n) ** i if i == j else 0
-    case = make_case((i, j), dim, expected, dim == expected, d, _millis(config, t0))
-    return [(case, classify(dim, expected, expected, dim == expected))], d, ()
+        dim = config.m ** i * config.n ** j * len(intertwiner_space(1, 1, config.t, hopf, i, j, d))
+        # the solve is a lower bound; only the grading certificate proves Hom = 0
+        expected, proven = 0, off_diagonal_vanish(config.m, config.n, config.t, (i, j), hopf).holds
+    status = classify(dim, expected, expected, dim == expected) if proven else "mismatch"
+    case = make_case((i, j), dim, expected, status == "certified", d, _millis(config, t0))
+    return [(case, status)], d, ()
 
 
 def cmd_hopf_check(config: RunConfig, F: FMatrix):

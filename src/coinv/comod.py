@@ -34,10 +34,10 @@ component at m = n = 1, the coaction acts as id (x) alpha_W (x) id, and the
 constraint system of `coinvariants` is m^i n^j identical copies of the
 system on W.  The kernel of a block-diagonal system with identical blocks is
 exactly the lift of one block's kernel, so the certified space at (m,n) is
-that lift and has m^i n^j times its dimension; callers solve on
-`CoactionContext.block()` alone.  theta factors the same way,
-theta(x_(i1 j1)...x_(ik jk)) = e_(i1..ik) (x) theta_11(x^k) (x) e_(j1..jk).
-The full-size `coinvariants` stays available and is the oracle of the tests.
+that lift and has m^i n^j times its dimension; the program solves the (1,1)
+block alone.  theta factors the same way, theta(x_(i1 j1)...x_(ik jk)) =
+e_(i1..ik) (x) theta_11(x^k) (x) e_(j1..jk).  The full-size `coinvariants`
+is the oracle of the tests.
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:
@@ -77,11 +77,6 @@ class CoactionContext:
         self.hopf = hopf
         self.amt = matrix_entry_algebra("y", m, t)
         self.atn = matrix_entry_algebra("z", t, n)
-
-    def block(self) -> "CoactionContext":
-        """The (1, 1, t) context over the same Hopf cover, so the same quotients;
-        every bidegree (i, j) component here is m^i n^j copies of its own."""
-        return CoactionContext(1, 1, self.t, self.hopf)
 
     # -- word-level coaction terms -------------------------------------------
 
@@ -197,7 +192,6 @@ class OffDiagonalCertificate(NamedTuple):
     exponent: int
     relations_annihilated: bool
     diagonal_action_ok: bool
-    basis_dimension: int
 
     @property
     def holds(self) -> bool:
@@ -215,7 +209,9 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
     z_(b1 c1)...z_(bj cj) keeps only the v_aa and u_bb legs, so it acts on
     every basis vector of the bidegree component by z^(j-i).  A coinvariant
     x then satisfies z^(j-i) x = x, forcing x = 0 when i != j.  No
-    truncation is involved.
+    truncation is involved.  The same certificate proves
+    Hom((U^m)^(x i), (U^n)^(x j)) = 0: specialised, the coaction of U^(x i)
+    is z^i id, so the morphism condition of catalg becomes (z^i - z^j) T = 0.
     """
     i, j = bidegree
     if i == j:
@@ -234,5 +230,4 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
         m=m, n=n, t=t, bidegree=(i, j), exponent=j - i,
         relations_annihilated=relations_ok,
         diagonal_action_ok=diag_ok,
-        basis_dimension=(m * t) ** i * (t * n) ** j,
     )

@@ -1,5 +1,6 @@
 """Free algebra arithmetic, word bases, the word splitter and the map theta."""
 
+import json
 import os
 import resource
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinv import freealg
+from coinv import cli, freealg
+from coinv.catalg import certify_fft
 from coinv.comod import CoactionContext, theta_image_vectors
 from coinv.exactlin import RationalMatrix, rank
 from coinv.freealg import (
@@ -22,7 +24,7 @@ from coinv.freealg import (
     theta_images,
     theta_matrix,
 )
-from coinv.hopf import FMatrix
+from coinv.hopf import RELATION_DEGREE, FMatrix
 
 Q = Fraction
 
@@ -204,7 +206,7 @@ def _row_form_theta(m, n, t, k):
 
 @pytest.mark.parametrize("m,n,t,k", [(1, 1, 1, 0), (2, 3, 2, 0), (1, 1, 2, 3), (2, 1, 2, 2),
                                      (2, 2, 2, 2), (1, 2, 3, 2), (2, 2, 1, 3)])
-def test_theta_columns_are_the_row_form_matrix(m, n, t, k):
+def test_theta_columns_are_the_row_form_matrix(m, n, t, k, capsys):
     """The column form of θ_k has the rank and the columns of the full-size
     row form, (mn)^k columns of t^k entries each, and comod reads the same."""
     old = _row_form_theta(m, n, t, k)
@@ -218,6 +220,15 @@ def test_theta_columns_are_the_row_form_matrix(m, n, t, k):
     assert all(len(col) == t ** k for col in res.columns)
     ctx = CoactionContext(m, n, t, FMatrix.identity(t))
     assert theta_image_vectors(ctx, k) == res.columns
+    # the premise of the block-scaled rank: nonempty columns, pairwise disjoint
+    # supports, so certify-fft and theta-rank report the full-size rank
+    support = [set(col) for col in res.columns]
+    assert all(support) and len(set().union(*support)) == sum(map(len, support))
+    full = rank(res.columns)
+    assert certify_fft(ctx, k, max(k, RELATION_DEGREE)).theta_rank == full
+    assert cli.run(["theta-rank", "-m", str(m), "-n", str(n), "-t", str(t), "-k", str(k),
+                    "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == full
 
 
 def test_theta_matrix_fits_in_half_a_gigabyte():
@@ -234,6 +245,21 @@ def test_theta_matrix_fits_in_half_a_gigabyte():
                           preexec_fn=cap_address_space, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+def test_certify_fft_at_m_n_2_fits_in_half_a_gigabyte():
+    """certify-fft ranks θ_8 at m = n = 2 as 256 copies of θ_11(x^8); the
+    65,536 full-size columns needed 1.9 GB."""
+    src = os.path.dirname(os.path.dirname(freealg.__file__))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from coinv.cli import run; sys.exit(run(sys.argv[2:]))"
+    argv = ["certify-fft", "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan", "-k", "8"]
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True,
+                          text=True, preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_theta_matrix_negative_degree_rejected():

@@ -64,8 +64,7 @@ def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
     hopf = build_hf(_FS[fname])
     d = i + j + 2
     ctx = CoactionContext(m, n, 2, hopf)
-    block = ctx.block()
-    assert (block.m, block.n, block.t) == (1, 1, 2) and block.hopf is hopf
+    block = CoactionContext(1, 1, 2, hopf)
     V11 = coinvariants(block, (i, j), d)
     full = coinvariants(ctx, (i, j), d)
     assert lift(ctx, block, (i, j), V11) == full
@@ -138,8 +137,9 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
     vector, certify_fft accepts exactly theta_11(x), scaled, and nothing else,
     at every k >= 1."""
     ctx = CoactionContext(2, 3, 2, FMatrix.jordan(2))
-    (image,) = theta_image_vectors(ctx.block(), 1)
-    n = len(ctx.block().pair_basis((1, 1)))
+    block = CoactionContext(1, 1, 2, ctx.hopf)
+    (image,) = theta_image_vectors(block, 1)
+    n = len(block.pair_basis((1, 1)))
     others = [{s: Q(1)} for s in range(n)]
     others.append({s: Q(s + 1) for s in image})
     calls = []
@@ -156,15 +156,16 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
     assert set(calls) == {(1, 1, (1, 1), 2)}
 
 
-def test_unbalanced_overcount_reports_the_full_size_dimension(monkeypatch, capsys):
-    """A block space that is everything lifts to the whole (m,n) component."""
-    def everything(ctx, bidegree, d):
-        n = len(ctx.pair_basis(bidegree))
-        return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
-
-    monkeypatch.setattr(cli_module, "coinvariants", everything)
-    report = _report(capsys, ["coinvariants", "-m", "2", "-n", "3", "-t", "2",
-                              "--F", "preset:jordan", "-i", "2", "-j", "1"])
-    full = CoactionContext(2, 3, 2, FMatrix.jordan(2)).pair_basis((2, 1))
+@pytest.mark.parametrize("command", ["coinvariants", "intertwiners"])
+def test_unbalanced_verdict_needs_the_grading_certificate(command, monkeypatch, capsys):
+    """At i != j the space is zero only by the grading certificate: if it does
+    not hold, the case is a mismatch (exit 1), whatever a solve returns."""
+    real = cli_module.off_diagonal_vanish
+    monkeypatch.setattr(cli_module, "off_diagonal_vanish",
+                        lambda *args: real(*args)._replace(relations_annihilated=False))
+    argv = [command, "-m", "2", "-n", "3", "-t", "2", "--F", "preset:jordan",
+            "-i", "2", "-j", "1", "--format", "json"]
+    assert cli_module.run(argv) == cli_module.EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().out)
     assert report["status"] == "mismatch"
-    assert [c["dim_coinv"] for c in report["cases"]] == [len(full)] == [96]
+    assert [(c["dim_coinv"], c["certified"]) for c in report["cases"]] == [(0, False)]
