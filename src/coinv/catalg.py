@@ -65,7 +65,7 @@ from typing import NamedTuple
 from .comod import (CoactionContext, PairKey, coinvariance_residual, coinvariants,
                     theta_image_vectors)
 from .exactlin import RationalMatrix, Subspace, add_to
-from .freealg import Word, matrix_entry_algebra, theta_images, theta_matrix
+from .freealg import Word, matrix_entry_algebra, theta_images, theta_rank
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
@@ -361,15 +361,11 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     lemma_base_case(ctx.hopf, d') for a d' <= d (containment in I_d' holds in
     I_d); if not given, it is computed at d' = RELATION_DEGREE, or at d' = d
     for k = 1, where the End solve and the base case are one t^2-unknown
-    problem that gives both the dimension and the containment.  rank
-    theta_k = (mn)^k rank theta_11(x^k): by the spectator factorisation
-    theta(x_I^J) = e_I (x) theta_11(x^k) (x) e_J, a pair in the column of
-    x_I^J has the digits i_r t + a_r in its A-word and a_r n + j_r in its
-    B-word, so it determines (I, J), and the (mn)^k columns are copies of
-    theta_11(x^k) on disjoint supports.  Certified iff the image is contained
-    and dim_coinv = rank theta_k = (mn)^k; a dim_coinv above (mn)^k is
-    returned as computed, uncertified, for the caller to classify.
-    Unbalanced bidegrees are comod.off_diagonal_vanish's.
+    problem that gives both the dimension and the containment.  rank theta_k
+    is freealg.theta_rank's, read off disjoint copies of theta_11(x^k).
+    Certified iff the image is contained and dim_coinv = rank theta_k = (mn)^k;
+    a dim_coinv above (mn)^k is returned as computed, uncertified, for the
+    caller to classify.  Unbalanced bidegrees are comod.off_diagonal_vanish's.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -383,7 +379,7 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     contained = k == 0 or base.image_contained
     target = (ctx.m * ctx.n) ** k
     dim = target * base.dim_coinv if k == 1 else balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
-    rank_theta = target * theta_matrix(1, 1, ctx.t, k).rank
+    rank_theta = theta_rank(ctx.m, ctx.n, ctx.t, k)
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
         dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,

@@ -31,7 +31,7 @@ from . import __version__
 from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, intertwiner_space,
                      lemma_base_case, main_correspondence_check)
 from .comod import CoactionContext, off_diagonal_vanish
-from .freealg import theta_matrix
+from .freealg import theta_rank
 from .hopf import RELATION_DEGREE, FMatrix, build_hf, check_hopf_compat
 
 Q = Fraction
@@ -269,8 +269,7 @@ def cmd_theta_rank(config: RunConfig, F: FMatrix):
     results = []
     for k in range(config.k + 1):
         t0 = time.monotonic()
-        target = (config.m * config.n) ** k
-        rank = target * theta_matrix(1, 1, config.t, k).rank  # disjoint copies: certify_fft
+        target, rank = (config.m * config.n) ** k, theta_rank(config.m, config.n, config.t, k)
         ok = rank == target
         results.append((make_case((k, k), target, rank, ok, 0, _millis(config, t0)),
                         "certified" if ok else "mismatch"))

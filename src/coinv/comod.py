@@ -35,9 +35,8 @@ constraint system of `coinvariants` is m^i n^j identical copies of the
 system on W.  The kernel of a block-diagonal system with identical blocks is
 exactly the lift of one block's kernel, so the certified space at (m,n) is
 that lift and has m^i n^j times its dimension; the program solves the (1,1)
-block alone.  theta factors the same way, theta(x_(i1 j1)...x_(ik jk)) =
-e_(i1..ik) (x) theta_11(x^k) (x) e_(j1..jk).  The full-size `coinvariants`
-is the oracle of the tests.
+block alone.  theta factors the same way (freealg.theta_rank).  The
+full-size `coinvariants` is the oracle of the tests.
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:

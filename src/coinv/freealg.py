@@ -347,3 +347,9 @@ def theta_matrix(m: int, n: int, t: int, k: int) -> ThetaMatrixResult:
             column[ia * nb + ib] = one
         columns.append(column)
     return ThetaMatrixResult(columns, rank(columns))
+
+
+def theta_rank(m: int, n: int, t: int, k: int) -> int:
+    """(mn)^k rank θ_11(x^k): the column θ(x_I^J) = e_I (x) θ_11(x^k) (x) e_J spells I and J
+    in its digits i_r t + a_r and a_r n + j_r, so the (mn)^k columns have disjoint supports."""
+    return (m * n) ** k * theta_matrix(1, 1, t, k).rank

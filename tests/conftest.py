@@ -2,6 +2,25 @@
 
 import pytest
 
+from coinv.hopf import FMatrix, build_hf
+
+# the CLI's three presets
+PRESETS = {"identity": FMatrix.identity, "jordan": FMatrix.jordan,
+           "diag": lambda t: FMatrix.diagonal(range(1, t + 1))}
+
+
+@pytest.fixture(scope="module")
+def preset_hopf():
+    """hopf(fname, t): build_hf of a CLI preset, built once per (fname, t) and
+    test module."""
+    built = {}
+
+    def hopf(fname, t):
+        if (fname, t) not in built:
+            built[fname, t] = build_hf(PRESETS[fname](t))
+        return built[fname, t]
+    return hopf
+
 
 @pytest.fixture
 def add_pure_u_rules():

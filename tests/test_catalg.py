@@ -20,7 +20,6 @@ from coinv.comod import CoactionContext
 from coinv.exactlin import RationalMatrix, Subspace
 from coinv.freealg import matrix_entry_algebra, theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
-from test_comod import preset_hopf
 
 Q = Fraction
 
@@ -140,7 +139,7 @@ def test_hom_space_endomorphisms_of_standard(hj2):
 @pytest.mark.parametrize("fname, t, i, j, d", [
     (fname, t, i, j, max(i, j, RELATION_DEGREE)) for fname in ("diag", "identity", "jordan")
     for t in (1, 2, 3) for i, j in ((0, 1), (2, 1), (1, 3))] + [("jordan", 2, 1, 2, 4)])
-def test_hom_space_unbalanced_powers_vanish(fname, t, i, j, d):
+def test_hom_space_unbalanced_powers_vanish(fname, t, i, j, d, preset_hopf):
     """The grading certificate proves Hom zero, and the CLI reads it from the
     certificate alone; a nonzero certified solve would be an engine bug."""
     assert intertwiner_space(1, 1, t, preset_hopf(fname, t), i, j, d) == []

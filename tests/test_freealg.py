@@ -224,25 +224,30 @@ def test_theta_columns_are_the_row_form_matrix(m, n, t, k, capsys):
     # supports, so certify-fft and theta-rank report the full-size rank
     support = [set(col) for col in res.columns]
     assert all(support) and len(set().union(*support)) == sum(map(len, support))
-    full = rank(res.columns)
-    assert certify_fft(ctx, k, max(k, RELATION_DEGREE)).theta_rank == full
+    assert certify_fft(ctx, k, max(k, RELATION_DEGREE)).theta_rank == res.rank
     assert cli.run(["theta-rank", "-m", str(m), "-n", str(n), "-t", str(t), "-k", str(k),
                     "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == full
+    assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == res.rank
+
+
+def _run_capped(code, *args):
+    """Run python -c code with the coinv source on argv[1] and args after it,
+    under a 512 MB address-space cap."""
+    src = os.path.dirname(os.path.dirname(freealg.__file__))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run([sys.executable, "-c", code, src, *args], capture_output=True,
+                          text=True, preexec_fn=cap_address_space, timeout=120)
 
 
 def test_theta_matrix_fits_in_half_a_gigabyte():
     """θ_12 at m = n = 1, t = 2 is one column of 4,096 entries; the row form
     allocated 16,777,216 rows and ran out of a 512 MB address space."""
-    src = os.path.dirname(os.path.dirname(freealg.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); from coinv.freealg import theta_matrix; "
-            "print(theta_matrix(1, 1, 2, 12).rank)")
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                          preexec_fn=cap_address_space, timeout=120)
+    proc = _run_capped("from coinv.freealg import theta_matrix; "
+                       "print(theta_matrix(1, 1, 2, 12).rank)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
 
@@ -250,15 +255,8 @@ def test_theta_matrix_fits_in_half_a_gigabyte():
 def test_certify_fft_at_m_n_2_fits_in_half_a_gigabyte():
     """certify-fft ranks θ_8 at m = n = 2 as 256 copies of θ_11(x^8); the
     65,536 full-size columns needed 1.9 GB."""
-    src = os.path.dirname(os.path.dirname(freealg.__file__))
-    code = "import sys; sys.path.insert(0, sys.argv[1]); from coinv.cli import run; sys.exit(run(sys.argv[2:]))"
-    argv = ["certify-fft", "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan", "-k", "8"]
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    proc = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True,
-                          text=True, preexec_fn=cap_address_space, timeout=120)
+    proc = _run_capped("from coinv.cli import run; sys.exit(run(sys.argv[2:]))", "certify-fft",
+                       "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan", "-k", "8")
     assert proc.returncode == 0, proc.stderr
 
 
