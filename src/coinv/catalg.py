@@ -1,5 +1,5 @@
-"""Comodule category bookkeeping: duality data, intertwiners, and the
-coinvariant <-> morphism correspondence.
+"""Comodule category bookkeeping: morphism spaces and the coinvariant <->
+morphism correspondence.
 
 The objects are finite-dimensional H(F)-comodules built from the standard
 one U_l (coaction entries u_ij) by direct sums, tensor powers, and the
@@ -11,16 +11,17 @@ concatenation of its factors' words, and the dual the reversed v-word
 HopfCover.antipode_word.  The dual is defined only for comodules of u-words
 (the one dual taken is U*), since S(v_ij) is not a word.
 
-hom_space solves, and Intertwiner.morphism_rows evaluates, the same
-morphism conditions, built once by _morphism_conditions.
+hom_space solves the morphism conditions of _morphism_conditions and
+returns their certified solution set as a Subspace, in which coordinate
+r * source.dim + c holds T[r, c].
 
 Two independently implemented pipelines meet here, both returning matrices.
 psi sends a word of A(m,n) straight to the 0/1 matrix (u_j1 (x) ... (x)
 u_jk) o (p_i1 (x) ... (x) p_ik) : (U^m)^(x k) -> (U^n)^(x k), which does not
-depend on F.  coinv_to_hom transports a certified coinvariant of
-A(m,t) (x) A(t,n) through the identifications y_ij -> v_i(e_j)* (reversed,
-into the opposite algebra), z_ij -> u_j(e_i), and the nested evaluation
-pairing; the two word reversals cancel, leaving pure index bookkeeping.
+depend on F.  _hom_matrix transports a coinvariant of A(m,t) (x) A(t,n)
+through the identifications y_ij -> v_i(e_j)* (reversed, into the opposite
+algebra), z_ij -> u_j(e_i), and the nested evaluation pairing; the two word
+reversals cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
 image - the computational content of the isomorphism proof - and proves
 the images coinvariant by the product lemma below, whose degree-2 base case
@@ -62,8 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .comod import (CoactionContext, PairKey, coinvariance_residual, coinvariants,
-                    theta_image_vectors)
+from .comod import CoactionContext, PairKey, coinvariants, theta_image_vectors
 from .exactlin import RationalMatrix, Subspace, add_to
 from .freealg import Word, matrix_entry_algebra, theta_images, theta_rank
 from .fpquot import certified_kernel
@@ -191,45 +191,6 @@ class ComoduleSpace:
         return f"ComoduleSpace({self.label}, dim={self.dim})"
 
 
-class Intertwiner:
-    """A linear map between comodules together with its certification data."""
-
-    def __init__(self, source: ComoduleSpace, target: ComoduleSpace, matrix: RationalMatrix):
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise ValueError("matrix shape does not match comodule dimensions")
-        source._compatible(target)
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def morphism_rows(self):
-        """H-cover rows, one per (source index, target index), all of which must
-        lie in the ideal for T to be a comodule morphism."""
-        alg = self.source.hopf.algebra
-        for sr, terms in _morphism_conditions(self.source, self.target):
-            acc: dict[Word, Q] = {}
-            for (row, col), h, sign in terms:
-                c = self.matrix.entry(row, col)
-                if c:
-                    add_to(acc, h, sign * c)
-            if acc:
-                yield sr, alg.element(acc)
-
-    def certify(self, d: int) -> bool:
-        """Certify the comodule-morphism condition at truncation d."""
-        q = self.source.hopf.quotient(d)
-        return all(bool(q.is_zero_mod(row)) for _, row in self.morphism_rows())
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Intertwiner) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Intertwiner({self.source.label} -> {self.target.label}, {self.matrix.nrows}x{self.matrix.ncols})"
-
-
 # -- Hom-space computation ----------------------------------------------------
 
 
@@ -243,32 +204,27 @@ def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
                      if (s, b) in source.coaction]
             terms += [((c, s), target.coaction[c, r], -1) for c in range(target.dim)
                       if (c, r) in target.coaction]
-            yield (s, r), terms
+            yield terms
 
 
-def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> list[Intertwiner]:
-    """Certified basis of comodule morphisms source -> target at truncation d.
+def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
+    """Certified comodule morphisms source -> target at truncation d, as the
+    subspace of Q^(target.dim * source.dim) in which coordinate
+    r * source.dim + c holds T[r, c].
 
-    Sound: each returned map has every morphism-condition row certified in
-    the degree-<= d ideal, so the span is a subspace of the true Hom space.
+    Sound: each member has every morphism condition certified in the
+    degree-<= d ideal, so it is a subspace of the true Hom space.
     """
     source._compatible(target)
-    q = source.hopf.quotient(d)
-    nsrc, ntgt = source.dim, target.dim
+    nsrc = source.dim
     constraints = [[(row * nsrc + col, h, sign) for (row, col), h, sign in terms]
-                   for _, terms in _morphism_conditions(source, target)]
-    sol = certified_kernel(q, nsrc * ntgt, constraints)
-    out = []
-    for row in sol.basis.rows:
-        entries = {(idx // nsrc, idx % nsrc): val for idx, val in row.items()}
-        out.append(Intertwiner(source, target,
-                               RationalMatrix.from_sparse(ntgt, nsrc, entries)))
-    return out
+                   for terms in _morphism_conditions(source, target)]
+    return certified_kernel(source.hopf.quotient(d), nsrc * target.dim, constraints)
 
 
 def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
-                      i: int, j: int, d: int) -> list[Intertwiner]:
-    """Certified basis of Hom((U^m)^(x i), (U^n)^(x j)) at truncation d.
+                      i: int, j: int, d: int) -> Subspace:
+    """Certified Hom((U^m)^(x i), (U^n)^(x j)) at truncation d, as hom_space's.
 
     For i != j the true Hom space is zero (comod.off_diagonal_vanish), so
     the computed (sound) one is too.  The conditions hold words of degree i
@@ -326,7 +282,7 @@ def balanced_hom_dim(m: int, n: int, F: FMatrix | HopfCover, k: int, d: int) -> 
             raise SolveTooLarge(
                 f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k} needs a solve of about "
                 f"{terms:,} constraint terms, above the limit of {END_SOLVE_TERM_LIMIT:,}")
-        end = len(intertwiner_space(1, 1, hopf.t, hopf, k, k, d))
+        end = intertwiner_space(1, 1, hopf.t, hopf, k, k, d).dim
     else:
         end = 1
     return (m * n) ** k * end
@@ -356,14 +312,12 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
 
     dim_coinv is (mn)^k dim End(U^(x k)) certified at truncation d >=
     max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
-    docstring), read from balanced_hom_dim's lead-word certificate.  Im
-    theta_k <= C comes from the product lemma, whose base case `base` is
-    lemma_base_case(ctx.hopf, d') for a d' <= d (containment in I_d' holds in
-    I_d); if not given, it is computed at d' = RELATION_DEGREE, or at d' = d
-    for k = 1, where the End solve and the base case are one t^2-unknown
-    problem that gives both the dimension and the containment.  rank theta_k
-    is freealg.theta_rank's, read off disjoint copies of theta_11(x^k).
-    Certified iff the image is contained and dim_coinv = rank theta_k = (mn)^k;
+    docstring), read from balanced_hom_dim's lead-word certificate at every
+    k.  Im theta_k <= C comes from the product lemma, whose base case `base`
+    is lemma_base_case(ctx.hopf, d') for a d' <= d (containment in I_d' holds
+    in I_d); if not given, it is computed at d' = RELATION_DEGREE.  rank
+    theta_k = (mn)^k is freealg.theta_rank's, read off its proof.
+    Certified iff the image is contained and dim_coinv = (mn)^k;
     a dim_coinv above (mn)^k is returned as computed, uncertified, for the
     caller to classify.  Unbalanced bidegrees are comod.off_diagonal_vanish's.
     """
@@ -372,18 +326,16 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     if d < max(k, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE}) = "
                          f"{max(k, RELATION_DEGREE)}")
-    if base is not None and (base.d > d or k == 1 and base.d != d):
+    if base is not None and base.d > d:
         raise ValueError(f"base case at truncation {base.d} cannot serve k = {k} at {d}")
     if k and base is None:
-        base = lemma_base_case(ctx.hopf, d if k == 1 else RELATION_DEGREE)
+        base = lemma_base_case(ctx.hopf, RELATION_DEGREE)
     contained = k == 0 or base.image_contained
-    target = (ctx.m * ctx.n) ** k
-    dim = target * base.dim_coinv if k == 1 else balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
-    rank_theta = theta_rank(ctx.m, ctx.n, ctx.t, k)
+    dim = balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
     return CoinvariantReport(
         m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
-        dim_coinv=dim, theta_rank=rank_theta, image_contained=contained,
-        certified=contained and dim == target and rank_theta == target,
+        dim_coinv=dim, theta_rank=theta_rank(ctx.m, ctx.n, ctx.t, k), image_contained=contained,
+        certified=contained and dim == (ctx.m * ctx.n) ** k,
     )
 
 
@@ -396,75 +348,6 @@ def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
     contained = space.contains(theta_image_vectors(block, 1)[0])
     return CoinvariantReport(1, 1, hopf.t, hopf.F.label, (1, 1), d, space.dim, 1, contained,
                              contained and space.dim == 1)
-
-
-# -- duality data -------------------------------------------------------------
-
-
-class DualityData(NamedTuple):
-    """Right-dual structure of U_l: e : U (x) U* -> I and d : I -> U* (x) U."""
-
-    t: int
-    f_label: str
-    u: ComoduleSpace
-    u_dual: ComoduleSpace
-    e: RationalMatrix
-    d: RationalMatrix
-    snake_ok: bool
-    e_certified: bool
-    d_certified: bool
-
-    def e_power(self, n: int) -> RationalMatrix:
-        """Nested evaluation e_n : U^(x n) (x) U*^(x n) -> I (innermost pair first)."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        out = self.e
-        eye = RationalMatrix.identity(self.t)
-        for _ in range(n - 1):
-            out = self.e @ eye.kron(out).kron(eye)
-        return out
-
-    def d_power(self, n: int) -> RationalMatrix:
-        """Nested coevaluation d_n : I -> U*^(x n) (x) U^(x n)."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        out = self.d
-        eye = RationalMatrix.identity(self.t)
-        for _ in range(n - 1):
-            out = eye.kron(out).kron(eye) @ self.d
-        return out
-
-    def power_snake_ok(self, n: int) -> bool:
-        """Both snake identities for (U^(x n), U*^(x n), e_n, d_n), exactly."""
-        en, dn = self.e_power(n), self.d_power(n)
-        eye = RationalMatrix.identity(self.t ** n)
-        return (en.kron(eye) @ eye.kron(dn) == eye
-                and eye.kron(en) @ dn.kron(eye) == eye)
-
-
-def build_duality(t: int, F: FMatrix | HopfCover) -> DualityData:
-    """Evaluation/coevaluation for U_l with the S-twisted dual.
-
-    e(e_a (x) f_b) = delta_ab and d(1) = sum_a f_a (x) e_a; the snake
-    identities are exact matrix identities, and the comodule-morphism
-    property of e and d (equivalent to the two antipode laws on the
-    generators u) is certified at RELATION_DEGREE, where its conditions are
-    the relations u v^T = I and v^T u = I themselves.
-    """
-    hopf = F if isinstance(F, HopfCover) else build_hf(F)
-    if hopf.t != t:
-        raise ValueError("F size does not match t")
-    u = ComoduleSpace.standard_left(hopf)
-    u_dual = u.dual()
-    triv = ComoduleSpace.trivial(hopf)
-    e = RationalMatrix.from_sparse(1, t * t, {(0, a * t + a): Q(1) for a in range(t)})
-    d = RationalMatrix.from_sparse(t * t, 1, {(a * t + a, 0): Q(1) for a in range(t)})
-    eye = RationalMatrix.identity(t)
-    snake_ok = (e.kron(eye) @ eye.kron(d) == eye and eye.kron(e) @ d.kron(eye) == eye)
-    e_cert = Intertwiner(u.tensor(u_dual), triv, e).certify(RELATION_DEGREE)
-    d_cert = Intertwiner(triv, u_dual.tensor(u), d).certify(RELATION_DEGREE)
-    return DualityData(t=t, f_label=hopf.F.label, u=u, u_dual=u_dual, e=e, d=d,
-                       snake_ok=snake_ok, e_certified=e_cert, d_certified=d_cert)
 
 
 # -- the word-to-morphism map psi ----------------------------------------------
@@ -494,10 +377,10 @@ def psi(m: int, n: int, t: int, word: Word) -> RationalMatrix:
 # -- transporting coinvariants to morphisms -------------------------------------
 
 
-def coinv_to_hom(ctx: CoactionContext, element: dict[PairKey, Q], d: int) -> RationalMatrix:
-    """Transport a certified coinvariant of bidegree (k,k) to the matrix of a
-    morphism (U^m)^(x k) -> (U^n)^(x k); the element is a
-    {(A(m,t)-word, A(t,n)-word): coefficient} dict.
+def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> RationalMatrix:
+    """The matrix of the morphism (U^m)^(x k) -> (U^n)^(x k) that an element
+    of bidegree (k,k), a {(A(m,t)-word, A(t,n)-word): coefficient} dict, is
+    transported to.
 
     The identifications send y_ij to v_i(e_j)* (reversing words, into the
     opposite algebra) and z_ij to u_j(e_i); closing the source leg with the
@@ -506,18 +389,6 @@ def coinv_to_hom(ctx: CoactionContext, element: dict[PairKey, Q], d: int) -> Rat
     with w_A read as digits i_r*t + a_r (radix mt) and w_B as digits
     c_r*t + b_r (radix nt), leftmost letter most significant.
     """
-    if not element:
-        raise ValueError("cannot transport the zero element")
-    i, j = ctx.bidegree_of(element)
-    if i != j:
-        raise ValueError(f"bidegree ({i},{j}) is not balanced")
-    if coinvariance_residual(ctx, element, d):
-        raise ValueError(f"element is not a certified coinvariant at truncation {d}")
-    return _hom_matrix(ctx, element, i)
-
-
-def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> RationalMatrix:
-    """The index bookkeeping of coinv_to_hom, for pairs of bidegree (k,k)."""
     m, n, t = ctx.m, ctx.n, ctx.t
     entries: dict[tuple[int, int], Q] = {}
     for (wa, wb), coeff in terms.items():
@@ -562,7 +433,8 @@ class CorrespondenceReport(NamedTuple):
 def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
                               k: int, d: int,
                               base: CoinvariantReport | None = None) -> CorrespondenceReport:
-    """Certify coinv_to_hom(theta(w)) = psi(w) for every degree-k word w.
+    """Certify that theta(w) is coinvariant and transports to psi(w) for every
+    degree-k word w.
 
     theta(w) = e_i (x) theta_11(x)^k (x) e_j (spectator factorisation, see
     comod), so by the product lemma (module docstring) every image is a

@@ -287,7 +287,7 @@ def cmd_intertwiners(config: RunConfig, F: FMatrix):
         hopf = build_hf(F)
         # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i),
         # and the morphism conditions are block-diagonal in the same way
-        dim = config.m ** i * config.n ** j * len(intertwiner_space(1, 1, config.t, hopf, i, j, d))
+        dim = config.m ** i * config.n ** j * intertwiner_space(1, 1, config.t, hopf, i, j, d).dim
         # the solve is a lower bound; only the grading certificate proves Hom = 0
         expected, proven = 0, off_diagonal_vanish(config.m, config.n, config.t, (i, j), hopf).holds
     status = classify(dim, expected, expected, dim == expected) if proven else "mismatch"
@@ -403,7 +403,8 @@ def build_parser() -> _Parser:
     common(p, quotient=False)
     p.add_argument("--max-degree", type=int, required=True)
 
-    p = sub.add_parser("correspondence", help="coinv_to_hom(theta(w)) = psi(w) per word")
+    p = sub.add_parser("correspondence",
+                       help="theta(w) is coinvariant and transports to psi(w), per word")
     common(p)
     p.add_argument("-k", type=int, required=True)
     return parser

@@ -20,11 +20,12 @@ of (unknown, H-word, sign) triples.
 Certification logic: the solver accepts x as coinvariant only when every
 H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal membership
 witness, so the computed space is a subspace of the true coinvariants C.
-This module computes that space literally; catalg.certify_fft reaches the
-same verdict at bidegree (k,k) through End(U^(x k)) and proves
-Im theta_k <= C by a product lemma whose base case is coinvariants((1,1), 2)
-(see catalg), the one proof that products of coinvariants stay coinvariant.
-C <= Im theta_k is the paper's theorem and is not computed.
+The commands solve one such space, C_(1,1) of the (1,1,t) block: the base
+case of catalg's product lemma, the one proof that Im theta_k <= C for every
+k.  dim C_(k,k) they read through End(U^(x k)) (catalg.certify_fft).  The
+full-size `coinvariants` and `coinvariance_residual`, which checks a single
+element, are the tests' oracles.  C <= Im theta_k is the paper's theorem
+and is not computed.
 
 Spectator factorisation: the coaction changes only the t-index of a letter
 (rho'(y_ij) = sum_k v_jk (x) y_ik keeps i, lambda(z_ij) = sum_k u_ik (x) z_kj
@@ -35,8 +36,7 @@ constraint system of `coinvariants` is m^i n^j identical copies of the
 system on W.  The kernel of a block-diagonal system with identical blocks is
 exactly the lift of one block's kernel, so the certified space at (m,n) is
 that lift and has m^i n^j times its dimension; the program solves the (1,1)
-block alone.  theta factors the same way (freealg.theta_rank).  The
-full-size `coinvariants` is the oracle of the tests.
+block alone.  theta factors the same way (freealg.theta_rank).
 
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:
@@ -175,7 +175,7 @@ def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
 def theta_image_vectors(ctx: CoactionContext, k: int):
     """Coordinates of theta(w) over pair_basis((k,k)) for each degree-k word w:
     the columns of freealg.theta_matrix, whose pair index is pair_basis's."""
-    return theta_matrix(ctx.m, ctx.n, ctx.t, k).columns
+    return theta_matrix(ctx.m, ctx.n, ctx.t, k)
 
 
 # -- the exact off-diagonal certificate -----------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .exactlin import add_to, rank
+from .exactlin import add_to
 
 Q = Fraction
 
@@ -322,19 +322,11 @@ def theta_images(m: int, n: int, t: int,
     return ((w, split_word(w, src, amt, atn, t, _THETA_NAMES)) for w in src.degree_basis(k))
 
 
-class ThetaMatrixResult(NamedTuple):
-    """θ in degree k as its columns, one per degree_basis word of A(m,n), with
-    their exact rank; a column maps each word pair (w_A, w_B) of its image to
-    ia * (tn)^k + ib, ia and ib the positions of w_A and w_B in degree_basis."""
-
-    columns: list[dict[int, Q]]
-    rank: int
-
-
-def theta_matrix(m: int, n: int, t: int, k: int) -> ThetaMatrixResult:
-    """The degree-k component of θ (always of full column rank).  A word of
-    A(m,t) sits at the number its letters spell in radix mt, and one of A(t,n)
-    in radix tn, so no degree-k basis is built."""
+def theta_matrix(m: int, n: int, t: int, k: int) -> list[dict[int, Q]]:
+    """θ in degree k as its columns, one per degree_basis word of A(m,n); a
+    column maps each word pair (w_A, w_B) of its image to ia * (tn)^k + ib.  A
+    word of A(m,t) sits at the number ia its letters spell in radix mt, and
+    one of A(t,n) at ib in radix tn, so no degree-k basis is built."""
     ra, rb, nb = m * t, t * n, (t * n) ** k
     one = Q(1)
     columns = []
@@ -346,10 +338,16 @@ def theta_matrix(m: int, n: int, t: int, k: int) -> ThetaMatrixResult:
                 ia, ib = ia * ra + a, ib * rb + b
             column[ia * nb + ib] = one
         columns.append(column)
-    return ThetaMatrixResult(columns, rank(columns))
+    return columns
 
 
 def theta_rank(m: int, n: int, t: int, k: int) -> int:
-    """(mn)^k rank θ_11(x^k): the column θ(x_I^J) = e_I (x) θ_11(x^k) (x) e_J spells I and J
-    in its digits i_r t + a_r and a_r n + j_r, so the (mn)^k columns have disjoint supports."""
-    return (m * n) ** k * theta_matrix(1, 1, t, k).rank
+    """rank θ_k = (mn)^k, read off its proof with nothing built.  θ_11(x^k) holds
+    (y11^k, z11^k) with coefficient 1, from the all-zero inner choice of
+    split_word, and no two of its terms share a pair: the column is nonzero, of
+    rank 1.  The column θ(x_I^J) = e_I (x) θ_11(x^k) (x) e_J spells I and J in
+    its digits i_r t + a_r and a_r n + j_r, so the (mn)^k columns are nonzero
+    with disjoint supports."""
+    if min(m, n, t) < 1 or k < 0:
+        raise ValueError("m, n, t must be positive and k nonnegative")
+    return (m * n) ** k

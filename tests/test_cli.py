@@ -183,16 +183,15 @@ def test_main_internal_error_exits_four(monkeypatch, capsys):
 def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_u_rules):
     """A computed End(U^(x k)) above dimension 1, so a coinvariant space above
     the theorem's (mn)^k, is a mismatch (exit 1) with its dimension in the
-    report, not an internal error.  At k = 1 End(U) is the block's C_(1,1),
-    solved by comod.coinvariants; from k = 2 on it is the hom_space solve,
-    which a pure-u lead makes the lead-word certificate fall back to."""
+    report, not an internal error.  End(U^(x k)) is the hom_space solve at
+    every k >= 1, which a pure-u lead makes the lead-word certificate fall
+    back to."""
     from coinv import catalg, comod, hopf
-    from coinv.exactlin import RationalMatrix, Subspace
+    from coinv.exactlin import Subspace
 
     def oversized(source, target, d):
-        return [catalg.Intertwiner(source, target,
-                                   RationalMatrix.from_sparse(target.dim, source.dim, {(r, c): 1}))
-                for r in range(target.dim) for c in range(source.dim)]
+        n = source.dim * target.dim
+        return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
 
     def everything(ctx, bidegree, d):
         n = len(ctx.pair_basis(bidegree))

@@ -236,15 +236,15 @@ def test_certify_fft_rejects_low_truncation(ctx221):
 
 
 def test_certify_fft_reads_a_base_case_certified_at_or_below_d(ctx221):
-    """A base case certified in I_d' serves every k at d >= d'; at k = 1 its
-    dimension is the reported one, so it must be certified at d itself."""
+    """A base case certified in I_d' serves every k at d >= d', k = 1
+    included: no k reads its dimension, only its containment."""
     at2, at3 = lemma_base_case(ctx221.hopf, 2), lemma_base_case(ctx221.hopf, 3)
     assert certify_fft(ctx221, 3, 3, at2) == certify_fft(ctx221, 3, 3)
-    assert certify_fft(ctx221, 1, 3, at3) == certify_fft(ctx221, 1, 3)
-    with pytest.raises(ValueError):
-        certify_fft(ctx221, 2, 2, at3)
-    with pytest.raises(ValueError):
-        certify_fft(ctx221, 1, 3, at2)
+    assert certify_fft(ctx221, 1, 3, at3) == certify_fft(ctx221, 1, 3, at2) \
+        == certify_fft(ctx221, 1, 3)
+    for k in (1, 2):
+        with pytest.raises(ValueError):
+            certify_fft(ctx221, k, 2, at3)
 
 
 def seeded_coinvariants(ctx, seed, max_bidegree=2):

@@ -23,6 +23,7 @@ from coinv.freealg import (
     split_word,
     theta_images,
     theta_matrix,
+    theta_rank,
 )
 from coinv.hopf import RELATION_DEGREE, FMatrix
 
@@ -185,9 +186,9 @@ def test_split_word_order_and_empty_word():
 
 @pytest.mark.parametrize("m,n,t,k", [(1, 1, 1, 3), (2, 2, 1, 2), (2, 1, 2, 2), (2, 2, 2, 1)])
 def test_theta_matrix_full_column_rank(m, n, t, k):
-    res = theta_matrix(m, n, t, k)
-    assert len(res.columns) == (m * n) ** k
-    assert res.rank == (m * n) ** k
+    columns = theta_matrix(m, n, t, k)
+    assert len(columns) == (m * n) ** k
+    assert rank(columns) == theta_rank(m, n, t, k) == (m * n) ** k
 
 
 def _row_form_theta(m, n, t, k):
@@ -210,24 +211,25 @@ def test_theta_columns_are_the_row_form_matrix(m, n, t, k, capsys):
     """The column form of θ_k has the rank and the columns of the full-size
     row form, (mn)^k columns of t^k entries each, and comod reads the same."""
     old = _row_form_theta(m, n, t, k)
-    res = theta_matrix(m, n, t, k)
-    assert rank(old.rows) == res.rank == (m * n) ** k
+    columns = theta_matrix(m, n, t, k)
+    full = rank(old.rows)
+    assert full == (m * n) ** k
     old_columns = [{} for _ in range(old.ncols)]
     for r, c, v in old.iter_entries():
         old_columns[c][r] = v
-    assert res.columns == old_columns
-    assert len(res.columns) == (m * n) ** k
-    assert all(len(col) == t ** k for col in res.columns)
+    assert columns == old_columns
+    assert len(columns) == (m * n) ** k
+    assert all(len(col) == t ** k for col in columns)
     ctx = CoactionContext(m, n, t, FMatrix.identity(t))
-    assert theta_image_vectors(ctx, k) == res.columns
-    # the premise of the block-scaled rank: nonempty columns, pairwise disjoint
-    # supports, so certify-fft and theta-rank report the full-size rank
-    support = [set(col) for col in res.columns]
+    assert theta_image_vectors(ctx, k) == columns
+    # the premise of the rank read off the proof: nonempty columns, pairwise
+    # disjoint supports, so certify-fft and theta-rank report the full-size rank
+    support = [set(col) for col in columns]
     assert all(support) and len(set().union(*support)) == sum(map(len, support))
-    assert certify_fft(ctx, k, max(k, RELATION_DEGREE)).theta_rank == res.rank
+    assert certify_fft(ctx, k, max(k, RELATION_DEGREE)).theta_rank == full
     assert cli.run(["theta-rank", "-m", str(m), "-n", str(n), "-t", str(t), "-k", str(k),
                     "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == res.rank
+    assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == full
 
 
 def _run_capped(code, *args):
@@ -246,8 +248,8 @@ def _run_capped(code, *args):
 def test_theta_matrix_fits_in_half_a_gigabyte():
     """θ_12 at m = n = 1, t = 2 is one column of 4,096 entries; the row form
     allocated 16,777,216 rows and ran out of a 512 MB address space."""
-    proc = _run_capped("from coinv.freealg import theta_matrix; "
-                       "print(theta_matrix(1, 1, 2, 12).rank)")
+    proc = _run_capped("from coinv.exactlin import rank; from coinv.freealg import theta_matrix; "
+                       "print(rank(theta_matrix(1, 1, 2, 12)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
 
@@ -263,6 +265,9 @@ def test_certify_fft_at_m_n_2_fits_in_half_a_gigabyte():
 def test_theta_matrix_negative_degree_rejected():
     with pytest.raises(ValueError):
         theta_matrix(1, 1, 1, -1)
+    for args in ((1, 1, 1, -1), (0, 1, 1, 1), (1, 1, 0, 1)):
+        with pytest.raises(ValueError):
+            theta_rank(*args)
 
 
 words3 = st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=3).map(tuple)
