@@ -144,6 +144,15 @@ def test_identity_is_exact_intertwiner(hj2):
     assert any(hj2.quotient(2).normal_form(row) for row in _morphism_rows(u, u, {0: 1}))
 
 
+def test_hom_space_rejects_comodules_over_different_covers(hj2):
+    u = ComoduleSpace.standard_left(hj2)
+    other = ComoduleSpace.standard_left(build_hf(FMatrix.identity(2)))
+    with pytest.raises(ValueError):
+        hom_space(u, other, 2)
+    with pytest.raises(ValueError):
+        hom_space(other, u, 2)
+
+
 def test_hom_space_endomorphisms_of_standard(hj2):
     u = ComoduleSpace.standard_left(hj2)
     # T[0,0] = T[1,1] at coordinates 0 and 3, the off-diagonal entries zero
@@ -258,6 +267,16 @@ def test_transported_theta_images_match_psi(hj2):
         image = dict.fromkeys(pairs, Q(1))
         assert coinvariance_residual(ctx, image, 4) == {}
         assert _hom_matrix(ctx, image, 1) == psi(2, 1, 2, w)
+
+
+def test_transported_non_coinvariant_is_not_a_morphism(hj2):
+    """A lone pair y (x) z is no coinvariant: its residual is nonzero and the
+    matrix it transports to lies outside the certified Hom space."""
+    ctx = CoactionContext(2, 1, 2, hj2)
+    bare = {ctx.pair_basis((1, 1))[0]: Q(1)}
+    assert coinvariance_residual(ctx, bare, 4) != {}
+    u = ComoduleSpace.standard_left(hj2)
+    assert not hom_space(u.direct_power(2), u, 4).contains(_flat(_hom_matrix(ctx, bare, 1)))
 
 
 def test_correspondence_check_small_cases(hj2):
