@@ -15,13 +15,14 @@ hom_space solves the morphism conditions of _morphism_conditions and
 returns their certified solution set as a Subspace, in which coordinate
 r * source.dim + c holds T[r, c].
 
-Two independently implemented pipelines meet here, both returning matrices.
-psi sends a word of A(m,n) straight to the 0/1 matrix (u_j1 (x) ... (x)
-u_jk) o (p_i1 (x) ... (x) p_ik) : (U^m)^(x k) -> (U^n)^(x k), which does not
-depend on F.  _hom_matrix transports a coinvariant of A(m,t) (x) A(t,n)
-through the identifications y_ij -> v_i(e_j)* (reversed, into the opposite
-algebra), z_ij -> u_j(e_i), and the nested evaluation pairing; the two word
-reversals cancel, leaving pure index bookkeeping.
+Two independently implemented pipelines meet here, both returning a matrix
+as its entry dict {(row, col): nonzero value}.  psi sends a word of A(m,n)
+straight to the 0/1 matrix (u_j1 (x) ... (x) u_jk) o (p_i1 (x) ... (x)
+p_ik) : (U^m)^(x k) -> (U^n)^(x k), which does not depend on F.
+_hom_matrix transports a coinvariant of A(m,t) (x) A(t,n) through the
+identifications y_ij -> v_i(e_j)* (reversed, into the opposite algebra),
+z_ij -> u_j(e_i), and the nested evaluation pairing; the two word reversals
+cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
 image - the computational content of the isomorphism proof - and proves
 the images coinvariant by the product lemma below, whose degree-2 base case
@@ -64,7 +65,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .comod import CoactionContext, PairKey, coinvariants, theta_image_vectors
-from .exactlin import RationalMatrix, Subspace, add_to
+from .exactlin import Subspace, add_to, rank
 from .freealg import Word, matrix_entry_algebra, theta_images, theta_rank
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
@@ -353,9 +354,10 @@ def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
 # -- the word-to-morphism map psi ----------------------------------------------
 
 
-def psi(m: int, n: int, t: int, word: Word) -> RationalMatrix:
-    """Matrix of the basis morphism (u_j1 (x) ... (x) u_jk) o (p_i1 (x) ... (x)
-    p_ik) attached to the word x_{i1 j1} ... x_{ik jk} of A(m,n).
+def psi(m: int, n: int, t: int, word: Word) -> dict[tuple[int, int], int]:
+    """Entries {(row, col): 1} of the 0/1 matrix of the basis morphism
+    (u_j1 (x) ... (x) u_jk) o (p_i1 (x) ... (x) p_ik) attached to the word
+    x_{i1 j1} ... x_{ik jk} of A(m,n).
 
     Each letter contributes the (nt) x (mt) block picking direct summand i of
     U^m and re-embedding it as summand j of U^n; the word is the left-to-right
@@ -365,22 +367,20 @@ def psi(m: int, n: int, t: int, word: Word) -> RationalMatrix:
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
     amn = matrix_entry_algebra("x", m, n)
-    mat = RationalMatrix.identity(1)
+    mat = {(0, 0): 1}
     for letter in word:
         _, i, j = amn.letter_info(letter)
-        block = RationalMatrix.from_sparse(
-            n * t, m * t, {(j * t + a, i * t + a): Q(1) for a in range(t)})
-        mat = mat.kron(block)
+        mat = {(r * n * t + j * t + a, c * m * t + i * t + a): 1 for r, c in mat for a in range(t)}
     return mat
 
 
 # -- transporting coinvariants to morphisms -------------------------------------
 
 
-def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> RationalMatrix:
-    """The matrix of the morphism (U^m)^(x k) -> (U^n)^(x k) that an element
-    of bidegree (k,k), a {(A(m,t)-word, A(t,n)-word): coefficient} dict, is
-    transported to.
+def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q]) -> dict[tuple[int, int], Q]:
+    """Entries {(row, col): coefficient} of the matrix of the morphism
+    (U^m)^(x k) -> (U^n)^(x k) that an element of bidegree (k,k), a
+    {(A(m,t)-word, A(t,n)-word): coefficient} dict, is transported to.
 
     The identifications send y_ij to v_i(e_j)* (reversing words, into the
     opposite algebra) and z_ij to u_j(e_i); closing the source leg with the
@@ -400,8 +400,9 @@ def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q], k: int) -> Ration
         for letter in wb:
             _, b, c = ctx.atn.letter_info(letter)
             row = row * (n * t) + c * t + b
-        entries[(row, col)] = coeff
-    return RationalMatrix.from_sparse((n * t) ** k, (m * t) ** k, entries)
+        if coeff:
+            entries[(row, col)] = coeff
+    return entries
 
 
 # -- the endpoint comparison -----------------------------------------------------
@@ -455,15 +456,13 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []
-    nrows = (n * t) ** k
     ncols = (m * t) ** k
     for w, pairs in theta_images(m, n, t, k):
         direct = psi(m, n, t, w)
-        if not base.image_contained or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1)), k) != direct:
+        if not base.image_contained or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1))) != direct:
             mismatches.append(amn.word_label(w))
-        vecs.append({r * ncols + c: val for r, c, val in direct.iter_entries()})
-    rank = Subspace.from_vectors(nrows * ncols, vecs).dim
+        vecs.append({r * ncols + c: val for (r, c), val in direct.items()})
     return CorrespondenceReport(m=m, n=n, t=t, f_label=ctx.hopf.F.label, k=k, d=d,
                                 end_u_dim=base.dim_coinv,
                                 equalities_checked=len(vecs),
-                                mismatches=tuple(mismatches), psi_rank=rank)
+                                mismatches=tuple(mismatches), psi_rank=rank(vecs))

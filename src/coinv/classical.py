@@ -406,7 +406,7 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     # the positions increase, so relabelling keeps each row's lead first: still RREF
     cols = list(weight_zero.values())
     return Subspace(ambient, {cols[lead]: {cols[c]: v for c, v in row.items()}
-                              for lead, row in zip(kernel.pivot_cols, kernel.basis.rows)})
+                              for lead, row in zip(kernel.pivot_cols, kernel.basis)})
 
 
 # -- theorem reports ---------------------------------------------------------------

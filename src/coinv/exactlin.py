@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 
@@ -58,105 +58,6 @@ def _clean_row(entries: Mapping[int, object]) -> Row:
 def row_from_sequence(vec: Sequence[object]) -> Row:
     """Sparse row from a dense coefficient sequence."""
     return {i: Q(v) for i, v in enumerate(vec) if Q(v)}
-
-
-class RationalMatrix:
-    """Immutable-by-convention sparse matrix over Q."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: list[Row]):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        for r in rows:
-            if r and (min(r) < 0 or max(r) >= ncols):
-                raise ValueError("column index out of range")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[object]], ncols: int | None = None) -> "RationalMatrix":
-        """Build from dense row data."""
-        rows = list(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [row_from_sequence(r) for r in rows])
-
-    @classmethod
-    def from_sparse(cls, nrows: int, ncols: int, entries: Mapping[tuple[int, int], object]) -> "RationalMatrix":
-        rows: list[Row] = [dict() for _ in range(nrows)]
-        for (r, c), v in entries.items():
-            q = Q(v)
-            if q:
-                rows[r][c] = q
-        return cls(nrows, ncols, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [{i: Q(1)} for i in range(n)])
-
-    # -- access ----------------------------------------------------------
-
-    def entry(self, r: int, c: int) -> Q:
-        return self.rows[r].get(c, Q(0))
-
-    def iter_entries(self) -> Iterator[tuple[int, int, Q]]:
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                yield r, c, v
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Matrix product self @ other."""
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        rows: list[Row] = []
-        for a in self.rows:
-            acc: Row = {}
-            for k, v in a.items():
-                for c, w in other.rows[k].items():
-                    add_to(acc, c, v * w)
-            rows.append(acc)
-        return RationalMatrix(self.nrows, other.ncols, rows)
-
-    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Kronecker product; block (r, c) of the result is entry(r, c) * other."""
-        rows: list[Row] = []
-        for r in range(self.nrows):
-            arow = self.rows[r]
-            for r2 in range(other.nrows):
-                brow = other.rows[r2]
-                out: Row = {}
-                for c, v in arow.items():
-                    base = c * other.ncols
-                    for c2, w in brow.items():
-                        out[base + c2] = v * w
-                rows.append(out)
-        return RationalMatrix(self.nrows * other.nrows, self.ncols * other.ncols, rows)
-
-    # -- misc ------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(sorted(r.items())) for r in self.rows)))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows)})"
 
 
 # -- the eliminator --------------------------------------------------------
@@ -315,9 +216,10 @@ def rank(rows: Iterable[Row]) -> int:
 
 
 class Subspace:
-    """Subspace of Q^n, stored as the canonical RREF basis of its vectors."""
+    """Subspace of Q^n, stored as the canonical RREF basis of its vectors:
+    one row per pivot column, keyed by it in increasing order."""
 
-    __slots__ = ("ambient_dim", "basis", "pivot_cols", "_pivot_rows")
+    __slots__ = ("ambient_dim", "_pivot_rows")
 
     def __init__(self, ambient_dim: int, reduced_rows: dict[int, Row]):
         """`reduced_rows` must be a fully reduced basis keyed by leading column:
@@ -325,10 +227,7 @@ class Subspace:
         Use `from_vectors` for arbitrary spanning sets.
         """
         self.ambient_dim = ambient_dim
-        leads = sorted(reduced_rows)
-        self.pivot_cols: tuple[int, ...] = tuple(leads)
-        self.basis = RationalMatrix(len(leads), ambient_dim, [reduced_rows[c] for c in leads])
-        self._pivot_rows = reduced_rows
+        self._pivot_rows = dict(sorted(reduced_rows.items()))
 
     # -- constructors ---------------------------------------------------
 
@@ -349,8 +248,17 @@ class Subspace:
     # -- queries -----------------------------------------------------------
 
     @property
+    def basis(self) -> list[Row]:
+        """The RREF rows in pivot order."""
+        return list(self._pivot_rows.values())
+
+    @property
+    def pivot_cols(self) -> tuple[int, ...]:
+        return tuple(self._pivot_rows)
+
+    @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self._pivot_rows)
 
     def reduce(self, vector: Mapping[int, object] | Sequence[object]) -> Row:
         """Residual of a vector after reduction against the basis (zero iff member)."""
@@ -366,11 +274,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._pivot_rows == other._pivot_rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(tuple(sorted(r.items())) for r in self._pivot_rows.values())))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactlin import RationalMatrix, Subspace, add_to
+from .exactlin import Subspace, add_to
 from .freealg import FreeAlgebra, FreeElement, GeneratorSet, Word, split_word
 from .fpquot import CertStatus, Presentation, TruncatedQuotient
 
@@ -43,64 +43,59 @@ _DELTA_NAMES = {"u": ("u", "u"), "v": ("v", "v")}
 
 
 class FMatrix:
-    """An invertible t x t rational matrix together with its exact inverse."""
+    """An invertible t x t rational matrix F and its exact inverse, each a
+    tuple of t dense rows of Fractions.  FMatrix(rows) takes t rows of t
+    entries that Fraction accepts (ints, Fractions, strings like "1/2")."""
 
-    __slots__ = ("t", "matrix", "inverse")
+    __slots__ = ("t", "rows", "inverse")
 
-    def __init__(self, matrix: RationalMatrix):
-        if matrix.nrows != matrix.ncols or matrix.nrows < 1:
+    def __init__(self, rows):
+        rows = tuple(tuple(Q(v) for v in row) for row in rows)
+        t = len(rows)
+        if t < 1 or any(len(row) != t for row in rows):
             raise ValueError("F must be square and nonempty")
-        t = matrix.nrows
         # the RREF of [F | I] is [I | F^-1] exactly when F is invertible
-        res = Subspace.from_vectors(2 * t, [{**matrix.rows[i], t + i: Q(1)} for i in range(t)])
+        res = Subspace.from_vectors(2 * t, [row + tuple(int(c == i) for c in range(t))
+                                            for i, row in enumerate(rows)])
         if res.pivot_cols != tuple(range(t)):
             raise ValueError("F must be invertible")
-        inv_rows = [{c - t: v for c, v in row.items() if c >= t} for row in res.basis.rows]
         self.t = t
-        self.matrix = matrix
-        self.inverse = RationalMatrix(t, t, inv_rows)
+        self.rows = rows
+        self.inverse = tuple(tuple(row.get(t + c, Q(0)) for c in range(t)) for row in res.basis)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows) -> "FMatrix":
-        return cls(RationalMatrix.from_rows(rows))
-
-    @classmethod
     def identity(cls, t: int) -> "FMatrix":
-        return cls(RationalMatrix.identity(t))
+        return cls.diagonal([1] * t)
 
     @classmethod
     def diagonal(cls, entries) -> "FMatrix":
-        entries = [Q(e) for e in entries]
-        return cls(RationalMatrix.from_sparse(
-            len(entries), len(entries), {(i, i): e for i, e in enumerate(entries)}))
+        return cls([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
 
     @classmethod
     def jordan(cls, t: int) -> "FMatrix":
         """Unipotent upper-triangular Jordan block (ones on the superdiagonal)."""
-        entries = {(i, i): Q(1) for i in range(t)}
-        entries.update({(i, i + 1): Q(1) for i in range(t - 1)})
-        return cls(RationalMatrix.from_sparse(t, t, entries))
+        return cls([[int(j in (i, i + 1)) for j in range(t)] for i in range(t)])
 
     # -- access ----------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Q:
-        return self.matrix.entry(i, j)
+        return self.rows[i][j]
 
     def to_param(self) -> list[list[str]]:
         """Entries as exact strings, the external JSON form."""
-        return [[str(self.matrix.entry(i, j)) for j in range(self.t)] for i in range(self.t)]
+        return [[str(v) for v in row] for row in self.rows]
 
     @property
     def label(self) -> str:
         return "[" + ",".join("[" + ",".join(r) + "]" for r in self.to_param()) + "]"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FMatrix) and self.matrix == other.matrix
+        return isinstance(other, FMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"FMatrix({self.label})"
@@ -124,7 +119,7 @@ class HopfCover:
             for j in range(t):
                 for k in range(t):
                     for l in range(t):
-                        add_to(fuf[i][j], (u[l][k],), F.entry(i, k) * F.inverse.entry(l, j))
+                        add_to(fuf[i][j], (u[l][k],), F.entry(i, k) * F.inverse[l][j])
         # entry (i, j) of each family is the sum over k of these word dicts
         families = (("u.tv", lambda i, j, k: {(u[i][k], v[j][k]): Q(1)}),
                     ("tv.u", lambda i, j, k: {(v[k][i], u[k][j]): Q(1)}),

@@ -137,7 +137,7 @@ def test_c06_hopf_structure_descends():
                 rows = [[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(t)]
                         for _ in range(t)]
                 try:
-                    F = FMatrix.from_rows(rows)
+                    F = FMatrix(rows)
                     break
                 except ValueError:
                     continue
@@ -181,13 +181,13 @@ def test_c09_coinvariants_form_subalgebra():
     rng = random.Random(9)
     certified = refuted = 0
     for F in (FMatrix.identity(2), FMatrix.diagonal([1, 2]), FMatrix.jordan(2),
-              FMatrix.from_rows([[1, 2], [3, -1]])):
+              FMatrix([[1, 2], [3, -1]])):
         block = CoactionContext(1, 1, 2, F)
         samples = {}
         for p in range(3):
             pairs = block.pair_basis((p, p))
             x = {}
-            for row in coinvariants(block, (p, p), max(2 * p, 2)).basis.rows:
+            for row in coinvariants(block, (p, p), max(2 * p, 2)).basis:
                 c = rng.choice((-3, -2, -1, 1, 2, 3))
                 for idx, v in row.items():
                     add_to(x, pairs[idx], c * v)

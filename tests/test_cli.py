@@ -12,6 +12,7 @@ from coinv.cli import (
     CliUsageError,
     RunConfig,
     aggregate_status,
+    classify,
     make_case,
     make_report,
     parse_f,
@@ -55,7 +56,7 @@ def test_parse_f_file(tmp_path):
     path = tmp_path / "F.json"
     path.write_text('[["1", "1/2"], ["0", "-2"]]')
     F = parse_f(f"file:{path}", 2)
-    assert F == FMatrix.from_rows([[1, "1/2"], [0, -2]])
+    assert F == FMatrix([[1, "1/2"], [0, -2]])
 
 
 def test_parse_f_file_errors(tmp_path):
@@ -96,6 +97,12 @@ def test_aggregate_status():
     assert aggregate_status(["certified", "certified"]) == "certified"
     assert aggregate_status(["certified", "inconclusive"]) == "inconclusive"
     assert aggregate_status(["inconclusive", "mismatch"]) == "mismatch"
+
+
+def test_classify():
+    assert classify(5, 4, True) == classify(5, 4, False) == "mismatch"
+    assert classify(4, 4, True) == classify(3, 4, True) == "certified"
+    assert classify(4, 4, False) == classify(0, 4, False) == "inconclusive"
 
 
 def test_make_report_sorts_cases():

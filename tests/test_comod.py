@@ -107,10 +107,10 @@ def _alpha_via_antipode(ctx, wa, wb):
 @pytest.mark.parametrize("t, F, max_degree", [
     (2, FMatrix.identity(2), 3),
     (2, FMatrix.jordan(2), 3),
-    (2, FMatrix.from_rows([[1, 2], [3, -1]]), 3),
+    (2, FMatrix([[1, 2], [3, -1]]), 3),
     (3, FMatrix.identity(3), 2),
     (3, FMatrix.jordan(3), 2),
-    (3, FMatrix.from_rows([[1, 2, 0], [3, -1, 0], [0, 0, 1]]), 2),
+    (3, FMatrix([[1, 2, 0], [3, -1, 0], [0, 0, 1]]), 2),
 ])
 def test_flipped_word_terms_match_antipode(t, F, max_degree):
     ctx = CoactionContext(2, 1, t, F)
@@ -255,7 +255,7 @@ def seeded_coinvariants(ctx, seed, max_bidegree=2):
     for p in range(max_bidegree + 1):
         pairs = ctx.pair_basis((p, p))
         x = {}
-        for row in coinvariants(ctx, (p, p), max(2 * p, 2)).basis.rows:
+        for row in coinvariants(ctx, (p, p), max(2 * p, 2)).basis:
             c = rng.choice((-3, -2, -1, 1, 2, 3))
             for idx, v in row.items():
                 add_to(x, pairs[idx], c * v)

@@ -33,7 +33,7 @@ SPECTATOR = ((2, 1, 2, 1), (3, 2, 2, 1))
 
 def f_matrix(family: str, t: int) -> FMatrix:
     if family == "generic":
-        return FMatrix.from_rows([[1, 2], [3, -1]])
+        return FMatrix([[1, 2], [3, -1]])
     return {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
             "diag": FMatrix.diagonal([Q(i + 1) for i in range(t)])}[family]
 
@@ -118,7 +118,7 @@ def invertible_f(draw):
     entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
     rows = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
     assume(rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0])
-    return FMatrix.from_rows(rows)
+    return FMatrix(rows)
 
 
 @settings(max_examples=10, deadline=None)

@@ -9,46 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinv import exactlin
-from coinv.exactlin import RationalMatrix, Subspace, add_to, rank, solve_homogeneous
+from coinv.exactlin import Subspace, add_to, rank, row_from_sequence, solve_homogeneous
 
 Q = Fraction
 
 
-def test_from_rows_and_entry():
-    m = RationalMatrix.from_rows([[1, "1/2"], [0, 3]])
-    assert m.nrows == 2 and m.ncols == 2
-    assert m.entry(0, 1) == Q(1, 2)
-    assert m.entry(1, 0) == 0
-
-
-def test_from_rows_ragged_rejected():
-    with pytest.raises(ValueError):
-        RationalMatrix.from_rows([[1, 2], [3]])
-
-
-def test_matmul_against_dense():
-    a = RationalMatrix.from_rows([[1, 2], [3, 4]])
-    b = RationalMatrix.from_rows([[0, 1], [1, 1]])
-    assert a @ b == RationalMatrix.from_rows([[2, 3], [4, 7]])
-
-
-def test_kron_mixed_product():
-    a = RationalMatrix.from_rows([[1, 2], [0, 1]])
-    b = RationalMatrix.from_rows([[3], [5]])
-    c = RationalMatrix.from_rows([[1, 1], [2, 0]])
-    d = RationalMatrix.from_rows([[4, 0]])
-    assert (a @ c).kron(b @ d) == (a.kron(b)) @ (c.kron(d))
+def sparse_rows(rows):
+    return [row_from_sequence(r) for r in rows]
 
 
 def test_rref_known_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     assert Subspace.from_vectors(3, rows).pivot_cols == (0, 1)
-    assert rank(RationalMatrix.from_rows(rows).rows) == 2
+    assert rank(sparse_rows(rows)) == 2
 
 
 def test_rank_of_identity_and_zero():
-    assert rank(RationalMatrix.identity(5).rows) == 5
-    assert rank(RationalMatrix.from_rows([[0] * 4] * 3).rows) == 0
+    assert rank(sparse_rows([[int(i == j) for j in range(5)] for i in range(5)])) == 5
+    assert rank(sparse_rows([[0] * 4] * 3)) == 0
 
 
 def times(rows, x):
@@ -58,10 +36,9 @@ def times(rows, x):
 
 def test_kernel_basis_annihilates():
     rows = [[1, 2, 3], [4, 5, 6]]
-    m = RationalMatrix.from_rows(rows)
-    ker = solve_homogeneous(m.rows, m.ncols)
+    ker = solve_homogeneous(sparse_rows(rows), 3)
     assert ker.dim == 1
-    for row in ker.basis.rows:
+    for row in ker.basis:
         assert times(rows, row) == [0, 0]
 
 
@@ -77,8 +54,8 @@ def test_subspace_equality_of_spanning_sets():
     s1 = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 1]])
     s2 = Subspace.from_vectors(3, [[1, 1, 1], [2, 2, 1]])
     assert s1 == s2
-    assert all(s2.contains(row) for row in s1.basis.rows)
-    assert all(s1.contains(row) for row in s2.basis.rows)
+    assert all(s2.contains(row) for row in s1.basis)
+    assert all(s1.contains(row) for row in s2.basis)
 
 
 def test_subspace_reduce_is_zero_exactly_on_members():
@@ -97,35 +74,49 @@ def dense_rows(nrows, ncols):
     )
 
 
-def matrices(nrows, ncols):
-    return dense_rows(nrows, ncols).map(RationalMatrix.from_rows)
-
-
 @settings(max_examples=40, deadline=None)
-@given(matrices(3, 4))
-def test_rank_nullity(m):
-    assert rank(m.rows) + solve_homogeneous(m.rows, m.ncols).dim == m.ncols
+@given(dense_rows(3, 4))
+def test_rank_nullity(rows):
+    assert rank(sparse_rows(rows)) + solve_homogeneous(sparse_rows(rows), 4).dim == 4
 
 
 @settings(max_examples=40, deadline=None)
 @given(dense_rows(3, 3))
 def test_rank_transpose_invariant(rows):
     transpose = [list(col) for col in zip(*rows)]
-    assert (rank(RationalMatrix.from_rows(rows).rows)
-            == rank(RationalMatrix.from_rows(transpose).rows))
+    assert rank(sparse_rows(rows)) == rank(sparse_rows(transpose))
 
 
 @settings(max_examples=30, deadline=None)
-@given(matrices(2, 3), matrices(3, 2))
+@given(dense_rows(2, 3), dense_rows(3, 2))
 def test_rank_product_bound(a, b):
-    assert rank((a @ b).rows) <= min(rank(a.rows), rank(b.rows))
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    assert rank(sparse_rows(product)) <= min(rank(sparse_rows(a)), rank(sparse_rows(b)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(dense_rows(3, 3))
 def test_rref_idempotent(rows):
     once = Subspace.from_vectors(3, rows).basis
-    assert Subspace.from_vectors(3, once.rows).basis == once
+    assert Subspace.from_vectors(3, once).basis == once
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_rows(3, 4), st.lists(st.lists(small_entries, min_size=3, max_size=3), max_size=3),
+       st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=3))
+def test_spanning_sets_of_one_subspace_are_equal_with_equal_hashes(rows, combos, scales):
+    """Scaled rows in reverse order plus combinations of them span the same
+    subspace, so both spanning sets give one RREF: equal Subspaces, equal hashes."""
+    other = [[s * x for x in row] for s, row in zip(scales, rows)][::-1]
+    other += [[sum(c * row[i] for c, row in zip(combo, rows)) for i in range(4)] for combo in combos]
+    s1, s2 = Subspace.from_vectors(4, rows), Subspace.from_vectors(4, other)
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert s1.basis == s2.basis and s1.dim == rank(sparse_rows(rows))
+    # a Subspace equals another exactly when each contains the other's basis
+    for vectors in (rows + [[1, 0, 0, 0]], [row[1:] + row[:1] for row in rows]):
+        s3 = Subspace.from_vectors(4, vectors)
+        mutual = all(s1.contains(r) for r in s3.basis) and all(s3.contains(r) for r in s1.basis)
+        assert (s3 == s1) == mutual
 
 
 # -- rational entries: the denominator-clearing path of the eliminator ------------
@@ -171,12 +162,23 @@ def dense_residual(rref_rows, vec):
 def test_rational_rref_and_reduce_match_dense_gauss_jordan(rows, vec):
     expected = dense_rref(rows)
     space = Subspace.from_vectors(5, rows)
-    assert [[row.get(c, 0) for c in range(5)] for row in space.basis.rows] == expected
+    assert [[row.get(c, 0) for c in range(5)] for row in space.basis] == expected
     residual = space.reduce(vec)
     assert residual == dense_residual(expected, vec)
     assert space.contains(vec) == (not residual)
     combo = [sum((c * r[i] for c, r in zip(vec, rows)), Q(0)) for i in range(5)]
     assert space.reduce(combo) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rational_entries, min_size=5, max_size=5), max_size=5),
+       st.lists(st.integers(min_value=0, max_value=4), max_size=3))
+def test_echelon_rank_matches_rref_dim_on_rational_rows(rows, repeats):
+    """`rank` stops at echelon form; it must count what the full RREF keeps,
+    also when rows repeat."""
+    rows = rows + [rows[i] for i in repeats if i < len(rows)]
+    expected = len(dense_rref(rows)) if rows else 0
+    assert rank(sparse_rows(rows)) == Subspace.from_vectors(5, rows).dim == expected
 
 
 # -- solve_homogeneous against a dense null space -----------------------------------
@@ -220,9 +222,9 @@ def test_solve_homogeneous_matches_dense_null_space(system):
     ker = solve_homogeneous(rows, n)
     expected = dense_null_space_rref(rows, n)
     assert ker.pivot_cols == tuple(min(row) for row in expected)
-    assert ker.basis.rows == expected
-    assert ker == Subspace.from_vectors(n, ker.basis.rows)
-    for row in ker.basis.rows:
+    assert ker.basis == expected
+    assert ker == Subspace.from_vectors(n, ker.basis)
+    for row in ker.basis:
         assert times([[r.get(c, 0) for c in range(n)] for r in rows], row) == [0] * len(rows)
 
 
@@ -288,5 +290,5 @@ def test_integer_back_substitution_matches_fraction_oracle(system):
         for v in row.values():
             content = gcd(content, v)
         assert content == 1 and min(row) == lead and row[lead] > 0
-        rref_row = span.basis.rows[span.pivot_cols.index(lead)]
+        rref_row = span.basis[span.pivot_cols.index(lead)]
         assert {c: v * row[lead] for c, v in rref_row.items()} == row

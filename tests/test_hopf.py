@@ -33,30 +33,47 @@ def random_invertible(t, rng):
         rows = [[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(t)]
                 for _ in range(t)]
         try:
-            return FMatrix.from_rows(rows)
+            return FMatrix(rows)
         except ValueError:
             continue
 
 
+def dense_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
 def test_fmatrix_inverse_exact():
     for F in (FMatrix.jordan(3), FMatrix.diagonal([1, "2/3", -5]),
-              FMatrix.from_rows([["1/2", 1], [3, -1]])):
-        prod = F.matrix @ F.inverse
-        assert prod == F.inverse @ F.matrix
-        assert all(prod.entry(i, j) == (1 if i == j else 0)
-                   for i in range(F.t) for j in range(F.t))
+              FMatrix([["1/2", 1], [3, -1]])):
+        ident = tuple(tuple(int(i == j) for j in range(F.t)) for i in range(F.t))
+        assert dense_product(F.rows, F.inverse) == ident
+        assert dense_product(F.inverse, F.rows) == ident
+
+
+def test_fmatrix_rows_and_entry():
+    F = FMatrix([[1, "1/2"], [0, 3]])
+    assert F.t == 2 and F.rows == ((1, Q(1, 2)), (0, 3))
+    assert F.entry(0, 1) == Q(1, 2)
+    assert F.entry(1, 0) == 0
+    assert F == FMatrix([[Q(1), Q(1, 2)], [Q(0), Q(3)]]) and hash(F) == hash(FMatrix(F.rows))
+
+
+def test_fmatrix_rejects_ragged_and_nonsquare_rows():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[1, 0], [0, 1], [1, 1]], [[1, 2]], []):
+        with pytest.raises(ValueError):
+            FMatrix(rows)
 
 
 def test_fmatrix_rejects_singular_and_nonsquare():
     with pytest.raises(ValueError):
-        FMatrix.from_rows([[1, 2], [2, 4]])
+        FMatrix([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
-        FMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        FMatrix([[1, 2, 3], [4, 5, 6]])
 
 
 def test_fmatrix_param_roundtrip():
-    F = FMatrix.from_rows([["1/2", 1], [3, -1]])
-    assert FMatrix.from_rows([[Q(s) for s in row] for row in F.to_param()]) == F
+    F = FMatrix([["1/2", 1], [3, -1]])
+    assert FMatrix([[Q(s) for s in row] for row in F.to_param()]) == F
 
 
 def test_generator_weights():
@@ -101,13 +118,13 @@ def reference_relations(h):
         return out
 
     def scalars(m):
-        return [[alg.one().scale(m.entry(i, j)) for j in rng] for i in rng]
+        return [[alg.one().scale(m[i][j]) for j in rng] for i in rng]
 
     u = [[alg.gen("u", i, j) for j in rng] for i in rng]
     v = [[alg.gen("v", i, j) for j in rng] for i in rng]
     ut = [[u[j][i] for j in rng] for i in rng]
     vt = [[v[j][i] for j in rng] for i in rng]
-    fuf = mul(mul(scalars(F.matrix), ut), scalars(F.inverse))
+    fuf = mul(mul(scalars(F.rows), ut), scalars(F.inverse))
     labeled, seen = [], set()
     for fam, mat in (("u.tv", mul(u, vt)), ("tv.u", mul(vt, u)),
                      ("v.FtuFi", mul(v, fuf)), ("FtuFi.v", mul(fuf, v))):
@@ -154,8 +171,8 @@ def test_coproduct_is_matrix_comultiplication():
 
 
 SIX_F = [
-    FMatrix.identity(2), FMatrix.jordan(2), FMatrix.from_rows([[1, 2], [3, -1]]),
-    FMatrix.identity(3), FMatrix.jordan(3), FMatrix.from_rows([[1, 2, 0], [3, -1, 0], [0, 0, 1]]),
+    FMatrix.identity(2), FMatrix.jordan(2), FMatrix([[1, 2], [3, -1]]),
+    FMatrix.identity(3), FMatrix.jordan(3), FMatrix([[1, 2, 0], [3, -1, 0], [0, 0, 1]]),
 ]
 
 
@@ -266,7 +283,7 @@ def invertible_f(draw):
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=t, max_size=t))
     try:
-        return FMatrix.from_rows(rows)
+        return FMatrix(rows)
     except ValueError:
         return draw(st.nothing())
 

@@ -25,7 +25,7 @@ Q = Fraction
 _FS = {
     "jordan": FMatrix.jordan(2),
     "diag12": FMatrix.diagonal([1, 2]),
-    "generic": FMatrix.from_rows([[1, 2], [3, -1]]),
+    "generic": FMatrix([[1, 2], [3, -1]]),
 }
 _SHAPES = ((2, 2, 2, 2), (2, 1, 1, 1), (3, 2, 1, 1), (2, 3, 2, 1))
 
@@ -40,7 +40,7 @@ def lift(ctx: CoactionContext, block: CoactionContext, bidegree, V11: Subspace) 
     vectors = []
     for rows in product(range(ctx.m), repeat=i):
         for cols in product(range(ctx.n), repeat=j):
-            for vec in V11.basis.rows:
+            for vec in V11.basis:
                 out = {}
                 for s, c in vec.items():
                     wa, wb = block_pairs[s]
