@@ -164,7 +164,7 @@ class ComoduleSpace:
         """epsilon(h[a,b]) = delta_ab, an exact rational computation."""
         seen = set(self.coaction)
         for (a, b), h in self.coaction.items():
-            if self.hopf.counit(self.hopf.algebra.element({h: 1})) != (Q(1) if a == b else Q(0)):
+            if self.hopf.counit({h: Q(1)}) != (Q(1) if a == b else Q(0)):
                 return False
         return all((a, a) in seen for a in range(self.dim))
 
@@ -366,10 +366,11 @@ def psi(m: int, n: int, t: int, word: Word) -> dict[tuple[int, int], int]:
     """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
-    amn = matrix_entry_algebra("x", m, n)
     mat = {(0, 0): 1}
     for letter in word:
-        _, i, j = amn.letter_info(letter)
+        if not 0 <= letter < m * n:
+            raise ValueError(f"letter {letter} is not a letter of A({m},{n})")
+        i, j = divmod(letter, n)
         mat = {(r * n * t + j * t + a, c * m * t + i * t + a): 1 for r, c in mat for a in range(t)}
     return mat
 

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactlin import Subspace, add_to
-from .freealg import FreeElement, PairKey, Word, matrix_entry_algebra, split_word, theta_matrix
+from .freealg import PairKey, Word, matrix_entry_algebra, split_word, theta_matrix
 from .fpquot import certified_kernel
 from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
 
@@ -155,7 +155,6 @@ def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
     if d < i + j:
         raise ValueError(f"truncation {d} cannot hold coaction legs of degree {i + j}")
     q = ctx.hopf.quotient(d)
-    halg = ctx.hopf.algebra
     acc: dict[PairKey, dict[Word, Q]] = {}
     for (wa, wb), coeff in x.items():
         for hw, tgt in ctx.tensor_word_terms(wa, wb):
@@ -166,7 +165,7 @@ def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
     for tgt, words in acc.items():
         if not words:
             continue
-        nf = q.normal_form(FreeElement(halg, words))
+        nf = q.normal_form(words)
         if nf:
             residuals[tgt] = nf
     return residuals
@@ -217,10 +216,10 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
         raise ValueError("off-diagonal certificate requires i != j")
     ctx = CoactionContext(m, n, t, F if F is not None else FMatrix.identity(t))
     halg = ctx.hopf.algebra
-    relations_ok = all(not grading_specialize(r) for r in ctx.hopf.presentation.relations)
+    relations_ok = all(not grading_specialize(halg, r) for r in ctx.hopf.presentation.relations)
 
     def specializes_to(name: str, a: int, k: int, exponent: int) -> bool:
-        spec = grading_specialize(FreeElement(halg, {(halg.letter(name, a, k),): Q(1)}))
+        spec = grading_specialize(halg, {(halg.letter(name, a, k),): Q(1)})
         return spec == ({exponent: Q(1)} if a == k else {})
 
     diag_ok = all(specializes_to("v", a, k, -1) and specializes_to("u", a, k, 1)

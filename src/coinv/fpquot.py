@@ -2,7 +2,8 @@
 
 For a presentation (free algebra, finite relation list) and a truncation
 degree d, the span of all products a*r*b of total degree <= d is a
-subspace I_d of the span of words of degree <= d.  Everything here is a
+subspace I_d of the span of words of degree <= d.  Relations, like every
+element here, are {word: coefficient} dicts.  Everything here is a
 certified *under*-approximation of the true ideal: membership answers are
 one-sided (CERTIFIED_ZERO is a proof, NOT_CERTIFIED is silence).
 
@@ -40,7 +41,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .exactlin import Subspace, add_to, solve_homogeneous
-from .freealg import FreeAlgebra, FreeElement, Word
+from .freealg import FreeAlgebra, Word
 
 Q = Fraction
 
@@ -56,31 +57,35 @@ class CertStatus(Enum):
 
 
 class Presentation:
-    """A free algebra together with a finite list of nonzero relations, the
-    one resumable completion of its relations and its truncated quotients."""
+    """A free algebra together with a finite list of nonzero relations, each a
+    {word: coefficient} dict, the one resumable completion of its relations
+    and its truncated quotients.  Zero coefficients are dropped."""
 
     __slots__ = ("algebra", "relations", "completion", "_quotients")
 
     def __init__(self, algebra: FreeAlgebra, relations):
-        relations = tuple(relations)
+        clean = []
         for r in relations:
-            if not isinstance(r, FreeElement) or r.algebra != algebra:
-                raise ValueError("relations must be elements of the presented algebra")
-            if r.is_zero:
+            terms = {w: Q(c) for w, c in r.items() if c}
+            if not terms:
                 raise ValueError("zero relations are not allowed")
+            if not all(0 <= letter < algebra.nletters for w in terms for letter in w):
+                raise ValueError("relation words must be words of the presented algebra")
+            clean.append(terms)
         self.algebra = algebra
-        self.relations = relations
+        self.relations = tuple(clean)
         self.completion = Completion(relations)
         self._quotients: dict[int, TruncatedQuotient] = {}
 
     @property
     def max_relation_degree(self) -> int:
-        return max((r.degree() for r in self.relations), default=0)
+        return max((len(w) for r in self.relations for w in r), default=0)
 
     @property
     def is_weight_graded(self) -> bool:
         """True iff every relation is homogeneous for the generator weights."""
-        return all(r.weight() is not None for r in self.relations)
+        weight = self.algebra.word_weight
+        return all(len({weight(w) for w in r}) == 1 for r in self.relations)
 
     def quotient(self, d: int) -> "TruncatedQuotient":
         """The truncated quotient at degree d; one per presentation and d."""
@@ -115,15 +120,12 @@ class TruncatedQuotient:
 
     # -- public queries ------------------------------------------------------
 
-    def normal_form(self, x: FreeElement) -> dict[Word, Q]:
-        """Canonical representative of x mod the truncated ideal, as a sparse
-        coordinate vector over the quotient basis (word -> coefficient)."""
-        if x.algebra != self.presentation.algebra:
-            raise ValueError("element not in the presented algebra")
-        if x.degree() > self.d:
-            raise ValueError(f"degree {x.degree()} exceeds truncation {self.d}")
+    def normal_form(self, x: dict[Word, Q]) -> dict[Word, Q]:
+        """Canonical representative of the element x, a {word: coefficient}
+        dict, mod the truncated ideal, as a sparse coordinate vector over the
+        quotient basis (word -> coefficient).  A word longer than d raises."""
         out: dict[Word, Q] = {}
-        for w, c in x.terms.items():
+        for w, c in x.items():
             for ww, cc in self.normal_form_word(w).items():
                 add_to(out, ww, c * cc)
         return out
@@ -139,7 +141,7 @@ class TruncatedQuotient:
             self._nf_cache[w] = got
         return got
 
-    def is_zero_mod(self, x: FreeElement) -> CertStatus:
+    def is_zero_mod(self, x: dict[Word, Q]) -> CertStatus:
         """CERTIFIED_ZERO iff x provably lies in the truncated ideal."""
         return CertStatus.CERTIFIED_ZERO if not self.normal_form(x) else CertStatus.NOT_CERTIFIED
 
@@ -254,7 +256,7 @@ class Completion:
     def __init__(self, relations):
         self.rules: dict[Word, tuple[int, dict[Word, Q]]] = {}
         self.lengths: tuple[int, ...] = ()
-        self._queue = [(r.degree(), i, r.terms, (), (), {}, (), ())
+        self._queue = [(max(map(len, r)), i, r, (), (), {}, (), ())
                        for i, r in enumerate(relations)]
         heapify(self._queue)
         self._seq = len(self._queue)

@@ -3,10 +3,10 @@
 An algebra holds one or more generator sets; a set named ``y`` of shape
 (rows, cols) contributes generators y_ij for 0 <= i < rows, 0 <= j < cols
 (indices are 0-based in code; rendered labels use the 1-based math
-convention, e.g. ``y11``).  Words are tuples of flat letter indices,
-elements are sparse rational linear combinations of words, and an element
-of the tensor product of two such algebras is a plain
-{(left word, right word): coefficient} dict; `pair_product` multiplies two.
+convention, e.g. ``y11``).  Words are tuples of flat letter indices.  An
+element is a plain {word: coefficient} dict of nonzero Fractions; there is
+no element class.  An element of the tensor product of two such algebras is
+a {(left word, right word): coefficient} dict; `pair_product` multiplies two.
 
 `split_word` enumerates the matrix comultiplication g_ij -> sum_k g'_ik (x)
 g''_kj on a word.  The embedding θ here, the coproduct of H(F), the
@@ -126,20 +126,6 @@ class FreeAlgebra:
             raise ValueError("degree must be nonnegative")
         return tuple(product(range(self.nletters), repeat=k))
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, terms: Mapping[Word, Scalar]) -> "FreeElement":
-        return FreeElement(self, terms)
-
-    def zero(self) -> "FreeElement":
-        return FreeElement(self, {})
-
-    def one(self) -> "FreeElement":
-        return FreeElement(self, {(): Q(1)})
-
-    def gen(self, set_name: str, i: int, j: int) -> "FreeElement":
-        return FreeElement(self, {(self.letter(set_name, i, j),): Q(1)})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeAlgebra) and self.gen_sets == other.gen_sets
 
@@ -154,119 +140,6 @@ class FreeAlgebra:
 def matrix_entry_algebra(sym: str, rows: int, cols: int, weight: int = 0) -> FreeAlgebra:
     """Free algebra on a single rows x cols family, e.g. A(m, n) on x_ij."""
     return FreeAlgebra((GeneratorSet(sym, rows, cols, weight),))
-
-
-class FreeElement:
-    """Finite rational linear combination of words."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: FreeAlgebra, terms: Mapping[Word, Scalar]):
-        self.algebra = algebra
-        clean: dict[Word, Q] = {}
-        for w, c in terms.items():
-            q = Q(c)
-            if q:
-                clean[tuple(w)] = q
-        self.terms = clean
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, word: Word) -> Q:
-        return self.terms.get(tuple(word), Q(0))
-
-    def support(self) -> list[Word]:
-        return sorted(self.terms, key=lambda w: (len(w), w))
-
-    def degree(self) -> int:
-        """Top degree of the support; -1 for the zero element."""
-        return max((len(w) for w in self.terms), default=-1)
-
-    def degree_component(self, k: int) -> "FreeElement":
-        return FreeElement(self.algebra, {w: c for w, c in self.terms.items() if len(w) == k})
-
-    def is_homogeneous(self) -> bool:
-        return len({len(w) for w in self.terms}) <= 1
-
-    def weight(self) -> int | None:
-        """Common grading weight of the support, or None if mixed / zero."""
-        weights = {self.algebra.word_weight(w) for w in self.terms}
-        return weights.pop() if len(weights) == 1 else None
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "FreeElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            add_to(terms, w, c)
-        return FreeElement(self.algebra, terms)
-
-    def __neg__(self) -> "FreeElement":
-        return FreeElement(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-other)
-
-    def scale(self, a: Scalar) -> "FreeElement":
-        q = Q(a)
-        return FreeElement(self.algebra, {w: q * c for w, c in self.terms.items()} if q else {})
-
-    def __rmul__(self, a: Scalar) -> "FreeElement":
-        return self.scale(a)
-
-    def __mul__(self, other: "FreeElement") -> "FreeElement":
-        if not isinstance(other, FreeElement):
-            return self.scale(other)
-        self._check(other)
-        terms: dict[Word, Q] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                add_to(terms, wa + wb, ca * cb)
-        return FreeElement(self.algebra, terms)
-
-    def __pow__(self, k: int) -> "FreeElement":
-        if k < 0:
-            raise ValueError("negative powers undefined in a free algebra")
-        out = FreeElement(self.algebra, {(): Q(1)})
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FreeElement) and self.algebra == other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self.terms.items()))))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in self.support():
-            c = self.terms[w]
-            label = self.algebra.word_label(w)
-            if label == "1":
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(label)
-            elif c == -1:
-                bits.append(f"-{label}")
-            else:
-                bits.append(f"{c}*{label}")
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"FreeElement({self})"
 
 
 def pair_product(x: Mapping[PairKey, Scalar], y: Mapping[PairKey, Scalar]) -> dict[PairKey, Q]:

@@ -11,7 +11,8 @@ eps(u_ij) = eps(v_ij) = delta_ij, and antipode S(u_ij) = v_ji,
 S(v_ij) = (F u^T F^-1)_ij; on a u-word S is one word, the reversed v-word
 (`HopfCover.antipode_word`).  This module builds that presentation over the
 free cover (u carries grading weight +1, v weight -1), the structure maps
-on the cover, and a truncation-certified compatibility check: structure
+on the cover, which take and give {word: coefficient} dicts of the cover's
+letters, and a truncation-certified compatibility check: structure
 maps descend to the quotient as soon as they send relations into the
 relation ideal.
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactlin import Subspace, add_to
-from .freealg import FreeAlgebra, FreeElement, GeneratorSet, Word, split_word
+from .freealg import FreeAlgebra, GeneratorSet, Word, split_word
 from .fpquot import CertStatus, Presentation, TruncatedQuotient
 
 Q = Fraction
@@ -125,7 +126,7 @@ class HopfCover:
                     ("tv.u", lambda i, j, k: {(v[k][i], u[k][j]): Q(1)}),
                     ("v.FtuFi", lambda i, j, k: {(v[i][k],) + w: c for w, c in fuf[k][j].items()}),
                     ("FtuFi.v", lambda i, j, k: {w + (v[k][j],): c for w, c in fuf[i][k].items()}))
-        labeled: list[tuple[str, FreeElement]] = []
+        labeled: list[tuple[str, dict[Word, Q]]] = []
         seen: set = set()
         for fam, entry in families:
             for i in range(t):
@@ -140,7 +141,7 @@ class HopfCover:
                     if key in seen:
                         continue
                     seen.add(key)
-                    labeled.append((f"{fam}[{i + 1},{j + 1}]", FreeElement(alg, terms)))
+                    labeled.append((f"{fam}[{i + 1},{j + 1}]", terms))
         self.F = F
         self.t = t
         self.algebra = alg
@@ -148,60 +149,50 @@ class HopfCover:
         self.presentation = Presentation(alg, [r for _, r in labeled])
         # antipode images: S(u_ij) = v_ji, S(v_ij) = (F u^T F^-1)_ij
         self._s_letters = {u[i][j]: v[j][i] for i in range(t) for j in range(t)}
-        self._s_images = {a: FreeElement(alg, {(b,): Q(1)}) for a, b in self._s_letters.items()}
-        self._s_images.update((v[i][j], FreeElement(alg, fuf[i][j]))
-                              for i in range(t) for j in range(t))
+        self._s_images = {a: {(b,): Q(1)} for a, b in self._s_letters.items()}
+        self._s_images.update((v[i][j], fuf[i][j]) for i in range(t) for j in range(t))
         for label, rel in labeled:
-            spec = grading_specialize(rel)
-            if spec:
+            if grading_specialize(alg, rel):
                 raise AssertionError(
                     f"grading specialization fails to annihilate relation {label}")
 
-    # -- generators --------------------------------------------------------
-
-    def u(self, i: int, j: int) -> FreeElement:
-        return self.algebra.gen("u", i, j)
-
-    def v(self, i: int, j: int) -> FreeElement:
-        return self.algebra.gen("v", i, j)
-
-    # -- structure maps on the cover ----------------------------------------
+    # -- structure maps on the cover, on {word: coefficient} dicts -----------
 
     def delta_word(self, w: Word):
         """Terms of Delta(w) as (left word, right word) pairs, each with coefficient 1."""
         alg = self.algebra
         return split_word(w, alg, alg, alg, self.t, _DELTA_NAMES)
 
-    def delta(self, x: FreeElement) -> dict[tuple[Word, Word], Q]:
+    def delta(self, x: dict[Word, Q]) -> dict[tuple[Word, Word], Q]:
         """Delta(x) as a sparse {(left word, right word): coefficient} dict."""
-        if x.algebra != self.algebra:
-            raise ValueError("element not in this Hopf cover")
         acc: dict[tuple[Word, Word], Q] = {}
-        for w, c in x.terms.items():
+        for w, c in x.items():
             for pair in self.delta_word(w):
                 add_to(acc, pair, c)
         return acc
 
-    def counit(self, x: FreeElement) -> Q:
-        if x.algebra != self.algebra:
-            raise ValueError("element not in this Hopf cover")
+    def counit(self, x: dict[Word, Q]) -> Q:
         alg = self.algebra
         total = Q(0)
-        for w, c in x.terms.items():
+        for w, c in x.items():
             if all(info[1] == info[2] for info in map(alg.letter_info, w)):
                 total += c
         return total
 
-    def antipode(self, x: FreeElement) -> FreeElement:
-        """Anti-homomorphic extension of the antipode letter images."""
-        if x.algebra != self.algebra:
-            raise ValueError("element not in this Hopf cover")
-        acc = self.algebra.zero()
-        for w, c in x.terms.items():
-            prod = self.algebra.one()
+    def antipode(self, x: dict[Word, Q]) -> dict[Word, Q]:
+        """Anti-homomorphic extension of the antipode letter images: S(c w) is
+        c times the product of S(letter) over w read right to left."""
+        acc: dict[Word, Q] = {}
+        for w, c in x.items():
+            prod = {(): Q(c)}
             for letter in reversed(w):
-                prod = prod * self._s_images[letter]
-            acc = acc + prod.scale(c)
+                step: dict[Word, Q] = {}
+                for pw, pc in prod.items():
+                    for iw, ic in self._s_images[letter].items():
+                        add_to(step, pw + iw, pc * ic)
+                prod = step
+            for pw, pc in prod.items():
+                add_to(acc, pw, pc)
         return acc
 
     def antipode_word(self, w: Word) -> Word:
@@ -227,20 +218,19 @@ def build_hf(F: FMatrix) -> HopfCover:
     return HopfCover(F)
 
 
-def grading_specialize(x: FreeElement) -> LaurentPoly:
+def grading_specialize(algebra: FreeAlgebra, x: dict[Word, Q]) -> LaurentPoly:
     """Specialize g_ij -> delta_ij z^w(g) (w = generator-set weight).
 
     Off-diagonal letters map to zero, diagonal words to a power of z given
     by the word weight.  On a Hopf cover this is an algebra map to Laurent
     polynomials because every relation specializes to zero (enforced at
-    cover construction).
+    cover construction).  x is an element of `algebra`.
     """
-    alg = x.algebra
     out: LaurentPoly = {}
-    for w, c in x.terms.items():
-        if any(info[1] != info[2] for info in map(alg.letter_info, w)):
+    for w, c in x.items():
+        if any(info[1] != info[2] for info in map(algebra.letter_info, w)):
             continue
-        add_to(out, alg.word_weight(w), c)
+        add_to(out, algebra.word_weight(w), c)
     return out
 
 
@@ -308,8 +298,8 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
         left_law: dict[Word, Q] = {}
         right_law: dict[Word, Q] = {}
         for w1, w2 in dg:
-            add_to(left_law, w2, h.counit(FreeElement(alg, {w1: Q(1)})))
-            add_to(right_law, w1, h.counit(FreeElement(alg, {w2: Q(1)})))
+            add_to(left_law, w2, h.counit({w1: Q(1)}))
+            add_to(right_law, w1, h.counit({w2: Q(1)}))
         expect = {g_word: Q(1)}
         if left_law != expect or right_law != expect:
             counit_ok = False
@@ -336,11 +326,19 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
 
     axiom = []
     for letter in alg.letters():
-        unit = alg.one().scale(h.counit(alg.element({(letter,): 1})))
-        legs = [(alg.element({w1: 1}), alg.element({w2: 1}))
-                for w1, w2 in h.delta_word((letter,))]
-        axiom.append(q.is_zero_mod(sum((h.antipode(a) * b for a, b in legs), -unit)))
-        axiom.append(q.is_zero_mod(sum((a * h.antipode(b) for a, b in legs), -unit)))
+        # sum_k S(g_ik) g_kj - eps(g_ij) and sum_k g_ik S(g_kj) - eps(g_ij)
+        left: dict[Word, Q] = {}
+        right: dict[Word, Q] = {}
+        unit = h.counit({(letter,): Q(1)})
+        add_to(left, (), -unit)
+        add_to(right, (), -unit)
+        for a, b in h.delta_word((letter,)):
+            for w, c in h.antipode({a: Q(1)}).items():
+                add_to(left, w + b, c)
+            for w, c in h.antipode({b: Q(1)}).items():
+                add_to(right, a + w, c)
+        axiom.append(q.is_zero_mod(left))
+        axiom.append(q.is_zero_mod(right))
 
     return HopfCompatReport(
         t=h.t, f_label=h.F.label, d=d,

@@ -1,12 +1,28 @@
-"""Shared fixtures."""
+"""Shared fixtures and the tests' product of free-algebra elements."""
+
+from fractions import Fraction
 
 import pytest
 
+from coinv.exactlin import add_to
 from coinv.hopf import FMatrix, build_hf
 
 # the CLI's three presets
 PRESETS = {"identity": FMatrix.identity, "jordan": FMatrix.jordan,
            "diag": lambda t: FMatrix.diagonal(range(1, t + 1))}
+
+
+def word_product(*factors):
+    """The product, left to right, of free-algebra elements, each a
+    {word: coefficient} dict; the empty product is {(): 1}."""
+    out = {(): Fraction(1)}
+    for factor in factors:
+        step = {}
+        for wa, ca in out.items():
+            for wb, cb in factor.items():
+                add_to(step, wa + wb, ca * cb)
+        out = step
+    return out
 
 
 @pytest.fixture(scope="module")

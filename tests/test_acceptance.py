@@ -12,6 +12,8 @@ import sys
 import time
 from fractions import Fraction
 
+from conftest import word_product
+
 from coinv.catalg import intertwiner_space, main_correspondence_check
 from coinv.classical import (
     fft1_check,
@@ -216,14 +218,16 @@ def test_c10_soundness_and_report_determinism(tmp_path):
     rels = [r for _, r in h.labeled_relations]
     rng = random.Random(100)
     for _ in range(100):
-        combo = alg.zero()
+        combo = {}
         for _ in range(rng.randint(1, 3)):
             r = rng.choice(rels)
             c = Q(rng.randint(-4, 4), rng.randint(1, 5))
-            w = alg.element({(rng.choice(letters),): Q(1)})
+            w = {(rng.choice(letters),): Q(1)}
             pick = rng.random()
-            term = w * r if pick < 1 / 3 else (r * w if pick < 2 / 3 else r)
-            combo = combo + c * term
+            term = (word_product(w, r) if pick < 1 / 3
+                    else word_product(r, w) if pick < 2 / 3 else r)
+            for u, cu in term.items():
+                add_to(combo, u, c * cu)
         assert q.is_zero_mod(combo) is CertStatus.CERTIFIED_ZERO
     args = [sys.executable, "-m", "coinv.cli", "certify-fft", "-m", "2", "-n", "2",
             "-t", "2", "--F", "preset:jordan", "-k", "1", "--format", "json"]

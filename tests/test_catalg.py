@@ -14,6 +14,8 @@ from coinv.catalg import (
     main_correspondence_check,
     psi,
 )
+from conftest import word_product
+
 from coinv.cli import run
 from coinv.comod import CoactionContext, coinvariance_residual
 from coinv.exactlin import Subspace, add_to
@@ -53,7 +55,7 @@ def _morphism_rows(source, target, vector):
             if c:
                 add_to(acc, h, sign * c)
         if acc:
-            rows.append(source.hopf.algebra.element(acc))
+            rows.append(acc)
     return rows
 
 
@@ -67,14 +69,14 @@ def test_trivial_comodule(hj2):
     triv = ComoduleSpace.trivial(hj2)
     assert triv.dim == 1
     assert triv.is_counital() and triv.is_coassociative()
-    assert hj2.algebra.element({triv.coaction[(0, 0)]: 1}) == hj2.algebra.one()
+    assert triv.coaction[(0, 0)] == ()
 
 
 def test_dual_coaction_is_v_matrix(hj2):
     dual = ComoduleSpace.standard_left(hj2).dual()
     for a in range(2):
         for b in range(2):
-            assert hj2.algebra.element({dual.coaction[(a, b)]: 1}) == hj2.v(a, b)
+            assert dual.coaction[(a, b)] == (hj2.algebra.letter("v", a, b),)
 
 
 def test_dual_comodule_exactly_coassociative(hj2):
@@ -84,14 +86,16 @@ def test_dual_comodule_exactly_coassociative(hj2):
 
 
 def _reference_coaction(hopf, spec):
-    """Coaction entries as FreeElements, built the way the word matrices must
-    agree with: U has entries u_ij, U* has S(u_ba) at (a, b), direct sums are
-    block diagonal and tensor products multiply entries left to right."""
+    """Coaction entries as {word: coefficient} dicts, built the way the word
+    matrices must agree with: U has entries u_ij, U* has S(u_ba) at (a, b),
+    direct sums are block diagonal and tensor products multiply entries left
+    to right."""
     t = hopf.t
+    u = {(i, j): {(hopf.algebra.letter("u", i, j),): Q(1)} for i in range(t) for j in range(t)}
     if spec == "U":
-        return t, {(i, j): hopf.u(i, j) for i in range(t) for j in range(t)}
+        return t, u
     if spec == "U*":
-        return t, {(a, b): hopf.antipode(hopf.u(b, a)) for a in range(t) for b in range(t)}
+        return t, {(a, b): hopf.antipode(u[b, a]) for a in range(t) for b in range(t)}
     op, left, right = spec
     (dl, cl), (dr, cr) = _reference_coaction(hopf, left), _reference_coaction(hopf, right)
     if op == "+":
@@ -99,8 +103,8 @@ def _reference_coaction(hopf, spec):
     co = {}
     for (a, b), h1 in cl.items():
         for (c, d), h2 in cr.items():
-            h = h1 * h2
-            if not h.is_zero:
+            h = word_product(h1, h2)
+            if h:
                 co[(a * dr + c, b * dr + d)] = h
     return dl * dr, co
 
@@ -109,9 +113,8 @@ def _reference_coaction(hopf, spec):
                                FMatrix.identity(3)], ids=lambda F: F.label)
 def test_word_coactions_match_element_products(F):
     """Every coaction entry of U^(x k) (k <= 3), (U^2)^(x 2), U (x) U* and
-    U* (x) U is the one word of the FreeElement product it stands for."""
+    U* (x) U is the one word of the element product it stands for."""
     hopf = build_hf(F)
-    alg = hopf.algebra
     u = ComoduleSpace.standard_left(hopf)
     u2 = ("+", "U", "U")
     cases = [(u.tensor_power(1), "U"), (u.tensor_power(2), ("x", "U", "U")),
@@ -121,7 +124,7 @@ def test_word_coactions_match_element_products(F):
     for space, spec in cases:
         dim, reference = _reference_coaction(hopf, spec)
         assert space.dim == dim
-        assert {key: alg.element({h: 1}) for key, h in space.coaction.items()} == reference
+        assert {key: {h: Q(1)} for key, h in space.coaction.items()} == reference
         assert space.is_counital() and space.is_coassociative()
 
 
@@ -234,6 +237,17 @@ def test_psi_single_letter_block():
     f = psi(2, 1, 2, w)
     # block picks summand i=1 of U^2 and lands in summand j=0 of U^1
     assert f == {(0, 2): 1, (1, 3): 1}
+
+
+def test_psi_reads_each_letter_of_a_mn_and_rejects_others():
+    amn = matrix_entry_algebra("x", 2, 3)
+    # the letter x_ij picks summand i of U^2 and lands in summand j of U^3
+    for letter in amn.letters():
+        _, i, j = amn.letter_info(letter)
+        assert psi(2, 3, 2, (letter,)) == {(j * 2 + a, i * 2 + a): 1 for a in range(2)}
+    for word in [(6,), (0, 6), (-1,)]:
+        with pytest.raises(ValueError):
+            psi(2, 3, 2, word)
 
 
 def test_psi_word_is_kron_of_letters():

@@ -1,4 +1,4 @@
-"""Free algebra arithmetic, word bases, the word splitter and the map theta."""
+"""Free algebras, word bases, the word splitter and the map theta."""
 
 import json
 import os
@@ -8,8 +8,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coinv import cli, freealg
 from coinv.catalg import certify_fft
@@ -75,39 +73,10 @@ def test_word_weight_mixed_signs():
     assert alg.word_weight(w) == 1
 
 
-def test_element_arithmetic(a22):
-    x00 = a22.gen("x", 0, 0)
-    x01 = a22.gen("x", 0, 1)
-    p = (x00 + x01) * (x00 - x01)
-    # noncommutative: x00^2 - x00 x01 + x01 x00 - x01^2
-    assert p.coeff((a22.letter("x", 0, 0),) * 2) == 1
-    assert p.coeff((a22.letter("x", 0, 0), a22.letter("x", 0, 1))) == -1
-    assert p.coeff((a22.letter("x", 0, 1), a22.letter("x", 0, 0))) == 1
-    assert len(p.support()) == 4
-
-
 def test_mixed_algebra_arithmetic_rejected(a22):
     other = matrix_entry_algebra("x", 2, 2)
-    # equal algebras interoperate; genuinely different ones do not
+    # algebras on the same generator sets are equal
     assert a22 == other
-    bad = matrix_entry_algebra("y", 2, 2)
-    with pytest.raises(ValueError):
-        a22.gen("x", 0, 0) + bad.gen("y", 0, 0)
-
-
-def test_homogeneity_and_degree(a22):
-    x = a22.gen("x", 0, 0)
-    p = x * x + a22.one()
-    assert not p.is_homogeneous()
-    assert p.degree() == 2
-    assert p.degree_component(2) == x * x
-    assert p.degree_component(1).is_zero
-
-
-def test_power(a22):
-    x = a22.gen("x", 0, 1)
-    assert x ** 3 == x * x * x
-    assert (x ** 0) == a22.one()
 
 
 def test_tensor_componentwise_product(a22):
@@ -270,16 +239,3 @@ def test_theta_matrix_negative_degree_rejected():
     for args in ((1, 1, 1, -1), (0, 1, 1, 1), (1, 1, 0, 1)):
         with pytest.raises(ValueError):
             theta_rank(*args)
-
-
-words3 = st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=3).map(tuple)
-elements = st.dictionaries(words3, st.integers(min_value=-3, max_value=3), max_size=4)
-
-
-@settings(max_examples=40, deadline=None)
-@given(elements, elements, elements)
-def test_product_associative_and_distributive(ta, tb, tc):
-    alg = matrix_entry_algebra("x", 2, 2)
-    a, b, c = (alg.element(t) for t in (ta, tb, tc))
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c

@@ -1,8 +1,10 @@
-"""Golden reports: one small case per command must reproduce its JSON report byte for byte.
+"""Golden reports: one small case per command must reproduce its report byte for byte.
 
-The files under tests/golden/ were written by `coinv <args> --format json`.
-A change to the eliminator, the accumulators or the status logic that alters
-any verdict, dimension or the report layout shows up here.
+Each file under tests/golden/ was written by `coinv <args> --format <format>
+-o <file>`, its extension naming the format: .json for json, .txt for text.
+The text format alone prints hopf-check's per-check counts.  A change to the
+eliminator, the accumulators or the status logic that alters any verdict,
+dimension, count or the report layout shows up here.
 """
 
 from pathlib import Path
@@ -24,15 +26,22 @@ CASES = {
     "classical_m2_n2_t1_d4": "classical -m 2 -n 2 -t 1 --max-degree 4",
     "classical_m3_n3_t2_d3": "classical -m 3 -n 3 -t 2 --max-degree 3",
     "correspondence_m2_n2_t2_jordan_k1": "correspondence -m 2 -n 2 -t 2 --F preset:jordan -k 1",
+    "hopf-check_m1_n1_t3_jordan": "hopf-check -m 1 -n 1 -t 3 --F preset:jordan",
 }
+
+FORMATS = {".json": "json", ".txt": "text"}
 
 
 def test_every_golden_file_has_a_case():
-    assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)
+    files = list(GOLDEN.iterdir())
+    # one file per case: no case without a file, no file without a case
+    assert sorted(p.stem for p in files) == sorted(CASES)
+    assert all(p.suffix in FORMATS for p in files)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
-    out = tmp_path / "report.json"
-    assert run(CASES[name].split() + ["--format", "json", "-o", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    (golden,) = GOLDEN.glob(f"{name}.*")
+    out = tmp_path / golden.name
+    assert run(CASES[name].split() + ["--format", FORMATS[golden.suffix], "-o", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
