@@ -54,6 +54,22 @@ def test_presentation_rejects_out_of_range_letter():
             Presentation(alg, [{word: Q(1)}])
 
 
+def test_weight_grading_and_degree_read_off_the_relations():
+    """is_weight_graded asks that every word of a relation has one weight;
+    max_relation_degree is the longest relation word."""
+    laurent = laurent_presentation()
+    assert laurent.is_weight_graded and laurent.max_relation_degree == 2
+    alg = laurent.algebra
+    x, y = alg.letter("x", 0, 0), alg.letter("y", 0, 0)
+    # x*x*y has weight +1, as x does; x*y has weight 0
+    graded = Presentation(alg, [{(x, x, y): Q(1), (x,): Q(-2)}])
+    assert graded.is_weight_graded and graded.max_relation_degree == 3
+    mixed = Presentation(alg, [{(x, y): Q(1), (x, y, y): Q(1)}, {(x,): Q(1), (y, x, x): Q(1)}])
+    assert not mixed.is_weight_graded and mixed.max_relation_degree == 3
+    for F in [FMatrix.identity(2), FMatrix.jordan(2), FMatrix.diagonal([1, 2, 3])]:
+        assert build_hf(F).presentation.is_weight_graded
+
+
 def test_truncation_below_relation_degree_rejected():
     with pytest.raises(ValueError):
         TruncatedQuotient(laurent_presentation(), 1)

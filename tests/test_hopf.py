@@ -264,6 +264,29 @@ def test_antipode_antimultiplicative():
         assert h.antipode(word_product(a, b)) == word_product(h.antipode(b), h.antipode(a))
 
 
+def test_structure_maps_are_linear_on_word_dicts():
+    """counit, delta and antipode are linear in the coefficients of a word
+    dict, and terms that cancel leave no zero entry behind."""
+    h = build_hf(FMatrix([[1, 2], [3, -1]]))
+    u, v = uv_letters(h)
+    a = {(u(0, 1), v(1, 0)): Q(2), (v(0, 0),): Q(-1), (): Q(1, 3)}
+    b = {(u(1, 1),): Q(5), (v(0, 0),): Q(1), (u(0, 0), u(1, 0)): Q(-3, 2)}
+    a_plus_b = dict(a)
+    for w, c in b.items():
+        add_to(a_plus_b, w, c)
+    assert (v(0, 0),) not in a_plus_b
+    assert h.counit(a_plus_b) == h.counit(a) + h.counit(b)
+    for structure_map in (h.delta, h.antipode):
+        expected = structure_map(a)
+        for key, c in structure_map(b).items():
+            add_to(expected, key, c)
+        assert structure_map(a_plus_b) == expected
+        assert all(structure_map(a_plus_b).values())
+        minus_a = {w: -c for w, c in a.items()}
+        assert {k: -c for k, c in structure_map(a).items()} == structure_map(minus_a)
+    assert h.delta({}) == {} and h.antipode({}) == {} and h.counit({}) == 0
+
+
 def test_grading_specialization_on_generators():
     h = build_hf(FMatrix.jordan(2))
     alg = h.algebra
