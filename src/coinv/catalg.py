@@ -1,19 +1,9 @@
 """Comodule category bookkeeping: morphism spaces and the coinvariant <->
 morphism correspondence.
 
-The objects are finite-dimensional H(F)-comodules built from the standard
-one U_l (coaction entries u_ij) by direct sums, tensor powers, and the
-S-twisted dual; nested tensor factors are ordered left-to-right and flattened
-row-major, so all associators are identities on basis vectors.  Every
-nonzero coaction entry of such a comodule is one H-word with coefficient 1:
-the unit gives the empty word, U_l the letter u_ij, a tensor product the
-concatenation of its factors' words, and the dual the reversed v-word
-HopfCover.antipode_word.  The dual is defined only for comodules of u-words
-(the one dual taken is U*), since S(v_ij) is not a word.
-
-hom_space solves the morphism conditions of _morphism_conditions and
-returns their certified solution set as a Subspace, in which coordinate
-r * source.dim + c holds T[r, c].
+hom_space solves comod._morphism_conditions between two comod.ComoduleSpace
+word matrices and returns their certified solution set as a Subspace, in
+which coordinate r * source.dim + c holds T[r, c].
 
 Two independently implemented pipelines meet here, both returning a matrix
 as its entry dict {(row, col): nonzero value}.  psi sends a word of A(m,n)
@@ -64,8 +54,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .comod import CoactionContext, PairKey, coinvariants, theta_image_vectors
-from .exactlin import Subspace, add_to, rank
+from .comod import (CoactionContext, ComoduleSpace, PairKey, _morphism_conditions, coinvariants,
+                    theta_image_vectors)
+from .exactlin import Subspace, rank
 from .freealg import Word, matrix_entry_algebra, theta_images, theta_rank
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
@@ -82,130 +73,7 @@ class SolveTooLarge(ValueError):
     above a module limit."""
 
 
-class ComoduleSpace:
-    """Finite-dimensional left comodule: delta(e_a) = sum_b h[a,b] (x) e_b, with
-    each nonzero entry h[a,b] one word of the free cover (coefficient 1)."""
-
-    def __init__(self, hopf: HopfCover, dim: int,
-                 coaction: dict[tuple[int, int], Word], label: str = "?"):
-        if dim < 1:
-            raise ValueError("comodule dimension must be positive")
-        for a, b in coaction:
-            if not (0 <= a < dim and 0 <= b < dim):
-                raise ValueError("coaction index out of range")
-        self.hopf = hopf
-        self.dim = dim
-        self.coaction = dict(coaction)
-        self.label = label
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def trivial(cls, hopf: HopfCover, dim: int = 1) -> "ComoduleSpace":
-        return cls(hopf, dim, {(a, a): () for a in range(dim)}, "I" if dim == 1 else f"I^{dim}")
-
-    @classmethod
-    def standard_left(cls, hopf: HopfCover) -> "ComoduleSpace":
-        t = hopf.t
-        co = {(i, j): (hopf.algebra.letter("u", i, j),) for i in range(t) for j in range(t)}
-        return cls(hopf, t, co, "U_l")
-
-    def dual(self) -> "ComoduleSpace":
-        """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
-        Defined for comodules of u-words only (ValueError otherwise)."""
-        co = {(a, b): self.hopf.antipode_word(h) for (b, a), h in self.coaction.items()}
-        return ComoduleSpace(self.hopf, self.dim, co, self.label + "*")
-
-    def direct_sum(self, other: "ComoduleSpace") -> "ComoduleSpace":
-        self._compatible(other)
-        co = dict(self.coaction)
-        for (a, b), h in other.coaction.items():
-            co[(a + self.dim, b + self.dim)] = h
-        return ComoduleSpace(self.hopf, self.dim + other.dim, co,
-                             f"({self.label}(+){other.label})")
-
-    def direct_power(self, m: int) -> "ComoduleSpace":
-        if m < 1:
-            raise ValueError("direct power requires m >= 1")
-        out = self
-        for _ in range(m - 1):
-            out = out.direct_sum(self)
-        out.label = f"{self.label}^{m}" if m > 1 else self.label
-        return out
-
-    def tensor(self, other: "ComoduleSpace") -> "ComoduleSpace":
-        """Basis e_a (x) f_c at index a*other.dim + c; H-words concatenate left-to-right."""
-        self._compatible(other)
-        co = {}
-        for (a, b), h1 in self.coaction.items():
-            for (c, dd), h2 in other.coaction.items():
-                co[(a * other.dim + c, b * other.dim + dd)] = h1 + h2
-        return ComoduleSpace(self.hopf, self.dim * other.dim, co,
-                             f"{self.label}(x){other.label}")
-
-    def tensor_power(self, k: int) -> "ComoduleSpace":
-        if k < 0:
-            raise ValueError("tensor power requires k >= 0")
-        if k == 0:
-            return ComoduleSpace.trivial(self.hopf, 1)
-        out = self
-        for _ in range(k - 1):
-            out = out.tensor(self)
-        out.label = f"({self.label})^(x{k})" if k > 1 else self.label
-        return out
-
-    def _compatible(self, other: "ComoduleSpace"):
-        if self.hopf.algebra is not other.hopf.algebra or self.hopf.F != other.hopf.F:
-            raise ValueError("comodules live over different Hopf covers")
-
-    # -- structure checks -----------------------------------------------------
-
-    def is_counital(self) -> bool:
-        """epsilon(h[a,b]) = delta_ab, an exact rational computation."""
-        seen = set(self.coaction)
-        for (a, b), h in self.coaction.items():
-            if self.hopf.counit({h: Q(1)}) != (Q(1) if a == b else Q(0)):
-                return False
-        return all((a, a) in seen for a in range(self.dim))
-
-    def is_coassociative(self) -> bool:
-        """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c], exactly in the free cover."""
-        co = self.coaction
-        for a in range(self.dim):
-            for c in range(self.dim):
-                lhs = dict.fromkeys(self.hopf.delta_word(co[a, c]), 1) if (a, c) in co else {}
-                acc: dict[tuple[Word, Word], int] = {}
-                for b in range(self.dim):
-                    if (a, b) in co and (b, c) in co:
-                        add_to(acc, (co[a, b], co[b, c]), 1)
-                if lhs != acc:
-                    return False
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ComoduleSpace) and self.dim == other.dim
-                and self.coaction == other.coaction and self.hopf.F == other.hopf.F)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ComoduleSpace({self.label}, dim={self.dim})"
-
-
 # -- Hom-space computation ----------------------------------------------------
-
-
-def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
-    """The condition sum_b h[s,b] T[r,b] - sum_c T[c,s] h'[c,r] = 0 for each
-    (source index s, target index r), as its terms ((row, col) of T,
-    H-word, sign)."""
-    for s in range(source.dim):
-        for r in range(target.dim):
-            terms = [((r, b), source.coaction[s, b], 1) for b in range(source.dim)
-                     if (s, b) in source.coaction]
-            terms += [((c, s), target.coaction[c, r], -1) for c in range(target.dim)
-                      if (c, r) in target.coaction]
-            yield terms
 
 
 def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
@@ -217,10 +85,8 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
     degree-<= d ideal, so it is a subspace of the true Hom space.
     """
     source._compatible(target)
-    nsrc = source.dim
-    constraints = [[(row * nsrc + col, h, sign) for (row, col), h, sign in terms]
-                   for terms in _morphism_conditions(source, target)]
-    return certified_kernel(source.hopf.quotient(d), nsrc * target.dim, constraints)
+    return certified_kernel(source.hopf.quotient(d), source.dim * target.dim,
+                            _morphism_conditions(source, target))
 
 
 def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
@@ -238,6 +104,8 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
     if d < max(i, j, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(i, j, {RELATION_DEGREE})")
     hopf = F if isinstance(F, HopfCover) else build_hf(F)
+    if hopf.t != t:
+        raise ValueError("F size does not match t")
     u = ComoduleSpace.standard_left(hopf)
     return hom_space(u.direct_power(m).tensor_power(i),
                      u.direct_power(n).tensor_power(j), d)

@@ -1,4 +1,14 @@
-"""Comodule-algebra coactions of H(F) and certified coinvariant spaces.
+"""Word-matrix comodules of H(F), the coactions on A(m,t) (x) A(t,n), and
+certified coinvariant spaces.
+
+A ComoduleSpace is finite-dimensional, each nonzero coaction entry one
+H-word with coefficient 1: the trivial comodule I gives the empty word, the
+standard U_l the letter u_ij, a tensor product (flattened row-major, so
+associators are identities on basis vectors) the concatenation of its
+factors' words, and the S-twisted dual the reversed v-word
+HopfCover.antipode_word.  The dual is defined only for comodules of u-words
+(the one dual taken is U*), since S(v_ij) is not a word.
+_morphism_conditions writes the conditions on a map between two of them.
 
 A(m,t) carries the right coaction rho(y_ij) = sum_k y_ik (x) u_kj and is
 turned into a left comodule by the flip rho' = tau o (id (x) S) o rho;
@@ -7,15 +17,13 @@ words both are freealg.split_word, with y splitting into (y, u) and z into
 (u, z); rho' then applies HopfCover.antipode_word to each u-leg.  The
 tensor product A(m,t) (x) A(t,n) is then a left comodule algebra, and its
 coinvariants {x : alpha(x) = 1 (x) x} are computed bidegree by bidegree.
-Its elements are {(A-word, B-word): coefficient} dicts.
-
-Since S is anti-multiplicative with S(u_kj) = v_jk, the H-leg of every
-term of alpha on a word pair is one word (a reversed v-word followed by a
-u-word) with coefficient 1, and the entry alpha[s, tau] of the coaction
-matrix between two basis pairs is a single H-word.  Coinvariance at target
-pair tau is therefore handed to certified_kernel as the constraint
-[(s, alpha[s, tau], +1) for each source pair s] + [(tau, empty word, -1)]
-of (unknown, H-word, sign) triples.
+Its elements are {(A-word, B-word): coefficient} dicts.  Since S is
+anti-multiplicative with S(u_kj) = v_jk, the H-leg of every term of alpha
+on a word pair is one word (a reversed v-word followed by a u-word) with
+coefficient 1, so a bidegree component V is a word matrix too
+(CoactionContext.component).  Its coinvariants are Hom(I, V) (Klimyk &
+Schmuedgen, Quantum Groups and Their Representations, ch. 11): x is one iff
+1 -> x is a morphism, so `coinvariants` solves the conditions hom_space does.
 
 Certification logic: the solver accepts x as coinvariant only when every
 H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal membership
@@ -59,6 +67,110 @@ Q = Fraction
 # rho(y_ij) = sum_k y_ik (x) u_kj and lambda(z_ij) = sum_k u_ik (x) z_kj
 _RHO_NAMES = {"y": ("y", "u")}
 _LAMBDA_NAMES = {"z": ("u", "z")}
+
+
+class ComoduleSpace:
+    """Finite-dimensional left comodule: delta(e_a) = sum_b h[a,b] (x) e_b, with
+    each nonzero entry h[a,b] one word of the free cover (coefficient 1)."""
+
+    def __init__(self, hopf: HopfCover, dim: int, coaction: dict[tuple[int, int], Word]):
+        if dim < 1:
+            raise ValueError("comodule dimension must be positive")
+        for a, b in coaction:
+            if not (0 <= a < dim and 0 <= b < dim):
+                raise ValueError("coaction index out of range")
+        self.hopf = hopf
+        self.dim = dim
+        self.coaction = dict(coaction)
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def trivial(cls, hopf: HopfCover) -> "ComoduleSpace":
+        return cls(hopf, 1, {(0, 0): ()})
+
+    @classmethod
+    def standard_left(cls, hopf: HopfCover) -> "ComoduleSpace":
+        t = hopf.t
+        co = {(i, j): (hopf.algebra.letter("u", i, j),) for i in range(t) for j in range(t)}
+        return cls(hopf, t, co)
+
+    def dual(self) -> "ComoduleSpace":
+        """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
+        Defined for comodules of u-words only (ValueError otherwise)."""
+        co = {(a, b): self.hopf.antipode_word(h) for (b, a), h in self.coaction.items()}
+        return ComoduleSpace(self.hopf, self.dim, co)
+
+    def direct_power(self, m: int) -> "ComoduleSpace":
+        """Block diagonal: copy p of e_a at index p*dim + a."""
+        if m < 1:
+            raise ValueError("direct power requires m >= 1")
+        co = {(p * self.dim + a, p * self.dim + b): h
+              for p in range(m) for (a, b), h in self.coaction.items()}
+        return ComoduleSpace(self.hopf, m * self.dim, co)
+
+    def tensor(self, other: "ComoduleSpace") -> "ComoduleSpace":
+        """Basis e_a (x) f_c at index a*other.dim + c; H-words concatenate left-to-right."""
+        self._compatible(other)
+        co = {}
+        for (a, b), h1 in self.coaction.items():
+            for (c, dd), h2 in other.coaction.items():
+                co[(a * other.dim + c, b * other.dim + dd)] = h1 + h2
+        return ComoduleSpace(self.hopf, self.dim * other.dim, co)
+
+    def tensor_power(self, k: int) -> "ComoduleSpace":
+        if k < 0:
+            raise ValueError("tensor power requires k >= 0")
+        out = ComoduleSpace.trivial(self.hopf)
+        for _ in range(k):
+            out = out.tensor(self)
+        return out
+
+    def _compatible(self, other: "ComoduleSpace"):
+        if self.hopf.algebra is not other.hopf.algebra or self.hopf.F != other.hopf.F:
+            raise ValueError("comodules live over different Hopf covers")
+
+    # -- structure checks -----------------------------------------------------
+
+    def is_counital(self) -> bool:
+        """epsilon(h[a,b]) = delta_ab, an exact rational computation."""
+        seen = set(self.coaction)
+        for (a, b), h in self.coaction.items():
+            if self.hopf.counit({h: Q(1)}) != (Q(1) if a == b else Q(0)):
+                return False
+        return all((a, a) in seen for a in range(self.dim))
+
+    def is_coassociative(self) -> bool:
+        """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c], exactly in the free cover."""
+        co = self.coaction
+        for a in range(self.dim):
+            for c in range(self.dim):
+                lhs = dict.fromkeys(self.hopf.delta_word(co[a, c]), 1) if (a, c) in co else {}
+                acc: dict[tuple[Word, Word], int] = {}
+                for b in range(self.dim):
+                    if (a, b) in co and (b, c) in co:
+                        add_to(acc, (co[a, b], co[b, c]), 1)
+                if lhs != acc:
+                    return False
+        return True
+
+
+def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
+    """The condition sum_b h[s,b] T[r,b] - sum_c T[c,s] h'[c,r] = 0 for each
+    (source index s, target index r), as certified_kernel's (unknown, H-word,
+    sign) triples, unknown r * source.dim + c holding T[r, c].  Each coaction
+    is grouped once: source entries by row, target entries by column."""
+    nsrc = source.dim
+    rows: dict[int, list[tuple[int, Word]]] = {}
+    for (s, b), h in source.coaction.items():
+        rows.setdefault(s, []).append((b, h))
+    cols: dict[int, list[tuple[int, Word]]] = {}
+    for (c, r), h in target.coaction.items():
+        cols.setdefault(r, []).append((c * nsrc, h))
+    for s in range(nsrc):
+        for r in range(target.dim):
+            yield ([(r * nsrc + b, h, 1) for b, h in rows.get(s, ())]
+                   + [(c + s, h, -1) for c, h in cols.get(r, ())])
 
 
 class CoactionContext:
@@ -110,6 +222,22 @@ class CoactionContext:
         bs = self.atn.degree_basis(j)
         return tuple((wa, wb) for wa in self.amt.degree_basis(i) for wb in bs)
 
+    def component(self, bidegree: tuple[int, int]) -> ComoduleSpace:
+        """The bidegree component as a comodule on pair_basis(bidegree): entry
+        [s, tau] is the H-word of the coaction term from pair s to pair tau.
+        A word matrix holds one word per entry, so two terms with one target
+        pair raise ValueError rather than losing one."""
+        pairs = self.pair_basis(bidegree)
+        index = {p: s for s, p in enumerate(pairs)}
+        coaction: dict[tuple[int, int], Word] = {}
+        for s, (wa, wb) in enumerate(pairs):
+            for hw, tgt in self.tensor_word_terms(wa, wb):
+                entry = (s, index[tgt])
+                if entry in coaction:
+                    raise ValueError(f"two coaction terms share the entry {entry}")
+                coaction[entry] = hw
+        return ComoduleSpace(self.hopf, len(pairs), coaction)
+
     def bidegree_of(self, x: dict[PairKey, Q]) -> tuple[int, int]:
         degs = {(len(wa), len(wb)) for wa, wb in x}
         if len(degs) != 1:
@@ -124,7 +252,8 @@ class CoactionContext:
 
 
 def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Subspace:
-    """Certified coinvariant subspace of the bidegree component at truncation d.
+    """Certified coinvariant subspace of the bidegree component at truncation d,
+    solved as Hom(I, component): unknown tau is the coefficient of pair tau.
 
     Coordinates follow ctx.pair_basis(bidegree).  Sound: every member x has
     all H-coefficients of alpha(x) - 1 (x) x certified in the ideal, so the
@@ -133,15 +262,9 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     i, j = bidegree
     if d < i + j:
         raise ValueError(f"truncation {d} cannot hold coaction legs of degree {i + j}")
-    q = ctx.hopf.quotient(d)
-    pairs = ctx.pair_basis(bidegree)
-    index = {p: s for s, p in enumerate(pairs)}
-    # one constraint per target pair tau: sum_s x_s alpha[s, tau] - x_tau = 0
-    constraints: list[list[tuple[int, Word, int]]] = [[(tau, (), -1)] for tau in range(len(pairs))]
-    for s, (wa, wb) in enumerate(pairs):
-        for hw, tgt in ctx.tensor_word_terms(wa, wb):
-            constraints[index[tgt]].append((s, hw, 1))
-    return certified_kernel(q, len(pairs), constraints)
+    space = ctx.component(bidegree)
+    conditions = _morphism_conditions(ComoduleSpace.trivial(ctx.hopf), space)
+    return certified_kernel(ctx.hopf.quotient(d), space.dim, conditions)
 
 
 def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):

@@ -1,14 +1,13 @@
 """Comodule spaces, morphism spaces, word morphisms and the transport to them."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from coinv import catalg
 from coinv.catalg import (
-    ComoduleSpace,
     _hom_matrix,
-    _morphism_conditions,
     hom_space,
     intertwiner_space,
     main_correspondence_check,
@@ -17,7 +16,7 @@ from coinv.catalg import (
 from conftest import word_product
 
 from coinv.cli import run
-from coinv.comod import CoactionContext, coinvariance_residual
+from coinv.comod import CoactionContext, ComoduleSpace, _morphism_conditions, coinvariance_residual
 from coinv.exactlin import Subspace, add_to
 from coinv.freealg import matrix_entry_algebra, theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
@@ -50,13 +49,38 @@ def _morphism_rows(source, target, vector):
     rows = []
     for terms in _morphism_conditions(source, target):
         acc = {}
-        for (row, col), h, sign in terms:
-            c = vector.get(row * source.dim + col, 0)
+        for unknown, h, sign in terms:
+            c = vector.get(unknown, 0)
             if c:
                 add_to(acc, h, sign * c)
         if acc:
             rows.append(acc)
     return rows
+
+
+def _literal_conditions(source, target):
+    """The morphism condition of each (s, r), read term by term off
+    sum_b h[s,b] T[r,b] - sum_c T[c,s] h'[c,r] by scanning every index."""
+    for s in range(source.dim):
+        for r in range(target.dim):
+            terms = [(r * source.dim + b, source.coaction[s, b], 1)
+                     for b in range(source.dim) if (s, b) in source.coaction]
+            terms += [(c * source.dim + s, target.coaction[c, r], -1)
+                      for c in range(target.dim) if (c, r) in target.coaction]
+            yield terms
+
+
+def test_morphism_conditions_match_the_literal_reading(hj2):
+    """For sparse and non-square pairs, the grouped walk yields, condition by
+    condition, the triples that a scan of every index reads."""
+    u = ComoduleSpace.standard_left(hj2)
+    pairs = [(ComoduleSpace.trivial(hj2), CoactionContext(1, 1, 2, hj2).component((1, 1))),
+             (u.direct_power(2).tensor(u), u), (u.tensor(u.dual()), u.dual().tensor(u))]
+    for source, target in pairs:
+        walked = list(_morphism_conditions(source, target))
+        literal = list(_literal_conditions(source, target))
+        assert len(walked) == len(literal) == source.dim * target.dim
+        assert [Counter(terms) for terms in walked] == [Counter(terms) for terms in literal]
 
 
 def test_standard_comodules_exact_axioms(hj2):
@@ -183,6 +207,17 @@ def test_intertwiner_space_dims(hj2):
     assert intertwiner_space(1, 1, 2, hj2, 1, 1, 4).dim == 1
     assert intertwiner_space(1, 1, 2, hj2, 1, 2, 5).dim == 0
     assert intertwiner_space(2, 1, 2, hj2, 1, 1, 4).dim == 2
+
+
+def test_intertwiner_space_rejects_a_cover_of_another_size(hj2):
+    """As CoactionContext does, a cover whose F is not t x t is refused, not
+    solved at its own size."""
+    with pytest.raises(ValueError, match="F size does not match t"):
+        intertwiner_space(1, 1, 3, hj2, 1, 1, 2)
+    with pytest.raises(ValueError, match="F size does not match t"):
+        CoactionContext(1, 1, 3, hj2)
+    with pytest.raises(ValueError, match="F size does not match t"):
+        intertwiner_space(1, 1, 3, FMatrix.jordan(2), 1, 1, 2)
 
 
 @pytest.mark.parametrize("m, n, t, F, i, j", [

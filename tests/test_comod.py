@@ -149,6 +149,36 @@ def test_coinvariants_match_antipode_kernel(ctx212j, bidegree):
     assert coinvariants(ctx212j, bidegree, d) == expected
 
 
+@pytest.mark.parametrize("m, n, t, F, bidegree, npairs", [
+    (1, 1, 2, FMatrix.jordan(2), (1, 1), 4),
+    (2, 1, 2, FMatrix.jordan(2), (2, 1), 32),
+    (1, 2, 3, FMatrix.identity(3), (1, 2), 108),
+    (2, 2, 2, FMatrix([[1, 2], [3, -1]]), (2, 2), 256),
+], ids=["jordan2-11", "jordan2-21", "identity3-12", "F2-22"])
+def test_component_is_an_exact_comodule(m, n, t, F, bidegree, npairs):
+    """The coaction rho' (x) lambda on a bidegree component of A(m,t) (x)
+    A(t,n) is counital and coassociative exactly in the free cover."""
+    space = CoactionContext(m, n, t, F).component(bidegree)
+    assert space.dim == npairs
+    assert space.is_counital() and space.is_coassociative()
+
+
+def test_component_refuses_two_terms_on_one_entry(ctx212j, monkeypatch):
+    """A word matrix holds one word per entry: a second term on the same
+    target pair must raise, not replace the first."""
+    terms = ctx212j.tensor_word_terms
+
+    def repeated(wa, wb):
+        out = list(terms(wa, wb))
+        return out + out[:1]
+
+    monkeypatch.setattr(ctx212j, "tensor_word_terms", repeated)
+    with pytest.raises(ValueError, match="share the entry"):
+        ctx212j.component((1, 1))
+    with pytest.raises(ValueError, match="share the entry"):
+        coinvariants(ctx212j, (1, 1), 4)
+
+
 def test_pair_basis_round_trip(ctx221):
     basis = ctx221.pair_basis((1, 1))
     assert len(basis) == 4
