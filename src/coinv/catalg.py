@@ -63,8 +63,8 @@ from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
 
 Q = Fraction
 
-# balanced_hom_dim's fallback builds 2 t^(3k) constraint terms, at roughly
-# 450 bytes each: (t, k) = (2, 7) is 4.2 million terms and 1.9 GB of peak RSS
+# a Hom solve takes roughly 450 bytes per constraint term (hom_solve_terms):
+# End(U^(x 7)) at t = 2 is 4.2 million terms and 1.9 GB of peak RSS
 END_SOLVE_TERM_LIMIT = 5_000_000
 
 
@@ -74,6 +74,20 @@ class SolveTooLarge(ValueError):
 
 
 # -- Hom-space computation ----------------------------------------------------
+
+
+def hom_solve_terms(m: int, n: int, t: int, i: int, j: int) -> int:
+    """Constraint terms of the Hom((U^m)^(x i), (U^n)^(x j)) solve: one
+    condition per (source, target) index pair, (mt)^i (nt)^j of them, each
+    holding a source row of t^i coaction entries and a target column of t^j."""
+    return (m * t) ** i * (n * t) ** j * (t ** i + t ** j)
+
+
+def _refuse_oversized(terms: int, case: str) -> None:
+    """Raise SolveTooLarge, naming the case and the estimate, above the limit."""
+    if terms > END_SOLVE_TERM_LIMIT:
+        raise SolveTooLarge(f"{case} needs a solve of about {terms:,} constraint terms, "
+                            f"above the limit of {END_SOLVE_TERM_LIMIT:,}")
 
 
 def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
@@ -95,7 +109,9 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
 
     For i != j the true Hom space is zero (comod.off_diagonal_vanish), so
     the computed (sound) one is too.  The conditions hold words of degree i
-    and j only, so d >= max(i, j, RELATION_DEGREE) is enough.
+    and j only, so d >= max(i, j, RELATION_DEGREE) is enough.  Above
+    END_SOLVE_TERM_LIMIT estimated constraint terms it raises SolveTooLarge
+    before any comodule is built.
     """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
@@ -103,6 +119,8 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
         raise ValueError("tensor powers must be nonnegative")
     if d < max(i, j, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(i, j, {RELATION_DEGREE})")
+    _refuse_oversized(hom_solve_terms(m, n, t, i, j),
+                      f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={t}, i={i}, j={j}")
     hopf = F if isinstance(F, HopfCover) else build_hf(F)
     if hopf.t != t:
         raise ValueError("F size does not match t")
@@ -131,11 +149,11 @@ def balanced_hom_dim(m: int, n: int, F: FMatrix | HopfCover, k: int, d: int) -> 
     190, 1997), computed modulo I_d; no F tried has a pure-u lead.
 
     Otherwise hom_space solves End(U^(x k)) at d.  Its 2 t^(3k) constraint
-    terms are estimated first; above END_SOLVE_TERM_LIMIT it raises
-    SolveTooLarge before any is built.  Rules above d, which an earlier and
-    larger extension of the same completion added, can only send a case to
-    this fallback, and the fallback is exact at d, so they never change a
-    dimension.
+    terms (hom_solve_terms at m = n = 1, i = j = k) are estimated first;
+    above END_SOLVE_TERM_LIMIT it raises SolveTooLarge before any is built.
+    Rules above d, which an earlier and larger extension of the same
+    completion added, can only send a case to this fallback, and the
+    fallback is exact at d, so they never change a dimension.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -146,11 +164,8 @@ def balanced_hom_dim(m: int, n: int, F: FMatrix | HopfCover, k: int, d: int) -> 
     completion.extend(d)
     u_letters = set(hopf.algebra.letters("u"))
     if any(u_letters.issuperset(lead) for lead in completion.rules):
-        terms = 2 * hopf.t ** (3 * k)
-        if terms > END_SOLVE_TERM_LIMIT:
-            raise SolveTooLarge(
-                f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k} needs a solve of about "
-                f"{terms:,} constraint terms, above the limit of {END_SOLVE_TERM_LIMIT:,}")
+        _refuse_oversized(hom_solve_terms(1, 1, hopf.t, k, k),
+                          f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k}")
         end = intertwiner_space(1, 1, hopf.t, hopf, k, k, d).dim
     else:
         end = 1
@@ -166,7 +181,6 @@ class CoinvariantReport(NamedTuple):
     m: int
     n: int
     t: int
-    f_label: str
     bidegree: tuple[int, int]
     d: int
     dim_coinv: int
@@ -202,7 +216,7 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     contained = k == 0 or base.image_contained
     dim = balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
     return CoinvariantReport(
-        m=ctx.m, n=ctx.n, t=ctx.t, f_label=ctx.hopf.F.label, bidegree=(k, k), d=d,
+        m=ctx.m, n=ctx.n, t=ctx.t, bidegree=(k, k), d=d,
         dim_coinv=dim, theta_rank=theta_rank(ctx.m, ctx.n, ctx.t, k), image_contained=contained,
         certified=contained and dim == (ctx.m * ctx.n) ** k,
     )
@@ -215,8 +229,9 @@ def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
     block = CoactionContext(1, 1, hopf.t, hopf)
     space = coinvariants(block, (1, 1), d)
     contained = space.contains(theta_image_vectors(block, 1)[0])
-    return CoinvariantReport(1, 1, hopf.t, hopf.F.label, (1, 1), d, space.dim, 1, contained,
-                             contained and space.dim == 1)
+    return CoinvariantReport(m=1, n=1, t=hopf.t, bidegree=(1, 1), d=d, dim_coinv=space.dim,
+                             theta_rank=1, image_contained=contained,
+                             certified=contained and space.dim == 1)
 
 
 # -- the word-to-morphism map psi ----------------------------------------------
@@ -283,7 +298,6 @@ class CorrespondenceReport(NamedTuple):
     m: int
     n: int
     t: int
-    f_label: str
     k: int
     d: int
     end_u_dim: int
@@ -331,7 +345,7 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
         if not base.image_contained or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1))) != direct:
             mismatches.append(amn.word_label(w))
         vecs.append({r * ncols + c: val for (r, c), val in direct.items()})
-    return CorrespondenceReport(m=m, n=n, t=t, f_label=ctx.hopf.F.label, k=k, d=d,
+    return CorrespondenceReport(m=m, n=n, t=t, k=k, d=d,
                                 end_u_dim=base.dim_coinv,
                                 equalities_checked=len(vecs),
                                 mismatches=tuple(mismatches), psi_rank=rank(vecs))

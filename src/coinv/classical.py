@@ -423,7 +423,6 @@ class FftReport(NamedTuple):
     m: int
     n: int
     t: int
-    kind: str
     rows: tuple[DegreeComparison, ...]
 
     @property
@@ -450,7 +449,7 @@ def fft1_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
         else:
             img = Subspace.zero(ryz.component_dim(D))
         rows.append(DegreeComparison(D, inv.dim, img.dim, inv == img))
-    return FftReport(m=m, n=n, t=t, kind="fft1", rows=tuple(rows))
+    return FftReport(m=m, n=n, t=t, rows=tuple(rows))
 
 
 def fft2_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
@@ -460,4 +459,4 @@ def fft2_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
         ker = theta_star_kernel(m, n, t, k)
         mnr = minors_component(m, n, t, k)
         rows.append(DegreeComparison(k, ker.dim, mnr.dim, ker == mnr))
-    return FftReport(m=m, n=n, t=t, kind="fft2", rows=tuple(rows))
+    return FftReport(m=m, n=n, t=t, rows=tuple(rows))

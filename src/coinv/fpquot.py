@@ -5,7 +5,7 @@ degree d, the span of all products a*r*b of total degree <= d is a
 subspace I_d of the span of words of degree <= d.  Relations, like every
 element here, are {word: coefficient} dicts.  Everything here is a
 certified *under*-approximation of the true ideal: membership answers are
-one-sided (CERTIFIED_ZERO is a proof, NOT_CERTIFIED is silence).
+one-sided bools (True, a zero normal form, is a proof; False is silence).
 
 Implementation notes
 --------------------
@@ -36,7 +36,6 @@ Implementation notes
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -44,16 +43,6 @@ from .exactlin import Subspace, add_to, solve_homogeneous
 from .freealg import FreeAlgebra, Word
 
 Q = Fraction
-
-
-class CertStatus(Enum):
-    """One-sided certification outcome of a membership test."""
-
-    CERTIFIED_ZERO = "certified_zero"
-    NOT_CERTIFIED = "not_certified"
-
-    def __bool__(self) -> bool:
-        return self is CertStatus.CERTIFIED_ZERO
 
 
 class Presentation:
@@ -141,9 +130,10 @@ class TruncatedQuotient:
             self._nf_cache[w] = got
         return got
 
-    def is_zero_mod(self, x: dict[Word, Q]) -> CertStatus:
-        """CERTIFIED_ZERO iff x provably lies in the truncated ideal."""
-        return CertStatus.CERTIFIED_ZERO if not self.normal_form(x) else CertStatus.NOT_CERTIFIED
+    def is_zero_mod(self, x: dict[Word, Q]) -> bool:
+        """True iff the normal form of x is zero: a proof that x lies in I_d.
+        False proves nothing."""
+        return not self.normal_form(x)
 
     def quotient_basis(self) -> tuple[Word, ...]:
         """Words no rule can rewrite (degree-ascending, then lex): a basis of the quotient."""

@@ -25,7 +25,6 @@ from coinv.cli import run
 from coinv.comod import (CoactionContext, coinvariance_residual, coinvariants,
                          off_diagonal_vanish)
 from coinv.exactlin import add_to, rank
-from coinv.fpquot import CertStatus
 from coinv.freealg import pair_product, theta_matrix
 from coinv.hopf import FMatrix, build_hf, check_hopf_compat
 
@@ -228,7 +227,7 @@ def test_c10_soundness_and_report_determinism(tmp_path):
                     else word_product(r, w) if pick < 2 / 3 else r)
             for u, cu in term.items():
                 add_to(combo, u, c * cu)
-        assert q.is_zero_mod(combo) is CertStatus.CERTIFIED_ZERO
+        assert q.is_zero_mod(combo) is True
     args = [sys.executable, "-m", "coinv.cli", "certify-fft", "-m", "2", "-n", "2",
             "-t", "2", "--F", "preset:jordan", "-k", "1", "--format", "json"]
     first = subprocess.run(args, capture_output=True, env=os.environ.copy())

@@ -238,6 +238,28 @@ def test_intertwiner_space_maps_have_no_morphism_rows(m, n, t, F, i, j):
         assert _morphism_rows(source, target, row) == []
 
 
+@pytest.mark.parametrize("m, n, t, i, j", [
+    (1, 1, 2, 1, 2), (1, 1, 2, 2, 2), (2, 1, 2, 1, 1), (1, 3, 2, 2, 1), (2, 2, 3, 1, 0),
+    (1, 1, 3, 0, 2)])
+def test_hom_solve_terms_counts_the_morphism_condition_terms(hj2, m, n, t, i, j):
+    """The size estimate a Hom solve is refused by is the number of (unknown,
+    word, sign) triples _morphism_conditions yields for it."""
+    u = ComoduleSpace.standard_left(hj2 if t == 2 else build_hf(FMatrix.jordan(t)))
+    source, target = u.direct_power(m).tensor_power(i), u.direct_power(n).tensor_power(j)
+    assert catalg.hom_solve_terms(m, n, t, i, j) == \
+        sum(map(len, _morphism_conditions(source, target)))
+    assert catalg.hom_solve_terms(1, 1, t, i, i) == 2 * t ** (3 * i)
+
+
+def test_an_oversized_hom_solve_is_refused_before_any_comodule(monkeypatch, hj2):
+    monkeypatch.setattr(catalg, "ComoduleSpace", None)
+    with pytest.raises(catalg.SolveTooLarge, match=r"m=1, n=1, t=2, i=9, j=8 .* 100,663,296"):
+        intertwiner_space(1, 1, 2, hj2, 9, 8, 9)
+    monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", 47)
+    with pytest.raises(catalg.SolveTooLarge, match="48 constraint terms"):
+        intertwiner_space(1, 1, 2, hj2, 1, 2, 2)
+
+
 def test_intertwiner_space_rejects_low_truncation(hj2):
     # the morphism conditions hold words of degree i and j: the floor is max(i, j, 2)
     for i, j, d in [(3, 3, 2), (1, 3, 2), (3, 0, 2), (1, 1, 1)]:

@@ -242,6 +242,23 @@ def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, c
     assert "m=2, n=3, t=2, k=3" in captured.err and "1,024" in captured.err
 
 
+def test_an_oversized_unbalanced_hom_solve_exits_three_before_it_is_built(monkeypatch, capsys):
+    """intertwiners at i != j estimates its t^(i+j) (t^i + t^j) constraint
+    terms first: (t, i, j) = (3, 6, 5) would need about 77 GB, and the run
+    exits 3 naming the case and the estimate, with no solve."""
+    import time
+
+    from coinv import catalg
+
+    monkeypatch.setattr(catalg, "hom_space", lambda *args: pytest.fail("the solve was built"))
+    t0 = time.monotonic()
+    assert run(["intertwiners", "-t", "3", "--F", "preset:jordan", "-i", "6", "-j", "5"]) == 3
+    assert time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "t=3, i=6, j=5" in captured.err and "172,186,884" in captured.err
+
+
 def test_balanced_intertwiners_read_the_lead_certificate(monkeypatch, capsys):
     """At i = j the intertwiners command solves nothing when no lead is pure-u;
     at i != j it keeps the hom_space solve."""

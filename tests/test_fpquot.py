@@ -14,7 +14,7 @@ from conftest import word_product
 
 from coinv import cli
 from coinv.exactlin import Subspace, add_to
-from coinv.fpquot import CertStatus, Presentation, TruncatedQuotient, certified_kernel
+from coinv.fpquot import Presentation, TruncatedQuotient, certified_kernel
 from coinv.freealg import FreeAlgebra, GeneratorSet
 from coinv.hopf import FMatrix, build_hf
 
@@ -108,19 +108,17 @@ def test_relations_and_ideal_multiples_certified_zero():
     q = pres.quotient(4)
     x = {(pres.algebra.letter("x", 0, 0),): Q(1)}
     for r in pres.relations:
-        assert q.is_zero_mod(r) is CertStatus.CERTIFIED_ZERO
-        assert q.is_zero_mod(word_product(x, r)) is CertStatus.CERTIFIED_ZERO
+        assert q.is_zero_mod(r) is True
+        assert q.is_zero_mod(word_product(x, r)) is True
         assert q.is_zero_mod(element_sum(word_product(r, x), word_product({(): Q(2)}, x, r))) \
-            is CertStatus.CERTIFIED_ZERO
+            is True
 
 
 def test_nonmember_not_certified():
     pres = laurent_presentation()
     q = pres.quotient(4)
     x = {(pres.algebra.letter("x", 0, 0),): Q(1)}
-    assert q.is_zero_mod(x) is CertStatus.NOT_CERTIFIED
-    assert bool(CertStatus.NOT_CERTIFIED) is False
-    assert bool(CertStatus.CERTIFIED_ZERO) is True
+    assert q.is_zero_mod(x) is False
 
 
 def test_ideal_dim_monotone_in_truncation():
@@ -159,7 +157,7 @@ def test_hopf_relations_certified_zero_with_random_ideal_combos():
             else:
                 term = r
             terms.append(word_product({(): c}, term))
-        assert q.is_zero_mod(element_sum(*terms)) is CertStatus.CERTIFIED_ZERO
+        assert q.is_zero_mod(element_sum(*terms)) is True
 
 
 def test_quotient_basis_deterministic_across_fresh_objects():
@@ -192,7 +190,7 @@ def test_module_level_wrappers():
     x, y = pres.algebra.letter("x", 0, 0), pres.algebra.letter("y", 0, 0)
     assert q.normal_form({(x, y): Q(1)}) == {(): Q(1)}
     assert q.normal_form({(x, y, x): Q(2), (x,): Q(-1)}) == {(x,): Q(1)}
-    assert q.is_zero_mod({(x, y): Q(1), (): Q(-1)}) is CertStatus.CERTIFIED_ZERO
+    assert q.is_zero_mod({(x, y): Q(1), (): Q(-1)}) is True
 
 
 def test_normal_form_rejects_a_word_longer_than_d():
@@ -241,7 +239,7 @@ def test_certified_kernel_small_system():
 def test_dropped_cover_quotient_is_collected():
     h = build_hf(FMatrix.jordan(2))
     q = h.quotient(4)
-    assert q.is_zero_mod(h.labeled_relations[0][1]) is CertStatus.CERTIFIED_ZERO
+    assert q.is_zero_mod(h.labeled_relations[0][1]) is True
     ref = weakref.ref(q)
     del h, q
     gc.collect()

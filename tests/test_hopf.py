@@ -1,5 +1,6 @@
 """Presented Hopf cover: structure maps, grading, descent certification."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import word_product
 
 from coinv.exactlin import add_to
+from coinv.fpquot import Presentation
 from coinv.freealg import pair_product
 from coinv.hopf import (
     RELATION_DEGREE,
@@ -165,15 +167,15 @@ def test_coproduct_is_matrix_comultiplication():
     for name in ("u", "v"):
         for i in range(2):
             for j in range(2):
-                img = h.delta({(h.algebra.letter(name, i, j),): Q(1)})
+                img = list(h.delta_word((h.algebra.letter(name, i, j),)))
                 ks = set()
-                for (wl, wr), c in img.items():
-                    assert c == 1 and len(wl) == 1 and len(wr) == 1
+                for wl, wr in img:
+                    assert len(wl) == 1 and len(wr) == 1
                     _, a, b = h.algebra.letter_info(wl[0])
                     _, b2, c2 = h.algebra.letter_info(wr[0])
                     assert (a, c2) == (i, j) and b == b2
                     ks.add(b)
-                assert ks == {0, 1}
+                assert ks == {0, 1} and len(img) == 2
 
 
 SIX_F = [
@@ -265,8 +267,8 @@ def test_antipode_antimultiplicative():
 
 
 def test_structure_maps_are_linear_on_word_dicts():
-    """counit, delta and antipode are linear in the coefficients of a word
-    dict, and terms that cancel leave no zero entry behind."""
+    """counit and antipode are linear in the coefficients of a word dict, and
+    terms that cancel leave no zero entry behind."""
     h = build_hf(FMatrix([[1, 2], [3, -1]]))
     u, v = uv_letters(h)
     a = {(u(0, 1), v(1, 0)): Q(2), (v(0, 0),): Q(-1), (): Q(1, 3)}
@@ -276,15 +278,14 @@ def test_structure_maps_are_linear_on_word_dicts():
         add_to(a_plus_b, w, c)
     assert (v(0, 0),) not in a_plus_b
     assert h.counit(a_plus_b) == h.counit(a) + h.counit(b)
-    for structure_map in (h.delta, h.antipode):
-        expected = structure_map(a)
-        for key, c in structure_map(b).items():
-            add_to(expected, key, c)
-        assert structure_map(a_plus_b) == expected
-        assert all(structure_map(a_plus_b).values())
-        minus_a = {w: -c for w, c in a.items()}
-        assert {k: -c for k, c in structure_map(a).items()} == structure_map(minus_a)
-    assert h.delta({}) == {} and h.antipode({}) == {} and h.counit({}) == 0
+    expected = h.antipode(a)
+    for key, c in h.antipode(b).items():
+        add_to(expected, key, c)
+    assert h.antipode(a_plus_b) == expected
+    assert all(h.antipode(a_plus_b).values())
+    minus_a = {w: -c for w, c in a.items()}
+    assert {k: -c for k, c in h.antipode(a).items()} == h.antipode(minus_a)
+    assert h.antipode({}) == {} and h.counit({}) == 0
 
 
 def test_grading_specialization_on_generators():
@@ -321,8 +322,8 @@ def test_hopf_compat_rejects_low_truncation():
 
 
 @st.composite
-def invertible_f(draw):
-    t = draw(st.sampled_from([2, 3]))
+def invertible_f(draw, sizes=(2, 3)):
+    t = draw(st.sampled_from(sizes))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=t, max_size=t))
     try:
@@ -350,3 +351,89 @@ def test_counit_kills_relations_random_f(t):
         h = build_hf(random_invertible(t, rng))
         for label, rel in h.labeled_relations:
             assert h.counit(rel) == 0, label
+
+
+def diagonal_word_sum(h, x):
+    """eps(x) word by word: the coefficients of the words whose letters are all
+    diagonal."""
+    alg = h.algebra
+    return sum((c for w, c in x.items()
+                if all(alg.letter_info(a)[1] == alg.letter_info(a)[2] for a in w)), Q(0))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_counit_is_the_diagonal_word_sum(t):
+    """counit, the grading specialization at z = 1, keeps exactly the words of
+    diagonal letters, on random dicts holding off-diagonal letters and the
+    empty word."""
+    rng = random.Random(7 + t)
+    h = build_hf(FMatrix.jordan(t))
+    letters = list(h.algebra.letters())
+    for _ in range(40):
+        x = {(): Q(rng.randint(-3, 3))}
+        for _ in range(rng.randint(1, 6)):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            add_to(x, w, Q(rng.randint(-5, 5), rng.randint(1, 4)))
+        assert h.counit(x) == diagonal_word_sum(h, x)
+
+
+def pairwise_coproduct_certificate(h, d):
+    """Per relation r, whether (NF (x) NF)(Delta r) is zero, built term by term
+    as the sum of c NF(w1) (x) NF(w2) over the terms c w1 (x) w2 of Delta r."""
+    q = h.quotient(d)
+    verdicts = []
+    for _, r in h.labeled_relations:
+        residual = {}
+        for w, c in r.items():
+            for w1, w2 in h.delta_word(w):
+                for a, ca in q.normal_form_word(w1).items():
+                    for b, cb in q.normal_form_word(w2).items():
+                        add_to(residual, (a, b), c * ca * cb)
+        verdicts.append(not residual)
+    return tuple(verdicts)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("fname", ["identity", "jordan", "diag"])
+def test_coproduct_certificate_matches_the_pairwise_tensor(preset_hopf, fname, t):
+    h = preset_hopf(fname, t)
+    rep = check_hopf_compat(h, RELATION_DEGREE)
+    assert rep.relation_coproduct == pairwise_coproduct_certificate(h, RELATION_DEGREE)
+    assert all(rep.relation_coproduct)
+
+
+@settings(max_examples=10, deadline=None)
+@given(invertible_f(sizes=(2,)))
+def test_coproduct_certificate_matches_the_pairwise_tensor_random_f(F):
+    h = build_hf(F)
+    rep = check_hopf_compat(h, RELATION_DEGREE)
+    assert rep.relation_coproduct == pairwise_coproduct_certificate(h, RELATION_DEGREE)
+
+
+def with_extra_term(h, index, word):
+    """A copy of h whose relation `index` carries `word` as one more term,
+    presented afresh on the same algebra."""
+    labeled = list(h.labeled_relations)
+    label, rel = labeled[index]
+    rel = dict(rel)
+    add_to(rel, word, Q(1))
+    labeled[index] = (label, rel)
+    mutant = copy.copy(h)
+    mutant.labeled_relations = tuple(labeled)
+    mutant.presentation = Presentation(h.algebra, [r for _, r in labeled])
+    return mutant
+
+
+def test_coproduct_certificate_flags_a_broken_relation():
+    """With u11 u11 added to u.tv[1,2], Delta of that relation leaves I (x)
+    cover + cover (x) I of the changed ideal, and the certificate flags it
+    and no other relation."""
+    h = build_hf(FMatrix.jordan(2))
+    u, _ = uv_letters(h)
+    assert h.labeled_relations[1][0] == "u.tv[1,2]"
+    mutant = with_extra_term(h, 1, (u(0, 0), u(0, 0)))
+    rep = check_hopf_compat(mutant, RELATION_DEGREE)
+    assert rep.relation_coproduct == tuple(i != 1 for i in range(len(h.labeled_relations)))
+    assert rep.relation_coproduct == pairwise_coproduct_certificate(mutant, RELATION_DEGREE)
+    assert not rep.certified
+    assert all(check_hopf_compat(h, RELATION_DEGREE).relation_coproduct)
