@@ -5,10 +5,10 @@ A ComoduleSpace is finite-dimensional, each nonzero coaction entry one
 H-word with coefficient 1: the trivial comodule I gives the empty word, the
 standard U_l the letter u_ij, a tensor product (flattened row-major, so
 associators are identities on basis vectors) the concatenation of its
-factors' words, and the S-twisted dual the reversed v-word
-HopfCover.antipode_word.  The dual is defined only for comodules of u-words
-(the one dual taken is U*), since S(v_ij) is not a word.
-_morphism_conditions writes the conditions on a map between two of them.
+factors' words.  The S-twisted dual U*, whose entries are the reversed
+v-words HopfCover.antipode_word, and the comodule axioms are the tests'
+oracles (tests/oracles.py).  _morphism_conditions writes the conditions on
+a map between two comodules.
 
 A(m,t) carries the right coaction rho(y_ij) = sum_k y_ik (x) u_kj and is
 turned into a left comodule by the flip rho' = tau o (id (x) S) o rho;
@@ -95,12 +95,6 @@ class ComoduleSpace:
         co = {(i, j): (hopf.algebra.letter("u", i, j),) for i in range(t) for j in range(t)}
         return cls(hopf, t, co)
 
-    def dual(self) -> "ComoduleSpace":
-        """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
-        Defined for comodules of u-words only (ValueError otherwise)."""
-        co = {(a, b): self.hopf.antipode_word(h) for (b, a), h in self.coaction.items()}
-        return ComoduleSpace(self.hopf, self.dim, co)
-
     def direct_power(self, m: int) -> "ComoduleSpace":
         """Block diagonal: copy p of e_a at index p*dim + a."""
         if m < 1:
@@ -129,30 +123,6 @@ class ComoduleSpace:
     def _compatible(self, other: "ComoduleSpace"):
         if self.hopf.algebra is not other.hopf.algebra or self.hopf.F != other.hopf.F:
             raise ValueError("comodules live over different Hopf covers")
-
-    # -- structure checks -----------------------------------------------------
-
-    def is_counital(self) -> bool:
-        """epsilon(h[a,b]) = delta_ab, an exact rational computation."""
-        seen = set(self.coaction)
-        for (a, b), h in self.coaction.items():
-            if self.hopf.counit({h: Q(1)}) != (Q(1) if a == b else Q(0)):
-                return False
-        return all((a, a) in seen for a in range(self.dim))
-
-    def is_coassociative(self) -> bool:
-        """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c], exactly in the free cover."""
-        co = self.coaction
-        for a in range(self.dim):
-            for c in range(self.dim):
-                lhs = dict.fromkeys(self.hopf.delta_word(co[a, c]), 1) if (a, c) in co else {}
-                acc: dict[tuple[Word, Word], int] = {}
-                for b in range(self.dim):
-                    if (a, b) in co and (b, c) in co:
-                        add_to(acc, (co[a, b], co[b, c]), 1)
-                if lhs != acc:
-                    return False
-        return True
 
 
 def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):

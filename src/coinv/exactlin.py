@@ -17,7 +17,9 @@ basis.  The certified kernels of
 `fpquot` are solved here too; its normal forms come from rewriting, not
 from this eliminator.
 
-`add_to` is the sparse accumulator used by every other module.
+`add_to` is the sparse accumulator used by every other module, and
+`as_exact` the one coercion of a coefficient to an exact scalar.  RREF rows
+stay Fractions, so `_reduce` always divides by a Fraction.
 """
 
 from __future__ import annotations
@@ -43,6 +45,21 @@ def add_to(acc: dict, key, c) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+def as_exact(c) -> int | Q:
+    """c as an exact scalar: an int when it is integral, else a Fraction.
+
+    Accepts anything Fraction does except a float, which is not exact.
+    Integral coefficients kept as ints multiply and add at int speed.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Q:
+        if isinstance(c, float):
+            raise TypeError(f"inexact coefficient {c!r}: give an int, a Fraction or a string")
+        c = Q(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _clean_row(entries: Mapping[int, object]) -> Row:
@@ -210,8 +227,9 @@ def _back_substitute(pivots: dict[int, IntRow]) -> dict[int, Row]:
     return reduced
 
 
-def rank(rows: Iterable[Row]) -> int:
-    """Dimension of the span of sparse rational rows."""
+def rank(rows: Iterable[Mapping]) -> int:
+    """Dimension of the span of sparse rows of ints or Fractions.  Columns may
+    be any totally ordered keys, such as monomial exponent tuples."""
     return len(_echelon(rows))
 
 

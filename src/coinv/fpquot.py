@@ -3,7 +3,11 @@
 For a presentation (free algebra, finite relation list) and a truncation
 degree d, the span of all products a*r*b of total degree <= d is a
 subspace I_d of the span of words of degree <= d.  Relations, like every
-element here, are {word: coefficient} dicts.  Everything here is a
+element here, are {word: coefficient} dicts.  Coefficients are exact
+scalars (exactlin.as_exact): an int where integral, a Fraction elsewhere.
+A relation is stored so, and so are its rule tails and its memoised normal
+forms, so an integer presentation reduces in int arithmetic; a rule with a
+non-unit lead keeps its Fractions.  Everything here is a
 certified *under*-approximation of the true ideal: membership answers are
 one-sided bools (True, a zero normal form, is a proof; False is silence).
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .exactlin import Subspace, add_to, solve_homogeneous
+from .exactlin import Subspace, add_to, as_exact, solve_homogeneous
 from .freealg import FreeAlgebra, Word
 
 Q = Fraction
@@ -48,14 +52,20 @@ Q = Fraction
 class Presentation:
     """A free algebra together with a finite list of nonzero relations, each a
     {word: coefficient} dict, the one resumable completion of its relations
-    and its truncated quotients.  Zero coefficients are dropped."""
+    and its truncated quotients.  A coefficient is anything Fraction reads
+    except a float; it is stored exact, and zero coefficients are dropped
+    before the completion sees the relation."""
 
     __slots__ = ("algebra", "relations", "completion", "_quotients")
 
     def __init__(self, algebra: FreeAlgebra, relations):
         clean = []
         for r in relations:
-            terms = {w: Q(c) for w, c in r.items() if c}
+            terms = {}
+            for w, c in r.items():
+                c = as_exact(c)
+                if c:
+                    terms[w] = c
             if not terms:
                 raise ValueError("zero relations are not allowed")
             if not all(0 <= letter < algebra.nletters for w in terms for letter in w):
@@ -63,7 +73,7 @@ class Presentation:
             clean.append(terms)
         self.algebra = algebra
         self.relations = tuple(clean)
-        self.completion = Completion(relations)
+        self.completion = Completion(clean)
         self._quotients: dict[int, TruncatedQuotient] = {}
 
     @property
@@ -126,21 +136,14 @@ class TruncatedQuotient:
             if len(w) > self.d:
                 raise ValueError(f"degree {len(w)} exceeds truncation {self.d}")
             comp = self._completion()
-            got = _reduce(comp.rules, comp.lengths, {w: Q(1)}, self.d, self._nf_cache)
-            self._nf_cache[w] = got
+            got = _reduce(comp.rules, comp.lengths, {w: 1}, self.d, self._nf_cache)
+            got = self._nf_cache[w] = {u: as_exact(c) for u, c in got.items()}
         return got
 
     def is_zero_mod(self, x: dict[Word, Q]) -> bool:
         """True iff the normal form of x is zero: a proof that x lies in I_d.
         False proves nothing."""
         return not self.normal_form(x)
-
-    def quotient_basis(self) -> tuple[Word, ...]:
-        """Words no rule can rewrite (degree-ascending, then lex): a basis of the quotient."""
-        comp = self._completion()
-        return tuple(w for k in range(self.d + 1)
-                     for w in self.presentation.algebra.degree_basis(k)
-                     if _match(comp.rules, comp.lengths, w, self.d - k) is None)
 
     def __repr__(self) -> str:
         return f"TruncatedQuotient(d={self.d}, {self.presentation!r})"
@@ -265,8 +268,8 @@ class Completion:
             if not nf:
                 continue
             lead = min(nf, key=_order)
-            inv = -1 / nf.pop(lead)
-            rule = (deg - len(lead), {u: c * inv for u, c in nf.items()})
+            inv = Q(-1) / nf.pop(lead)
+            rule = (deg - len(lead), {u: as_exact(c * inv) for u, c in nf.items()})
             rules[lead] = rule
             if len(lead) not in self.lengths:
                 self.lengths = _lead_lengths(rules)

@@ -16,6 +16,9 @@ letters, and a truncation-certified compatibility check: structure
 maps descend to the quotient as soon as they send relations into the
 relation ideal.  Every membership the check needs is read off
 TruncatedQuotient.normal_form, the coproduct condition one leg at a time.
+Relation terms and antipode images are exact scalars (exactlin.as_exact):
+ints where integral, as every one is for an integer F, so the check
+reduces in int arithmetic.
 
 The grading specialization u_ij -> delta_ij z, v_ij -> delta_ij z^-1 into
 Laurent polynomials annihilates every relation exactly (checked at build
@@ -28,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactlin import Subspace, add_to
+from .exactlin import Subspace, add_to, as_exact
 from .freealg import FreeAlgebra, GeneratorSet, Word, split_word
 from .fpquot import Presentation, TruncatedQuotient
 
@@ -121,10 +124,10 @@ class HopfCover:
             for j in range(t):
                 for k in range(t):
                     for l in range(t):
-                        add_to(fuf[i][j], (u[l][k],), F.entry(i, k) * F.inverse[l][j])
+                        add_to(fuf[i][j], (u[l][k],), as_exact(F.entry(i, k) * F.inverse[l][j]))
         # entry (i, j) of each family is the sum over k of these word dicts
-        families = (("u.tv", lambda i, j, k: {(u[i][k], v[j][k]): Q(1)}),
-                    ("tv.u", lambda i, j, k: {(v[k][i], u[k][j]): Q(1)}),
+        families = (("u.tv", lambda i, j, k: {(u[i][k], v[j][k]): 1}),
+                    ("tv.u", lambda i, j, k: {(v[k][i], u[k][j]): 1}),
                     ("v.FtuFi", lambda i, j, k: {(v[i][k],) + w: c for w, c in fuf[k][j].items()}),
                     ("FtuFi.v", lambda i, j, k: {w + (v[k][j],): c for w, c in fuf[i][k].items()}))
         labeled: list[tuple[str, dict[Word, Q]]] = []
@@ -137,7 +140,8 @@ class HopfCover:
                         for w, c in entry(i, j, k).items():
                             add_to(terms, w, c)
                     if i == j:
-                        add_to(terms, (), Q(-1))
+                        add_to(terms, (), -1)
+                    terms = {w: as_exact(c) for w, c in terms.items()}
                     key = tuple(sorted(terms.items()))
                     if key in seen:
                         continue
@@ -150,7 +154,7 @@ class HopfCover:
         self.presentation = Presentation(alg, [r for _, r in labeled])
         # antipode images: S(u_ij) = v_ji, S(v_ij) = (F u^T F^-1)_ij
         self._s_letters = {u[i][j]: v[j][i] for i in range(t) for j in range(t)}
-        self._s_images = {a: {(b,): Q(1)} for a, b in self._s_letters.items()}
+        self._s_images = {a: {(b,): 1} for a, b in self._s_letters.items()}
         self._s_images.update((v[i][j], fuf[i][j]) for i in range(t) for j in range(t))
         for label, rel in labeled:
             if grading_specialize(alg, rel):
@@ -166,14 +170,14 @@ class HopfCover:
 
     def counit(self, x: dict[Word, Q]) -> Q:
         """eps(x): the grading specialization of x evaluated at z = 1."""
-        return sum(grading_specialize(self.algebra, x).values(), Q(0))
+        return sum(grading_specialize(self.algebra, x).values(), 0)
 
     def antipode(self, x: dict[Word, Q]) -> dict[Word, Q]:
         """Anti-homomorphic extension of the antipode letter images: S(c w) is
         c times the product of S(letter) over w read right to left."""
         acc: dict[Word, Q] = {}
         for w, c in x.items():
-            prod = {(): Q(c)}
+            prod = {(): c}
             for letter in reversed(w):
                 step: dict[Word, Q] = {}
                 for pw, pc in prod.items():
@@ -281,17 +285,17 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
         rhs: dict[tuple[Word, Word, Word], Q] = {}
         for w1, w2 in dg:
             for a, b in h.delta_word(w1):
-                add_to(lhs, (a, b, w2), Q(1))
+                add_to(lhs, (a, b, w2), 1)
             for a, b in h.delta_word(w2):
-                add_to(rhs, (w1, a, b), Q(1))
+                add_to(rhs, (w1, a, b), 1)
         if lhs != rhs:
             coassoc_ok = False
         left_law: dict[Word, Q] = {}
         right_law: dict[Word, Q] = {}
         for w1, w2 in dg:
-            add_to(left_law, w2, h.counit({w1: Q(1)}))
-            add_to(right_law, w1, h.counit({w2: Q(1)}))
-        expect = {g_word: Q(1)}
+            add_to(left_law, w2, h.counit({w1: 1}))
+            add_to(right_law, w1, h.counit({w2: 1}))
+        expect = {g_word: 1}
         if left_law != expect or right_law != expect:
             counit_ok = False
 
@@ -317,13 +321,13 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
         # sum_k S(g_ik) g_kj - eps(g_ij) and sum_k g_ik S(g_kj) - eps(g_ij)
         left: dict[Word, Q] = {}
         right: dict[Word, Q] = {}
-        unit = h.counit({(letter,): Q(1)})
+        unit = h.counit({(letter,): 1})
         add_to(left, (), -unit)
         add_to(right, (), -unit)
         for a, b in h.delta_word((letter,)):
-            for w, c in h.antipode({a: Q(1)}).items():
+            for w, c in h.antipode({a: 1}).items():
                 add_to(left, w + b, c)
-            for w, c in h.antipode({b: Q(1)}).items():
+            for w, c in h.antipode({b: 1}).items():
                 add_to(right, a + w, c)
         axiom.append(q.is_zero_mod(left))
         axiom.append(q.is_zero_mod(right))

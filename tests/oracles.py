@@ -1,0 +1,250 @@
+"""Reference definitions the tests compare coinv against; nothing in the
+package imports them.
+
+Each oracle states a definition directly, at a cost the program avoids:
+
+* rational polynomials (`Poly`) and their arithmetic, theta* applied
+  variable by variable, and the t^2 gl_t derivations (`DerivationAction`);
+* the classical theorems' RREF subspaces, which coinv.classical reduces to
+  ranks and containments: `glt_invariants` (the joint kernel of the
+  off-diagonal derivations on the weight-zero monomials), `theta_star_image`,
+  `theta_star_kernel` and `minors_component`;
+* the basis of a truncated quotient, read word by word (`quotient_basis`);
+* the comodule axioms and the S-twisted dual of a word-matrix comodule.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+from coinv.classical import PolyRing, _rings, _weight_zero, minor_polys, theta_star_degree
+from coinv.comod import ComoduleSpace
+from coinv.exactlin import Subspace, add_to, solve_homogeneous
+from coinv.fpquot import TruncatedQuotient, _match
+from coinv.freealg import Word
+
+Q = Fraction
+
+Mono = tuple[int, ...]
+Poly = dict[Mono, Q]
+
+
+# -- rational polynomials -----------------------------------------------------------
+
+
+def padd(a: Poly, b: Poly) -> Poly:
+    out = dict(a)
+    for m, c in b.items():
+        add_to(out, m, c)
+    return out
+
+
+def pscale(a: Poly, c) -> Poly:
+    c = Q(c)
+    if not c:
+        return {}
+    return {m: v * c for m, v in a.items()}
+
+
+def pmul(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            add_to(out, tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2)
+    return out
+
+
+def var(ring: PolyRing, sym: str, i: int, j: int) -> Poly:
+    v = ring.var_index(sym, i, j)
+    return {tuple(int(w == v) for w in range(ring.nvars)): Q(1)}
+
+
+def one(ring: PolyRing) -> Poly:
+    return {(0,) * ring.nvars: Q(1)}
+
+
+def monomial_position(mono: Mono) -> int:
+    """Index of a monomial in `PolyRing.monomials_of_degree`, counted without
+    enumerating: the exponent vectors of its degree that agree with it before
+    some entry e and are smaller there leave a degree in (rest - e, rest] to
+    the `left` later variables."""
+    pos, rest, left = 0, sum(mono), len(mono)
+    for e in mono[:-1]:
+        left -= 1
+        if e:
+            pos += comb(rest + left, left) - comb(rest - e + left, left)
+            rest -= e
+    return pos
+
+
+def to_vector(p: Poly, k: int) -> dict[int, Q]:
+    """Coordinates of a degree-k homogeneous polynomial over the degree-k monomials."""
+    vec = {}
+    for mono, c in p.items():
+        if sum(mono) != k:
+            raise ValueError("polynomial is not homogeneous of the requested degree")
+        vec[monomial_position(mono)] = c
+    return vec
+
+
+# -- theta* and the gl_t action --------------------------------------------------------
+
+
+def theta_star_images(m: int, n: int, t: int) -> tuple[PolyRing, PolyRing, dict[int, Poly]]:
+    """Source ring, target ring, and the generator images X_ij -> sum_k Y_ik Z_kj."""
+    rx, ryz = _rings(m, n, t)
+    images = {}
+    for i in range(m):
+        for j in range(n):
+            img: Poly = {}
+            for k in range(t):
+                img = padd(img, pmul(var(ryz, "Y", i, k), var(ryz, "Z", k, j)))
+            images[rx.var_index("X", i, j)] = img
+    return rx, ryz, images
+
+
+def theta_star_apply(mono: Mono, images: dict[int, Poly], ryz: PolyRing) -> Poly:
+    out = one(ryz)
+    for v, e in enumerate(mono):
+        for _ in range(e):
+            out = pmul(out, images[v])
+    return out
+
+
+class DerivationAction:
+    """The t^2 polarization derivations of the gl_t action on Q[Y, Z]."""
+
+    def __init__(self, m: int, n: int, t: int):
+        if min(m, n, t) < 1:
+            raise ValueError("m, n, t must be positive")
+        self.m, self.n, self.t = m, n, t
+        _, self.ring = _rings(m, n, t)
+        # var_images[(a, b)][v] = E_ab(variable v), stored sparse
+        self.var_images: dict[tuple[int, int], dict[int, Poly]] = {}
+        for a in range(t):
+            for b in range(t):
+                imgs: dict[int, Poly] = {}
+                for i in range(m):
+                    # E_ab(Y_ic) = -delta_bc Y_ia
+                    imgs[self.ring.var_index("Y", i, b)] = pscale(var(self.ring, "Y", i, a), -1)
+                for j in range(n):
+                    # E_ab(Z_cj) = delta_ac Z_bj
+                    imgs[self.ring.var_index("Z", a, j)] = var(self.ring, "Z", b, j)
+                self.var_images[(a, b)] = imgs
+
+    def weight(self, mono: Mono) -> list[int]:
+        """E_aa(mono) = weight[a] * mono: deg of Z row a minus deg of Y column a."""
+        t, n, ydeg = self.t, self.n, self.m * self.t
+        return [sum(mono[ydeg + a * n:ydeg + (a + 1) * n]) - sum(mono[a:ydeg:t])
+                for a in range(t)]
+
+    def apply(self, a: int, b: int, p: Poly) -> Poly:
+        """E_ab extended to polynomials by the Leibniz rule."""
+        imgs = self.var_images[(a, b)]
+        out: Poly = {}
+        for mono, c in p.items():
+            for v, e in enumerate(mono):
+                if e and v in imgs:
+                    lowered = list(mono)
+                    lowered[v] -= 1
+                    for img_mono, img_c in imgs[v].items():
+                        add_to(out, tuple(x + y for x, y in zip(lowered, img_mono)), c * e * img_c)
+        return out
+
+
+# -- the classical theorems as subspaces ----------------------------------------------
+
+
+def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
+    """Joint kernel of all t^2 derivations on the total-degree component of
+    Q[Y,Z], over all its monomials: solved on the weight-zero monomials with
+    the off-diagonal derivations, since E_aa scales each monomial by its weight."""
+    act = DerivationAction(m, n, t)
+    ambient = act.ring.component_dim(degree)
+    if degree % 2:
+        return Subspace.zero(ambient)
+    weight_zero = _weight_zero(m, n, t, degree // 2)
+    equations: dict[tuple, dict[int, Q]] = {}
+    for local, mono in enumerate(weight_zero):
+        for a in range(t):
+            for b in range(t):
+                if a != b:
+                    for target, c in act.apply(a, b, {mono: Q(1)}).items():
+                        equations.setdefault((a, b, target), {})[local] = c
+    kernel = solve_homogeneous(equations.values(), len(weight_zero))
+    # the positions increase, so relabelling keeps each row's lead first: still RREF
+    cols = [monomial_position(mono) for mono in weight_zero]
+    return Subspace(ambient, {cols[lead]: {cols[c]: v for c, v in row.items()}
+                              for lead, row in zip(kernel.pivot_cols, kernel.basis)})
+
+
+def theta_star_image(m: int, n: int, t: int, k: int) -> Subspace:
+    """Image of the degree-k component of theta*, over the degree-2k target monomials."""
+    _, ryz = _rings(m, n, t)
+    images = theta_star_degree(m, n, t, k)
+    return Subspace.from_vectors(ryz.component_dim(2 * k), [to_vector(img, 2 * k) for img in images.values()])
+
+
+def theta_star_kernel(m: int, n: int, t: int, k: int) -> Subspace:
+    """Kernel of the degree-k component of theta*, over the degree-k X-monomials."""
+    images = theta_star_degree(m, n, t, k)
+    equations: dict[Mono, dict[int, int]] = {}
+    for idx, img in enumerate(images.values()):
+        for target, c in img.items():
+            equations.setdefault(target, {})[idx] = c
+    return solve_homogeneous(equations.values(), len(images))
+
+
+def minors_component(m: int, n: int, t: int, k: int) -> Subspace:
+    """Degree-k component of the ideal generated by the (t+1) x (t+1) minors."""
+    rx, _ = _rings(m, n, t)
+    nmonos = rx.component_dim(k)
+    gens = minor_polys(m, n, t)
+    if not gens or k < t + 1:
+        return Subspace.zero(nmonos)
+    vectors = [to_vector(pmul({cof: Q(1)}, g), k)
+               for cof in rx.monomials_of_degree(k - t - 1) for g in gens]
+    return Subspace.from_vectors(nmonos, vectors)
+
+
+# -- truncated quotients and comodules --------------------------------------------------
+
+
+def quotient_basis(q: TruncatedQuotient) -> tuple[Word, ...]:
+    """Words no rule can rewrite (degree-ascending, then lex): a basis of the quotient."""
+    comp = q.presentation.completion
+    comp.extend(q.d)
+    return tuple(w for k in range(q.d + 1)
+                 for w in q.presentation.algebra.degree_basis(k)
+                 if _match(comp.rules, comp.lengths, w, q.d - k) is None)
+
+
+def dual(space: ComoduleSpace) -> ComoduleSpace:
+    """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
+    Defined for comodules of u-words only (ValueError otherwise)."""
+    co = {(a, b): space.hopf.antipode_word(h) for (b, a), h in space.coaction.items()}
+    return ComoduleSpace(space.hopf, space.dim, co)
+
+
+def is_counital(space: ComoduleSpace) -> bool:
+    """epsilon(h[a,b]) = delta_ab, an exact rational computation."""
+    for (a, b), h in space.coaction.items():
+        if space.hopf.counit({h: Q(1)}) != int(a == b):
+            return False
+    return all((a, a) in space.coaction for a in range(space.dim))
+
+
+def is_coassociative(space: ComoduleSpace) -> bool:
+    """Delta(h[a,c]) = sum_b h[a,b] (x) h[b,c], exactly in the free cover."""
+    co = space.coaction
+    for a in range(space.dim):
+        for c in range(space.dim):
+            lhs = dict.fromkeys(space.hopf.delta_word(co[a, c]), 1) if (a, c) in co else {}
+            acc: dict[tuple[Word, Word], int] = {}
+            for b in range(space.dim):
+                if (a, b) in co and (b, c) in co:
+                    add_to(acc, (co[a, b], co[b, c]), 1)
+            if lhs != acc:
+                return False
+    return True

@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+import oracles
 from conftest import word_product
 
 from coinv.catalg import intertwiner_space, main_correspondence_check
@@ -150,17 +151,16 @@ def test_c06_hopf_structure_descends():
 
 
 def test_c07_classical_kernel_equals_minors():
-    dims = []
-    for k in range(5):
-        ker = theta_star_kernel(2, 2, 1, k)
-        assert ker == minors_component(2, 2, 1, k)
-        dims.append(ker.dim)
+    def check(m, n, t, k):
+        ker, mnr = oracles.theta_star_kernel(m, n, t, k), oracles.minors_component(m, n, t, k)
+        assert ker == mnr
+        assert theta_star_kernel(m, n, t, k) == ker.dim
+        assert minors_component(m, n, t, k) == mnr.dim
+        return ker.dim
+    dims = [check(2, 2, 1, k) for k in range(5)]
     assert dims == [0, 0, 1, 4, 10]
-    assert theta_star_kernel(3, 3, 2, 3) == minors_component(3, 3, 2, 3)
-    for k in range(4):
-        ker = theta_star_kernel(2, 2, 2, k)
-        assert ker == minors_component(2, 2, 2, k)
-        assert ker.dim == 0
+    check(3, 3, 2, 3)
+    assert [check(2, 2, 2, k) for k in range(4)] == [0] * 4
     report_line(7, f"kernel = minor ideal; (2,2,1) dims {dims}")
 
 
@@ -169,6 +169,12 @@ def test_c08_classical_invariants_equal_image():
     assert rep1.ok, rep1.mismatches
     rep2 = fft1_check(2, 2, 2, 2)
     assert rep2.ok, rep2.mismatches
+    for (m, n, t), rep in (((2, 2, 1), rep1), ((2, 2, 2), rep2)):
+        for row in rep.rows:
+            inv = oracles.glt_invariants(m, n, t, row.degree)
+            if row.degree % 2 == 0:
+                assert inv == oracles.theta_star_image(m, n, t, row.degree // 2)
+            assert row.dim_left == row.dim_right == inv.dim
     # companion kernel reports, same shapes
     assert fft2_check(2, 2, 1, 2).ok
     assert fft2_check(2, 2, 2, 1).ok

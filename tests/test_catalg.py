@@ -14,6 +14,7 @@ from coinv.catalg import (
     psi,
 )
 from conftest import word_product
+from oracles import dual, is_coassociative, is_counital
 
 from coinv.cli import run
 from coinv.comod import CoactionContext, ComoduleSpace, _morphism_conditions, coinvariance_residual
@@ -75,7 +76,7 @@ def test_morphism_conditions_match_the_literal_reading(hj2):
     condition, the triples that a scan of every index reads."""
     u = ComoduleSpace.standard_left(hj2)
     pairs = [(ComoduleSpace.trivial(hj2), CoactionContext(1, 1, 2, hj2).component((1, 1))),
-             (u.direct_power(2).tensor(u), u), (u.tensor(u.dual()), u.dual().tensor(u))]
+             (u.direct_power(2).tensor(u), u), (u.tensor(dual(u)), dual(u).tensor(u))]
     for source, target in pairs:
         walked = list(_morphism_conditions(source, target))
         literal = list(_literal_conditions(source, target))
@@ -85,28 +86,28 @@ def test_morphism_conditions_match_the_literal_reading(hj2):
 
 def test_standard_comodules_exact_axioms(hj2):
     space = ComoduleSpace.standard_left(hj2)
-    assert space.is_counital()
-    assert space.is_coassociative()
+    assert is_counital(space)
+    assert is_coassociative(space)
 
 
 def test_trivial_comodule(hj2):
     triv = ComoduleSpace.trivial(hj2)
     assert triv.dim == 1
-    assert triv.is_counital() and triv.is_coassociative()
+    assert is_counital(triv) and is_coassociative(triv)
     assert triv.coaction[(0, 0)] == ()
 
 
 def test_dual_coaction_is_v_matrix(hj2):
-    dual = ComoduleSpace.standard_left(hj2).dual()
+    u_dual = dual(ComoduleSpace.standard_left(hj2))
     for a in range(2):
         for b in range(2):
-            assert dual.coaction[(a, b)] == (hj2.algebra.letter("v", a, b),)
+            assert u_dual.coaction[(a, b)] == (hj2.algebra.letter("v", a, b),)
 
 
 def test_dual_comodule_exactly_coassociative(hj2):
-    dual = ComoduleSpace.standard_left(hj2).dual()
-    assert dual.is_counital()
-    assert dual.is_coassociative()
+    u_dual = dual(ComoduleSpace.standard_left(hj2))
+    assert is_counital(u_dual)
+    assert is_coassociative(u_dual)
 
 
 def _reference_coaction(hopf, spec):
@@ -144,27 +145,27 @@ def test_word_coactions_match_element_products(F):
     cases = [(u.tensor_power(1), "U"), (u.tensor_power(2), ("x", "U", "U")),
              (u.tensor_power(3), ("x", ("x", "U", "U"), "U")),
              (u.direct_power(2).tensor_power(2), ("x", u2, u2)),
-             (u.tensor(u.dual()), ("x", "U", "U*")), (u.dual().tensor(u), ("x", "U*", "U"))]
+             (u.tensor(dual(u)), ("x", "U", "U*")), (dual(u).tensor(u), ("x", "U*", "U"))]
     for space, spec in cases:
         dim, reference = _reference_coaction(hopf, spec)
         assert space.dim == dim
         assert {key: {h: Q(1)} for key, h in space.coaction.items()} == reference
-        assert space.is_counital() and space.is_coassociative()
+        assert is_counital(space) and is_coassociative(space)
 
 
 def test_dual_is_defined_for_u_words_only(hj2):
-    u_dual = ComoduleSpace.standard_left(hj2).dual()
+    u_dual = dual(ComoduleSpace.standard_left(hj2))
     with pytest.raises(ValueError):
-        u_dual.dual()
+        dual(u_dual)
     with pytest.raises(ValueError):
-        ComoduleSpace.standard_left(hj2).tensor(u_dual).dual()
+        dual(ComoduleSpace.standard_left(hj2).tensor(u_dual))
 
 
 def test_tensor_and_power_comodules(hj2):
     u = ComoduleSpace.standard_left(hj2)
     uu = u.tensor(u)
     assert uu.dim == 4
-    assert uu.is_counital() and uu.is_coassociative()
+    assert is_counital(uu) and is_coassociative(uu)
     assert u.tensor_power(0).dim == 1
     assert u.direct_power(3).dim == 6
 
@@ -276,7 +277,7 @@ def test_evaluation_and_coevaluation_are_morphisms(F):
     antipode laws u v^T = I and v^T u = I, relations themselves."""
     hopf = build_hf(F)
     u = ComoduleSpace.standard_left(hopf)
-    u_dual, triv = u.dual(), ComoduleSpace.trivial(hopf)
+    u_dual, triv = dual(u), ComoduleSpace.trivial(hopf)
     q = hopf.quotient(RELATION_DEGREE)
     diagonal = {a * 2 + a: 1 for a in range(2)}  # e[0, aa] and d[aa, 0]
     for source, target in ((u.tensor(u_dual), triv), (triv, u_dual.tensor(u))):

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from coinv import classical, cli
 from coinv.classical import (
-    DerivationAction,
     PolyRing,
     _derivation_moves,
     _derivation_row,
@@ -18,17 +18,24 @@ from coinv.classical import (
     glt_invariants,
     minor_polys,
     minors_component,
-    padd,
-    pmul,
-    pscale,
-    theta_star_apply,
     theta_star_degree,
     theta_star_image,
-    theta_star_images,
     theta_star_kernel,
 )
 from coinv.exactlin import rank, solve_homogeneous
 from coinv.freealg import theta_matrix
+from oracles import (
+    DerivationAction,
+    monomial_position,
+    one,
+    padd,
+    pmul,
+    pscale,
+    theta_star_apply,
+    theta_star_images,
+    to_vector,
+    var,
+)
 
 Q = Fraction
 
@@ -44,8 +51,9 @@ def test_monomial_order_deterministic():
     ring = PolyRing((("X", 1, 3),))
     monos = ring.monomials_of_degree(2)
     assert monos == tuple(sorted(monos))
-    assert ring.mono_label(monos[0]) == "X13^2"
-    assert ring.mono_label(monos[-1]) == "X11^2"
+    # X13^2 first, X11^2 last
+    assert monos[0] == (0, 0, 2)
+    assert monos[-1] == (2, 0, 0)
 
 
 @pytest.mark.parametrize("groups", [(("X", 2, 2),), (("Y", 2, 3), ("Z", 3, 1)), (("X", 1, 1),)])
@@ -56,16 +64,16 @@ def test_monomials_sorted_and_positions_counted(groups):
         assert len(monos) == ring.component_dim(k) == len(set(monos))
         assert monos == tuple(sorted(monos))
         assert all(sum(mono) == k for mono in monos)
-        assert [ring.monomial_position(mono) for mono in monos] == list(range(len(monos)))
+        assert [monomial_position(mono) for mono in monos] == list(range(len(monos)))
 
 
 def test_to_vector_coordinates():
     ring = PolyRing((("X", 2, 1),))
-    p = padd(ring.var("X", 0, 0), pscale(ring.var("X", 1, 0), Q(-3)))
+    p = padd(var(ring, "X", 0, 0), pscale(var(ring, "X", 1, 0), Q(-3)))
     # degree-1 monomials in ascending lex: X21 before X11
-    assert ring.to_vector(p, 1) == {1: Q(1), 0: Q(-3)}
+    assert to_vector(p, 1) == {1: Q(1), 0: Q(-3)}
     with pytest.raises(ValueError):
-        ring.to_vector(padd(p, ring.one()), 1)
+        to_vector(padd(p, one(ring)), 1)
 
 
 def rand_poly(ring, rng, nterms):
@@ -93,8 +101,8 @@ def test_poly_ring_axioms_random():
 def test_theta_star_generator_image():
     rx, ryz, images = theta_star_images(2, 2, 2)
     img = images[rx.var_index("X", 0, 1)]
-    expected = padd(pmul(ryz.var("Y", 0, 0), ryz.var("Z", 0, 1)),
-                    pmul(ryz.var("Y", 0, 1), ryz.var("Z", 1, 1)))
+    expected = padd(pmul(var(ryz, "Y", 0, 0), var(ryz, "Z", 0, 1)),
+                    pmul(var(ryz, "Y", 0, 1), var(ryz, "Z", 1, 1)))
     assert img == expected
 
 
@@ -107,17 +115,23 @@ def test_theta_star_multiplicative():
 
 
 def test_kernel_is_determinant_for_inner_size_one():
-    ker = theta_star_kernel(2, 2, 1, 2)
+    assert theta_star_kernel(2, 2, 1, 2) == 1
+    ker = oracles.theta_star_kernel(2, 2, 1, 2)
     assert ker.dim == 1
     rx = PolyRing((("X", 2, 2),))
-    det = padd(pmul(rx.var("X", 0, 0), rx.var("X", 1, 1)),
-               pscale(pmul(rx.var("X", 0, 1), rx.var("X", 1, 0)), -1))
-    assert ker.contains(rx.to_vector(det, 2))
+    det = padd(pmul(var(rx, "X", 0, 0), var(rx, "X", 1, 1)),
+               pscale(pmul(var(rx, "X", 0, 1), var(rx, "X", 1, 0)), -1))
+    assert ker.contains(to_vector(det, 2))
+    assert minor_polys(2, 2, 1) == [det]
 
 
 def test_kernel_equals_minor_ideal_componentwise():
-    for k in range(5):
-        assert theta_star_kernel(2, 2, 1, k) == minors_component(2, 2, 1, k)
+    for m, n, t, top in [(2, 2, 1, 4), (3, 2, 1, 3), (3, 3, 2, 3)]:
+        for k in range(top + 1):
+            ker, mnr = oracles.theta_star_kernel(m, n, t, k), oracles.minors_component(m, n, t, k)
+            assert theta_star_kernel(m, n, t, k) == ker.dim
+            assert minors_component(m, n, t, k) == mnr.dim
+            assert ker == mnr
 
 
 def test_minor_polys_shapes():
@@ -151,9 +165,11 @@ def test_derivations_annihilate_theta_star_images():
 
 
 def test_invariants_match_image_in_low_degree():
-    assert glt_invariants(2, 2, 1, 2) == theta_star_image(2, 2, 1, 1)
-    assert glt_invariants(2, 2, 1, 3).dim == 0
-    assert glt_invariants(2, 2, 1, 0).dim == 1
+    inv, img = oracles.glt_invariants(2, 2, 1, 2), oracles.theta_star_image(2, 2, 1, 1)
+    assert inv == img
+    assert glt_invariants(2, 2, 1, 2) == theta_star_image(2, 2, 1, 1) == inv.dim
+    assert glt_invariants(2, 2, 1, 3) == oracles.glt_invariants(2, 2, 1, 3).dim == 0
+    assert glt_invariants(2, 2, 1, 0) == oracles.glt_invariants(2, 2, 1, 0).dim == 1
 
 
 def brute_force_glt_invariants(m, n, t, degree):
@@ -166,7 +182,7 @@ def brute_force_glt_invariants(m, n, t, degree):
         for ab in act.var_images:
             img = act.apply(ab[0], ab[1], {mono: Q(1)})
             for target, c in img.items():
-                equations.setdefault((ab, ring.monomial_position(target)), {})[idx] = c
+                equations.setdefault((ab, monomial_position(target)), {})[idx] = c
     return solve_homogeneous(equations.values(), len(monos))
 
 
@@ -176,7 +192,9 @@ def brute_force_glt_invariants(m, n, t, degree):
     (1, 2, 2, 3), (2, 1, 3, 2), (3, 3, 2, 6), (3, 3, 2, 5), (3, 2, 2, 6),
 ])
 def test_glt_invariants_match_brute_force(m, n, t, degree):
-    assert glt_invariants(m, n, t, degree) == brute_force_glt_invariants(m, n, t, degree)
+    brute = brute_force_glt_invariants(m, n, t, degree)
+    assert oracles.glt_invariants(m, n, t, degree) == brute
+    assert glt_invariants(m, n, t, degree) == brute.dim
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -212,15 +230,14 @@ def test_free_theta_injective_where_commutative_collapses():
     # the free splitting map has no kernel in degree 2 while its commutative
     # shadow already kills the determinant
     assert rank(theta_matrix(2, 2, 1, 2)) == 16
-    assert theta_star_kernel(2, 2, 1, 2).dim == 1
+    assert theta_star_kernel(2, 2, 1, 2) == 1
 
 
 @pytest.mark.parametrize("m, n, t, k", [(3, 3, 2, 3), (3, 2, 2, 3), (2, 3, 3, 2), (1, 2, 3, 2)])
 def test_weight_zero_monomials_are_the_weight_zero_component(m, n, t, k):
     act = DerivationAction(m, n, t)
     monos = act.ring.monomials_of_degree(2 * k)
-    expected = {mono: pos for pos, mono in enumerate(monos) if not any(act.weight(mono))}
-    assert list(_weight_zero(m, n, t, k).items()) == list(expected.items())
+    assert _weight_zero(m, n, t, k) == tuple(mono for mono in monos if not any(act.weight(mono)))
 
 
 @pytest.mark.parametrize("m, n, t", [(3, 2, 2), (2, 3, 3), (1, 1, 2)])
@@ -246,38 +263,40 @@ def test_integer_theta_star_images_match_poly_definition(m, n, t):
             assert img == theta_star_apply(mono, images, ryz)
 
 
-@pytest.mark.parametrize("m, n, t, degree", [(3, 3, 2, 4), (2, 2, 3, 4)])
-def test_invariants_solve_every_off_diagonal_derivation(monkeypatch, m, n, t, degree):
-    # one missing E_ab leaves the kernel unchanged (the rest generate it), so
-    # the system itself is compared with the Poly definition
+@pytest.mark.parametrize("m, n, t, degree", [(3, 3, 2, 4), (2, 2, 3, 4), (1, 2, 3, 6)])
+def test_raising_system_matches_poly_definition(monkeypatch, m, n, t, degree):
+    # R_k is what glt_invariants ranks: E_{a,a+1} of each weight-zero monomial,
+    # the i-th of N at column N-1-i, one row per target monomial
     systems = []
-    solve = classical.solve_homogeneous
+    rank_rows = classical.rank
 
-    def captured(rows, nunknowns):
+    def captured(rows):
         rows = list(rows)
         systems.append(rows)
-        return solve(rows, nunknowns)
-    monkeypatch.setattr(classical, "solve_homogeneous", captured)
+        return rank_rows(rows)
+    monkeypatch.setattr(classical, "rank", captured)
     glt_invariants(m, n, t, degree)
     act = DerivationAction(m, n, t)
+    monos = _weight_zero(m, n, t, degree // 2)
     expected = {}
-    for local, mono in enumerate(_weight_zero(m, n, t, degree // 2)):
-        for a in range(t):
-            for b in range(t):
-                if a != b:
-                    for target, c in act.apply(a, b, {mono: Q(1)}).items():
-                        expected.setdefault((a, b, target), {})[local] = c
+    for local, mono in enumerate(monos):
+        for a in range(t - 1):
+            for target, c in act.apply(a, a + 1, {mono: Q(1)}).items():
+                expected.setdefault((a, target), {})[len(monos) - 1 - local] = c
     key = lambda row: sorted(row.items())
+    assert len(systems) == 1
     assert sorted(systems[0], key=key) == sorted(expected.values(), key=key)
 
 
 def test_odd_degree_invariants_enumerate_nothing(monkeypatch):
+    oracle = oracles.glt_invariants(3, 3, 2, 5)
+    assert oracle.dim == 0 and oracle.ambient_dim == math.comb(12 + 5 - 1, 5)
+
     def refuse(*args):
         raise AssertionError("an odd degree enumerated monomials")
     monkeypatch.setattr(PolyRing, "monomials_of_degree", refuse)
     monkeypatch.setattr(classical, "_weight_zero", refuse)
-    inv = glt_invariants(3, 3, 2, 5)
-    assert inv.dim == 0 and inv.ambient_dim == math.comb(12 + 5 - 1, 5)
+    assert glt_invariants(3, 3, 2, 5) == oracle.dim
 
 
 def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
@@ -289,7 +308,67 @@ def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
         return degree_images(m, n, t, lower, k)
     monkeypatch.setattr(classical, "_degree_images", counted)
     classical._images_by_degree.cache_clear()
+    classical._theta_rank.cache_clear()
     argv = ["classical", "-m", "3", "-n", "3", "-t", "2", "--max-degree", "3",
             "-o", str(tmp_path / "report.json")]
     assert cli.run(argv) == 0
     assert built == [1, 2, 3]
+
+
+# -- each certificate refutes a broken input ---------------------------------------------
+
+
+@pytest.fixture
+def fresh_images():
+    """Empty theta* caches before and after a test that perturbs what fills them."""
+    def clear():
+        classical._images_by_degree.cache_clear()
+        classical._theta_rank.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_perturbed_generator_image_is_refuted(monkeypatch, fresh_images):
+    # theta*(X_11) = 2 Y11 Z11 + Y12 Z21 is no longer killed by E_12, so Im
+    # theta* is not proven invariant, though the ranks may still agree
+    degree_images = classical._degree_images
+
+    def perturbed(m, n, t, lower, k):
+        out = degree_images(m, n, t, lower, k)
+        if k == 1:
+            img = out[next(iter(out))]
+            first = min(img)
+            img[first] *= 2
+        return out
+    monkeypatch.setattr(classical, "_degree_images", perturbed)
+    rep = fft1_check(2, 2, 2, 4)
+    assert [row.degree for row in rep.mismatches] == [2, 4]
+    assert all(row.dim_left == row.dim_right for row in rep.rows)
+
+
+def test_perturbed_minor_is_refuted(monkeypatch):
+    # a minor with one coefficient doubled has the same span of multiples in
+    # degree t+1 (it is still one nonzero polynomial), but theta* no longer kills it
+    minors = classical.minor_polys
+
+    def perturbed(m, n, t):
+        out = minors(m, n, t)
+        for g in out:
+            mono = min(g)
+            g[mono] *= 2
+        return out
+    monkeypatch.setattr(classical, "minor_polys", perturbed)
+    rep = fft2_check(3, 3, 2, 3)
+    assert [row.degree for row in rep.mismatches] == [3]
+    assert (rep.rows[3].dim_left, rep.rows[3].dim_right) == (1, 1)
+
+
+def test_dropped_simple_raising_derivation_is_refuted(monkeypatch):
+    # without E_12 at t = 3, ker R_k outgrows the invariants
+    moves = classical._derivation_moves
+    monkeypatch.setattr(classical, "_derivation_moves",
+                        lambda m, n, t, a, b: [] if (a, b) == (0, 1) else moves(m, n, t, a, b))
+    rep = fft1_check(1, 1, 3, 4)
+    assert [row.degree for row in rep.mismatches] == [2, 4]
+    assert all(row.dim_left > row.dim_right for row in rep.mismatches)

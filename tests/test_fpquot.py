@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import word_product
+from oracles import quotient_basis
 
 from coinv import cli
 from coinv.exactlin import Subspace, add_to
@@ -45,6 +46,33 @@ def test_presentation_rejects_zero_relation():
     with pytest.raises(ValueError):
         Presentation(alg, [{(0,): 0, (): Q(0)}])
     assert Presentation(alg, [{(0,): 1, (0, 0): 0}]).relations == ({(0,): Q(1)},)
+
+
+def test_int_coefficients_give_exact_normal_forms():
+    # x0 - 1 with int coefficients: NF(x0) is the int 1, not the float 1.0
+    alg = FreeAlgebra([GeneratorSet("x", 1, 1, 0)])
+    nf = Presentation(alg, [{(0,): 1, (): -1}]).quotient(2).normal_form_word((0,))
+    assert nf == {(): 1}
+    assert type(nf[()]) is int
+
+
+def test_zero_coefficient_word_does_not_raise_the_relation_degree():
+    # x0 + 0*x1^3 - 1 is the degree-1 relation x0 - 1, so x0^2 reduces to 1 at d = 3
+    alg = FreeAlgebra([GeneratorSet(f"x{i}", 1, 1, 0) for i in range(2)])
+    pres = Presentation(alg, [{(0,): 1, (1, 1, 1): 0, (): -1}])
+    assert pres.max_relation_degree == 1
+    assert pres.quotient(3).normal_form_word((0, 0)) == {(): 1}
+
+
+def test_string_coefficients_are_read_exactly():
+    # (1/2) x0 - 1: x0 reduces to 2
+    alg = FreeAlgebra([GeneratorSet("x", 1, 1, 0)])
+    pres = Presentation(alg, [{(0,): "1/2", (): -1}])
+    assert pres.relations == ({(0,): Q(1, 2), (): -1},)
+    nf = pres.quotient(1).normal_form_word((0,))
+    assert nf == {(): 2} and type(nf[()]) is int
+    with pytest.raises(TypeError):
+        Presentation(alg, [{(0,): 0.5, (): -1}])
 
 
 def test_presentation_rejects_out_of_range_letter():
@@ -88,7 +116,7 @@ def test_laurent_quotient_dimension():
     # in k[x, x^-1] every weight class is one-dimensional; weights -d..d survive
     for d in (2, 3, 4):
         q = TruncatedQuotient(laurent_presentation(), d)
-        assert len(q.quotient_basis()) == 2 * d + 1
+        assert len(quotient_basis(q)) == 2 * d + 1
 
 
 def test_laurent_normal_forms():
@@ -163,7 +191,7 @@ def test_hopf_relations_certified_zero_with_random_ideal_combos():
 def test_quotient_basis_deterministic_across_fresh_objects():
     q1 = TruncatedQuotient(laurent_presentation(), 4)
     q2 = TruncatedQuotient(laurent_presentation(), 4)
-    assert q1.quotient_basis() == q2.quotient_basis()
+    assert quotient_basis(q1) == quotient_basis(q2)
     words = words_upto(q1.presentation.algebra, 4)
     assert [list(q1.normal_form_word(w).items()) for w in words] == \
         [list(q2.normal_form_word(w).items()) for w in words]
@@ -337,7 +365,7 @@ def test_resumed_completion_matches_a_fresh_one(case, data):
     # query at d1, then d2, then d1 again; the last pass reads the completion
     # extended to d2 through a fresh quotient, without the first one's memo
     for d, q in [(d1, first), (d2, pres.quotient(d2)), (d1, TruncatedQuotient(pres, d1))]:
-        q.quotient_basis()
+        quotient_basis(q)
         if d in oracles:
             words, col, span = oracles[d]
             for w in words:

@@ -437,3 +437,39 @@ def test_coproduct_certificate_flags_a_broken_relation():
     assert rep.relation_coproduct == pairwise_coproduct_certificate(mutant, RELATION_DEGREE)
     assert not rep.certified
     assert all(check_hopf_compat(h, RELATION_DEGREE).relation_coproduct)
+
+
+# -- exact scalars: ints where integral, Fractions elsewhere, never floats --------------
+
+
+def assert_exact(values):
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def assert_exact_cover(h, d):
+    """After the compatibility check at d: relation coefficients, rule tails,
+    cached normal forms and antipode images are ints or non-integral Fractions."""
+    check_hopf_compat(h, d)
+    assert_exact(c for _, r in h.labeled_relations for c in r.values())
+    assert_exact(c for r in h.presentation.relations for c in r.values())
+    rules = h.presentation.completion.rules
+    assert rules
+    assert_exact(c for _, tail in rules.values() for c in tail.values())
+    cache = h.quotient(d)._nf_cache
+    assert cache
+    assert_exact(c for nf in cache.values() for c in nf.values())
+    for letter in h.algebra.letters():
+        assert_exact(h.antipode({(letter,): 1}).values())
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("fname", ["identity", "jordan", "diag"])
+def test_preset_scalars_are_exact(preset_hopf, fname, t):
+    assert_exact_cover(preset_hopf(fname, t), 3 if t < 3 else 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(invertible_f())
+def test_random_f_scalars_are_exact(F):
+    assert_exact_cover(build_hf(F), RELATION_DEGREE)
