@@ -1,5 +1,6 @@
 """Comodule category bookkeeping: morphism spaces and the coinvariant <->
-morphism correspondence.
+morphism correspondence.  Every entry point takes the caller's HopfCover and
+reads t from it; this module builds no cover.
 
 hom_space solves comod._morphism_conditions between two comod.ComoduleSpace
 word matrices and returns their certified solution set as a Subspace, in
@@ -59,7 +60,7 @@ from .comod import (CoactionContext, ComoduleSpace, PairKey, _morphism_condition
 from .exactlin import Subspace, rank
 from .freealg import Word, matrix_entry_algebra, theta_images, theta_rank
 from .fpquot import certified_kernel
-from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf
+from .hopf import RELATION_DEGREE, HopfCover
 
 Q = Fraction
 
@@ -103,8 +104,7 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
                             _morphism_conditions(source, target))
 
 
-def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
-                      i: int, j: int, d: int) -> Subspace:
+def intertwiner_space(m: int, n: int, hopf: HopfCover, i: int, j: int, d: int) -> Subspace:
     """Certified Hom((U^m)^(x i), (U^n)^(x j)) at truncation d, as hom_space's.
 
     For i != j the true Hom space is zero (comod.off_diagonal_vanish), so
@@ -113,23 +113,20 @@ def intertwiner_space(m: int, n: int, t: int, F: FMatrix | HopfCover,
     END_SOLVE_TERM_LIMIT estimated constraint terms it raises SolveTooLarge
     before any comodule is built.
     """
-    if min(m, n, t) < 1:
-        raise ValueError("m, n, t must be positive")
+    if min(m, n) < 1:
+        raise ValueError("m, n must be positive")
     if min(i, j) < 0:
         raise ValueError("tensor powers must be nonnegative")
     if d < max(i, j, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(i, j, {RELATION_DEGREE})")
-    _refuse_oversized(hom_solve_terms(m, n, t, i, j),
-                      f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={t}, i={i}, j={j}")
-    hopf = F if isinstance(F, HopfCover) else build_hf(F)
-    if hopf.t != t:
-        raise ValueError("F size does not match t")
+    _refuse_oversized(hom_solve_terms(m, n, hopf.t, i, j),
+                      f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={hopf.t}, i={i}, j={j}")
     u = ComoduleSpace.standard_left(hopf)
     return hom_space(u.direct_power(m).tensor_power(i),
                      u.direct_power(n).tensor_power(j), d)
 
 
-def balanced_hom_dim(m: int, n: int, F: FMatrix | HopfCover, k: int, d: int) -> int:
+def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
     """dim Hom((U^m)^(x k), (U^n)^(x k)) certified at truncation d >= max(k,
     RELATION_DEGREE): (mn)^k dim End(U^(x k)), the latter read off the
     Groebner leads whenever they allow it.
@@ -159,14 +156,13 @@ def balanced_hom_dim(m: int, n: int, F: FMatrix | HopfCover, k: int, d: int) -> 
         raise ValueError("k must be nonnegative")
     if d < max(k, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE})")
-    hopf = F if isinstance(F, HopfCover) else build_hf(F)
     completion = hopf.presentation.completion
     completion.extend(d)
     u_letters = set(hopf.algebra.letters("u"))
     if any(u_letters.issuperset(lead) for lead in completion.rules):
         _refuse_oversized(hom_solve_terms(1, 1, hopf.t, k, k),
                           f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k}")
-        end = intertwiner_space(1, 1, hopf.t, hopf, k, k, d).dim
+        end = intertwiner_space(1, 1, hopf, k, k, d).dim
     else:
         end = 1
     return (m * n) ** k * end
@@ -189,7 +185,7 @@ class CoinvariantReport(NamedTuple):
     certified: bool
 
 
-def certify_fft(ctx: CoactionContext, k: int, d: int,
+def certify_fft(m: int, n: int, hopf: HopfCover, k: int, d: int,
                 base: CoinvariantReport | None = None) -> CoinvariantReport:
     """Certify the k-th degree of the fundamental-theorem isomorphism.
 
@@ -197,7 +193,7 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
     docstring), read from balanced_hom_dim's lead-word certificate at every
     k.  Im theta_k <= C comes from the product lemma, whose base case `base`
-    is lemma_base_case(ctx.hopf, d') for a d' <= d (containment in I_d' holds
+    is lemma_base_case(hopf, d') for a d' <= d (containment in I_d' holds
     in I_d); if not given, it is computed at d' = RELATION_DEGREE.  rank
     theta_k = (mn)^k is freealg.theta_rank's, read off its proof.
     Certified iff the image is contained and dim_coinv = (mn)^k;
@@ -212,13 +208,13 @@ def certify_fft(ctx: CoactionContext, k: int, d: int,
     if base is not None and base.d > d:
         raise ValueError(f"base case at truncation {base.d} cannot serve k = {k} at {d}")
     if k and base is None:
-        base = lemma_base_case(ctx.hopf, RELATION_DEGREE)
+        base = lemma_base_case(hopf, RELATION_DEGREE)
     contained = k == 0 or base.image_contained
-    dim = balanced_hom_dim(ctx.m, ctx.n, ctx.hopf, k, d)
+    dim = balanced_hom_dim(m, n, hopf, k, d)
     return CoinvariantReport(
-        m=ctx.m, n=ctx.n, t=ctx.t, bidegree=(k, k), d=d,
-        dim_coinv=dim, theta_rank=theta_rank(ctx.m, ctx.n, ctx.t, k), image_contained=contained,
-        certified=contained and dim == (ctx.m * ctx.n) ** k,
+        m=m, n=n, t=hopf.t, bidegree=(k, k), d=d,
+        dim_coinv=dim, theta_rank=theta_rank(m, n, hopf.t, k), image_contained=contained,
+        certified=contained and dim == (m * n) ** k,
     )
 
 
@@ -226,7 +222,7 @@ def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
     """C_(1,1) of the (1, 1, t) block solved once at d >= RELATION_DEGREE: dim
     End(U_l), and whether it holds theta_11(x), one nonzero column (rank 1),
     the product lemma's base case for every degree."""
-    block = CoactionContext(1, 1, hopf.t, hopf)
+    block = CoactionContext(1, 1, hopf)
     space = coinvariants(block, (1, 1), d)
     contained = space.contains(theta_image_vectors(block, 1)[0])
     return CoinvariantReport(m=1, n=1, t=hopf.t, bidegree=(1, 1), d=d, dim_coinv=space.dim,
@@ -314,8 +310,7 @@ class CorrespondenceReport(NamedTuple):
         return (self.end_u_dim == 1 and not self.mismatches and self.psi_independent)
 
 
-def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
-                              k: int, d: int,
+def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int, d: int,
                               base: CoinvariantReport | None = None) -> CorrespondenceReport:
     """Certify that theta(w) is coinvariant and transports to psi(w) for every
     degree-k word w.
@@ -333,9 +328,9 @@ def main_correspondence_check(m: int, n: int, t: int, F: FMatrix | HopfCover,
         raise ValueError("k must be nonnegative")
     if d < RELATION_DEGREE:
         raise ValueError(f"truncation {d} below {RELATION_DEGREE}")
-    ctx = CoactionContext(m, n, t, F)
+    ctx, t = CoactionContext(m, n, hopf), hopf.t
     if base is None:
-        base = lemma_base_case(ctx.hopf, d)
+        base = lemma_base_case(hopf, d)
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []

@@ -8,8 +8,10 @@ or singular F, bounds out of range, an -o path that cannot be written, a solve
 refused as too large before it is built), 4 = internal error (any other
 exception; `main` prints its traceback to stderr).
 
---F and --trunc belong to the five commands that build a truncated quotient;
-theta-rank and classical need neither.  --trunc auto is the smallest
+--F and --trunc belong to the five commands that build a truncated quotient.
+`run` builds the cover of H(F) once, here and nowhere else, and hands it to
+the command, whose engine calls read t from it; theta-rank and classical
+need neither and build none.  --trunc auto is the smallest
 truncation that holds a command's conditions, max(w, 2) for w the degree of
 their longest word (each cmd_* passes its w); a lower --trunc is a usage
 error.  A report is {schema: 2, version, command, params{m,n,t,F,k,d},
@@ -30,9 +32,9 @@ from typing import NamedTuple
 from . import __version__
 from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, intertwiner_space,
                      lemma_base_case, main_correspondence_check)
-from .comod import CoactionContext, off_diagonal_vanish
+from .comod import off_diagonal_vanish
 from .freealg import theta_rank
-from .hopf import RELATION_DEGREE, FMatrix, build_hf, check_hopf_compat
+from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf, check_hopf_compat
 
 Q = Fraction
 
@@ -233,39 +235,38 @@ def _millis(config: RunConfig, t0: float) -> int:
 # extra text lines; `run` turns them into the report and the exit code ------------
 
 
-def _balanced_case(config: RunConfig, ctx: CoactionContext, k: int, d: int, base=None):
+def _balanced_case(config: RunConfig, hopf: HopfCover, k: int, d: int, base=None):
     """The squeeze at bidegree (k,k): its case and status."""
     t0 = time.monotonic()
-    rep = certify_fft(ctx, k, d, base)
+    rep = certify_fft(config.m, config.n, hopf, k, d, base)
     status = classify(rep.dim_coinv, (config.m * config.n) ** k, rep.certified)
     return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d,
                       _millis(config, t0)), status)
 
 
-def cmd_certify_fft(config: RunConfig, F: FMatrix):
+def cmd_certify_fft(config: RunConfig, hopf: HopfCover):
     # the End(U^(x k)) conditions hold u-words of degree k
     ds = [resolve_trunc(config.trunc, k) for k in range(config.k + 1)]
-    ctx = CoactionContext(config.m, config.n, config.t, F)
     # one lemma base case for every k: containment in I_d holds in I_d' for d' >= d
-    base = lemma_base_case(ctx.hopf, ds[1]) if config.k else None
-    results = [_balanced_case(config, ctx, k, d, base) for k, d in enumerate(ds)]
+    base = lemma_base_case(hopf, ds[1]) if config.k else None
+    results = [_balanced_case(config, hopf, k, d, base) for k, d in enumerate(ds)]
     return results, trunc_param(config.trunc), ()
 
 
-def cmd_coinvariants(config: RunConfig, F: FMatrix):
+def cmd_coinvariants(config: RunConfig, hopf: HopfCover):
     i, j = config.bidegree
     # at i = j the solve is End(U^(x i))'s; at i != j, d is the coaction legs' degree
     d = resolve_trunc(config.trunc, i if i == j else i + j)
     if i == j:
-        return [_balanced_case(config, CoactionContext(config.m, config.n, config.t, F), i, d)], d, ()
+        return [_balanced_case(config, hopf, i, d)], d, ()
     t0 = time.monotonic()
     # the grading certificate proves the space zero, with no truncation
-    certified = off_diagonal_vanish(config.m, config.n, config.t, (i, j), F).holds
+    certified = off_diagonal_vanish(hopf, (i, j)).holds
     case = make_case((i, j), 0, 0, certified, d, _millis(config, t0))
     return [(case, "certified" if certified else "mismatch")], d, ()
 
 
-def cmd_theta_rank(config: RunConfig, F: FMatrix):
+def cmd_theta_rank(config: RunConfig, hopf: None):
     results = []
     for k in range(config.k + 1):
         t0 = time.monotonic()
@@ -274,29 +275,28 @@ def cmd_theta_rank(config: RunConfig, F: FMatrix):
     return results, 0, ()
 
 
-def cmd_intertwiners(config: RunConfig, F: FMatrix):
+def cmd_intertwiners(config: RunConfig, hopf: HopfCover):
     i, j = config.bidegree
     d = resolve_trunc(config.trunc, max(i, j))  # the morphism conditions' words
     t0 = time.monotonic()
     if i == j:
-        dim = balanced_hom_dim(config.m, config.n, F, i, d)
+        dim = balanced_hom_dim(config.m, config.n, hopf, i, d)
         expected, proven = (config.m * config.n) ** i, True
     else:
-        hopf = build_hf(F)
         # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i),
         # and the morphism conditions are block-diagonal in the same way
-        dim = config.m ** i * config.n ** j * intertwiner_space(1, 1, config.t, hopf, i, j, d).dim
+        dim = config.m ** i * config.n ** j * intertwiner_space(1, 1, hopf, i, j, d).dim
         # the solve is a lower bound; only the grading certificate proves Hom = 0
-        expected, proven = 0, off_diagonal_vanish(config.m, config.n, config.t, (i, j), hopf).holds
+        expected, proven = 0, off_diagonal_vanish(hopf, (i, j)).holds
     status = classify(dim, expected, dim == expected) if proven else "mismatch"
     case = make_case((i, j), dim, expected, status == "certified", d, _millis(config, t0))
     return [(case, status)], d, ()
 
 
-def cmd_hopf_check(config: RunConfig, F: FMatrix):
+def cmd_hopf_check(config: RunConfig, hopf: HopfCover):
     d = resolve_trunc(config.trunc, RELATION_DEGREE)  # its conditions are relations
     t0 = time.monotonic()
-    rep = check_hopf_compat(build_hf(F), d)
+    rep = check_hopf_compat(hopf, d)
     case = make_case((0, 0), 0, 0, rep.certified, d, _millis(config, t0))
     extra = [
         f"coassociativity (exact): {'ok' if rep.coassoc_ok else 'FAIL'}",
@@ -309,7 +309,7 @@ def cmd_hopf_check(config: RunConfig, F: FMatrix):
     return [(case, rep.status)], d, extra
 
 
-def cmd_classical(config: RunConfig, F: FMatrix):
+def cmd_classical(config: RunConfig, hopf: None):
     # imported here: no other command needs classical, so start-up skips it
     from .classical import fft1_check, fft2_check
     kmax = config.k
@@ -333,15 +333,14 @@ def cmd_classical(config: RunConfig, F: FMatrix):
     return results, 0, extra
 
 
-def cmd_correspondence(config: RunConfig, F: FMatrix):
+def cmd_correspondence(config: RunConfig, hopf: HopfCover):
     results = []
     extra = []
-    hopf = build_hf(F)
     d = resolve_trunc(config.trunc, RELATION_DEGREE)  # theta_11(x)'s condition is a relation
     base = lemma_base_case(hopf, d)  # every degree reads this one base case
     for k in range(config.k + 1):
         t0 = time.monotonic()
-        rep = main_correspondence_check(config.m, config.n, config.t, hopf, k, d, base)
+        rep = main_correspondence_check(config.m, config.n, hopf, k, d, base)
         results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
                                   rep.ok, d, _millis(config, t0)),
                         "certified" if rep.ok else "mismatch"))
@@ -435,7 +434,8 @@ def run(argv) -> int:
             if v is not None and v < 0:
                 raise CliUsageError(f"{attr} must be nonnegative")
         f_spec = getattr(args, "F", "preset:identity")
-        F = parse_f(f_spec, args.t)
+        # the run's one cover, for the commands that take --F
+        hopf = build_hf(parse_f(f_spec, args.t)) if hasattr(args, "F") else None
         config = RunConfig(
             command=args.command, m=args.m, n=args.n, t=args.t, f_spec=f_spec,
             k=getattr(args, "k", getattr(args, "max_degree", None)),
@@ -443,7 +443,7 @@ def run(argv) -> int:
             trunc=getattr(args, "trunc", None), fmt=args.fmt,
             timings=args.timings, output=args.output,
         )
-        results, d_param, extra = _COMMANDS[args.command](config, F)
+        results, d_param, extra = _COMMANDS[args.command](config, hopf)
         status = aggregate_status(s for _, s in results)
         emit(make_report(config, d_param, [c for c, _ in results], status), config, extra)
     except (CliUsageError, SolveTooLarge) as exc:

@@ -1,5 +1,6 @@
 """Word-matrix comodules of H(F), the coactions on A(m,t) (x) A(t,n), and
-certified coinvariant spaces.
+certified coinvariant spaces, all over a HopfCover the caller builds: a
+CoactionContext is a shape (m, n) and a cover, whose size is t.
 
 A ComoduleSpace is finite-dimensional, each nonzero coaction entry one
 H-word with coefficient 1: the trivial comodule I gives the empty word, the
@@ -60,7 +61,7 @@ from typing import NamedTuple
 from .exactlin import Subspace, add_to
 from .freealg import PairKey, Word, matrix_entry_algebra, split_word, theta_matrix
 from .fpquot import certified_kernel
-from .hopf import FMatrix, HopfCover, build_hf, grading_specialize
+from .hopf import HopfCover, grading_specialize
 
 Q = Fraction
 
@@ -121,7 +122,7 @@ class ComoduleSpace:
         return out
 
     def _compatible(self, other: "ComoduleSpace"):
-        if self.hopf.algebra is not other.hopf.algebra or self.hopf.F != other.hopf.F:
+        if self.hopf is not other.hopf:
             raise ValueError("comodules live over different Hopf covers")
 
 
@@ -144,20 +145,17 @@ def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
 
 
 class CoactionContext:
-    """The coacting data for a shape (m, n, t, F): Hopf cover plus both sides."""
+    """The coacting data for a shape (m, n) over a Hopf cover, t its size."""
 
-    def __init__(self, m: int, n: int, t: int, F: FMatrix | HopfCover):
-        if min(m, n, t) < 1:
-            raise ValueError("m, n, t must be positive")
-        hopf = F if isinstance(F, HopfCover) else build_hf(F)
-        if hopf.t != t:
-            raise ValueError("F size does not match t")
+    def __init__(self, m: int, n: int, hopf: HopfCover):
+        if min(m, n) < 1:
+            raise ValueError("m, n must be positive")
         self.m = m
         self.n = n
-        self.t = t
+        self.t = hopf.t
         self.hopf = hopf
-        self.amt = matrix_entry_algebra("y", m, t)
-        self.atn = matrix_entry_algebra("z", t, n)
+        self.amt = matrix_entry_algebra("y", m, hopf.t)
+        self.atn = matrix_entry_algebra("z", hopf.t, n)
 
     # -- word-level coaction terms -------------------------------------------
 
@@ -276,8 +274,6 @@ def theta_image_vectors(ctx: CoactionContext, k: int):
 class OffDiagonalCertificate(NamedTuple):
     """Exact proof that true coinvariants vanish in an unbalanced bidegree."""
 
-    m: int
-    n: int
     t: int
     bidegree: tuple[int, int]
     exponent: int
@@ -289,9 +285,9 @@ class OffDiagonalCertificate(NamedTuple):
         return self.relations_annihilated and self.diagonal_action_ok and self.exponent != 0
 
 
-def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
-                        F: FMatrix | HopfCover | None = None) -> OffDiagonalCertificate:
-    """Certify true coinvariants = 0 at bidegree (i, j), i != j, exactly.
+def off_diagonal_vanish(hopf: HopfCover, bidegree: tuple[int, int]) -> OffDiagonalCertificate:
+    """Certify true coinvariants = 0 at bidegree (i, j), i != j, of every shape
+    (m, n) over the cover hopf, exactly.
 
     Two ingredients, both checked here: (1) the grading specialization kills
     every relation, so it factors through the quotient Hopf algebra; (2) it
@@ -307,9 +303,8 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
     i, j = bidegree
     if i == j:
         raise ValueError("off-diagonal certificate requires i != j")
-    ctx = CoactionContext(m, n, t, F if F is not None else FMatrix.identity(t))
-    halg = ctx.hopf.algebra
-    relations_ok = all(not grading_specialize(halg, r) for r in ctx.hopf.presentation.relations)
+    t, halg = hopf.t, hopf.algebra
+    relations_ok = all(not grading_specialize(halg, r) for r in hopf.presentation.relations)
 
     def specializes_to(name: str, a: int, k: int, exponent: int) -> bool:
         spec = grading_specialize(halg, {(halg.letter(name, a, k),): Q(1)})
@@ -318,7 +313,7 @@ def off_diagonal_vanish(m: int, n: int, t: int, bidegree: tuple[int, int],
     diag_ok = all(specializes_to("v", a, k, -1) and specializes_to("u", a, k, 1)
                   for a in range(t) for k in range(t))
     return OffDiagonalCertificate(
-        m=m, n=n, t=t, bidegree=(i, j), exponent=j - i,
+        t=t, bidegree=(i, j), exponent=j - i,
         relations_annihilated=relations_ok,
         diagonal_action_ok=diag_ok,
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Q = Fraction
 
@@ -70,11 +70,6 @@ def _clean_row(entries: Mapping[int, object]) -> Row:
         if q:
             row[int(c)] = q
     return row
-
-
-def row_from_sequence(vec: Sequence[object]) -> Row:
-    """Sparse row from a dense coefficient sequence."""
-    return {i: Q(v) for i, v in enumerate(vec) if Q(v)}
 
 
 # -- the eliminator --------------------------------------------------------
@@ -250,10 +245,9 @@ class Subspace:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Mapping[int, object] | Sequence[object]]) -> "Subspace":
-        rows: list[Row] = []
-        for v in vectors:
-            rows.append(_clean_row(v) if isinstance(v, Mapping) else row_from_sequence(v))
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Mapping[int, object]]) -> "Subspace":
+        """The span of sparse rows {column: coefficient}."""
+        rows = [_clean_row(v) for v in vectors]
         for r in rows:
             if r and max(r) >= ambient_dim:
                 raise ValueError("vector exceeds ambient dimension")
@@ -278,14 +272,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self._pivot_rows)
 
-    def reduce(self, vector: Mapping[int, object] | Sequence[object]) -> Row:
-        """Residual of a vector after reduction against the basis (zero iff member)."""
-        v = _clean_row(vector) if isinstance(vector, Mapping) else row_from_sequence(vector)
+    def reduce(self, vector: Mapping[int, object]) -> Row:
+        """Residual of a sparse row after reduction against the basis (zero iff member)."""
+        v = _clean_row(vector)
         if v and max(v) >= self.ambient_dim:
             raise ValueError("vector exceeds ambient dimension")
         return _reduce(self._pivot_rows, v)
 
-    def contains(self, vector: Mapping[int, object] | Sequence[object]) -> bool:
+    def contains(self, vector: Mapping[int, object]) -> bool:
         return not self.reduce(vector)
 
     def __eq__(self, other: object) -> bool:

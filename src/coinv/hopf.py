@@ -60,7 +60,7 @@ class FMatrix:
         if t < 1 or any(len(row) != t for row in rows):
             raise ValueError("F must be square and nonempty")
         # the RREF of [F | I] is [I | F^-1] exactly when F is invertible
-        res = Subspace.from_vectors(2 * t, [row + tuple(int(c == i) for c in range(t))
+        res = Subspace.from_vectors(2 * t, [{**dict(enumerate(row)), t + i: 1}
                                             for i, row in enumerate(rows)])
         if res.pivot_cols != tuple(range(t)):
             raise ValueError("F must be invertible")

@@ -86,7 +86,7 @@ def test_c02_off_diagonal_vanishing():
                     if i == j:
                         continue
                     start = time.monotonic()
-                    cert = off_diagonal_vanish(m, n, t, (i, j), F)
+                    cert = off_diagonal_vanish(build_hf(F), (i, j))
                     elapsed = time.monotonic() - start
                     assert cert.holds, (m, n, t, i, j)
                     assert cert.exponent == j - i != 0
@@ -109,7 +109,7 @@ def test_c04_correspondence_with_word_morphisms():
     for m, n, t, kmax in GRID:
         for F in f_matrices(t):
             for k in range(min(kmax, 2) + 1):
-                rep = main_correspondence_check(m, n, t, F, k, 2 * k + 2)
+                rep = main_correspondence_check(m, n, build_hf(F), k, 2 * k + 2)
                 assert rep.ok, (m, n, t, F.label, k, rep.mismatches)
                 assert rep.end_u_dim == 1
                 assert rep.psi_rank == (m * n) ** k
@@ -121,7 +121,7 @@ def test_c05_standard_comodule_hom_dimensions():
     for F in f_matrices(2):
         for i in range(3):
             for j in range(3):
-                dim = intertwiner_space(1, 1, 2, F, i, j, i + j + 2).dim
+                dim = intertwiner_space(1, 1, build_hf(F), i, j, i + j + 2).dim
                 assert dim == (1 if i == j else 0), (F.label, i, j, dim)
     report_line(5, "dim Hom(U^(x i), U^(x j)) = delta_ij for i,j <= 2, all F")
 
@@ -189,7 +189,7 @@ def test_c09_coinvariants_form_subalgebra():
     certified = refuted = 0
     for F in (FMatrix.identity(2), FMatrix.diagonal([1, 2]), FMatrix.jordan(2),
               FMatrix([[1, 2], [3, -1]])):
-        block = CoactionContext(1, 1, 2, F)
+        block = CoactionContext(1, 1, build_hf(F))
         samples = {}
         for p in range(3):
             pairs = block.pair_basis((p, p))

@@ -75,7 +75,7 @@ def test_morphism_conditions_match_the_literal_reading(hj2):
     """For sparse and non-square pairs, the grouped walk yields, condition by
     condition, the triples that a scan of every index reads."""
     u = ComoduleSpace.standard_left(hj2)
-    pairs = [(ComoduleSpace.trivial(hj2), CoactionContext(1, 1, 2, hj2).component((1, 1))),
+    pairs = [(ComoduleSpace.trivial(hj2), CoactionContext(1, 1, hj2).component((1, 1))),
              (u.direct_power(2).tensor(u), u), (u.tensor(dual(u)), dual(u).tensor(u))]
     for source, target in pairs:
         walked = list(_morphism_conditions(source, target))
@@ -182,11 +182,13 @@ def test_identity_is_exact_intertwiner(hj2):
 
 def test_hom_space_rejects_comodules_over_different_covers(hj2):
     u = ComoduleSpace.standard_left(hj2)
-    other = ComoduleSpace.standard_left(build_hf(FMatrix.identity(2)))
-    with pytest.raises(ValueError):
-        hom_space(u, other, 2)
-    with pytest.raises(ValueError):
-        hom_space(other, u, 2)
+    # a cover of another F, and a second cover of the same F: each is refused
+    for other_hopf in (build_hf(FMatrix.identity(2)), build_hf(FMatrix.jordan(2))):
+        other = ComoduleSpace.standard_left(other_hopf)
+        with pytest.raises(ValueError):
+            hom_space(u, other, 2)
+        with pytest.raises(ValueError):
+            hom_space(other, u, 2)
 
 
 def test_hom_space_endomorphisms_of_standard(hj2):
@@ -201,24 +203,13 @@ def test_hom_space_endomorphisms_of_standard(hj2):
 def test_hom_space_unbalanced_powers_vanish(fname, t, i, j, d, preset_hopf):
     """The grading certificate proves Hom zero, and the CLI reads it from the
     certificate alone; a nonzero certified solve would be an engine bug."""
-    assert intertwiner_space(1, 1, t, preset_hopf(fname, t), i, j, d).dim == 0
+    assert intertwiner_space(1, 1, preset_hopf(fname, t), i, j, d).dim == 0
 
 
 def test_intertwiner_space_dims(hj2):
-    assert intertwiner_space(1, 1, 2, hj2, 1, 1, 4).dim == 1
-    assert intertwiner_space(1, 1, 2, hj2, 1, 2, 5).dim == 0
-    assert intertwiner_space(2, 1, 2, hj2, 1, 1, 4).dim == 2
-
-
-def test_intertwiner_space_rejects_a_cover_of_another_size(hj2):
-    """As CoactionContext does, a cover whose F is not t x t is refused, not
-    solved at its own size."""
-    with pytest.raises(ValueError, match="F size does not match t"):
-        intertwiner_space(1, 1, 3, hj2, 1, 1, 2)
-    with pytest.raises(ValueError, match="F size does not match t"):
-        CoactionContext(1, 1, 3, hj2)
-    with pytest.raises(ValueError, match="F size does not match t"):
-        intertwiner_space(1, 1, 3, FMatrix.jordan(2), 1, 1, 2)
+    assert intertwiner_space(1, 1, hj2, 1, 1, 4).dim == 1
+    assert intertwiner_space(1, 1, hj2, 1, 2, 5).dim == 0
+    assert intertwiner_space(2, 1, hj2, 1, 1, 4).dim == 2
 
 
 @pytest.mark.parametrize("m, n, t, F, i, j", [
@@ -230,9 +221,9 @@ def test_intertwiner_space_maps_have_no_morphism_rows(m, n, t, F, i, j):
     """hom_space solves the conditions that _morphism_rows evaluates: every
     certified map satisfies them exactly in the free cover."""
     d = i + j + 2
-    space = intertwiner_space(m, n, t, F, i, j, d)
-    assert space.dim == ((m * n) ** i if i == j else 0)
     hopf = build_hf(F)
+    space = intertwiner_space(m, n, hopf, i, j, d)
+    assert space.dim == ((m * n) ** i if i == j else 0)
     u = ComoduleSpace.standard_left(hopf)
     source, target = u.direct_power(m).tensor_power(i), u.direct_power(n).tensor_power(j)
     for row in space.basis:
@@ -255,18 +246,18 @@ def test_hom_solve_terms_counts_the_morphism_condition_terms(hj2, m, n, t, i, j)
 def test_an_oversized_hom_solve_is_refused_before_any_comodule(monkeypatch, hj2):
     monkeypatch.setattr(catalg, "ComoduleSpace", None)
     with pytest.raises(catalg.SolveTooLarge, match=r"m=1, n=1, t=2, i=9, j=8 .* 100,663,296"):
-        intertwiner_space(1, 1, 2, hj2, 9, 8, 9)
+        intertwiner_space(1, 1, hj2, 9, 8, 9)
     monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", 47)
     with pytest.raises(catalg.SolveTooLarge, match="48 constraint terms"):
-        intertwiner_space(1, 1, 2, hj2, 1, 2, 2)
+        intertwiner_space(1, 1, hj2, 1, 2, 2)
 
 
 def test_intertwiner_space_rejects_low_truncation(hj2):
     # the morphism conditions hold words of degree i and j: the floor is max(i, j, 2)
     for i, j, d in [(3, 3, 2), (1, 3, 2), (3, 0, 2), (1, 1, 1)]:
         with pytest.raises(ValueError):
-            intertwiner_space(1, 1, 2, hj2, i, j, d)
-    assert intertwiner_space(1, 1, 2, hj2, 3, 3, 3).dim == 1
+            intertwiner_space(1, 1, hj2, i, j, d)
+    assert intertwiner_space(1, 1, hj2, 3, 3, 3).dim == 1
 
 
 @pytest.mark.parametrize("F", [FMatrix.identity(2), FMatrix.diagonal([1, 2]),
@@ -339,7 +330,7 @@ def test_psi_images_linearly_independent():
 def test_transported_theta_images_match_psi(hj2):
     """Each theta image is a certified coinvariant, by its own residual, and
     transports to the word's morphism."""
-    ctx = CoactionContext(2, 1, 2, hj2)
+    ctx = CoactionContext(2, 1, hj2)
     for w, pairs in theta_images(2, 1, 2, 1):
         image = dict.fromkeys(pairs, Q(1))
         assert coinvariance_residual(ctx, image, 4) == {}
@@ -349,7 +340,7 @@ def test_transported_theta_images_match_psi(hj2):
 def test_transported_non_coinvariant_is_not_a_morphism(hj2):
     """A lone pair y (x) z is no coinvariant: its residual is nonzero and the
     matrix it transports to lies outside the certified Hom space."""
-    ctx = CoactionContext(2, 1, 2, hj2)
+    ctx = CoactionContext(2, 1, hj2)
     bare = {ctx.pair_basis((1, 1))[0]: Q(1)}
     assert coinvariance_residual(ctx, bare, 4) != {}
     u = ComoduleSpace.standard_left(hj2)
@@ -357,9 +348,9 @@ def test_transported_non_coinvariant_is_not_a_morphism(hj2):
 
 
 def test_correspondence_check_small_cases(hj2):
-    rep = main_correspondence_check(1, 1, 1, FMatrix.identity(1), 2, 6)
+    rep = main_correspondence_check(1, 1, build_hf(FMatrix.identity(1)), 2, 6)
     assert rep.ok and rep.end_u_dim == 1 and rep.psi_rank == 1
-    rep = main_correspondence_check(2, 1, 2, hj2, 1, 4)
+    rep = main_correspondence_check(2, 1, hj2, 1, 4)
     assert rep.ok
     assert rep.equalities_checked == 2
     assert rep.mismatches == ()
@@ -379,7 +370,7 @@ def test_correspondence_runs_one_block_residual_per_run(hj2, monkeypatch, capsys
     monkeypatch.setattr(catalg, "coinvariants", recorder)
     for k in range(4):
         calls.clear()
-        rep = main_correspondence_check(2, 2, 2, hj2, k, k + 2)
+        rep = main_correspondence_check(2, 2, hj2, k, k + 2)
         assert rep.ok and rep.equalities_checked == 4 ** k
         assert calls == [(1, 1, 2, (1, 1), k + 2)]
     calls.clear()
@@ -394,7 +385,7 @@ def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys
     # the block's C_(1,1) forced to the line of one pair, which misses theta_11(x)
     monkeypatch.setattr(catalg, "coinvariants", lambda ctx, bidegree, d: Subspace.from_vectors(
         len(ctx.pair_basis(bidegree)), [{0: 1}]))
-    rep = main_correspondence_check(2, 1, 2, hj2, 1, 4)
+    rep = main_correspondence_check(2, 1, hj2, 1, 4)
     assert not rep.ok and len(rep.mismatches) == rep.equalities_checked == 2
     assert run(["correspondence", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan",
                 "-k", "1"]) == 1
@@ -410,5 +401,5 @@ def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys
 def test_correspondence_end_u_dim_is_one_at_relation_degree(t, family):
     F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
          "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[family]
-    rep = main_correspondence_check(1, 1, t, F, 2, RELATION_DEGREE)
+    rep = main_correspondence_check(1, 1, build_hf(F), 2, RELATION_DEGREE)
     assert rep.end_u_dim == 1 and rep.ok

@@ -193,7 +193,7 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_
     report, not an internal error.  End(U^(x k)) is the hom_space solve at
     every k >= 1, which a pure-u lead makes the lead-word certificate fall
     back to."""
-    from coinv import catalg, comod, hopf
+    from coinv import catalg, hopf
     from coinv.exactlin import Subspace
 
     def oversized(source, target, d):
@@ -204,7 +204,7 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_
         n = len(ctx.pair_basis(bidegree))
         return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
 
-    monkeypatch.setattr(comod, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
+    monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
     monkeypatch.setattr(catalg, "hom_space", oversized)
     monkeypatch.setattr(catalg, "coinvariants", everything)
     monkeypatch.setattr(sys, "argv", ["coinv", "certify-fft", "-t", "2", "--F", "preset:jordan",
@@ -223,17 +223,17 @@ def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, c
     """With a pure-u lead the End(U^(x k)) solve is the fallback; its
     2 t^(3k) constraint terms are estimated first, and above the module
     limit the run exits 3 naming the case and the estimate, with no solve."""
-    from coinv import catalg, comod, hopf
+    from coinv import catalg, hopf
 
     monkeypatch.setattr(catalg, "hom_space", lambda *args: pytest.fail("the solve was built"))
-    monkeypatch.setattr(catalg, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
+    monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
     assert run(["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "8", "-j", "8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "m=1, n=1, t=2, k=8" in captured.err and f"{2 * 2 ** 24:,}" in captured.err
 
     monkeypatch.undo()
-    monkeypatch.setattr(comod, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
+    monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
     monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", 2 * 2 ** 9 - 1)
     assert run(["certify-fft", "-m", "2", "-n", "3", "-t", "2", "--F", "preset:jordan",
                 "-k", "3"]) == 3
@@ -453,6 +453,34 @@ def test_each_run_builds_one_hopf_cover(argv, monkeypatch, capsys):
     monkeypatch.setattr(HopfCover, "__init__", counting_init)
     assert run(argv) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, covers", [
+    (["certify-fft", "-m", "2", "-t", "2", "--F", "preset:jordan", "-k", "2"], 1),
+    (["coinvariants", "-t", "2", "--F", "preset:jordan", "-i", "1", "-j", "1"], 1),
+    (["coinvariants", "-t", "2", "--F", "preset:jordan", "-i", "2", "-j", "1"], 1),
+    (["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "2", "-j", "2"], 1),
+    (["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "1", "-j", "2"], 1),
+    (["hopf-check", "-t", "2", "--F", "preset:jordan"], 1),
+    (["correspondence", "-t", "2", "--F", "preset:jordan", "-k", "2"], 1),
+    (["theta-rank", "-t", "2", "-k", "2"], 0),
+    (["classical", "-t", "2", "--max-degree", "1"], 0),
+], ids=["certify-fft", "coinvariants-balanced", "coinvariants-unbalanced",
+        "intertwiners-balanced", "intertwiners-unbalanced", "hopf-check", "correspondence",
+        "theta-rank", "classical"])
+def test_the_cli_builds_the_run_cover(argv, covers, monkeypatch, capsys):
+    """`run` builds the one cover of a run that takes --F and hands it to
+    the engine; the commands without --F build none."""
+    built = []
+    build = cli_module.build_hf
+
+    def counting_build(F):
+        built.append(F)
+        return build(F)
+
+    monkeypatch.setattr(cli_module, "build_hf", counting_build)
+    assert run(argv) == 0
+    assert len(built) == covers
 
 
 # -- subprocess integration -------------------------------------------------------

@@ -15,24 +15,24 @@ from coinv.comod import (
 )
 from coinv.exactlin import add_to, solve_homogeneous
 from coinv.freealg import pair_product, theta_images
-from coinv.hopf import RELATION_DEGREE, FMatrix
+from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
 from oracles import is_coassociative, is_counital
 
 Q = Fraction
 
 @pytest.fixture
 def ctx221():
-    return CoactionContext(2, 2, 1, FMatrix.identity(1))
+    return CoactionContext(2, 2, build_hf(FMatrix.identity(1)))
 
 
 @pytest.fixture
 def ctx212j():
-    return CoactionContext(2, 1, 2, FMatrix.jordan(2))
+    return CoactionContext(2, 1, build_hf(FMatrix.jordan(2)))
 
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        CoactionContext(0, 1, 1, FMatrix.identity(1))
+        CoactionContext(0, 1, build_hf(FMatrix.identity(1)))
 
 
 def test_flipped_coaction_uses_v_matrix(ctx212j):
@@ -112,7 +112,7 @@ def _alpha_via_antipode(ctx, wa, wb):
     (3, FMatrix([[1, 2, 0], [3, -1, 0], [0, 0, 1]]), 2),
 ])
 def test_flipped_word_terms_match_antipode(t, F, max_degree):
-    ctx = CoactionContext(2, 1, t, F)
+    ctx = CoactionContext(2, 1, build_hf(F))
     for deg in range(max_degree + 1):
         for wa in ctx.amt.degree_basis(deg):
             direct = {}
@@ -124,7 +124,7 @@ def test_flipped_word_terms_match_antipode(t, F, max_degree):
 
 @pytest.mark.parametrize("n, t", [(1, 2), (2, 2), (2, 3)])
 def test_left_word_terms_match_lam_gen_product(n, t):
-    ctx = CoactionContext(1, n, t, FMatrix.jordan(t))
+    ctx = CoactionContext(1, n, build_hf(FMatrix.jordan(t)))
     for deg in range(4):
         for wb in ctx.atn.degree_basis(deg):
             terms = list(ctx.left_word_terms(wb))
@@ -159,7 +159,7 @@ def test_coinvariants_match_antipode_kernel(ctx212j, bidegree):
 def test_component_is_an_exact_comodule(m, n, t, F, bidegree, npairs):
     """The coaction rho' (x) lambda on a bidegree component of A(m,t) (x)
     A(t,n) is counital and coassociative exactly in the free cover."""
-    space = CoactionContext(m, n, t, F).component(bidegree)
+    space = CoactionContext(m, n, build_hf(F)).component(bidegree)
     assert space.dim == npairs
     assert is_counital(space) and is_coassociative(space)
 
@@ -219,14 +219,14 @@ def test_bare_pair_is_not_coinvariant(ctx212j):
 
 def test_off_diagonal_vanishing_certificates():
     for bidegree in [(1, 0), (0, 1), (2, 1), (1, 3), (4, 2)]:
-        cert = off_diagonal_vanish(2, 2, 2, bidegree, FMatrix.jordan(2))
+        cert = off_diagonal_vanish(build_hf(FMatrix.jordan(2)), bidegree)
         assert cert.holds
         assert cert.exponent == bidegree[1] - bidegree[0]
 
 
 def test_off_diagonal_rejects_balanced_bidegree():
     with pytest.raises(ValueError):
-        off_diagonal_vanish(2, 2, 1, (2, 2))
+        off_diagonal_vanish(build_hf(FMatrix.identity(1)), (2, 2))
 
 
 @pytest.mark.parametrize("m, n, fname, t, i, j, d", [
@@ -235,12 +235,12 @@ def test_off_diagonal_rejects_balanced_bidegree():
 def test_off_diagonal_computed_space_is_zero(m, n, fname, t, i, j, d, preset_hopf):
     """The grading certificate proves the space zero, so the CLI solves nothing
     here; a nonzero certified solve would be an engine bug."""
-    ctx = CoactionContext(m, n, t, preset_hopf(fname, t))
+    ctx = CoactionContext(m, n, preset_hopf(fname, t))
     assert coinvariants(ctx, (i, j), d).dim == 0
 
 
 def test_certify_fft_squeeze(ctx221):
-    rep = certify_fft(ctx221, 2, 6)
+    rep = certify_fft(2, 2, ctx221.hopf, 2, 6)
     assert rep.certified
     assert rep.dim_coinv == rep.theta_rank == 16
     assert rep.image_contained
@@ -248,8 +248,7 @@ def test_certify_fft_squeeze(ctx221):
 
 
 def test_certify_fft_nontrivial_f():
-    ctx = CoactionContext(1, 1, 2, FMatrix.diagonal([1, 2]))
-    rep = certify_fft(ctx, 2, 6)
+    rep = certify_fft(1, 1, build_hf(FMatrix.diagonal([1, 2])), 2, 6)
     assert rep.certified
     assert rep.dim_coinv == 1
 
@@ -257,23 +256,25 @@ def test_certify_fft_nontrivial_f():
 def test_certify_fft_rejects_low_truncation(ctx221):
     # the End(U^(x k)) conditions hold u-words of degree k, and no quotient
     # exists below the relation degree 2: the floor is max(k, 2)
+    h = ctx221.hopf
     with pytest.raises(ValueError):
-        certify_fft(ctx221, 3, 2)
+        certify_fft(2, 2, h, 3, 2)
     with pytest.raises(ValueError):
-        certify_fft(ctx221, 0, 1)
-    assert certify_fft(ctx221, 3, 3).certified
+        certify_fft(2, 2, h, 0, 1)
+    assert certify_fft(2, 2, h, 3, 3).certified
 
 
 def test_certify_fft_reads_a_base_case_certified_at_or_below_d(ctx221):
     """A base case certified in I_d' serves every k at d >= d', k = 1
     included: no k reads its dimension, only its containment."""
-    at2, at3 = lemma_base_case(ctx221.hopf, 2), lemma_base_case(ctx221.hopf, 3)
-    assert certify_fft(ctx221, 3, 3, at2) == certify_fft(ctx221, 3, 3)
-    assert certify_fft(ctx221, 1, 3, at3) == certify_fft(ctx221, 1, 3, at2) \
-        == certify_fft(ctx221, 1, 3)
+    h = ctx221.hopf
+    at2, at3 = lemma_base_case(h, 2), lemma_base_case(h, 3)
+    assert certify_fft(2, 2, h, 3, 3, at2) == certify_fft(2, 2, h, 3, 3)
+    assert certify_fft(2, 2, h, 1, 3, at3) == certify_fft(2, 2, h, 1, 3, at2) \
+        == certify_fft(2, 2, h, 1, 3)
     for k in (1, 2):
         with pytest.raises(ValueError):
-            certify_fft(ctx221, k, 2, at3)
+            certify_fft(2, 2, h, k, 2, at3)
 
 
 def seeded_coinvariants(ctx, seed, max_bidegree=2):
@@ -310,7 +311,7 @@ def test_subalgebra_products_stay_coinvariant_at_t2(F, m):
     # at t = 2 the quotients are not trivial, so the product lemma has content:
     # each product is certified at its legs' degree, and the same product with
     # one coefficient changed is refuted there
-    ctx = CoactionContext(m, 1, 2, F)
+    ctx = CoactionContext(m, 1, build_hf(F))
     xs = seeded_coinvariants(ctx, seed=5)
     assert min(xs) == 0 and max(xs) == 2
     for p, x in xs.items():

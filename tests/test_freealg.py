@@ -23,7 +23,7 @@ from coinv.freealg import (
     theta_matrix,
     theta_rank,
 )
-from coinv.hopf import RELATION_DEGREE, FMatrix
+from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
 
 Q = Fraction
 
@@ -191,13 +191,13 @@ def test_theta_columns_are_the_row_form_matrix(m, n, t, k, capsys):
     assert columns == old_columns
     assert len(columns) == (m * n) ** k
     assert all(len(col) == t ** k for col in columns)
-    ctx = CoactionContext(m, n, t, FMatrix.identity(t))
+    ctx = CoactionContext(m, n, build_hf(FMatrix.identity(t)))
     assert theta_image_vectors(ctx, k) == columns
     # the premise of the rank read off the proof: nonempty columns, pairwise
     # disjoint supports, so certify-fft and theta-rank report the full-size rank
     support = [set(col) for col in columns]
     assert all(support) and len(set().union(*support)) == sum(map(len, support))
-    assert certify_fft(ctx, k, max(k, RELATION_DEGREE)).theta_rank == full
+    assert certify_fft(m, n, ctx.hopf, k, max(k, RELATION_DEGREE)).theta_rank == full
     assert cli.run(["theta-rank", "-m", str(m), "-n", str(n), "-t", str(t), "-k", str(k),
                     "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == full

@@ -33,3 +33,17 @@ def test_unused_import_is_caught():
     assert _unused_imports("from __future__ import annotations\n"
                            "import os.path\nfrom x import a, b as c\nprint(a)\n") == [
         "line 2: os", "line 3: c"]
+
+
+def _imported_names(source: str) -> set[str]:
+    """The names a module's top-level and function-level imports bind."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem not in ("cli", "hopf")],
+                         ids=lambda p: p.name)
+def test_only_the_cli_builds_a_cover(path):
+    """The engine takes the run's one HopfCover: no module but `cli` turns an
+    F into a cover, and `hopf` defines both."""
+    assert _imported_names(path.read_text()) & {"build_hf", "FMatrix"} == set()

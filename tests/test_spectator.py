@@ -63,15 +63,15 @@ def _report(capsys, argv):
 def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
     hopf = build_hf(_FS[fname])
     d = i + j + 2
-    ctx = CoactionContext(m, n, 2, hopf)
-    block = CoactionContext(1, 1, 2, hopf)
+    ctx = CoactionContext(m, n, hopf)
+    block = CoactionContext(1, 1, hopf)
     V11 = coinvariants(block, (i, j), d)
     full = coinvariants(ctx, (i, j), d)
     assert lift(ctx, block, (i, j), V11) == full
     assert full.dim == m ** i * n ** j * V11.dim
 
-    homs = intertwiner_space(m, n, 2, hopf, i, j, d).dim
-    assert homs == m ** i * n ** j * intertwiner_space(1, 1, 2, hopf, i, j, d).dim
+    homs = intertwiner_space(m, n, hopf, i, j, d).dim
+    assert homs == m ** i * n ** j * intertwiner_space(1, 1, hopf, i, j, d).dim
 
     # the commands that solve the block alone report the full-size figures
     if fname == "generic":
@@ -83,7 +83,7 @@ def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
     (case,) = _report(capsys, ["coinvariants"] + base)["cases"]
     assert case["dim_coinv"] == full.dim
     if i == j:
-        rep = certify_fft(ctx, i, d)
+        rep = certify_fft(m, n, hopf, i, d)
         assert rep.dim_coinv == full.dim
         assert rep.image_contained == all(full.contains(v) for v in theta_image_vectors(ctx, i))
 
@@ -95,7 +95,7 @@ def test_certify_fft_solves_only_the_block(pure_u_lead, monkeypatch, add_pure_u_
     lead is a pure u-word.  With a pure-u lead, the End fallback solve has
     the t^(2k) unknowns of End(U^(x k)) at every k, k = 1 included."""
     t, kmax = 2, 3
-    ctx = CoactionContext(2, 2, t, FMatrix.jordan(t))
+    ctx = CoactionContext(2, 2, build_hf(FMatrix.jordan(t)))
     if pure_u_lead:
         add_pure_u_rules(ctx.hopf)
     sizes = {"comod": [], "catalg": []}
@@ -108,7 +108,7 @@ def test_certify_fft_solves_only_the_block(pure_u_lead, monkeypatch, add_pure_u_
     for k in range(kmax + 1):
         for recorded in sizes.values():
             recorded.clear()
-        rep = certify_fft(ctx, k, max(k, 2))
+        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2))
         assert rep.certified and rep.dim_coinv == 4 ** k
         assert sizes["catalg"] == ([t ** (2 * k)] if pure_u_lead else [])
         assert sizes["comod"] == ([t ** 2] if k else [])
@@ -135,8 +135,8 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
     """With the base-case space V_11 at bidegree (1,1) forced to the span of a
     vector, certify_fft accepts exactly theta_11(x), scaled, and nothing else,
     at every k >= 1."""
-    ctx = CoactionContext(2, 3, 2, FMatrix.jordan(2))
-    block = CoactionContext(1, 1, 2, ctx.hopf)
+    ctx = CoactionContext(2, 3, build_hf(FMatrix.jordan(2)))
+    block = CoactionContext(1, 1, ctx.hopf)
     (image,) = theta_image_vectors(block, 1)
     n = len(block.pair_basis((1, 1)))
     others = [{s: Q(1)} for s in range(n)]
@@ -149,7 +149,7 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
 
     for vec, expected in [({s: Q(-3) for s in image}, True)] + [(v, False) for v in others]:
         monkeypatch.setattr(catalg, "coinvariants", lambda c, b, d, vec=vec: forced(c, b, d, vec))
-        rep = certify_fft(ctx, k, max(k, 2))
+        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2))
         assert rep.dim_coinv == 6 ** k
         assert rep.image_contained is expected and rep.certified is expected
     assert set(calls) == {(1, 1, (1, 1), 2)}
