@@ -16,8 +16,9 @@ z_ij -> u_j(e_i), and the nested evaluation pairing; the two word reversals
 cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
 image - the computational content of the isomorphism proof - and proves
-the images coinvariant by the product lemma below, whose degree-2 base case
-it reads from lemma_base_case, so the lemma is the program's one proof of it.
+the images coinvariant by the product lemma below.  Its degree-2 base case,
+like certify_fft's, is lemma_base_case, which the caller solves once and
+passes in, so the lemma is the program's one proof of it.
 
 certify_fft certifies C_(k,k) = Im theta_k through End(U^(x k)).  For a
 finite-dimensional comodule V, Hom^H(V, W) = (W (x) V*)^coH (Klimyk &
@@ -186,16 +187,17 @@ class CoinvariantReport(NamedTuple):
 
 
 def certify_fft(m: int, n: int, hopf: HopfCover, k: int, d: int,
-                base: CoinvariantReport | None = None) -> CoinvariantReport:
+                base: CoinvariantReport | None) -> CoinvariantReport:
     """Certify the k-th degree of the fundamental-theorem isomorphism.
 
     dim_coinv is (mn)^k dim End(U^(x k)) certified at truncation d >=
     max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
     docstring), read from balanced_hom_dim's lead-word certificate at every
     k.  Im theta_k <= C comes from the product lemma, whose base case `base`
-    is lemma_base_case(hopf, d') for a d' <= d (containment in I_d' holds
-    in I_d); if not given, it is computed at d' = RELATION_DEGREE.  rank
-    theta_k = (mn)^k is freealg.theta_rank's, read off its proof.
+    is the caller's lemma_base_case(hopf, d') for a d' <= d (containment in
+    I_d' holds in I_d); it may be None only at k = 0, where the image is
+    the scalars.  rank theta_k = (mn)^k is freealg.theta_rank's, read off
+    its proof.
     Certified iff the image is contained and dim_coinv = (mn)^k;
     a dim_coinv above (mn)^k is returned as computed, uncertified, for the
     caller to classify.  Unbalanced bidegrees are comod.off_diagonal_vanish's.
@@ -205,10 +207,10 @@ def certify_fft(m: int, n: int, hopf: HopfCover, k: int, d: int,
     if d < max(k, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE}) = "
                          f"{max(k, RELATION_DEGREE)}")
+    if k and base is None:
+        raise ValueError(f"k = {k} needs the product lemma's base case")
     if base is not None and base.d > d:
         raise ValueError(f"base case at truncation {base.d} cannot serve k = {k} at {d}")
-    if k and base is None:
-        base = lemma_base_case(hopf, RELATION_DEGREE)
     contained = k == 0 or base.image_contained
     dim = balanced_hom_dim(m, n, hopf, k, d)
     return CoinvariantReport(
@@ -310,27 +312,23 @@ class CorrespondenceReport(NamedTuple):
         return (self.end_u_dim == 1 and not self.mismatches and self.psi_independent)
 
 
-def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int, d: int,
-                              base: CoinvariantReport | None = None) -> CorrespondenceReport:
+def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int,
+                              base: CoinvariantReport) -> CorrespondenceReport:
     """Certify that theta(w) is coinvariant and transports to psi(w) for every
     degree-k word w.
 
     theta(w) = e_i (x) theta_11(x)^k (x) e_j (spectator factorisation, see
     comod), so by the product lemma (module docstring) every image is a
-    coinvariant once theta_11(x) is one.  That base case is
-    lemma_base_case(hopf, d), given as `base` or computed here: one solve of
-    C_(1,1) at d >= RELATION_DEGREE, whose dimension is the computed dim
-    End(U_l) (must be 1 before the psi basis claim means anything); if it
-    misses theta_11(x), every word of degree k is a mismatch.  What remains
-    is index bookkeeping and the rank of the psi matrices (must be (mn)^k).
+    coinvariant once theta_11(x) is one.  That base case is the caller's
+    lemma_base_case(hopf, d): one solve of C_(1,1) at d >= RELATION_DEGREE,
+    whose dimension is the computed dim End(U_l) (must be 1 before the psi
+    basis claim means anything); if it misses theta_11(x), every word of
+    degree k is a mismatch.  The report's d is base.d.  What remains is
+    index bookkeeping and the rank of the psi matrices (must be (mn)^k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if d < RELATION_DEGREE:
-        raise ValueError(f"truncation {d} below {RELATION_DEGREE}")
     ctx, t = CoactionContext(m, n, hopf), hopf.t
-    if base is None:
-        base = lemma_base_case(hopf, d)
     amn = matrix_entry_algebra("x", m, n)
     mismatches = []
     vecs = []
@@ -340,7 +338,7 @@ def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int, d: int,
         if not base.image_contained or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1))) != direct:
             mismatches.append(amn.word_label(w))
         vecs.append({r * ncols + c: val for (r, c), val in direct.items()})
-    return CorrespondenceReport(m=m, n=n, t=t, k=k, d=d,
+    return CorrespondenceReport(m=m, n=n, t=t, k=k, d=base.d,
                                 end_u_dim=base.dim_coinv,
                                 equalities_checked=len(vecs),
                                 mismatches=tuple(mismatches), psi_rank=rank(vecs))

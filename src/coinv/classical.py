@@ -136,8 +136,7 @@ def _degree_images(m: int, n: int, t: int, lower: dict[Mono, IntPoly], k: int) -
                 target = list(mono)
                 target[i * t + s] += 1
                 target[m * t + s * n + j] += 1
-                target = tuple(target)
-                img[target] = img.get(target, 0) + c
+                add_to(img, tuple(target), c)
         out[x] = img
     return out
 
@@ -160,20 +159,15 @@ def theta_star_degree(m: int, n: int, t: int, k: int) -> dict[Mono, IntPoly]:
 
 
 @lru_cache(maxsize=64)
-def _theta_rank(m: int, n: int, t: int, k: int) -> int:
-    """rank theta*_k, the rank of the degree-k images, each a row keyed by monomial."""
-    return rank(theta_star_degree(m, n, t, k).values())
-
-
 def theta_star_image(m: int, n: int, t: int, k: int) -> int:
-    """dim Im theta*_k: the rank of the degree-k component of theta*."""
-    return _theta_rank(m, n, t, k)
+    """dim Im theta*_k: the rank of the degree-k images, each a row keyed by monomial."""
+    return rank(theta_star_degree(m, n, t, k).values())
 
 
 def theta_star_kernel(m: int, n: int, t: int, k: int) -> int:
     """dim ker theta*_k: the degree-k X-monomials less the rank of theta*_k."""
     rx, _ = _rings(m, n, t)
-    return rx.component_dim(k) - _theta_rank(m, n, t, k)
+    return rx.component_dim(k) - theta_star_image(m, n, t, k)
 
 
 # -- the minors ideal -------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Exit codes: 0 = everything certified/passed, 1 = a mathematical mismatch (a
 computed value contradicts a theorem prediction or an independent oracle — a
-bug signal), 2 = inconclusive (some condition stayed NotCertified at the
+bug signal), 2 = inconclusive (some condition stayed uncertified at the
 chosen truncation; raise --trunc), 3 = usage error (bad arguments, malformed
 or singular F, bounds out of range, an -o path that cannot be written, a solve
 refused as too large before it is built), 4 = internal error (any other
@@ -235,7 +235,7 @@ def _millis(config: RunConfig, t0: float) -> int:
 # extra text lines; `run` turns them into the report and the exit code ------------
 
 
-def _balanced_case(config: RunConfig, hopf: HopfCover, k: int, d: int, base=None):
+def _balanced_case(config: RunConfig, hopf: HopfCover, k: int, d: int, base):
     """The squeeze at bidegree (k,k): its case and status."""
     t0 = time.monotonic()
     rep = certify_fft(config.m, config.n, hopf, k, d, base)
@@ -258,7 +258,8 @@ def cmd_coinvariants(config: RunConfig, hopf: HopfCover):
     # at i = j the solve is End(U^(x i))'s; at i != j, d is the coaction legs' degree
     d = resolve_trunc(config.trunc, i if i == j else i + j)
     if i == j:
-        return [_balanced_case(config, hopf, i, d)], d, ()
+        base = lemma_base_case(hopf, RELATION_DEGREE) if i else None
+        return [_balanced_case(config, hopf, i, d, base)], d, ()
     t0 = time.monotonic()
     # the grading certificate proves the space zero, with no truncation
     certified = off_diagonal_vanish(hopf, (i, j)).holds
@@ -294,9 +295,10 @@ def cmd_intertwiners(config: RunConfig, hopf: HopfCover):
 
 
 def cmd_hopf_check(config: RunConfig, hopf: HopfCover):
-    d = resolve_trunc(config.trunc, RELATION_DEGREE)  # its conditions are relations
+    # its conditions lie in I_2, so the check never reads d; d is validated and echoed
+    d = resolve_trunc(config.trunc, RELATION_DEGREE)
     t0 = time.monotonic()
-    rep = check_hopf_compat(hopf, d)
+    rep = check_hopf_compat(hopf)
     case = make_case((0, 0), 0, 0, rep.certified, d, _millis(config, t0))
     extra = [
         f"coassociativity (exact): {'ok' if rep.coassoc_ok else 'FAIL'}",
@@ -340,7 +342,7 @@ def cmd_correspondence(config: RunConfig, hopf: HopfCover):
     base = lemma_base_case(hopf, d)  # every degree reads this one base case
     for k in range(config.k + 1):
         t0 = time.monotonic()
-        rep = main_correspondence_check(config.m, config.n, hopf, k, d, base)
+        rep = main_correspondence_check(config.m, config.n, hopf, k, base)
         results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
                                   rep.ok, d, _millis(config, t0)),
                         "certified" if rep.ok else "mismatch"))

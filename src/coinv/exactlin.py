@@ -313,13 +313,10 @@ def solve_homogeneous(rows: Iterable[Mapping[int, Q | int]], nunknowns: int) -> 
     top = nunknowns - 1
     pivots: dict[int, IntRow] = {}
     for r in rows:
-        # relabel the columns and clear the denominators in one pass
-        den = lcm(*(v.denominator for v in r.values() if v))
-        row = {top - c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
+        row = _integer_row({top - c: v for c, v in r.items() if v})
         if row:
             if min(row) < 0 or max(row) > top:
                 raise ValueError("column index out of range")
-            _normalize_content(row)
             _insert(pivots, row)
     reduced = _back_substitute(pivots)
     kernel: dict[int, Row] = {f: {f: Q(1)} for f in range(nunknowns) if top - f not in reduced}

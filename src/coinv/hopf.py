@@ -12,9 +12,10 @@ S(v_ij) = (F u^T F^-1)_ij; on a u-word S is one word, the reversed v-word
 (`HopfCover.antipode_word`).  This module builds that presentation over the
 free cover (u carries grading weight +1, v weight -1), the structure maps
 on the cover, which take and give {word: coefficient} dicts of the cover's
-letters, and a truncation-certified compatibility check: structure
-maps descend to the quotient as soon as they send relations into the
-relation ideal.  Every membership the check needs is read off
+letters, and a compatibility check: structure maps descend to the quotient
+as soon as they send relations into the relation ideal, and every such
+condition lies in I_2, so the check reads the quotient at RELATION_DEGREE
+only.  Every membership it needs is read off
 TruncatedQuotient.normal_form, the coproduct condition one leg at a time.
 Relation terms and antipode images are exact scalars (exactlin.as_exact):
 ints where integral, as every one is for an integer F, so the check
@@ -228,10 +229,9 @@ def grading_specialize(algebra: FreeAlgebra, x: dict[Word, Q]) -> LaurentPoly:
 
 
 class HopfCompatReport(NamedTuple):
-    """Outcome of the Hopf-structure compatibility checks at truncation d."""
+    """Outcome of the Hopf-structure compatibility checks, certified in I_2."""
 
     t: int
-    d: int
     coassoc_ok: bool
     counit_laws_ok: bool
     counit_kills_relations: bool
@@ -254,27 +254,28 @@ class HopfCompatReport(NamedTuple):
         return self.status == "certified"
 
 
-def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
+def check_hopf_compat(h: HopfCover) -> HopfCompatReport:
     """Certify that the Hopf structure maps descend to the quotient.
 
     Exact checks on the cover: coassociativity and the counit laws on the
-    generators, and eps(relation) = 0.  Truncation-certified checks at
-    degree d: S(relation) and both antipode-axiom generator identities lie
-    in the ideal, and (NF (x) NF)(Delta(relation)) vanishes, i.e.
-    Delta(relation) lies in I (x) cover + cover (x) I.  That tensor is
-    reduced one leg at a time: grouped by left word, Delta(r) = sum_a a (x)
-    x_a, and sum_a a (x) NF(x_a) = sum_b y_b (x) b over quotient basis words
-    b, so it vanishes iff every NF(y_b) does.
+    generators, and eps(relation) = 0.  Checks certified in I_2, the ideal
+    truncated at RELATION_DEGREE: S(relation) and both antipode-axiom
+    generator identities lie in the ideal, and (NF (x) NF)(Delta(relation))
+    vanishes, i.e. Delta(relation) lies in I (x) cover + cover (x) I.  That
+    tensor is reduced one leg at a time: grouped by left word, Delta(r) =
+    sum_a a (x) x_a, and sum_a a (x) NF(x_a) = sum_b y_b (x) b over quotient
+    basis words b, so it vanishes iff every NF(y_b) does.
 
-    All of these are degree-2 identities among the relations, so d =
-    RELATION_DEGREE settles them (h.quotient rejects a lower d).  S maps
-    each relation family onto another: S(u v^T - I) = (F u^T F^-1 v - I)^T
-    and S(F u^T F^-1 v - I) = F (u v^T - I)^T F^-1, likewise for the other
-    two.  Each term of Delta(relation) has a relation in one leg.  The
-    antipode axiom on a generator is a relation: sum_k S(u_ik) u_kj = (v^T u)_ij.
+    All of these are degree-2 identities among the relations, so I_2
+    settles them, and a membership proven in I_2 holds in every I_d with
+    d >= 2, so no larger truncation is read.  S maps each relation family
+    onto another: S(u v^T - I) = (F u^T F^-1 v - I)^T and
+    S(F u^T F^-1 v - I) = F (u v^T - I)^T F^-1, likewise for the other two.
+    Each term of Delta(relation) has a relation in one leg.  The antipode
+    axiom on a generator is a relation: sum_k S(u_ik) u_kj = (v^T u)_ij.
     """
     alg = h.algebra
-    q = h.quotient(d)
+    q = h.quotient(RELATION_DEGREE)
 
     coassoc_ok = True
     counit_ok = True
@@ -333,7 +334,7 @@ def check_hopf_compat(h: HopfCover, d: int) -> HopfCompatReport:
         axiom.append(q.is_zero_mod(right))
 
     return HopfCompatReport(
-        t=h.t, d=d,
+        t=h.t,
         coassoc_ok=coassoc_ok,
         counit_laws_ok=counit_ok,
         counit_kills_relations=counit_kills,

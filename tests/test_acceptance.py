@@ -15,7 +15,7 @@ from fractions import Fraction
 import oracles
 from conftest import word_product
 
-from coinv.catalg import intertwiner_space, main_correspondence_check
+from coinv.catalg import intertwiner_space, lemma_base_case, main_correspondence_check
 from coinv.classical import (
     fft1_check,
     fft2_check,
@@ -109,7 +109,8 @@ def test_c04_correspondence_with_word_morphisms():
     for m, n, t, kmax in GRID:
         for F in f_matrices(t):
             for k in range(min(kmax, 2) + 1):
-                rep = main_correspondence_check(m, n, build_hf(F), k, 2 * k + 2)
+                h = build_hf(F)
+                rep = main_correspondence_check(m, n, h, k, lemma_base_case(h, 2 * k + 2))
                 assert rep.ok, (m, n, t, F.label, k, rep.mismatches)
                 assert rep.end_u_dim == 1
                 assert rep.psi_rank == (m * n) ** k
@@ -129,7 +130,7 @@ def test_c05_standard_comodule_hom_dimensions():
 def test_c06_hopf_structure_descends():
     for t in (1, 2):
         for F in f_matrices(t):
-            rep = check_hopf_compat(build_hf(F), 4)
+            rep = check_hopf_compat(build_hf(F))
             assert rep.certified, (t, F.label, rep)
     rng = random.Random(60)
     tested = 0

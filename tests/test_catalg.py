@@ -10,6 +10,7 @@ from coinv.catalg import (
     _hom_matrix,
     hom_space,
     intertwiner_space,
+    lemma_base_case,
     main_correspondence_check,
     psi,
 )
@@ -348,9 +349,10 @@ def test_transported_non_coinvariant_is_not_a_morphism(hj2):
 
 
 def test_correspondence_check_small_cases(hj2):
-    rep = main_correspondence_check(1, 1, build_hf(FMatrix.identity(1)), 2, 6)
+    h1 = build_hf(FMatrix.identity(1))
+    rep = main_correspondence_check(1, 1, h1, 2, lemma_base_case(h1, 6))
     assert rep.ok and rep.end_u_dim == 1 and rep.psi_rank == 1
-    rep = main_correspondence_check(2, 1, hj2, 1, 4)
+    rep = main_correspondence_check(2, 1, hj2, 1, lemma_base_case(hj2, 4))
     assert rep.ok
     assert rep.equalities_checked == 2
     assert rep.mismatches == ()
@@ -370,7 +372,7 @@ def test_correspondence_runs_one_block_residual_per_run(hj2, monkeypatch, capsys
     monkeypatch.setattr(catalg, "coinvariants", recorder)
     for k in range(4):
         calls.clear()
-        rep = main_correspondence_check(2, 2, hj2, k, k + 2)
+        rep = main_correspondence_check(2, 2, hj2, k, lemma_base_case(hj2, k + 2))
         assert rep.ok and rep.equalities_checked == 4 ** k
         assert calls == [(1, 1, 2, (1, 1), k + 2)]
     calls.clear()
@@ -385,7 +387,7 @@ def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys
     # the block's C_(1,1) forced to the line of one pair, which misses theta_11(x)
     monkeypatch.setattr(catalg, "coinvariants", lambda ctx, bidegree, d: Subspace.from_vectors(
         len(ctx.pair_basis(bidegree)), [{0: 1}]))
-    rep = main_correspondence_check(2, 1, hj2, 1, 4)
+    rep = main_correspondence_check(2, 1, hj2, 1, lemma_base_case(hj2, 4))
     assert not rep.ok and len(rep.mismatches) == rep.equalities_checked == 2
     assert run(["correspondence", "-m", "2", "-n", "1", "-t", "2", "--F", "preset:jordan",
                 "-k", "1"]) == 1
@@ -401,5 +403,6 @@ def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys
 def test_correspondence_end_u_dim_is_one_at_relation_degree(t, family):
     F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
          "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[family]
-    rep = main_correspondence_check(1, 1, build_hf(F), 2, RELATION_DEGREE)
+    h = build_hf(F)
+    rep = main_correspondence_check(1, 1, h, 2, lemma_base_case(h, RELATION_DEGREE))
     assert rep.end_u_dim == 1 and rep.ok

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from coinv import cli as cli_module
+from coinv import fpquot
 from coinv.cli import (
     CliUsageError,
     RunConfig,
@@ -19,7 +20,7 @@ from coinv.cli import (
     resolve_trunc,
     run,
 )
-from coinv.hopf import FMatrix, HopfCover
+from coinv.hopf import RELATION_DEGREE, FMatrix, HopfCover
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -415,6 +416,36 @@ def test_run_hopf_check(capsys):
     assert run(["hopf-check", "-t", "1"]) == 0
     out = capsys.readouterr().out
     assert "coassociativity (exact): ok" in out
+
+
+_HOPF_CHECK_T3_JORDAN_TRUNC6 = """\
+hopf-check  m=1 n=1 t=3 F=preset:jordan
+bidegree  dim_coinv  dim_theta  certified  witness_d  millis
+(0,0)     0          0          yes        6          0
+coassociativity (exact): ok
+counit laws (exact): ok
+counit kills relations (exact): ok
+antipode(relations) in ideal: 36/36
+coproduct(relations) in ideal tensor: 36/36
+antipode axiom on generators: 36/36
+status: certified
+"""
+
+
+def test_hopf_check_proves_in_i2_whatever_the_trunc(monkeypatch, capsys):
+    """Every compatibility condition lies in I_2, so hopf-check at --trunc 6
+    prints the report a completion to degree 6 gave (witness_d echoes 6)
+    without extending the cover's completion past virtual degree 2."""
+    degrees = []
+    extend = fpquot.Completion.extend
+
+    def recording(self, d):
+        degrees.append(d)
+        return extend(self, d)
+    monkeypatch.setattr(fpquot.Completion, "extend", recording)
+    assert run(["hopf-check", "-t", "3", "--F", "preset:jordan", "--trunc", "6"]) == 0
+    assert capsys.readouterr().out == _HOPF_CHECK_T3_JORDAN_TRUNC6
+    assert max(degrees) == RELATION_DEGREE
 
 
 def test_run_classical(capsys):

@@ -240,7 +240,7 @@ def test_off_diagonal_computed_space_is_zero(m, n, fname, t, i, j, d, preset_hop
 
 
 def test_certify_fft_squeeze(ctx221):
-    rep = certify_fft(2, 2, ctx221.hopf, 2, 6)
+    rep = certify_fft(2, 2, ctx221.hopf, 2, 6, lemma_base_case(ctx221.hopf, RELATION_DEGREE))
     assert rep.certified
     assert rep.dim_coinv == rep.theta_rank == 16
     assert rep.image_contained
@@ -248,7 +248,8 @@ def test_certify_fft_squeeze(ctx221):
 
 
 def test_certify_fft_nontrivial_f():
-    rep = certify_fft(1, 1, build_hf(FMatrix.diagonal([1, 2])), 2, 6)
+    h = build_hf(FMatrix.diagonal([1, 2]))
+    rep = certify_fft(1, 1, h, 2, 6, lemma_base_case(h, RELATION_DEGREE))
     assert rep.certified
     assert rep.dim_coinv == 1
 
@@ -257,24 +258,28 @@ def test_certify_fft_rejects_low_truncation(ctx221):
     # the End(U^(x k)) conditions hold u-words of degree k, and no quotient
     # exists below the relation degree 2: the floor is max(k, 2)
     h = ctx221.hopf
+    base = lemma_base_case(h, RELATION_DEGREE)
     with pytest.raises(ValueError):
-        certify_fft(2, 2, h, 3, 2)
+        certify_fft(2, 2, h, 3, 2, base)
     with pytest.raises(ValueError):
-        certify_fft(2, 2, h, 0, 1)
-    assert certify_fft(2, 2, h, 3, 3).certified
+        certify_fft(2, 2, h, 0, 1, None)
+    assert certify_fft(2, 2, h, 3, 3, base).certified
 
 
 def test_certify_fft_reads_a_base_case_certified_at_or_below_d(ctx221):
     """A base case certified in I_d' serves every k at d >= d', k = 1
-    included: no k reads its dimension, only its containment."""
+    included: no k reads its dimension, only its containment.  Only k = 0
+    needs none."""
     h = ctx221.hopf
     at2, at3 = lemma_base_case(h, 2), lemma_base_case(h, 3)
-    assert certify_fft(2, 2, h, 3, 3, at2) == certify_fft(2, 2, h, 3, 3)
-    assert certify_fft(2, 2, h, 1, 3, at3) == certify_fft(2, 2, h, 1, 3, at2) \
-        == certify_fft(2, 2, h, 1, 3)
+    assert certify_fft(2, 2, h, 3, 3, at2) == certify_fft(2, 2, h, 3, 3, at3)
+    assert certify_fft(2, 2, h, 1, 3, at3) == certify_fft(2, 2, h, 1, 3, at2)
     for k in (1, 2):
         with pytest.raises(ValueError):
             certify_fft(2, 2, h, k, 2, at3)
+        with pytest.raises(ValueError):
+            certify_fft(2, 2, h, k, 2, None)
+    assert certify_fft(2, 2, h, 0, 2, None) == certify_fft(2, 2, h, 0, 2, at2)
 
 
 def seeded_coinvariants(ctx, seed, max_bidegree=2):

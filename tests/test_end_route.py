@@ -18,10 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinv import catalg
-from coinv.catalg import balanced_hom_dim, certify_fft, intertwiner_space, main_correspondence_check
+from coinv.catalg import (balanced_hom_dim, certify_fft, intertwiner_space, lemma_base_case,
+                          main_correspondence_check)
 from coinv.comod import CoactionContext, coinvariance_residual, coinvariants
 from coinv.freealg import pair_product, theta_images
-from coinv.hopf import FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
 
 Q = Fraction
 
@@ -69,12 +70,13 @@ def test_legs_nest(t):
 def test_lemma_verdict_matches_direct_residual(t, kmax, family):
     block = CoactionContext(1, 1, build_hf(f_matrix(family, t)))
     x = theta11(block, 1)
+    base = lemma_base_case(block.hopf, RELATION_DEGREE)
     power = {((), ()): Q(1)}
     for k in range(1, kmax + 1):
         power = pair_product(power, x)
         assert power == theta11(block, k)  # theta_11(x^k) = theta_11(x)^k
-        assert certify_fft(1, 1, block.hopf, k, max(k, 2)).image_contained
-        assert main_correspondence_check(1, 1, block.hopf, k, 2).ok
+        assert certify_fft(1, 1, block.hopf, k, max(k, 2), base).image_contained
+        assert main_correspondence_check(1, 1, block.hopf, k, base).ok
         assert coinvariance_residual(block, power, 2 * k) == {}
         # the residual does see a wrong coefficient
         pair = next(iter(power))
@@ -86,8 +88,9 @@ def test_lemma_verdict_matches_direct_residual(t, kmax, family):
 def test_end_route_dims_equal_full_size_coinvariants(m, n, t, kmax):
     for family in families(t):
         ctx = CoactionContext(m, n, build_hf(f_matrix(family, t)))
+        base = lemma_base_case(ctx.hopf, RELATION_DEGREE)
         for k in range(kmax + 1):
-            rep = certify_fft(m, n, ctx.hopf, k, max(k, 2))
+            rep = certify_fft(m, n, ctx.hopf, k, max(k, 2), base)
             assert rep.certified
             assert rep.dim_coinv == coinvariants(ctx, (k, k), 2 * k + 2).dim == (m * n) ** k
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from coinv import cli, freealg
-from coinv.catalg import certify_fft
+from coinv.catalg import certify_fft, lemma_base_case
 from coinv.comod import CoactionContext, theta_image_vectors
 from coinv.exactlin import rank
 from coinv.freealg import (
@@ -197,7 +197,8 @@ def test_theta_columns_are_the_row_form_matrix(m, n, t, k, capsys):
     # disjoint supports, so certify-fft and theta-rank report the full-size rank
     support = [set(col) for col in columns]
     assert all(support) and len(set().union(*support)) == sum(map(len, support))
-    assert certify_fft(m, n, ctx.hopf, k, max(k, RELATION_DEGREE)).theta_rank == full
+    base = lemma_base_case(ctx.hopf, RELATION_DEGREE)
+    assert certify_fft(m, n, ctx.hopf, k, max(k, RELATION_DEGREE), base).theta_rank == full
     assert cli.run(["theta-rank", "-m", str(m), "-n", str(n), "-t", str(t), "-k", str(k),
                     "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["cases"][k]["dim_theta"] == full

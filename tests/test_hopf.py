@@ -309,16 +309,10 @@ def test_relations_annihilated_by_grading(t):
 @pytest.mark.parametrize("t", [1, 2])
 def test_hopf_compat_certified_on_grid(t):
     for F in grid_f_matrices(t):
-        rep = check_hopf_compat(build_hf(F), 4)
+        rep = check_hopf_compat(build_hf(F))
         assert rep.coassoc_ok and rep.counit_laws_ok and rep.counit_kills_relations
         assert rep.certified
         assert rep.status == "certified"
-
-
-def test_hopf_compat_rejects_low_truncation():
-    # below the relation degree there is no quotient to check in
-    with pytest.raises(ValueError):
-        check_hopf_compat(build_hf(FMatrix.identity(2)), 1)
 
 
 @st.composite
@@ -339,8 +333,8 @@ def invertible_f(draw, sizes=(2, 3)):
 @example(FMatrix.jordan(2))
 def test_hopf_compat_certified_at_relation_degree(F):
     # every compatibility condition lies in the span of the relations
-    rep = check_hopf_compat(build_hf(F), RELATION_DEGREE)
-    assert rep.d == RELATION_DEGREE == 2
+    rep = check_hopf_compat(build_hf(F))
+    assert RELATION_DEGREE == 2
     assert rep.certified
 
 
@@ -397,7 +391,7 @@ def pairwise_coproduct_certificate(h, d):
 @pytest.mark.parametrize("fname", ["identity", "jordan", "diag"])
 def test_coproduct_certificate_matches_the_pairwise_tensor(preset_hopf, fname, t):
     h = preset_hopf(fname, t)
-    rep = check_hopf_compat(h, RELATION_DEGREE)
+    rep = check_hopf_compat(h)
     assert rep.relation_coproduct == pairwise_coproduct_certificate(h, RELATION_DEGREE)
     assert all(rep.relation_coproduct)
 
@@ -406,7 +400,7 @@ def test_coproduct_certificate_matches_the_pairwise_tensor(preset_hopf, fname, t
 @given(invertible_f(sizes=(2,)))
 def test_coproduct_certificate_matches_the_pairwise_tensor_random_f(F):
     h = build_hf(F)
-    rep = check_hopf_compat(h, RELATION_DEGREE)
+    rep = check_hopf_compat(h)
     assert rep.relation_coproduct == pairwise_coproduct_certificate(h, RELATION_DEGREE)
 
 
@@ -432,11 +426,11 @@ def test_coproduct_certificate_flags_a_broken_relation():
     u, _ = uv_letters(h)
     assert h.labeled_relations[1][0] == "u.tv[1,2]"
     mutant = with_extra_term(h, 1, (u(0, 0), u(0, 0)))
-    rep = check_hopf_compat(mutant, RELATION_DEGREE)
+    rep = check_hopf_compat(mutant)
     assert rep.relation_coproduct == tuple(i != 1 for i in range(len(h.labeled_relations)))
     assert rep.relation_coproduct == pairwise_coproduct_certificate(mutant, RELATION_DEGREE)
     assert not rep.certified
-    assert all(check_hopf_compat(h, RELATION_DEGREE).relation_coproduct)
+    assert all(check_hopf_compat(h).relation_coproduct)
 
 
 # -- exact scalars: ints where integral, Fractions elsewhere, never floats --------------
@@ -448,9 +442,13 @@ def assert_exact(values):
 
 
 def assert_exact_cover(h, d):
-    """After the compatibility check at d: relation coefficients, rule tails,
-    cached normal forms and antipode images are ints or non-integral Fractions."""
-    check_hopf_compat(h, d)
+    """After the compatibility check and the relations' antipode images
+    reduced at d: relation coefficients, rule tails, cached normal forms and
+    antipode images are ints or non-integral Fractions."""
+    check_hopf_compat(h)
+    q = h.quotient(d)
+    for _, r in h.labeled_relations:
+        q.normal_form(h.antipode(r))
     assert_exact(c for _, r in h.labeled_relations for c in r.values())
     assert_exact(c for r in h.presentation.relations for c in r.values())
     rules = h.presentation.completion.rules

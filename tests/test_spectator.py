@@ -15,10 +15,10 @@ import pytest
 
 from coinv import catalg, comod
 from coinv import cli as cli_module
-from coinv.catalg import certify_fft, intertwiner_space
+from coinv.catalg import certify_fft, intertwiner_space, lemma_base_case
 from coinv.comod import CoactionContext, coinvariants, theta_image_vectors
 from coinv.exactlin import Subspace
-from coinv.hopf import FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
 
 Q = Fraction
 
@@ -83,7 +83,7 @@ def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
     (case,) = _report(capsys, ["coinvariants"] + base)["cases"]
     assert case["dim_coinv"] == full.dim
     if i == j:
-        rep = certify_fft(m, n, hopf, i, d)
+        rep = certify_fft(m, n, hopf, i, d, lemma_base_case(hopf, RELATION_DEGREE))
         assert rep.dim_coinv == full.dim
         assert rep.image_contained == all(full.contains(v) for v in theta_image_vectors(ctx, i))
 
@@ -108,7 +108,8 @@ def test_certify_fft_solves_only_the_block(pure_u_lead, monkeypatch, add_pure_u_
     for k in range(kmax + 1):
         for recorded in sizes.values():
             recorded.clear()
-        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2))
+        base = lemma_base_case(ctx.hopf, RELATION_DEGREE) if k else None
+        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2), base)
         assert rep.certified and rep.dim_coinv == 4 ** k
         assert sizes["catalg"] == ([t ** (2 * k)] if pure_u_lead else [])
         assert sizes["comod"] == ([t ** 2] if k else [])
@@ -149,7 +150,8 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
 
     for vec, expected in [({s: Q(-3) for s in image}, True)] + [(v, False) for v in others]:
         monkeypatch.setattr(catalg, "coinvariants", lambda c, b, d, vec=vec: forced(c, b, d, vec))
-        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2))
+        base = lemma_base_case(ctx.hopf, RELATION_DEGREE)
+        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2), base)
         assert rep.dim_coinv == 6 ** k
         assert rep.image_contained is expected and rep.certified is expected
     assert set(calls) == {(1, 1, (1, 1), 2)}
