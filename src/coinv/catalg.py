@@ -1,6 +1,8 @@
 """Comodule category bookkeeping: morphism spaces and the coinvariant <->
 morphism correspondence.  Every entry point takes the caller's HopfCover and
-reads t from it; this module builds no cover.
+reads t from it; this module builds no cover.  A report holds what its call
+computed, not the shape or degree the caller passed; only CoinvariantReport
+keeps its truncation d, which certify_fft checks a base case against.
 
 hom_space solves comod._morphism_conditions between two comod.ComoduleSpace
 word matrices and returns their certified solution set as a Subspace, in
@@ -173,12 +175,9 @@ def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
 
 
 class CoinvariantReport(NamedTuple):
-    """Squeeze-certification outcome for one balanced bidegree (k, k)."""
+    """Squeeze-certification outcome for one balanced bidegree (k, k),
+    certified at truncation d."""
 
-    m: int
-    n: int
-    t: int
-    bidegree: tuple[int, int]
     d: int
     dim_coinv: int
     theta_rank: int
@@ -214,8 +213,7 @@ def certify_fft(m: int, n: int, hopf: HopfCover, k: int, d: int,
     contained = k == 0 or base.image_contained
     dim = balanced_hom_dim(m, n, hopf, k, d)
     return CoinvariantReport(
-        m=m, n=n, t=hopf.t, bidegree=(k, k), d=d,
-        dim_coinv=dim, theta_rank=theta_rank(m, n, hopf.t, k), image_contained=contained,
+        d=d, dim_coinv=dim, theta_rank=theta_rank(m, n, hopf.t, k), image_contained=contained,
         certified=contained and dim == (m * n) ** k,
     )
 
@@ -227,8 +225,7 @@ def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
     block = CoactionContext(1, 1, hopf)
     space = coinvariants(block, (1, 1), d)
     contained = space.contains(theta_image_vectors(block, 1)[0])
-    return CoinvariantReport(m=1, n=1, t=hopf.t, bidegree=(1, 1), d=d, dim_coinv=space.dim,
-                             theta_rank=1, image_contained=contained,
+    return CoinvariantReport(d=d, dim_coinv=space.dim, theta_rank=1, image_contained=contained,
                              certified=contained and space.dim == 1)
 
 
@@ -291,13 +288,9 @@ def _hom_matrix(ctx: CoactionContext, terms: dict[PairKey, Q]) -> dict[tuple[int
 
 
 class CorrespondenceReport(NamedTuple):
-    """Word-by-word comparison of the two pipelines at degree k."""
+    """Word-by-word comparison of the two pipelines at degree k, one equality
+    checked per degree-k word, (mn)^k of them."""
 
-    m: int
-    n: int
-    t: int
-    k: int
-    d: int
     end_u_dim: int
     equalities_checked: int
     mismatches: tuple[str, ...]
@@ -305,7 +298,7 @@ class CorrespondenceReport(NamedTuple):
 
     @property
     def psi_independent(self) -> bool:
-        return self.psi_rank == (self.m * self.n) ** self.k
+        return self.psi_rank == self.equalities_checked
 
     @property
     def ok(self) -> bool:
@@ -323,8 +316,8 @@ def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int,
     lemma_base_case(hopf, d): one solve of C_(1,1) at d >= RELATION_DEGREE,
     whose dimension is the computed dim End(U_l) (must be 1 before the psi
     basis claim means anything); if it misses theta_11(x), every word of
-    degree k is a mismatch.  The report's d is base.d.  What remains is
-    index bookkeeping and the rank of the psi matrices (must be (mn)^k).
+    degree k is a mismatch.  What remains is index bookkeeping and the rank
+    of the psi matrices (must be (mn)^k).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -338,7 +331,5 @@ def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int,
         if not base.image_contained or _hom_matrix(ctx, dict.fromkeys(pairs, Q(1))) != direct:
             mismatches.append(amn.word_label(w))
         vecs.append({r * ncols + c: val for (r, c), val in direct.items()})
-    return CorrespondenceReport(m=m, n=n, t=t, k=k, d=base.d,
-                                end_u_dim=base.dim_coinv,
-                                equalities_checked=len(vecs),
+    return CorrespondenceReport(end_u_dim=base.dim_coinv, equalities_checked=len(vecs),
                                 mismatches=tuple(mismatches), psi_rank=rank(vecs))

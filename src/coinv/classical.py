@@ -312,9 +312,6 @@ class DegreeComparison(NamedTuple):
 
 
 class FftReport(NamedTuple):
-    m: int
-    n: int
-    t: int
     rows: tuple[DegreeComparison, ...]
 
     @property
@@ -341,7 +338,7 @@ def fft1_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
         # no image at odd D, and the constants at D = 0, lie in the invariants
         proven = contained or D % 2 == 1 or D == 0
         rows.append(DegreeComparison(D, inv, img, inv == img and proven))
-    return FftReport(m=m, n=n, t=t, rows=tuple(rows))
+    return FftReport(rows=tuple(rows))
 
 
 def fft2_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
@@ -353,4 +350,4 @@ def fft2_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
         ker = theta_star_kernel(m, n, t, k)
         mnr = minors_component(m, n, t, k)
         rows.append(DegreeComparison(k, ker, mnr, ker == mnr and (not mnr or _minors_vanish(m, n, t))))
-    return FftReport(m=m, n=n, t=t, rows=tuple(rows))
+    return FftReport(rows=tuple(rows))

@@ -9,14 +9,16 @@ refused as too large before it is built), 4 = internal error (any other
 exception; `main` prints its traceback to stderr).
 
 --F and --trunc belong to the five commands that build a truncated quotient.
-`run` builds the cover of H(F) once, here and nowhere else, and hands it to
-the command, whose engine calls read t from it; theta-rank and classical
-need neither and build none.  --trunc auto is the smallest
-truncation that holds a command's conditions, max(w, 2) for w the degree of
-their longest word (each cmd_* passes its w); a lower --trunc is a usage
-error.  A report is {schema: 2, version, command, params{m,n,t,F,k,d},
-cases[], status}.  It is deterministic for a fixed configuration: cases are
-sorted by bidegree, and millis stay 0 unless --timings is given.
+`run` builds the cover of H(F) once, here and nowhere else, and hands it with
+the parsed arguments to the command, whose engine calls read t from the cover;
+theta-rank and classical need neither and build none.  --trunc auto is the
+smallest truncation that holds a command's conditions, max(w, 2) for w the
+degree of their longest word (each cmd_* passes its w); a lower --trunc is a
+usage error.  A report is {schema: 2, version, command, params{m,n,t,F,k,d},
+cases[], status}; its k is classical's --max-degree, and a command without --F
+or -k reports preset:identity or null.  It is deterministic for a fixed
+configuration: cases are sorted by bidegree, and millis stay 0 unless
+--timings is given.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import __version__
 from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, intertwiner_space,
@@ -58,22 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-class RunConfig(NamedTuple):
-    """Validated run parameters, echoed into every report."""
-
-    command: str
-    m: int
-    n: int
-    t: int
-    f_spec: str
-    k: int | None  # -k, or --max-degree for classical
-    bidegree: tuple[int, int] | None
-    trunc: str | None  # None for the commands without --trunc
-    fmt: str
-    timings: bool
-    output: str | None
 
 
 def parse_f(spec: str, t: int) -> FMatrix:
@@ -167,17 +152,17 @@ def aggregate_status(case_statuses) -> str:
     return max(case_statuses, key=_STATUS_ORDER.__getitem__, default="certified")
 
 
-def make_report(config: RunConfig, d_param, cases, status) -> dict:
+def make_report(args: argparse.Namespace, d_param, cases, status) -> dict:
     return {
         "schema": 2,
         "version": __version__,
-        "command": config.command,
+        "command": args.command,
         "params": {
-            "m": config.m,
-            "n": config.n,
-            "t": config.t,
-            "F": config.f_spec,
-            "k": config.k,
+            "m": args.m,
+            "n": args.n,
+            "t": args.t,
+            "F": getattr(args, "F", "preset:identity"),
+            "k": getattr(args, "k", getattr(args, "max_degree", None)),
             "d": d_param,
         },
         "cases": sorted(cases, key=lambda c: tuple(c["bidegree"])),
@@ -213,93 +198,93 @@ def render(report: dict, fmt: str, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: dict, config: RunConfig, extra_lines=()) -> None:
-    text = render(report, config.fmt, extra_lines)
-    if config.output:
+def emit(report: dict, args: argparse.Namespace, extra_lines=()) -> None:
+    text = render(report, args.fmt, extra_lines)
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliUsageError(f"cannot write the report to {config.output}: "
+            raise CliUsageError(f"cannot write the report to {args.output}: "
                                 f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _millis(config: RunConfig, t0: float) -> int:
+def _millis(args: argparse.Namespace, t0: float) -> int:
     """Elapsed milliseconds since t0 with --timings, else 0 (byte-stable)."""
-    return int((time.monotonic() - t0) * 1000) if config.timings else 0
+    return int((time.monotonic() - t0) * 1000) if args.timings else 0
 
 
 # -- commands: each returns its (case, status) pairs, the d it reports and its
 # extra text lines; `run` turns them into the report and the exit code ------------
 
 
-def _balanced_case(config: RunConfig, hopf: HopfCover, k: int, d: int, base):
+def _balanced_case(args: argparse.Namespace, hopf: HopfCover, k: int, d: int, base):
     """The squeeze at bidegree (k,k): its case and status."""
     t0 = time.monotonic()
-    rep = certify_fft(config.m, config.n, hopf, k, d, base)
-    status = classify(rep.dim_coinv, (config.m * config.n) ** k, rep.certified)
+    rep = certify_fft(args.m, args.n, hopf, k, d, base)
+    status = classify(rep.dim_coinv, (args.m * args.n) ** k, rep.certified)
     return (make_case((k, k), rep.dim_coinv, rep.theta_rank, rep.certified, d,
-                      _millis(config, t0)), status)
+                      _millis(args, t0)), status)
 
 
-def cmd_certify_fft(config: RunConfig, hopf: HopfCover):
+def cmd_certify_fft(args: argparse.Namespace, hopf: HopfCover):
     # the End(U^(x k)) conditions hold u-words of degree k
-    ds = [resolve_trunc(config.trunc, k) for k in range(config.k + 1)]
+    ds = [resolve_trunc(args.trunc, k) for k in range(args.k + 1)]
     # one lemma base case for every k: containment in I_d holds in I_d' for d' >= d
-    base = lemma_base_case(hopf, ds[1]) if config.k else None
-    results = [_balanced_case(config, hopf, k, d, base) for k, d in enumerate(ds)]
-    return results, trunc_param(config.trunc), ()
+    base = lemma_base_case(hopf, ds[1]) if args.k else None
+    results = [_balanced_case(args, hopf, k, d, base) for k, d in enumerate(ds)]
+    return results, trunc_param(args.trunc), ()
 
 
-def cmd_coinvariants(config: RunConfig, hopf: HopfCover):
-    i, j = config.bidegree
+def cmd_coinvariants(args: argparse.Namespace, hopf: HopfCover):
+    i, j = args.i, args.j
     # at i = j the solve is End(U^(x i))'s; at i != j, d is the coaction legs' degree
-    d = resolve_trunc(config.trunc, i if i == j else i + j)
+    d = resolve_trunc(args.trunc, i if i == j else i + j)
     if i == j:
         base = lemma_base_case(hopf, RELATION_DEGREE) if i else None
-        return [_balanced_case(config, hopf, i, d, base)], d, ()
+        return [_balanced_case(args, hopf, i, d, base)], d, ()
     t0 = time.monotonic()
     # the grading certificate proves the space zero, with no truncation
     certified = off_diagonal_vanish(hopf, (i, j)).holds
-    case = make_case((i, j), 0, 0, certified, d, _millis(config, t0))
+    case = make_case((i, j), 0, 0, certified, d, _millis(args, t0))
     return [(case, "certified" if certified else "mismatch")], d, ()
 
 
-def cmd_theta_rank(config: RunConfig, hopf: None):
+def cmd_theta_rank(args: argparse.Namespace, hopf: None):
     results = []
-    for k in range(config.k + 1):
+    for k in range(args.k + 1):
         t0 = time.monotonic()
-        target, rank = (config.m * config.n) ** k, theta_rank(config.m, config.n, config.t, k)
-        results.append((make_case((k, k), target, rank, True, 0, _millis(config, t0)), "certified"))
+        target, rank = (args.m * args.n) ** k, theta_rank(args.m, args.n, args.t, k)
+        results.append((make_case((k, k), target, rank, True, 0, _millis(args, t0)), "certified"))
     return results, 0, ()
 
 
-def cmd_intertwiners(config: RunConfig, hopf: HopfCover):
-    i, j = config.bidegree
-    d = resolve_trunc(config.trunc, max(i, j))  # the morphism conditions' words
+def cmd_intertwiners(args: argparse.Namespace, hopf: HopfCover):
+    i, j = args.i, args.j
+    d = resolve_trunc(args.trunc, max(i, j))  # the morphism conditions' words
     t0 = time.monotonic()
     if i == j:
-        dim = balanced_hom_dim(config.m, config.n, hopf, i, d)
-        expected, proven = (config.m * config.n) ** i, True
+        dim = balanced_hom_dim(args.m, args.n, hopf, i, d)
+        expected, proven = (args.m * args.n) ** i, True
     else:
         # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i),
         # and the morphism conditions are block-diagonal in the same way
-        dim = config.m ** i * config.n ** j * intertwiner_space(1, 1, hopf, i, j, d).dim
+        dim = args.m ** i * args.n ** j * intertwiner_space(1, 1, hopf, i, j, d).dim
         # the solve is a lower bound; only the grading certificate proves Hom = 0
         expected, proven = 0, off_diagonal_vanish(hopf, (i, j)).holds
     status = classify(dim, expected, dim == expected) if proven else "mismatch"
-    case = make_case((i, j), dim, expected, status == "certified", d, _millis(config, t0))
+    case = make_case((i, j), dim, expected, status == "certified", d, _millis(args, t0))
     return [(case, status)], d, ()
 
 
-def cmd_hopf_check(config: RunConfig, hopf: HopfCover):
+def cmd_hopf_check(args: argparse.Namespace, hopf: HopfCover):
     # its conditions lie in I_2, so the check never reads d; d is validated and echoed
-    d = resolve_trunc(config.trunc, RELATION_DEGREE)
+    d = resolve_trunc(args.trunc, RELATION_DEGREE)
     t0 = time.monotonic()
     rep = check_hopf_compat(hopf)
-    case = make_case((0, 0), 0, 0, rep.certified, d, _millis(config, t0))
+    case = make_case((0, 0), 0, 0, rep.certified, d, _millis(args, t0))
     extra = [
         f"coassociativity (exact): {'ok' if rep.coassoc_ok else 'FAIL'}",
         f"counit laws (exact): {'ok' if rep.counit_laws_ok else 'FAIL'}",
@@ -311,14 +296,14 @@ def cmd_hopf_check(config: RunConfig, hopf: HopfCover):
     return [(case, rep.status)], d, extra
 
 
-def cmd_classical(config: RunConfig, hopf: None):
+def cmd_classical(args: argparse.Namespace, hopf: None):
     # imported here: no other command needs classical, so start-up skips it
     from .classical import fft1_check, fft2_check
-    kmax = config.k
+    kmax = args.max_degree
     t0 = time.monotonic()
-    r1 = fft1_check(config.m, config.n, config.t, 2 * kmax)
-    r2 = fft2_check(config.m, config.n, config.t, kmax)
-    millis = _millis(config, t0)
+    r1 = fft1_check(args.m, args.n, args.t, 2 * kmax)
+    r2 = fft2_check(args.m, args.n, args.t, kmax)
+    millis = _millis(args, t0)
     fft1_by_degree = {row.degree: row for row in r1.rows}
     results = []
     for k in range(kmax + 1):
@@ -335,20 +320,20 @@ def cmd_classical(config: RunConfig, hopf: None):
     return results, 0, extra
 
 
-def cmd_correspondence(config: RunConfig, hopf: HopfCover):
+def cmd_correspondence(args: argparse.Namespace, hopf: HopfCover):
     results = []
     extra = []
-    d = resolve_trunc(config.trunc, RELATION_DEGREE)  # theta_11(x)'s condition is a relation
+    d = resolve_trunc(args.trunc, RELATION_DEGREE)  # theta_11(x)'s condition is a relation
     base = lemma_base_case(hopf, d)  # every degree reads this one base case
-    for k in range(config.k + 1):
+    for k in range(args.k + 1):
         t0 = time.monotonic()
-        rep = main_correspondence_check(config.m, config.n, hopf, k, base)
-        results.append((make_case((k, k), rep.psi_rank, (config.m * config.n) ** k,
-                                  rep.ok, d, _millis(config, t0)),
+        rep = main_correspondence_check(args.m, args.n, hopf, k, base)
+        results.append((make_case((k, k), rep.psi_rank, (args.m * args.n) ** k,
+                                  rep.ok, d, _millis(args, t0)),
                         "certified" if rep.ok else "mismatch"))
         if rep.mismatches:
             extra.append(f"degree {k} mismatching words: " + ", ".join(rep.mismatches))
-    return results, trunc_param(config.trunc), extra
+    return results, trunc_param(args.trunc), extra
 
 
 # -- argument wiring ----------------------------------------------------------------
@@ -435,19 +420,11 @@ def run(argv) -> int:
             v = getattr(args, attr, None)
             if v is not None and v < 0:
                 raise CliUsageError(f"{attr} must be nonnegative")
-        f_spec = getattr(args, "F", "preset:identity")
         # the run's one cover, for the commands that take --F
-        hopf = build_hf(parse_f(f_spec, args.t)) if hasattr(args, "F") else None
-        config = RunConfig(
-            command=args.command, m=args.m, n=args.n, t=args.t, f_spec=f_spec,
-            k=getattr(args, "k", getattr(args, "max_degree", None)),
-            bidegree=(args.i, args.j) if hasattr(args, "i") else None,
-            trunc=getattr(args, "trunc", None), fmt=args.fmt,
-            timings=args.timings, output=args.output,
-        )
-        results, d_param, extra = _COMMANDS[args.command](config, hopf)
+        hopf = build_hf(parse_f(args.F, args.t)) if hasattr(args, "F") else None
+        results, d_param, extra = _COMMANDS[args.command](args, hopf)
         status = aggregate_status(s for _, s in results)
-        emit(make_report(config, d_param, [c for c, _ in results], status), config, extra)
+        emit(make_report(args, d_param, [c for c, _ in results], status), args, extra)
     except (CliUsageError, SolveTooLarge) as exc:
         sys.stderr.write(f"coinv: error: {exc}\n")
         return EXIT_USAGE

@@ -50,7 +50,8 @@ block alone.  theta factors the same way (freealg.theta_rank).
 For unbalanced bidegrees the Laurent grading specialization gives an exact
 (truncation-free) vanishing proof, checked once per coaction letter:
 alpha(x) specializes to z^(j-i) (x) x, so a coinvariant in bidegree (i,j),
-i != j, is zero.
+i != j, is zero.  Its OffDiagonalCertificate holds the two checks and the
+exponent j - i, and the caller keeps the bidegree.
 """
 
 from __future__ import annotations
@@ -272,10 +273,9 @@ def theta_image_vectors(ctx: CoactionContext, k: int):
 
 
 class OffDiagonalCertificate(NamedTuple):
-    """Exact proof that true coinvariants vanish in an unbalanced bidegree."""
+    """Exact proof that true coinvariants vanish in an unbalanced bidegree (i, j),
+    where the grading specialization acts by z^exponent, exponent = j - i."""
 
-    t: int
-    bidegree: tuple[int, int]
     exponent: int
     relations_annihilated: bool
     diagonal_action_ok: bool
@@ -312,8 +312,5 @@ def off_diagonal_vanish(hopf: HopfCover, bidegree: tuple[int, int]) -> OffDiagon
 
     diag_ok = all(specializes_to("v", a, k, -1) and specializes_to("u", a, k, 1)
                   for a in range(t) for k in range(t))
-    return OffDiagonalCertificate(
-        t=t, bidegree=(i, j), exponent=j - i,
-        relations_annihilated=relations_ok,
-        diagonal_action_ok=diag_ok,
-    )
+    return OffDiagonalCertificate(exponent=j - i, relations_annihilated=relations_ok,
+                                  diagonal_action_ok=diag_ok)

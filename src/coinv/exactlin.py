@@ -63,10 +63,10 @@ def as_exact(c) -> int | Q:
 
 
 def _clean_row(entries: Mapping[int, object]) -> Row:
-    """Copy a mapping into a Row, coercing values to Q and dropping zeros."""
+    """Copy a mapping into a Row, coercing values with as_exact and dropping zeros."""
     row: Row = {}
     for c, v in entries.items():
-        q = Q(v)
+        q = as_exact(v)
         if q:
             row[int(c)] = q
     return row

@@ -231,7 +231,6 @@ def grading_specialize(algebra: FreeAlgebra, x: dict[Word, Q]) -> LaurentPoly:
 class HopfCompatReport(NamedTuple):
     """Outcome of the Hopf-structure compatibility checks, certified in I_2."""
 
-    t: int
     coassoc_ok: bool
     counit_laws_ok: bool
     counit_kills_relations: bool
@@ -334,7 +333,6 @@ def check_hopf_compat(h: HopfCover) -> HopfCompatReport:
         axiom.append(q.is_zero_mod(right))
 
     return HopfCompatReport(
-        t=h.t,
         coassoc_ok=coassoc_ok,
         counit_laws_ok=counit_ok,
         counit_kills_relations=counit_kills,

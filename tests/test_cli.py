@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, report shape."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ from coinv import cli as cli_module
 from coinv import fpquot
 from coinv.cli import (
     CliUsageError,
-    RunConfig,
     aggregate_status,
+    build_parser,
     classify,
     make_case,
     make_report,
@@ -107,11 +108,9 @@ def test_classify():
 
 
 def test_make_report_sorts_cases():
-    config = RunConfig(command="certify-fft", m=1, n=1, t=1, f_spec="preset:identity",
-                       k=1, bidegree=None, trunc="auto", fmt="json",
-                       timings=False, output=None)
+    args = build_parser().parse_args(["certify-fft", "-k", "1", "--format", "json"])
     cases = [make_case((1, 1), 1, 1, True, 4, 0), make_case((0, 0), 1, 1, True, 2, 0)]
-    report = make_report(config, "auto", cases, "certified")
+    report = make_report(args, "auto", cases, "certified")
     assert [c["bidegree"] for c in report["cases"]] == [[0, 0], [1, 1]]
     assert report["schema"] == 2
     assert set(report["params"]) == {"m", "n", "t", "F", "k", "d"}
@@ -167,7 +166,7 @@ def test_run_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 def test_run_internal_value_error_is_not_a_usage_error(monkeypatch):
-    def broken(config, F):
+    def broken(args, hopf):
         raise ValueError("internal failure")
 
     monkeypatch.setitem(cli_module._COMMANDS, "theta-rank", broken)
@@ -176,7 +175,7 @@ def test_run_internal_value_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_main_internal_error_exits_four(monkeypatch, capsys):
-    def broken(config, F):
+    def broken(args, hopf):
         raise ValueError("internal failure")
 
     monkeypatch.setitem(cli_module._COMMANDS, "theta-rank", broken)
@@ -391,6 +390,14 @@ def test_auto_trunc_verdicts_hold_two_degrees_higher(argv, tmp_path):
     assert _blank_degrees(json.loads(high.read_text())) == _blank_degrees(low_report)
 
 
+@pytest.mark.parametrize("command", sorted(cli_module._COMMANDS))
+def test_every_command_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: coinv {command} ")
+
+
 def test_run_usage_error_exits_three():
     with pytest.raises(SystemExit) as exc:
         run(["certify-fft", "-m", "1"])  # missing -k
@@ -457,6 +464,38 @@ def test_run_classical(capsys):
 
 def test_run_correspondence(capsys):
     assert run(["correspondence", "-m", "1", "-n", "1", "-t", "1", "-k", "1"]) == 0
+
+
+def test_correspondence_reads_end_u_at_the_run_truncation(monkeypatch, capsys):
+    """dim End(U_l) is certified at the run's --trunc, where it can only grow.
+
+    Rules of drop 1 send every degree-2 leg word v_ab u_ce that is not yet a
+    lead to its counit value.  They act from truncation 3 on, where every leg
+    word reduces to its counit, so every vector of the bidegree-(1,1)
+    component is certified coinvariant: dim End(U_l) = t^2 and each degree is
+    a mismatch.  At the auto truncation 2 they rewrite nothing.
+    """
+    from coinv import hopf
+
+    def with_counit_legs(F):
+        h = hopf.build_hf(F)
+        completion, alg = h.presentation.completion, h.algebra
+        completion.extend(RELATION_DEGREE)
+        for a, b, c, e in itertools.product(range(h.t), repeat=4):
+            lead = (alg.letter("v", a, b), alg.letter("u", c, e))
+            if lead not in completion.rules:
+                completion.rules[lead] = (1, {(): 1} if a == b and c == e else {})
+        completion.lengths = tuple(sorted({len(lead) for lead in completion.rules}))
+        return h
+
+    monkeypatch.setattr(cli_module, "build_hf", with_counit_legs)
+    argv = ["correspondence", "-t", "2", "--F", "preset:jordan", "-k", "1", "--format", "json"]
+    assert run(argv + ["--trunc", "auto"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "certified"
+    assert run(argv + ["--trunc", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "mismatch"
+    assert [(c["certified"], c["witness_degree"]) for c in report["cases"]] == [(False, 3)] * 2
 
 
 def test_run_theta_rank(capsys):

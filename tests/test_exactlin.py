@@ -68,6 +68,20 @@ def test_subspace_reduce_is_zero_exactly_on_members():
     assert s.reduce({0: Q(1)}) != {}
 
 
+def test_subspace_rejects_a_float_and_takes_exact_scalars():
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(2, [{0: 0.1, 1: 1}])
+    s = Subspace.from_vectors(2, [{0: 1, 1: 2}])
+    with pytest.raises(TypeError):
+        s.contains({0: 0.5, 1: 1})
+    # an int, a Fraction and a string name the same vector
+    for half in (Q(1, 2), "1/2"):
+        t = Subspace.from_vectors(2, [{0: half, 1: 1}])
+        assert t == s and t.basis == [{0: Q(1), 1: Q(2)}]
+        assert s.contains({0: half, 1: 1}) and not s.contains({0: 1, 1: half})
+        assert s.contains({0: 3, 1: 6})
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
