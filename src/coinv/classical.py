@@ -141,21 +141,15 @@ def _degree_images(m: int, n: int, t: int, lower: dict[Mono, IntPoly], k: int) -
     return out
 
 
-@lru_cache(maxsize=8)
-def _images_by_degree(m: int, n: int, t: int) -> list[dict[Mono, IntPoly]]:
-    """theta* images per X-degree, grown one degree at a time by `theta_star_degree`."""
-    rx, ryz = _rings(m, n, t)
-    return [{(0,) * rx.nvars: {(0,) * ryz.nvars: 1}}]
-
-
+@lru_cache(maxsize=64)
 def theta_star_degree(m: int, n: int, t: int, k: int) -> dict[Mono, IntPoly]:
-    """theta* of every degree-k X-monomial, each degree built once per shape."""
+    """theta* of every degree-k X-monomial, built once per shape and degree from degree k-1."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    images = _images_by_degree(m, n, t)
-    while len(images) <= k:
-        images.append(_degree_images(m, n, t, images[-1], len(images)))
-    return images[k]
+    if k == 0:
+        rx, ryz = _rings(m, n, t)
+        return {(0,) * rx.nvars: {(0,) * ryz.nvars: 1}}
+    return _degree_images(m, n, t, theta_star_degree(m, n, t, k - 1), k)
 
 
 @lru_cache(maxsize=64)

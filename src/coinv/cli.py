@@ -8,17 +8,18 @@ or singular F, bounds out of range, an -o path that cannot be written, a solve
 refused as too large before it is built), 4 = internal error (any other
 exception; `main` prints its traceback to stderr).
 
---F and --trunc belong to the five commands that build a truncated quotient.
-`run` builds the cover of H(F) once, here and nowhere else, and hands it with
-the parsed arguments to the command, whose engine calls read t from the cover;
-theta-rank and classical need neither and build none.  --trunc auto is the
-smallest truncation that holds a command's conditions, max(w, 2) for w the
-degree of their longest word (each cmd_* passes its w); a lower --trunc is a
-usage error.  A report is {schema: 2, version, command, params{m,n,t,F,k,d},
-cases[], status}; its k is classical's --max-degree, and a command without --F
-or -k reports preset:identity or null.  It is deterministic for a fixed
-configuration: cases are sorted by bidegree, and millis stay 0 unless
---timings is given.
+--F belongs to the five commands that read H(F), --trunc to four: hopf-check's
+conditions lie in I_2.  `run` builds the cover of H(F) once, here and nowhere
+else, and hands it with the parsed arguments to the command, whose engine
+calls read t from the cover; theta-rank and classical build none.  --trunc
+auto is max(w, 2) for w the degree of the longest word of a command's
+conditions (each cmd_* passes its w); a lower --trunc is a usage error.  The
+product lemma's base case is solved in I_2 where only its containment is
+read; correspondence reads its dimension too, at --trunc.  A report is
+{schema: 2, version, command, params{m,n,t,F,k,d}, cases[], status}; its k is
+classical's --max-degree, and a command without --F or -k reports
+preset:identity or null.  It is deterministic for a fixed configuration:
+cases are sorted by bidegree, and millis stay 0 unless --timings is given.
 """
 
 from __future__ import annotations
@@ -232,8 +233,8 @@ def _balanced_case(args: argparse.Namespace, hopf: HopfCover, k: int, d: int, ba
 def cmd_certify_fft(args: argparse.Namespace, hopf: HopfCover):
     # the End(U^(x k)) conditions hold u-words of degree k
     ds = [resolve_trunc(args.trunc, k) for k in range(args.k + 1)]
-    # one lemma base case for every k: containment in I_d holds in I_d' for d' >= d
-    base = lemma_base_case(hopf, ds[1]) if args.k else None
+    # one lemma base case for every k: containment in I_2 holds in every I_d
+    base = lemma_base_case(hopf, RELATION_DEGREE) if args.k else None
     results = [_balanced_case(args, hopf, k, d, base) for k, d in enumerate(ds)]
     return results, trunc_param(args.trunc), ()
 
@@ -280,11 +281,10 @@ def cmd_intertwiners(args: argparse.Namespace, hopf: HopfCover):
 
 
 def cmd_hopf_check(args: argparse.Namespace, hopf: HopfCover):
-    # its conditions lie in I_2, so the check never reads d; d is validated and echoed
-    d = resolve_trunc(args.trunc, RELATION_DEGREE)
+    # its conditions lie in I_2, so it is proven there at every truncation
     t0 = time.monotonic()
     rep = check_hopf_compat(hopf)
-    case = make_case((0, 0), 0, 0, rep.certified, d, _millis(args, t0))
+    case = make_case((0, 0), 0, 0, rep.certified, RELATION_DEGREE, _millis(args, t0))
     extra = [
         f"coassociativity (exact): {'ok' if rep.coassoc_ok else 'FAIL'}",
         f"counit laws (exact): {'ok' if rep.counit_laws_ok else 'FAIL'}",
@@ -293,7 +293,7 @@ def cmd_hopf_check(args: argparse.Namespace, hopf: HopfCover):
         f"coproduct(relations) in ideal tensor: {sum(map(bool, rep.relation_coproduct))}/{len(rep.relation_coproduct)}",
         f"antipode axiom on generators: {sum(map(bool, rep.antipode_axiom))}/{len(rep.antipode_axiom)}",
     ]
-    return [(case, rep.status)], d, extra
+    return [(case, rep.status)], RELATION_DEGREE, extra
 
 
 def cmd_classical(args: argparse.Namespace, hopf: None):
@@ -346,7 +346,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"coinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quotient=True):
+    def common(p, quotient=True, trunc=True):
         p.add_argument("-m", type=int, default=1, help="rows of the source matrix ring")
         p.add_argument("-n", type=int, default=1, help="columns of the source matrix ring")
         p.add_argument("-t", type=int, default=1, help="inner size / F dimension")
@@ -354,6 +354,7 @@ def build_parser() -> _Parser:
             p.add_argument("--F", default="preset:identity",
                            help="preset:identity | preset:diag:a,b,... | preset:jordan "
                                 "| file:PATH (JSON t x t array of rational strings)")
+        if quotient and trunc:
             p.add_argument("--trunc", default="auto",
                            help="ideal truncation degree, or 'auto': the least its conditions need")
         p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
@@ -381,7 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("-j", type=int, required=True)
 
     p = sub.add_parser("hopf-check", help="certify Hopf structure maps descend")
-    common(p)
+    common(p, trunc=False)
 
     p = sub.add_parser("classical", help="commutative FFT1/FFT2 degree by degree")
     common(p, quotient=False)
@@ -416,10 +417,10 @@ def run(argv) -> int:
     try:
         if min(args.m, args.n, args.t) < 1:
             raise CliUsageError("m, n, t must be positive")
-        for attr in ("k", "i", "j", "max_degree"):
+        for attr, flag in (("k", "-k"), ("i", "-i"), ("j", "-j"), ("max_degree", "--max-degree")):
             v = getattr(args, attr, None)
             if v is not None and v < 0:
-                raise CliUsageError(f"{attr} must be nonnegative")
+                raise CliUsageError(f"{flag} must be nonnegative")
         # the run's one cover, for the commands that take --F
         hopf = build_hf(parse_f(args.F, args.t)) if hasattr(args, "F") else None
         results, d_param, extra = _COMMANDS[args.command](args, hopf)

@@ -99,7 +99,12 @@ def _normalize_content(row: IntRow) -> None:
 
 def _integer_row(row: Mapping) -> dict:
     """The primitive integer multiple of a sparse rational vector, same keys."""
-    den = lcm(*(v.denominator for v in row.values()))
+    try:
+        den = lcm(*(v.denominator for v in row.values()))
+    except AttributeError:
+        for v in row.values():
+            as_exact(v)  # a float raises its TypeError here
+        raise
     out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     _normalize_content(out)
     return out

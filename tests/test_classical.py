@@ -307,7 +307,7 @@ def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
         built.append(k)
         return degree_images(m, n, t, lower, k)
     monkeypatch.setattr(classical, "_degree_images", counted)
-    classical._images_by_degree.cache_clear()
+    classical.theta_star_degree.cache_clear()
     classical.theta_star_image.cache_clear()
     argv = ["classical", "-m", "3", "-n", "3", "-t", "2", "--max-degree", "3",
             "-o", str(tmp_path / "report.json")]
@@ -322,7 +322,7 @@ def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
 def fresh_images():
     """Empty theta* caches before and after a test that perturbs what fills them."""
     def clear():
-        classical._images_by_degree.cache_clear()
+        classical.theta_star_degree.cache_clear()
         classical.theta_star_image.cache_clear()
     clear()
     yield

@@ -25,6 +25,26 @@ from coinv.hopf import RELATION_DEGREE, FMatrix, HopfCover
 from test_golden import CASES as GOLDEN_CASES
 
 
+def exit_code(argv) -> int:
+    """run's exit code, also when argparse exits for it."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _record_completion_degrees(monkeypatch) -> list:
+    """The degrees every Completion.extend call of the test asks for."""
+    degrees = []
+    extend = fpquot.Completion.extend
+
+    def recording(self, d):
+        degrees.append(d)
+        return extend(self, d)
+    monkeypatch.setattr(fpquot.Completion, "extend", recording)
+    return degrees
+
+
 def cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "coinv.cli", *args],
@@ -136,7 +156,8 @@ def test_run_rejects_bad_bounds(capsys):
     # below the degree of the H(F) relations
     assert run(["certify-fft", "-t", "1", "-k", "0", "--trunc", "1"]) == 3
     assert run(["intertwiners", "-t", "1", "-i", "0", "-j", "0", "--trunc", "0"]) == 3
-    assert run(["hopf-check", "-t", "1", "--trunc", "1"]) == 3
+    # hopf-check takes no --trunc at all
+    assert exit_code(["hopf-check", "-t", "1", "--trunc", "1"]) == 3
 
 
 def test_intertwiners_truncation_floor_is_the_larger_power(capsys):
@@ -303,7 +324,8 @@ _REQUIRED = {"certify-fft": ["-k", "0"], "coinvariants": ["-i", "0", "-j", "0"],
 def test_removed_flags_are_usage_errors(command, capsys):
     assert set(_REQUIRED) == set(cli_module._COMMANDS)
     rejected = [["--seed", "1"], ["--jobs", "2"]]
-    if command in ("theta-rank", "classical"):  # no quotient, so no truncation
+    # no quotient, or hopf-check's conditions that lie in I_2: no truncation
+    if command in ("theta-rank", "classical", "hopf-check"):
         rejected.append(["--trunc", "0"])
     for flag in rejected:
         with pytest.raises(SystemExit) as exc:
@@ -312,7 +334,8 @@ def test_removed_flags_are_usage_errors(command, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(set(_REQUIRED) - {"theta-rank", "classical"}))
+@pytest.mark.parametrize("command",
+                         sorted(set(_REQUIRED) - {"theta-rank", "classical", "hopf-check"}))
 def test_trunc_help_names_the_auto_degree(command, capsys):
     with pytest.raises(SystemExit):
         run([command, "-h"])
@@ -345,8 +368,9 @@ def test_auto_trunc_is_the_floor(argv, floors, capsys, tmp_path):
     assert [c["witness_degree"] for c in report["cases"]] == floors
     assert report["params"]["d"] == (floors[0] if len(floors) == 1 else "auto")
     capsys.readouterr()
-    assert run([*argv, "--trunc", str(max(floors) - 1)]) == 3
-    assert "below the minimum" in capsys.readouterr().err
+    assert exit_code([*argv, "--trunc", str(max(floors) - 1)]) == 3
+    assert ("unrecognized arguments: --trunc" if argv[0] == "hopf-check"
+            else "below the minimum") in capsys.readouterr().err
 
 
 def test_balanced_coinvariants_run_at_the_end_route_degree(capsys):
@@ -379,14 +403,21 @@ def _blank_degrees(report):
 
 
 @pytest.mark.parametrize("argv", _invariance_argvs(), ids=" ".join)
-def test_auto_trunc_verdicts_hold_two_degrees_higher(argv, tmp_path):
+def test_auto_trunc_verdicts_hold_two_degrees_higher(argv, tmp_path, monkeypatch):
     # the lowest auto truncation reaches the verdict, dimensions and case
     # list that two more degrees of the relation ideal reach
     low, high = tmp_path / "auto.json", tmp_path / "high.json"
+    degrees = _record_completion_degrees(monkeypatch)
     code = run([*argv, "--format", "json", "-o", str(low)])
     low_report = json.loads(low.read_text())
     floor = max(c["witness_degree"] for c in low_report["cases"])
-    assert run([*argv, "--trunc", str(floor + 2), "--format", "json", "-o", str(high)]) == code
+    high_code = exit_code([*argv, "--trunc", str(floor + 2), "--format", "json", "-o", str(high)])
+    if argv[0] == "hopf-check":
+        # proven in I_2, with no completion past it, so there is no higher run
+        assert max(degrees) == floor == RELATION_DEGREE
+        assert high_code == 3 and not high.exists()
+        return
+    assert high_code == code
     assert _blank_degrees(json.loads(high.read_text())) == _blank_degrees(low_report)
 
 
@@ -425,10 +456,10 @@ def test_run_hopf_check(capsys):
     assert "coassociativity (exact): ok" in out
 
 
-_HOPF_CHECK_T3_JORDAN_TRUNC6 = """\
+_HOPF_CHECK_T3_JORDAN = """\
 hopf-check  m=1 n=1 t=3 F=preset:jordan
 bidegree  dim_coinv  dim_theta  certified  witness_d  millis
-(0,0)     0          0          yes        6          0
+(0,0)     0          0          yes        2          0
 coassociativity (exact): ok
 counit laws (exact): ok
 counit kills relations (exact): ok
@@ -439,20 +470,48 @@ status: certified
 """
 
 
-def test_hopf_check_proves_in_i2_whatever_the_trunc(monkeypatch, capsys):
-    """Every compatibility condition lies in I_2, so hopf-check at --trunc 6
-    prints the report a completion to degree 6 gave (witness_d echoes 6)
-    without extending the cover's completion past virtual degree 2."""
-    degrees = []
-    extend = fpquot.Completion.extend
-
-    def recording(self, d):
-        degrees.append(d)
-        return extend(self, d)
-    monkeypatch.setattr(fpquot.Completion, "extend", recording)
-    assert run(["hopf-check", "-t", "3", "--F", "preset:jordan", "--trunc", "6"]) == 0
-    assert capsys.readouterr().out == _HOPF_CHECK_T3_JORDAN_TRUNC6
+@pytest.mark.parametrize("trunc", ["1", "2", "6", "auto"])
+def test_hopf_check_proves_in_i2_and_takes_no_trunc(trunc, monkeypatch, capsys):
+    """Every compatibility condition lies in I_2, so hopf-check reports
+    witness_d 2 without extending the cover's completion past virtual
+    degree 2, and a --trunc of any value is a usage error."""
+    degrees = _record_completion_degrees(monkeypatch)
+    argv = ["hopf-check", "-t", "3", "--F", "preset:jordan"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == _HOPF_CHECK_T3_JORDAN
     assert max(degrees) == RELATION_DEGREE
+    assert exit_code([*argv, "--trunc", trunc]) == 3
+    assert "unrecognized arguments: --trunc" in capsys.readouterr().err
+
+
+def test_certify_fft_solves_the_base_case_in_i2(monkeypatch, capsys):
+    """The product lemma's containment is read at RELATION_DEGREE whatever
+    the --trunc, and the report still states the run's truncation."""
+    solved = []
+    base_case = cli_module.lemma_base_case
+
+    def spy(hopf, d):
+        solved.append(d)
+        return base_case(hopf, d)
+    monkeypatch.setattr(cli_module, "lemma_base_case", spy)
+    argv = ["certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "4", "--trunc", "6"]
+    assert run([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert solved == [RELATION_DEGREE]
+    assert report["params"]["d"] == 6 and report["status"] == "certified"
+    assert [(c["dim_coinv"], c["certified"], c["witness_degree"]) for c in report["cases"]] \
+        == [(1, True, 6)] * 5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classical", "-t", "1", "--max-degree", "-1"], "--max-degree"),
+    (["coinvariants", "-t", "1", "-i", "-1", "-j", "0"], "-i"),
+    (["intertwiners", "-t", "1", "-i", "0", "-j", "-2"], "-j"),
+    (["certify-fft", "-t", "1", "-k", "-1"], "-k"),
+])
+def test_a_negative_bound_names_its_flag(argv, flag, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"coinv: error: {flag} must be nonnegative\n"
 
 
 def test_run_classical(capsys):

@@ -133,6 +133,23 @@ def test_lead_certificate_equals_the_end_solve_for_random_f(F):
         assert balanced_hom_dim(1, 1, hopf, k, d) == intertwiner_space(1, 1, hopf, k, k, d).dim
 
 
+@pytest.mark.parametrize("F, d", [
+    (FMatrix.identity(2), 6), (FMatrix.diagonal([1, 2]), 6), (FMatrix.jordan(2), 8),
+    (FMatrix.jordan(3), 4), (FMatrix([[1, 2], [3, 4]]), 6),
+], ids=["identity2", "diag2", "jordan2", "jordan3", "F1234"])
+def test_rule_leads_weigh_at_most_their_length_plus_drop_less_two(F, d):
+    """|weight(L)| <= |L| + drop - 2 for every rule, u weighing +1 and v -1:
+    a lead holds a u and a v unless its rule drops 2 or more, so no rule of
+    these completions has a pure-u lead, which the End certificate reads.
+    The bound is attained: the maximum of the left side less the right is -2."""
+    hopf = build_hf(F)
+    completion = hopf.presentation.completion
+    completion.extend(d)
+    weight = hopf.algebra.word_weight
+    assert max(abs(weight(lead)) - len(lead) - drop
+               for lead, (drop, _) in completion.rules.items()) == -2
+
+
 @pytest.mark.parametrize("t", [2, 3])
 def test_a_pure_u_lead_sends_the_certificate_to_the_solve(t, add_pure_u_rules, monkeypatch):
     """A pure-u lead that rewrites nothing still sends every k to the solve,

@@ -82,6 +82,20 @@ def test_subspace_rejects_a_float_and_takes_exact_scalars():
         assert s.contains({0: 3, 1: 6})
 
 
+def test_rank_and_solve_name_a_float_coefficient():
+    # a float is refused with as_exact's TypeError, not an AttributeError
+    with pytest.raises(TypeError, match="inexact coefficient 0.5"):
+        rank([{0: 0.5}])
+    with pytest.raises(TypeError, match="inexact coefficient 1.0"):
+        solve_homogeneous([{0: 1.0, 1: 1}], 2)
+    # ints and Fractions, mixed in one row, are taken as given
+    assert rank([{0: Q(1, 2), 1: 1}, {0: 1, 1: 2}]) == 1
+    assert rank([{0: 1}, {1: Q(2, 3)}]) == 2
+    kernel = solve_homogeneous([{0: Q(1, 2), 1: 1}], 2)
+    assert kernel.basis == [{0: Q(1), 1: Q(-1, 2)}]
+    assert solve_homogeneous([{0: 1, 1: -1}], 2).basis == [{0: Q(1), 1: Q(1)}]
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
