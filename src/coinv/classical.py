@@ -36,6 +36,11 @@ degree-(k-t-1) monomials times the minors.  Once theta*(g) = 0 for every
 minor g (read once off the degree-(t+1) images), M_k lies in ker theta*_k,
 and a degree is certified when rank M_k = |X_k| - rank theta*_k.
 
+A ring is its number of variables and a monomial its exponent vector: X_ij
+is variable i*n + j of Q[X], Y_is is i*t + s and Z_sj is m*t + s*n + j of
+Q[Y,Z].  Each degree's monomials ascend in lex order of the exponent vector
+(graded-lex overall), which fixes every coordinate system deterministically.
+
 The theta* images of the X-monomials of each degree are built once, with
 integer coefficients, from those of the degree below, and rank theta*_k is
 computed once per shape and degree: both theorems read it.  Every
@@ -57,75 +62,35 @@ Mono = tuple[int, ...]
 IntPoly = dict[Mono, int]
 
 
-class PolyRing:
-    """Commutative polynomial ring with matrix-indexed variable groups.
+@lru_cache(maxsize=32)
+def monomials(nvars: int, k: int) -> tuple[Mono, ...]:
+    """Every degree-k exponent vector over nvars variables, in ascending lex order."""
+    out: list[Mono] = []
+    for combo in combinations_with_replacement(range(nvars), k):
+        mono = [0] * nvars
+        for v in combo:
+            mono[v] += 1
+        out.append(tuple(mono))
+    # the multisets come in descending lex order of their exponent vectors
+    return tuple(reversed(out))
 
-    Monomials are exponent vectors over all variables; within a fixed total
-    degree they are enumerated in lexicographic order of the exponent vector
-    (graded-lex overall), which fixes all coordinate systems deterministically.
-    """
 
-    def __init__(self, groups: tuple[tuple[str, int, int], ...]):
-        self.groups = tuple(groups)
-        self._offsets = {}
-        off = 0
-        for sym, rows, cols in self.groups:
-            if rows < 1 or cols < 1:
-                raise ValueError("variable group dimensions must be positive")
-            if sym in self._offsets:
-                raise ValueError(f"duplicate variable group {sym!r}")
-            self._offsets[sym] = (off, rows, cols)
-            off += rows * cols
-        self.nvars = off
-        self._deg_cache: dict[int, tuple[Mono, ...]] = {}
-
-    def var_index(self, sym: str, i: int, j: int) -> int:
-        off, rows, cols = self._offsets[sym]
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"index ({i},{j}) out of range for group {sym!r}")
-        return off + i * cols + j
-
-    def component_dim(self, k: int) -> int:
-        """The number of degree-k monomials, counted without enumerating them."""
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        return comb(self.nvars + k - 1, k)
-
-    def monomials_of_degree(self, k: int) -> tuple[Mono, ...]:
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        if k not in self._deg_cache:
-            out: list[Mono] = []
-            for combo in combinations_with_replacement(range(self.nvars), k):
-                mono = [0] * self.nvars
-                for v in combo:
-                    mono[v] += 1
-                out.append(tuple(mono))
-            # the multisets come in descending lex order of their exponent vectors
-            out.reverse()
-            self._deg_cache[k] = tuple(out)
-        return self._deg_cache[k]
+def _check_args(m: int, n: int, t: int, k: int) -> None:
+    if min(m, n, t) < 1:
+        raise ValueError("m, n, t must be positive")
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
 
 
 # -- theta* -----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _rings(m: int, n: int, t: int) -> tuple[PolyRing, PolyRing]:
-    """The rings Q[X] and Q[Y,Z] of a shape, built once so their monomial
-    enumerations are shared by every degree and every check."""
-    if min(m, n, t) < 1:
-        raise ValueError("m, n, t must be positive")
-    return (PolyRing((("X", m, n),)), PolyRing((("Y", m, t), ("Z", t, n))))
-
-
 def _degree_images(m: int, n: int, t: int, lower: dict[Mono, IntPoly], k: int) -> dict[Mono, IntPoly]:
-    """theta* of every degree-k X-monomial, in `monomials_of_degree` order, with
-    int coefficients: the image of its degree-(k-1) quotient by its first
+    """theta* of every degree-k X-monomial, in `monomials` order, with int
+    coefficients: the image of its degree-(k-1) quotient by its first
     variable X_ij, times sum_s Y_is Z_sj."""
-    rx, _ = _rings(m, n, t)
     out = {}
-    for x in rx.monomials_of_degree(k):
+    for x in monomials(m * n, k):
         v = next(v for v, e in enumerate(x) if e)
         i, j = divmod(v, n)
         below = list(x)
@@ -144,11 +109,9 @@ def _degree_images(m: int, n: int, t: int, lower: dict[Mono, IntPoly], k: int) -
 @lru_cache(maxsize=64)
 def theta_star_degree(m: int, n: int, t: int, k: int) -> dict[Mono, IntPoly]:
     """theta* of every degree-k X-monomial, built once per shape and degree from degree k-1."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_args(m, n, t, k)
     if k == 0:
-        rx, ryz = _rings(m, n, t)
-        return {(0,) * rx.nvars: {(0,) * ryz.nvars: 1}}
+        return {(0,) * (m * n): {(0,) * (m * t + t * n): 1}}
     return _degree_images(m, n, t, theta_star_degree(m, n, t, k - 1), k)
 
 
@@ -160,8 +123,8 @@ def theta_star_image(m: int, n: int, t: int, k: int) -> int:
 
 def theta_star_kernel(m: int, n: int, t: int, k: int) -> int:
     """dim ker theta*_k: the degree-k X-monomials less the rank of theta*_k."""
-    rx, _ = _rings(m, n, t)
-    return rx.component_dim(k) - theta_star_image(m, n, t, k)
+    image = theta_star_image(m, n, t, k)  # first, for its argument check
+    return comb(m * n + k - 1, k) - image
 
 
 # -- the minors ideal -------------------------------------------------------------
@@ -191,14 +154,12 @@ def minors_component(m: int, n: int, t: int, k: int) -> int:
     """dim M_k, the degree-k component of the ideal generated by the
     (t+1) x (t+1) minors: the rank of every degree-(k-t-1) monomial times
     every minor."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    rx, _ = _rings(m, n, t)
+    _check_args(m, n, t, k)
     gens = minor_polys(m, n, t)
     if not gens or k < t + 1:
         return 0
     return rank({tuple(a + b for a, b in zip(cof, mono)): c for mono, c in g.items()}
-                for cof in rx.monomials_of_degree(k - t - 1) for g in gens)
+                for cof in monomials(m * n, k - t - 1) for g in gens)
 
 
 def _minors_vanish(m: int, n: int, t: int) -> bool:
@@ -223,14 +184,11 @@ def _weight_zero(m: int, n: int, t: int, k: int) -> tuple[Mono, ...]:
     """The weight-zero monomials of Q[Y,Z] in total degree 2k, ascending: a
     degree-k Y-monomial times, for every row a of Z, a monomial of Z row a of
     the degree of Y column a."""
-    ymonos = PolyRing((("Y", m, t),)).monomials_of_degree(k)
-    zrow = PolyRing((("Z", 1, n),))
     monos = []
-    for y in ymonos:
-        rows = [zrow.monomials_of_degree(sum(y[a::t])) for a in range(t)]
+    for y in monomials(m * t, k):
+        rows = [monomials(n, sum(y[a::t])) for a in range(t)]
         monos += [y + sum(z, ()) for z in product(*rows)]
-    monos.sort()
-    return tuple(monos)
+    return tuple(sorted(monos))
 
 
 def _derivation_moves(m: int, n: int, t: int, a: int, b: int) -> list[tuple[int, int, int]]:
@@ -289,6 +247,7 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> int:
     """dim ker R_k at total degree 2k in Q[Y,Z], 0 at odd degree: an upper
     bound on the gl_t-invariants, equal to them by highest-weight theory
     (see the module docstring)."""
+    _check_args(m, n, t, degree)
     if degree % 2:
         return 0
     k = degree // 2

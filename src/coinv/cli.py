@@ -415,12 +415,12 @@ def _parser() -> _Parser:
 def run(argv) -> int:
     args = _parser().parse_args(argv)
     try:
-        if min(args.m, args.n, args.t) < 1:
-            raise CliUsageError("m, n, t must be positive")
-        for attr, flag in (("k", "-k"), ("i", "-i"), ("j", "-j"), ("max_degree", "--max-degree")):
+        # the first flag out of range names itself: a shape is positive, a bound nonnegative
+        for attr, flag, low in (("m", "-m", 1), ("n", "-n", 1), ("t", "-t", 1), ("k", "-k", 0),
+                                ("i", "-i", 0), ("j", "-j", 0), ("max_degree", "--max-degree", 0)):
             v = getattr(args, attr, None)
-            if v is not None and v < 0:
-                raise CliUsageError(f"{flag} must be nonnegative")
+            if v is not None and v < low:
+                raise CliUsageError(f"{flag} must be {'positive' if low else 'nonnegative'}")
         # the run's one cover, for the commands that take --F
         hopf = build_hf(parse_f(args.F, args.t)) if hasattr(args, "F") else None
         results, d_param, extra = _COMMANDS[args.command](args, hopf)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from coinv.classical import PolyRing, _rings, _weight_zero, minor_polys, theta_star_degree
+from coinv.classical import _weight_zero, minor_polys, monomials, theta_star_degree
 from coinv.comod import ComoduleSpace
 from coinv.exactlin import Subspace, add_to, solve_homogeneous
 from coinv.fpquot import TruncatedQuotient, _match
@@ -55,17 +55,27 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def var(ring: PolyRing, sym: str, i: int, j: int) -> Poly:
-    v = ring.var_index(sym, i, j)
-    return {tuple(int(w == v) for w in range(ring.nvars)): Q(1)}
+def var(nvars: int, v: int) -> Poly:
+    """Variable v of a ring of nvars variables."""
+    return {tuple(int(w == v) for w in range(nvars)): Q(1)}
 
 
-def one(ring: PolyRing) -> Poly:
-    return {(0,) * ring.nvars: Q(1)}
+def one(nvars: int) -> Poly:
+    return {(0,) * nvars: Q(1)}
+
+
+def y_var(t: int, i: int, s: int) -> int:
+    """The index of Y_is among the variables of Q[Y,Z], which start with Y row by row."""
+    return i * t + s
+
+
+def z_var(m: int, n: int, t: int, s: int, j: int) -> int:
+    """The index of Z_sj among the m*t + t*n variables of Q[Y,Z], after the m*t of Y."""
+    return m * t + s * n + j
 
 
 def monomial_position(mono: Mono) -> int:
-    """Index of a monomial in `PolyRing.monomials_of_degree`, counted without
+    """Index of a monomial in `classical.monomials`, counted without
     enumerating: the exponent vectors of its degree that agree with it before
     some entry e and are smaller there leave a degree in (rest - e, rest] to
     the `left` later variables."""
@@ -91,21 +101,22 @@ def to_vector(p: Poly, k: int) -> dict[int, Q]:
 # -- theta* and the gl_t action --------------------------------------------------------
 
 
-def theta_star_images(m: int, n: int, t: int) -> tuple[PolyRing, PolyRing, dict[int, Poly]]:
-    """Source ring, target ring, and the generator images X_ij -> sum_k Y_ik Z_kj."""
-    rx, ryz = _rings(m, n, t)
+def theta_star_images(m: int, n: int, t: int) -> dict[int, Poly]:
+    """The generator images X_ij -> sum_k Y_ik Z_kj, keyed by the index i*n + j of X_ij."""
+    nvars = m * t + t * n
     images = {}
     for i in range(m):
         for j in range(n):
             img: Poly = {}
             for k in range(t):
-                img = padd(img, pmul(var(ryz, "Y", i, k), var(ryz, "Z", k, j)))
-            images[rx.var_index("X", i, j)] = img
-    return rx, ryz, images
+                img = padd(img, pmul(var(nvars, y_var(t, i, k)), var(nvars, z_var(m, n, t, k, j))))
+            images[i * n + j] = img
+    return images
 
 
-def theta_star_apply(mono: Mono, images: dict[int, Poly], ryz: PolyRing) -> Poly:
-    out = one(ryz)
+def theta_star_apply(mono: Mono, images: dict[int, Poly], nvars: int) -> Poly:
+    """theta* of an X-monomial, a product of generator images in Q[Y,Z] of nvars variables."""
+    out = one(nvars)
     for v, e in enumerate(mono):
         for _ in range(e):
             out = pmul(out, images[v])
@@ -119,7 +130,7 @@ class DerivationAction:
         if min(m, n, t) < 1:
             raise ValueError("m, n, t must be positive")
         self.m, self.n, self.t = m, n, t
-        _, self.ring = _rings(m, n, t)
+        self.nvars = m * t + t * n
         # var_images[(a, b)][v] = E_ab(variable v), stored sparse
         self.var_images: dict[tuple[int, int], dict[int, Poly]] = {}
         for a in range(t):
@@ -127,10 +138,10 @@ class DerivationAction:
                 imgs: dict[int, Poly] = {}
                 for i in range(m):
                     # E_ab(Y_ic) = -delta_bc Y_ia
-                    imgs[self.ring.var_index("Y", i, b)] = pscale(var(self.ring, "Y", i, a), -1)
+                    imgs[y_var(t, i, b)] = pscale(var(self.nvars, y_var(t, i, a)), -1)
                 for j in range(n):
                     # E_ab(Z_cj) = delta_ac Z_bj
-                    imgs[self.ring.var_index("Z", a, j)] = var(self.ring, "Z", b, j)
+                    imgs[z_var(m, n, t, a, j)] = var(self.nvars, z_var(m, n, t, b, j))
                 self.var_images[(a, b)] = imgs
 
     def weight(self, mono: Mono) -> list[int]:
@@ -161,7 +172,7 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     Q[Y,Z], over all its monomials: solved on the weight-zero monomials with
     the off-diagonal derivations, since E_aa scales each monomial by its weight."""
     act = DerivationAction(m, n, t)
-    ambient = act.ring.component_dim(degree)
+    ambient = comb(act.nvars + degree - 1, degree)
     if degree % 2:
         return Subspace.zero(ambient)
     weight_zero = _weight_zero(m, n, t, degree // 2)
@@ -181,9 +192,9 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
 
 def theta_star_image(m: int, n: int, t: int, k: int) -> Subspace:
     """Image of the degree-k component of theta*, over the degree-2k target monomials."""
-    _, ryz = _rings(m, n, t)
     images = theta_star_degree(m, n, t, k)
-    return Subspace.from_vectors(ryz.component_dim(2 * k), [to_vector(img, 2 * k) for img in images.values()])
+    ambient = comb(m * t + t * n + 2 * k - 1, 2 * k)
+    return Subspace.from_vectors(ambient, [to_vector(img, 2 * k) for img in images.values()])
 
 
 def theta_star_kernel(m: int, n: int, t: int, k: int) -> Subspace:
@@ -198,13 +209,12 @@ def theta_star_kernel(m: int, n: int, t: int, k: int) -> Subspace:
 
 def minors_component(m: int, n: int, t: int, k: int) -> Subspace:
     """Degree-k component of the ideal generated by the (t+1) x (t+1) minors."""
-    rx, _ = _rings(m, n, t)
-    nmonos = rx.component_dim(k)
+    nmonos = comb(m * n + k - 1, k)
     gens = minor_polys(m, n, t)
     if not gens or k < t + 1:
         return Subspace.zero(nmonos)
     vectors = [to_vector(pmul({cof: Q(1)}, g), k)
-               for cof in rx.monomials_of_degree(k - t - 1) for g in gens]
+               for cof in monomials(m * n, k - t - 1) for g in gens]
     return Subspace.from_vectors(nmonos, vectors)
 
 

@@ -514,6 +514,18 @@ def test_a_negative_bound_names_its_flag(argv, flag, capsys):
     assert capsys.readouterr().err == f"coinv: error: {flag} must be nonnegative\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["certify-fft", "-m", "0", "-t", "1", "-k", "1"], "-m"),
+    (["classical", "-n", "0", "-t", "1", "--max-degree", "1"], "-n"),
+    (["classical", "-t", "0", "--max-degree", "1"], "-t"),
+    # the first flag out of range is named, shapes before bounds
+    (["coinvariants", "-m", "2", "-n", "-1", "-t", "0", "-i", "-1", "-j", "0"], "-n"),
+])
+def test_a_nonpositive_shape_names_its_flag(argv, flag, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"coinv: error: {flag} must be positive\n"
+
+
 def test_run_classical(capsys):
     assert run(["classical", "-m", "2", "-n", "2", "-t", "1",
                 "--max-degree", "2"]) == 0

@@ -12,6 +12,7 @@ certificate's oracle, and its fallback.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -148,6 +149,24 @@ def test_rule_leads_weigh_at_most_their_length_plus_drop_less_two(F, d):
     weight = hopf.algebra.word_weight
     assert max(abs(weight(lead)) - len(lead) - drop
                for lead, (drop, _) in completion.rules.items()) == -2
+
+
+@pytest.mark.parametrize("F, top", [
+    (FMatrix.identity(2), 5), (FMatrix.diagonal([1, 2]), 5), (FMatrix.jordan(2), 5),
+    (FMatrix([[1, 2], [3, 4]]), 5), (FMatrix.jordan(3), 3), (FMatrix.diagonal([1, 2, 3]), 3),
+], ids=["identity2", "diag2", "jordan2", "F1234", "jordan3", "diag3"])
+def test_u_words_are_normal_below_truncation_k_plus_2(F, top):
+    """At d = max(k + 1, 2) every degree-k u-word is its own normal form: the
+    weight-k part of I_d is zero when k >= d - 1, since a product a.r.b of a
+    degree-2, weight-0 relation r has degree at least |weight| + 2.  So the
+    End(U^(x k)) conditions, combinations of those words, hold mod I_d exactly
+    when they hold in the free algebra."""
+    hopf = build_hf(F)
+    u_letters = list(hopf.algebra.letters("u"))
+    for k in range(top + 1):
+        q = hopf.presentation.quotient(max(k + 1, 2))
+        for w in product(u_letters, repeat=k):
+            assert q.normal_form_word(w) == {w: 1}
 
 
 @pytest.mark.parametrize("t", [2, 3])

@@ -30,6 +30,8 @@ CASES = {
     "hopf-check_m1_n1_t2_jordan": "hopf-check -m 1 -n 1 -t 2 --F preset:jordan",
     "classical_m2_n2_t1_d4": "classical -m 2 -n 2 -t 1 --max-degree 4",
     "classical_m3_n3_t2_d3": "classical -m 3 -n 3 -t 2 --max-degree 3",
+    # rectangular, with nonzero minors: FFT2 reads 4/4 at X-degree 3
+    "classical_m3_n4_t2_d3": "classical -m 3 -n 4 -t 2 --max-degree 3",
     "correspondence_m2_n2_t2_jordan_k1": "correspondence -m 2 -n 2 -t 2 --F preset:jordan -k 1",
     "hopf-check_m1_n1_t3_jordan": "hopf-check -m 1 -n 1 -t 3 --F preset:jordan",
 }
