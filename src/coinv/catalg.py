@@ -87,7 +87,7 @@ def hom_solve_terms(m: int, n: int, t: int, i: int, j: int) -> int:
     return (m * t) ** i * (n * t) ** j * (t ** i + t ** j)
 
 
-def _refuse_oversized(terms: int, case: str) -> None:
+def refuse_oversized(terms: int, case: str) -> None:
     """Raise SolveTooLarge, naming the case and the estimate, above the limit."""
     if terms > END_SOLVE_TERM_LIMIT:
         raise SolveTooLarge(f"{case} needs a solve of about {terms:,} constraint terms, "
@@ -122,8 +122,8 @@ def intertwiner_space(m: int, n: int, hopf: HopfCover, i: int, j: int, d: int) -
         raise ValueError("tensor powers must be nonnegative")
     if d < max(i, j, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(i, j, {RELATION_DEGREE})")
-    _refuse_oversized(hom_solve_terms(m, n, hopf.t, i, j),
-                      f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={hopf.t}, i={i}, j={j}")
+    refuse_oversized(hom_solve_terms(m, n, hopf.t, i, j),
+                     f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={hopf.t}, i={i}, j={j}")
     u = ComoduleSpace.standard_left(hopf)
     return hom_space(u.direct_power(m).tensor_power(i),
                      u.direct_power(n).tensor_power(j), d)
@@ -163,8 +163,8 @@ def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
     completion.extend(d)
     u_letters = set(hopf.algebra.letters("u"))
     if any(u_letters.issuperset(lead) for lead in completion.rules):
-        _refuse_oversized(hom_solve_terms(1, 1, hopf.t, k, k),
-                          f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k}")
+        refuse_oversized(hom_solve_terms(1, 1, hopf.t, k, k),
+                         f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k}")
         end = intertwiner_space(1, 1, hopf, k, k, d).dim
     else:
         end = 1

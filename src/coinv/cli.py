@@ -32,8 +32,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, intertwiner_space,
-                     lemma_base_case, main_correspondence_check)
+from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, hom_solve_terms,
+                     intertwiner_space, lemma_base_case, main_correspondence_check,
+                     refuse_oversized)
 from .comod import off_diagonal_vanish
 from .freealg import theta_rank
 from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf, check_hopf_compat
@@ -271,7 +272,10 @@ def cmd_intertwiners(args: argparse.Namespace, hopf: HopfCover):
         expected, proven = (args.m * args.n) ** i, True
     else:
         # Hom((U^m)^(x i), (U^n)^(x j)) = Hom(U^(x i), U^(x j)) (x) M_(n^j x m^i),
-        # and the morphism conditions are block-diagonal in the same way
+        # and the morphism conditions are block-diagonal in the same way: the
+        # (1, 1) block's solve is estimated, and refused, under the run's m and n
+        refuse_oversized(hom_solve_terms(1, 1, hopf.t, i, j),
+                         f"Hom((U^m)^(x i), (U^n)^(x j)) at m={args.m}, n={args.n}, t={hopf.t}, i={i}, j={j}")
         dim = args.m ** i * args.n ** j * intertwiner_space(1, 1, hopf, i, j, d).dim
         # the solve is a lower bound; only the grading certificate proves Hom = 0
         expected, proven = 0, off_diagonal_vanish(hopf, (i, j)).holds

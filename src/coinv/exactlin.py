@@ -4,29 +4,27 @@ Everything downstream (ideal truncations, coinvariant solvers, kernel
 computations) reduces to row reduction of sparse matrices.  Rows are dicts
 mapping column index to a nonzero coefficient.  Elimination is fraction-free:
 rational rows are cleared to primitive integer rows and inserted into a
-triangular basis of gcd-normalized integer rows (`_insert`); vectors are
-reduced modulo such a basis to their unique residual on the non-pivot
-columns (`_reduce`); and back-substitution turns the basis into reduced row
-echelon form (`_back_substitute`).  Back-substitution is fraction-free too:
-each integer row is cleared of the other pivot columns in integers, and its
-`Fraction`s are made only when its RREF row is emitted.  RREF is canonical,
-so subspace equality is dict equality of RREF rows.  Every kernel
-(`solve_homogeneous`) comes from one elimination with the columns in
-reversed order, whose reduced rows read off directly as the kernel's RREF
-basis.  The certified kernels of
-`fpquot` are solved here too; its normal forms come from rewriting, not
-from this eliminator.
+triangular basis of gcd-normalized integer rows (`_insert`), and
+back-substitution turns the basis into reduced row echelon form
+(`_back_substitute`).  Back-substitution is fraction-free too: each integer
+row is cleared of the other pivot columns in integers, and its `Fraction`s
+are made only when its RREF row is emitted.  RREF is canonical, so subspace
+equality is dict equality of RREF rows, and `Subspace.reduce` reads a
+vector's unique residual on the non-pivot columns off the RREF rows in one
+pass.  Every kernel (`solve_homogeneous`) comes from one elimination with
+the columns in reversed order, whose reduced rows read off directly as the
+kernel's RREF basis.  The certified kernels of `fpquot` are solved here too;
+its normal forms come from rewriting, not from this eliminator.
 
 `add_to` is the sparse accumulator used by every other module, and
-`as_exact` the one coercion of a coefficient to an exact scalar.  RREF rows
-stay Fractions, so `_reduce` always divides by a Fraction.
+`as_exact` the one coercion of a coefficient to an exact scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -62,13 +60,17 @@ def as_exact(c) -> int | Q:
     return c.numerator if c.denominator == 1 else c
 
 
-def _clean_row(entries: Mapping[int, object]) -> Row:
-    """Copy a mapping into a Row, coercing values with as_exact and dropping zeros."""
+def _clean_row(entries: Mapping[int, object], ambient_dim: int) -> Row:
+    """Copy a mapping into a Row, coercing values with as_exact and dropping
+    zeros; every column must be an integer in [0, ambient_dim)."""
     row: Row = {}
     for c, v in entries.items():
+        c = index(c)
+        if not 0 <= c < ambient_dim:
+            raise ValueError(f"column {c} outside [0, {ambient_dim})")
         q = as_exact(v)
         if q:
-            row[int(c)] = q
+            row[c] = q
     return row
 
 
@@ -76,10 +78,9 @@ def _clean_row(entries: Mapping[int, object]) -> Row:
 #
 # A triangular basis maps each pivot column to a row whose minimal column is
 # that pivot.  `_insert` builds one from integer rows fraction-free and
-# `_back_substitute` reduces it, both through the integer step `_eliminate`;
-# `_reduce` accepts any triangular basis, integer or rational.  `_eliminate`
-# and `_reduce` are the innermost loops of every elimination, so they
-# accumulate inline rather than through add_to.
+# `_back_substitute` reduces it, both through the integer step `_eliminate`.
+# `_eliminate` is the innermost loop of every elimination, so it accumulates
+# inline rather than through add_to.
 
 
 def _normalize_content(row: IntRow) -> None:
@@ -155,38 +156,6 @@ def _insert(pivots: dict[int, IntRow], row: IntRow) -> int | None:
     return None
 
 
-def _reduce(pivots: Mapping[int, Mapping[int, object]], vec: Row) -> Row:
-    """Reduce a rational vector, in place, modulo the row space of a triangular basis.
-
-    The residual is supported on non-pivot columns only; it is the unique
-    such representative, so the result does not depend on the particular
-    triangular basis.
-    """
-    heap = list(vec)
-    heapify(heap)
-    while heap:
-        c = heappop(heap)
-        val = vec.get(c)
-        if not val:
-            vec.pop(c, None)
-            continue
-        piv = pivots.get(c)
-        if piv is None:
-            continue
-        f = vec.pop(c) / piv[c]
-        for cc, vv in piv.items():
-            if cc == c:
-                continue
-            w = vec.get(cc, Q(0)) - f * vv
-            if w:
-                if cc not in vec:
-                    heappush(heap, cc)
-                vec[cc] = w
-            else:
-                vec.pop(cc, None)
-    return vec
-
-
 def _echelon(rows: Iterable[Row]) -> dict[int, IntRow]:
     """Triangular integer basis of the row space of rational rows, keyed by pivot column."""
     pivots: dict[int, IntRow] = {}
@@ -252,10 +221,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Mapping[int, object]]) -> "Subspace":
         """The span of sparse rows {column: coefficient}."""
-        rows = [_clean_row(v) for v in vectors]
-        for r in rows:
-            if r and max(r) >= ambient_dim:
-                raise ValueError("vector exceeds ambient dimension")
+        rows = [_clean_row(v, ambient_dim) for v in vectors]
         return cls(ambient_dim, _back_substitute(_echelon(rows)))
 
     @classmethod
@@ -278,11 +244,19 @@ class Subspace:
         return len(self._pivot_rows)
 
     def reduce(self, vector: Mapping[int, object]) -> Row:
-        """Residual of a sparse row after reduction against the basis (zero iff member)."""
-        v = _clean_row(vector)
-        if v and max(v) >= self.ambient_dim:
-            raise ValueError("vector exceeds ambient dimension")
-        return _reduce(self._pivot_rows, v)
+        """Residual of a sparse row v against the basis, zero iff v is a member.
+
+        One pass subtracts v[p]·R_p for each pivot p in v's support: the RREF
+        row R_p is 1 at p and 0 at every other pivot, so this clears p alone,
+        and the residual is v's unique representative on non-pivot columns."""
+        v = _clean_row(vector, self.ambient_dim)
+        rows = self._pivot_rows
+        for p in [c for c in v if c in rows]:
+            f = v.pop(p)
+            for c, x in rows[p].items():
+                if c != p:
+                    add_to(v, c, -f * x)
+        return v
 
     def contains(self, vector: Mapping[int, object]) -> bool:
         return not self.reduce(vector)

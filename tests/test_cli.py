@@ -266,7 +266,8 @@ def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, c
 def test_an_oversized_unbalanced_hom_solve_exits_three_before_it_is_built(monkeypatch, capsys):
     """intertwiners at i != j estimates its t^(i+j) (t^i + t^j) constraint
     terms first: (t, i, j) = (3, 6, 5) would need about 77 GB, and the run
-    exits 3 naming the case and the estimate, with no solve."""
+    exits 3 naming the case and the estimate, with no solve.  The case named
+    is the run's m and n, the estimate that of the (1, 1) block it solves."""
     import time
 
     from coinv import catalg
@@ -278,6 +279,11 @@ def test_an_oversized_unbalanced_hom_solve_exits_three_before_it_is_built(monkey
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "t=3, i=6, j=5" in captured.err and "172,186,884" in captured.err
+    assert run(["intertwiners", "-m", "2", "-n", "3", "-t", "2", "--F", "preset:jordan",
+                "-i", "9", "-j", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "m=2, n=3, t=2, i=9, j=8" in captured.err
+    assert "100,663,296" in captured.err
 
 
 def test_balanced_intertwiners_read_the_lead_certificate(monkeypatch, capsys):

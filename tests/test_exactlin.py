@@ -74,6 +74,11 @@ def test_subspace_rejects_a_float_and_takes_exact_scalars():
     s = Subspace.from_vectors(2, [{0: 1, 1: 2}])
     with pytest.raises(TypeError):
         s.contains({0: 0.5, 1: 1})
+    # a column is an integer, never a float rounded down
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(2, [{1.5: 1}])
+    with pytest.raises(TypeError):
+        s.reduce({1.5: 1})
     # an int, a Fraction and a string name the same vector
     for half in (Q(1, 2), "1/2"):
         t = Subspace.from_vectors(2, [{0: half, 1: 1}])
@@ -252,7 +257,10 @@ def test_solve_homogeneous_matches_dense_null_space(system):
     expected = dense_null_space_rref(rows, n)
     assert ker.pivot_cols == tuple(min(row) for row in expected)
     assert ker.basis == expected
-    assert ker == Subspace.from_vectors(n, ker.basis)
+    span = Subspace.from_vectors(n, ker.basis)
+    assert ker == span
+    # one-pass reduce relies on the RREF form solve_homogeneous builds directly
+    assert all(ker.reduce({c: 1}) == span.reduce({c: 1}) for c in range(n))
     for row in ker.basis:
         assert times([[r.get(c, 0) for c in range(n)] for r in rows], row) == [0] * len(rows)
 
@@ -261,6 +269,11 @@ def test_solve_homogeneous_matches_dense_null_space(system):
 def test_solve_homogeneous_rejects_out_of_range_columns(col):
     with pytest.raises(ValueError):
         solve_homogeneous([{0: Q(1)}, {col: Q(2)}], 3)
+    # so does a Subspace, whether it is built or reduces a vector
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [{col: 1, 0: 2}])
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [{0: 1}]).reduce({col: 5, 0: 1})
 
 
 # -- fraction-free back-substitution against the Fraction one ------------------------
@@ -268,15 +281,19 @@ def test_solve_homogeneous_rejects_out_of_range_columns(col):
 
 def fraction_back_substitute(pivots):
     """Oracle: back-substitution in `Fraction`s, each row divided by its lead
-    first and then reduced modulo the RREF rows already emitted."""
+    first and then reduced modulo the RREF rows already emitted, in one pass:
+    each emitted row is 1 at its lead and 0 at every other emitted lead."""
     reduced = {}
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         a = row[lead]
         tail = {c: Q(v, a) for c, v in row.items() if c != lead}
-        out = {lead: Q(1)}
-        out.update(exactlin._reduce(reduced, tail))
-        reduced[lead] = out
+        for p in [c for c in tail if c in reduced]:
+            f = tail.pop(p)
+            for c, x in reduced[p].items():
+                if c != p:
+                    tail[c] = tail.get(c, 0) - f * x
+        reduced[lead] = {lead: Q(1), **{c: x for c, x in tail.items() if x}}
     return reduced
 
 
@@ -312,7 +329,7 @@ def test_integer_back_substitution_matches_fraction_oracle(system):
     assert Subspace.from_vectors(n, rows) == span
     assert solve_homogeneous(rows, n) == ker
     # the integer rows are primitive, lead positive, each a multiple of its RREF row
-    cleared = exactlin._echelon(map(exactlin._clean_row, rows))
+    cleared = exactlin._echelon(exactlin._clean_row(r, n) for r in rows)
     exactlin._clear_pivots(cleared)
     for lead, row in cleared.items():
         content = 0
