@@ -332,7 +332,7 @@ def cmd_correspondence(args: argparse.Namespace, hopf: HopfCover):
     for k in range(args.k + 1):
         t0 = time.monotonic()
         rep = main_correspondence_check(args.m, args.n, hopf, k, base)
-        results.append((make_case((k, k), rep.psi_rank, (args.m * args.n) ** k,
+        results.append((make_case((k, k), rep.equalities_checked, (args.m * args.n) ** k,
                                   rep.ok, d, _millis(args, t0)),
                         "certified" if rep.ok else "mismatch"))
         if rep.mismatches:
@@ -438,12 +438,13 @@ def run(argv) -> int:
 
 def main() -> None:
     try:
-        code = run(sys.argv[1:])
+        sys.exit(run(sys.argv[1:]))
     except Exception:
-        import traceback  # only an internal error needs it, so start-up skips it
-        traceback.print_exc()
-        code = EXIT_INTERNAL
-    sys.exit(code)
+        try:  # exit 4 even if the traceback cannot be printed, say out of memory
+            import traceback  # only an internal error needs it, so start-up skips it
+            traceback.print_exc()
+        finally:
+            sys.exit(EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -278,8 +278,8 @@ class Subspace:
 def solve_homogeneous(rows: Iterable[Mapping[int, Q | int]], nunknowns: int) -> Subspace:
     """Kernel of the linear system given by sparse equation rows over `nunknowns`.
 
-    Each row maps an int column in [0, nunknowns) to a Fraction or int value;
-    zero entries are dropped, and values are used as given, not coerced.
+    Each row maps an int column in [0, nunknowns) to an exact value, coerced
+    by as_exact; zero entries are dropped.
 
     One elimination gives the kernel's canonical basis.  The rows are
     eliminated with column c relabelled nunknowns-1-c, so each reduced row R[p]
@@ -292,10 +292,8 @@ def solve_homogeneous(rows: Iterable[Mapping[int, Q | int]], nunknowns: int) -> 
     top = nunknowns - 1
     pivots: dict[int, IntRow] = {}
     for r in rows:
-        row = _integer_row({top - c: v for c, v in r.items() if v})
+        row = _integer_row({top - c: v for c, v in _clean_row(r, nunknowns).items()})
         if row:
-            if min(row) < 0 or max(row) > top:
-                raise ValueError("column index out of range")
             _insert(pivots, row)
     reduced = _back_substitute(pivots)
     kernel: dict[int, Row] = {f: {f: Q(1)} for f in range(nunknowns) if top - f not in reduced}

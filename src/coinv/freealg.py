@@ -185,14 +185,16 @@ def theta_images(m: int, n: int, t: int,
     """(w, terms of θ(w)) for each degree-k word w of A(m,n), in degree_basis order.
 
     θ : A(m,n) -> A(m,t) (x) A(t,n) is the algebra map x_ij -> sum_k y_ik (x) z_kj;
-    the terms are (A(m,t)-word, A(t,n)-word) pairs, each with coefficient 1.
+    the terms are (A(m,t)-word, A(t,n)-word) pairs, each with coefficient 1.  The
+    words are generated one at a time; no degree-k basis is built.
     """
     if min(m, n, t) < 1:
         raise ValueError("m, n, t must be positive")
     src = matrix_entry_algebra("x", m, n)
     amt = matrix_entry_algebra("y", m, t)
     atn = matrix_entry_algebra("z", t, n)
-    return ((w, split_word(w, src, amt, atn, t, _THETA_NAMES)) for w in src.degree_basis(k))
+    return ((w, split_word(w, src, amt, atn, t, _THETA_NAMES))
+            for w in product(range(m * n), repeat=k))
 
 
 def theta_matrix(m: int, n: int, t: int, k: int) -> list[dict[int, Q]]:

@@ -10,17 +10,20 @@ Each oracle states a definition directly, at a cost the program avoids:
   off-diagonal derivations on the weight-zero monomials), `theta_star_image`,
   `theta_star_kernel` and `minors_component`;
 * the basis of a truncated quotient, read word by word (`quotient_basis`);
+* the rank of the word morphisms psi(w), eliminated (`psi_rank`);
 * the comodule axioms and the S-twisted dual of a word-matrix comodule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+from coinv.catalg import psi
 from coinv.classical import _weight_zero, minor_polys, monomials, theta_star_degree
 from coinv.comod import ComoduleSpace
-from coinv.exactlin import Subspace, add_to, solve_homogeneous
+from coinv.exactlin import Subspace, add_to, rank, solve_homogeneous
 from coinv.fpquot import TruncatedQuotient, _match
 from coinv.freealg import Word
 
@@ -228,6 +231,14 @@ def quotient_basis(q: TruncatedQuotient) -> tuple[Word, ...]:
     return tuple(w for k in range(q.d + 1)
                  for w in q.presentation.algebra.degree_basis(k)
                  if _match(comp.rules, comp.lengths, w, q.d - k) is None)
+
+
+def psi_rank(m: int, n: int, t: int, k: int) -> int:
+    """The exactlin rank of the flattened psi(w), one row per degree-k word,
+    which catalg.main_correspondence_check reads off its proof instead."""
+    ncols = (m * t) ** k
+    return rank({r * ncols + c: v for (r, c), v in psi(m, n, t, w).items()}
+                for w in product(range(m * n), repeat=k))
 
 
 def dual(space: ComoduleSpace) -> ComoduleSpace:

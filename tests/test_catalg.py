@@ -1,5 +1,6 @@
 """Comodule spaces, morphism spaces, word morphisms and the transport to them."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from coinv.catalg import (
     psi,
 )
 from conftest import word_product
-from oracles import dual, is_coassociative, is_counital
+from oracles import dual, is_coassociative, is_counital, psi_rank
 
 from coinv.cli import run
 from coinv.comod import CoactionContext, ComoduleSpace, _morphism_conditions, coinvariance_residual
@@ -335,7 +336,7 @@ def test_transported_theta_images_match_psi(hj2):
     for w, pairs in theta_images(2, 1, 2, 1):
         image = dict.fromkeys(pairs, Q(1))
         assert coinvariance_residual(ctx, image, 4) == {}
-        assert _hom_matrix(ctx, image) == psi(2, 1, 2, w)
+        assert _hom_matrix(2, 1, 2, image) == psi(2, 1, 2, w)
 
 
 def test_transported_non_coinvariant_is_not_a_morphism(hj2):
@@ -345,17 +346,55 @@ def test_transported_non_coinvariant_is_not_a_morphism(hj2):
     bare = {ctx.pair_basis((1, 1))[0]: Q(1)}
     assert coinvariance_residual(ctx, bare, 4) != {}
     u = ComoduleSpace.standard_left(hj2)
-    assert not hom_space(u.direct_power(2), u, 4).contains(_flat(_hom_matrix(ctx, bare), 4))
+    assert not hom_space(u.direct_power(2), u, 4).contains(_flat(_hom_matrix(2, 1, 2, bare), 4))
 
 
 def test_correspondence_check_small_cases(hj2):
     h1 = build_hf(FMatrix.identity(1))
     rep = main_correspondence_check(1, 1, h1, 2, lemma_base_case(h1, 6))
-    assert rep.ok and rep.end_u_dim == 1 and rep.psi_rank == 1
+    assert rep.ok and rep.end_u_dim == 1 and psi_rank(1, 1, 1, 2) == rep.equalities_checked == 1
     rep = main_correspondence_check(2, 1, hj2, 1, lemma_base_case(hj2, 4))
     assert rep.ok
     assert rep.equalities_checked == 2
     assert rep.mismatches == ()
+
+
+def test_psi_rank_is_the_number_of_words_checked():
+    """The rank the check reads off its proof, (mn)^k, is the exactlin rank of
+    the psi(w) and the number of equalities checked."""
+    for t in (1, 2):
+        h = build_hf(FMatrix.jordan(t))
+        base = lemma_base_case(h, RELATION_DEGREE)
+        for m in (1, 2):
+            for n in (1, 2):
+                for k in range(4):
+                    rep = main_correspondence_check(m, n, h, k, base)
+                    assert rep.ok
+                    assert psi_rank(m, n, t, k) == rep.equalities_checked == (m * n) ** k
+
+
+def test_a_psi_sending_two_words_to_one_matrix_is_a_mismatch(hj2, monkeypatch):
+    """psi's independence is not recomputed: a psi that sends x21 to x11's
+    matrix fails the word-by-word equality at x21."""
+    monkeypatch.setattr(catalg, "psi", lambda m, n, t, w: psi(m, n, t, (0,) if w == (1,) else w))
+    rep = main_correspondence_check(2, 1, hj2, 1, lemma_base_case(hj2, RELATION_DEGREE))
+    assert not rep.ok and rep.equalities_checked == 2
+    assert rep.mismatches == ("x21",)
+
+
+def test_correspondence_memory_does_not_grow_with_the_words():
+    """The word loop keeps nothing per word: 4,096 words at k = 6 peak well
+    under a megabyte of Python allocations."""
+    h = build_hf(FMatrix.identity(1))
+    base = lemma_base_case(h, RELATION_DEGREE)
+    tracemalloc.start()
+    try:
+        rep = main_correspondence_check(2, 2, h, 6, base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.equalities_checked == 4 ** 6
+    assert peak < 1 << 20
 
 
 def test_correspondence_runs_one_block_residual_per_run(hj2, monkeypatch, capsys):

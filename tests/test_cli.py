@@ -208,6 +208,20 @@ def test_main_internal_error_exits_four(monkeypatch, capsys):
     assert "Traceback" in err and "ValueError: internal failure" in err
 
 
+def test_main_exits_four_when_reporting_the_error_fails(monkeypatch):
+    """Out of memory, even the traceback cannot be printed; the run still exits
+    4, the internal-error code, and never 1, which means a mismatch."""
+    def exhausted(args, hopf):
+        raise MemoryError
+
+    monkeypatch.setitem(cli_module._COMMANDS, "theta-rank", exhausted)
+    monkeypatch.setitem(sys.modules, "traceback", None)
+    monkeypatch.setattr(sys, "argv", ["coinv", "theta-rank", "-k", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main()
+    assert exc.value.code == cli_module.EXIT_INTERNAL
+
+
 def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_u_rules):
     """A computed End(U^(x k)) above dimension 1, so a coinvariant space above
     the theorem's (mn)^k, is a mismatch (exit 1) with its dimension in the

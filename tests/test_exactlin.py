@@ -79,6 +79,9 @@ def test_subspace_rejects_a_float_and_takes_exact_scalars():
         Subspace.from_vectors(2, [{1.5: 1}])
     with pytest.raises(TypeError):
         s.reduce({1.5: 1})
+    # a float column of an equation is refused, not dropped with its equation
+    with pytest.raises(TypeError):
+        solve_homogeneous([{1.5: 1}], 3)
     # an int, a Fraction and a string name the same vector
     for half in (Q(1, 2), "1/2"):
         t = Subspace.from_vectors(2, [{0: half, 1: 1}])

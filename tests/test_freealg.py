@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,20 @@ def test_certify_fft_at_m_n_2_fits_in_half_a_gigabyte():
     proc = _run_capped("from coinv.cli import run; sys.exit(run(sys.argv[2:]))", "certify-fft",
                        "-m", "2", "-n", "2", "-t", "2", "--F", "preset:jordan", "-k", "8")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_theta_images_builds_no_word_basis():
+    """The words are generated one at a time: the first of the 65,536 words
+    of degree 8 and its image cost a few kilobytes, not the basis."""
+    tracemalloc.start()
+    try:
+        w, pairs = next(theta_images(2, 2, 1, 8))
+        terms = list(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w == (0,) * 8 and terms == [((0,) * 8, (0,) * 8)]
+    assert peak < 100_000
 
 
 def test_theta_matrix_negative_degree_rejected():
