@@ -5,31 +5,34 @@ classical theorems (Procesi, Lie Groups, ch. 9) identify its image with the
 gl_t-invariants of Q[Y,Z] (first theorem) and its kernel with the ideal of
 (t+1) x (t+1) minors (second theorem).  Everything here is homogeneous, so
 each statement is exact linear algebra on one graded component at a time —
-no Groebner machinery.  Each side of a theorem is computed as a rank, and a
-degree is certified by one containment, proven exactly, and equal
-dimensions; no basis of either side is built.
+no Groebner machinery.  Each side of a theorem is computed as a rank, or
+counted, and a degree is certified by one containment, proven exactly, and
+equal dimensions; no basis of either side is built.
 
 Invariance is checked through its Lie-algebra linearization: the t^2
 polarization derivations E_ab with E_ab(Y_ic) = -delta_bc Y_ia and
 E_ab(Z_cj) = delta_ac Z_bj.  Over Q this is equivalent to invariance under
 the group action (A, B) -> (A g^-1, g B); the equivalence is classical and
 assumed, not certified.  A diagonal E_aa multiplies a monomial by its weight
-deg_{Z_a.} - deg_{Y_.a}, so every invariant is a combination of weight-zero
-monomials.  Those are enumerated directly, never filtered: each is a
-degree-k Y-monomial times a degree-k Z-monomial whose Z-row degrees equal
-the Y-column degrees, in total degree 2k.  At odd total degree there is
-none, so the invariants there are zero by counting.
+deg_{Z_a.} - deg_{Y_.a}, whose entries sum to the Z-degree less the
+Y-degree.  So every invariant lies in bidegree (k, k), total degree 2k, and
+at odd total degree the invariants are zero by counting.
 
-First theorem at total degree 2k.  R_k is the system of the simple raising
-derivations E_{a,a+1} on the weight-zero monomials W0_k.  Each E_ab o theta*
-is a theta*-derivation, so once every E_ab kills every generator image
-theta*(X_ij), Im theta*_k lies in the invariants, which lie in ker R_k.  A
-degree is certified when rank theta*_k = |W0_k| - rank R_k: then the three
-spaces are equal, with no theory needed.  The invariant dimension reported
-is dim ker R_k.  It is always an upper bound, and it is exact: a weight-zero
-vector killed by every simple raising operator is a highest-weight vector
-of weight zero, so it spans a trivial submodule (Humphreys, Introduction to
-Lie Algebras and Representation Theory, §20-21).
+First theorem at total degree 2k.  Each E_ab o theta* is a
+theta*-derivation, so once every E_ab kills every generator image
+theta*(X_ij), Im theta*_k lies in the invariants, whose dimension is
+counted.  In characteristic 0 the bidegree-(k, k) part V of Q[Y,Z] is a
+completely reducible rational gl_t-module, so Weyl's character formula
+gives the multiplicity of the trivial module in V as
+sum_{w in S_t} sign(w) dim V_{rho - w rho} (Humphreys, Introduction to Lie
+Algebras and Representation Theory, GTM 9, §24; Fulton & Harris,
+Representation Theory, GTM 129, §25).  The weight space V_mu is spanned by
+the monomials whose Y-column degrees c_Y and Z-row degrees c_Z satisfy
+c_Z = c_Y + mu, so dim V_mu sums prod_s C(c_Y(s)+m-1, m-1) C(c_Z(s)+n-1, n-1)
+over the compositions c_Y of k into t parts with c_Z >= 0.  A degree is
+certified when the containment is proven and rank theta*_k equals that
+count: then the image is all of the invariants.  The count rests on the
+theorem; the program does not certify it.
 
 Second theorem at X-degree k.  The minors component M_k is spanned by the
 degree-(k-t-1) monomials times the minors.  Once theta*(g) = 0 for every
@@ -45,14 +48,16 @@ The theta* images of the X-monomials of each degree are built once, with
 integer coefficients, from those of the degree below, and rank theta*_k is
 computed once per shape and degree: both theorems read it.  Every
 coefficient here is an int.  The tests' oracles (tests/oracles.py) state
-the definitions with rational polynomials and compare RREF subspaces.
+the definitions with rational polynomials and compare RREF subspaces; the
+invariants there are the joint kernel of the derivations, solved on the
+weight-zero monomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb
+from itertools import combinations, combinations_with_replacement, permutations
+from math import comb, prod
 from typing import NamedTuple
 
 from .exactlin import add_to, rank
@@ -130,6 +135,11 @@ def theta_star_kernel(m: int, n: int, t: int, k: int) -> int:
 # -- the minors ideal -------------------------------------------------------------
 
 
+def _sign(perm: tuple[int, ...]) -> int:
+    """The sign of a permutation of range(len(perm)), by its inversions."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+
+
 def minor_polys(m: int, n: int, t: int) -> list[IntPoly]:
     """All (t+1) x (t+1) minors of the generic m x n matrix X (variable X_ij
     at index i*n + j); empty if t >= min(m,n)."""
@@ -144,8 +154,7 @@ def minor_polys(m: int, n: int, t: int) -> list[IntPoly]:
                 mono = [0] * (m * n)
                 for r, c in zip(rows, perm):
                     mono[r * n + cols[c]] = 1
-                inversions = sum(a > b for a, b in combinations(perm, 2))
-                det[tuple(mono)] = -1 if inversions % 2 else 1
+                det[tuple(mono)] = _sign(perm)
             out.append(det)
     return out
 
@@ -177,18 +186,6 @@ def _minors_vanish(m: int, n: int, t: int) -> bool:
 
 
 # -- the gl_t action ---------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _weight_zero(m: int, n: int, t: int, k: int) -> tuple[Mono, ...]:
-    """The weight-zero monomials of Q[Y,Z] in total degree 2k, ascending: a
-    degree-k Y-monomial times, for every row a of Z, a monomial of Z row a of
-    the degree of Y column a."""
-    monos = []
-    for y in monomials(m * t, k):
-        rows = [monomials(n, sum(y[a::t])) for a in range(t)]
-        monos += [y + sum(z, ()) for z in product(*rows)]
-    return tuple(sorted(monos))
 
 
 def _derivation_moves(m: int, n: int, t: int, a: int, b: int) -> list[tuple[int, int, int]]:
@@ -225,33 +222,24 @@ def _generators_invariant(m: int, n: int, t: int) -> bool:
     return True
 
 
-def _raising_rows(m: int, n: int, t: int, k: int) -> list[dict[int, int]]:
-    """R_k as equations: one row per monomial that a simple raising
-    derivation E_{a,a+1} reaches from the weight-zero monomials of total
-    degree 2k, the i-th of N of those at column N-1-i.  E_ab shifts the
-    weight by -1 at a and +1 at b, so a target monomial names its derivation.
-    Reversed columns, as in exactlin.solve_homogeneous, eliminate in about
-    a third of the time of the monomials' own order."""
-    raising = [_derivation_moves(m, n, t, a, a + 1) for a in range(t - 1)]
-    monos = _weight_zero(m, n, t, k)
-    top = len(monos) - 1
-    equations: dict[Mono, dict[int, int]] = {}
-    for local, mono in enumerate(monos):
-        for moves in raising:
-            for target, c in _derivation_row(moves, mono).items():
-                equations.setdefault(target, {})[top - local] = c
-    return list(equations.values())
-
-
 def glt_invariants(m: int, n: int, t: int, degree: int) -> int:
-    """dim ker R_k at total degree 2k in Q[Y,Z], 0 at odd degree: an upper
-    bound on the gl_t-invariants, equal to them by highest-weight theory
-    (see the module docstring)."""
+    """dim of the gl_t-invariants of Q[Y,Z] in total degree 2k, 0 at odd
+    degree: sum_w sign(w) dim V_{rho - w rho} over w in S_t, by Weyl's
+    character formula (see the module docstring).  With rho = (t-1, ..., 0),
+    rho - w rho is w(s) - s at s, and the compositions c_Y of k into t parts
+    are monomials(t, k)."""
     _check_args(m, n, t, degree)
     if degree % 2:
         return 0
-    k = degree // 2
-    return len(_weight_zero(m, n, t, k)) - rank(_raising_rows(m, n, t, k))
+    total = 0
+    for w in permutations(range(t)):
+        mu = [w[s] - s for s in range(t)]
+        for c_y in monomials(t, degree // 2):
+            c_z = [y + d for y, d in zip(c_y, mu)]
+            if min(c_z) >= 0:
+                total += _sign(w) * prod(comb(y + m - 1, m - 1) * comb(z + n - 1, n - 1)
+                                         for y, z in zip(c_y, c_z))
+    return total
 
 
 # -- theorem reports ---------------------------------------------------------------
@@ -277,11 +265,13 @@ class FftReport(NamedTuple):
 
 
 def fft1_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
-    """Per total degree D <= max_degree: dim ker R_k against rank theta*_k.
+    """Per total degree D <= max_degree: the invariant count of Weyl's
+    character formula against rank theta*_k.
 
     theta* lands in even total degrees only (X-degree k doubles), so at odd D
-    the image is zero and so is ker R_k.  A degree is certified when Im
-    theta* is proven to lie in the invariants and the dimensions agree.
+    the image is zero and so are the invariants.  A degree is certified when
+    Im theta* is proven to lie in the invariants and its rank equals the
+    count, which rests on complete reducibility and the character formula.
     """
     contained = _generators_invariant(m, n, t)
     rows = []

@@ -32,9 +32,9 @@ witness, so the computed space is a subspace of the true coinvariants C.
 The commands solve one such space, C_(1,1) of the (1,1,t) block: the base
 case of catalg's product lemma, the one proof that Im theta_k <= C for every
 k.  dim C_(k,k) they read through End(U^(x k)) (catalg.certify_fft).  The
-full-size `coinvariants` and `coinvariance_residual`, which checks a single
-element, are the tests' oracles.  C <= Im theta_k is the paper's theorem
-and is not computed.
+full-size `coinvariants` is the tests' oracle, as is the check of a single
+element's coinvariance (tests/oracles.py).  C <= Im theta_k is the paper's
+theorem and is not computed.
 
 Spectator factorisation: the coaction changes only the t-index of a letter
 (rho'(y_ij) = sum_k v_jk (x) y_ik keeps i, lambda(z_ij) = sum_k u_ik (x) z_kj
@@ -59,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactlin import Subspace, add_to
+from .exactlin import Subspace
 from .freealg import PairKey, Word, matrix_entry_algebra, split_word, theta_matrix
 from .fpquot import certified_kernel
 from .hopf import HopfCover, grading_specialize
@@ -207,12 +207,6 @@ class CoactionContext:
                 coaction[entry] = hw
         return ComoduleSpace(self.hopf, len(pairs), coaction)
 
-    def bidegree_of(self, x: dict[PairKey, Q]) -> tuple[int, int]:
-        degs = {(len(wa), len(wb)) for wa, wb in x}
-        if len(degs) != 1:
-            raise ValueError("element is not bidegree-homogeneous")
-        return degs.pop()
-
     def __repr__(self) -> str:
         return f"CoactionContext(m={self.m}, n={self.n}, t={self.t}, F={self.hopf.F.label})"
 
@@ -234,33 +228,6 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     space = ctx.component(bidegree)
     conditions = _morphism_conditions(ComoduleSpace.trivial(ctx.hopf), space)
     return certified_kernel(ctx.hopf.quotient(d), space.dim, conditions)
-
-
-def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
-    """Nonzero normal forms of the H-coefficients of alpha(x) - 1 (x) x.
-
-    Empty result == certified coinvariant at truncation d.
-    """
-    if not x:
-        return {}
-    i, j = ctx.bidegree_of(x)
-    if d < i + j:
-        raise ValueError(f"truncation {d} cannot hold coaction legs of degree {i + j}")
-    q = ctx.hopf.quotient(d)
-    acc: dict[PairKey, dict[Word, Q]] = {}
-    for (wa, wb), coeff in x.items():
-        for hw, tgt in ctx.tensor_word_terms(wa, wb):
-            add_to(acc.setdefault(tgt, {}), hw, coeff)
-    for tgt, coeff in x.items():
-        add_to(acc.setdefault(tgt, {}), (), -coeff)
-    residuals = {}
-    for tgt, words in acc.items():
-        if not words:
-            continue
-        nf = q.normal_form(words)
-        if nf:
-            residuals[tgt] = nf
-    return residuals
 
 
 def theta_image_vectors(ctx: CoactionContext, k: int):

@@ -6,7 +6,8 @@ An algebra holds one or more generator sets; a set named ``y`` of shape
 convention, e.g. ``y11``).  Words are tuples of flat letter indices.  An
 element is a plain {word: coefficient} dict of nonzero Fractions; there is
 no element class.  An element of the tensor product of two such algebras is
-a {(left word, right word): coefficient} dict; `pair_product` multiplies two.
+a {(left word, right word): coefficient} dict (the tests' oracles multiply
+two).
 
 `split_word` enumerates the matrix comultiplication g_ij -> sum_k g'_ik (x)
 g''_kj on a word.  The embedding θ here, the coproduct of H(F), the
@@ -21,15 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
-
-from .exactlin import add_to
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 Q = Fraction
 
 Word = tuple[int, ...]
 PairKey = tuple[Word, Word]
-Scalar = Union[Fraction, int]
 
 
 class GeneratorSet(NamedTuple):
@@ -101,9 +99,6 @@ class FreeAlgebra:
     def letter_weight(self, letter: int) -> int:
         return self._weights[letter]
 
-    def letter_label(self, letter: int) -> str:
-        return self._labels[letter]
-
     def letters(self, set_name: str | None = None) -> Iterator[int]:
         if set_name is None:
             yield from range(self.nletters)
@@ -140,16 +135,6 @@ class FreeAlgebra:
 def matrix_entry_algebra(sym: str, rows: int, cols: int, weight: int = 0) -> FreeAlgebra:
     """Free algebra on a single rows x cols family, e.g. A(m, n) on x_ij."""
     return FreeAlgebra((GeneratorSet(sym, rows, cols, weight),))
-
-
-def pair_product(x: Mapping[PairKey, Scalar], y: Mapping[PairKey, Scalar]) -> dict[PairKey, Q]:
-    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd of two tensor elements,
-    each a {(left word, right word): coefficient} dict."""
-    out: dict[PairKey, Q] = {}
-    for (la, ra), ca in x.items():
-        for (lb, rb), cb in y.items():
-            add_to(out, (la + lb, ra + rb), ca * cb)
-    return out
 
 
 def split_word(word: Word, source: FreeAlgebra, left: FreeAlgebra, right: FreeAlgebra,

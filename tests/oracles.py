@@ -6,12 +6,17 @@ Each oracle states a definition directly, at a cost the program avoids:
 * rational polynomials (`Poly`) and their arithmetic, theta* applied
   variable by variable, and the t^2 gl_t derivations (`DerivationAction`);
 * the classical theorems' RREF subspaces, which coinv.classical reduces to
-  ranks and containments: `glt_invariants` (the joint kernel of the
-  off-diagonal derivations on the weight-zero monomials), `theta_star_image`,
-  `theta_star_kernel` and `minors_component`;
+  ranks, containments and a count: `glt_invariants` (the joint kernel of the
+  off-diagonal derivations on the `weight_zero` monomials, where
+  coinv.classical counts the invariants by Weyl's character formula, a
+  theorem this oracle does not use), `theta_star_image`, `theta_star_kernel`
+  and `minors_component`;
 * the basis of a truncated quotient, read word by word (`quotient_basis`);
 * the rank of the word morphisms psi(w), eliminated (`psi_rank`);
-* the comodule axioms and the S-twisted dual of a word-matrix comodule.
+* the product of two tensor elements (`pair_product`);
+* the comodule axioms, the S-twisted dual of a word-matrix comodule, and
+  the coinvariance of one element, checked without a solve
+  (`coinvariance_residual`).
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from itertools import product
 from math import comb
 
 from coinv.catalg import psi
-from coinv.classical import _weight_zero, minor_polys, monomials, theta_star_degree
-from coinv.comod import ComoduleSpace
+from coinv.classical import minor_polys, monomials, theta_star_degree
+from coinv.comod import CoactionContext, ComoduleSpace
 from coinv.exactlin import Subspace, add_to, rank, solve_homogeneous
 from coinv.fpquot import TruncatedQuotient, _match
-from coinv.freealg import Word
+from coinv.freealg import PairKey, Word
 
 Q = Fraction
 
@@ -170,6 +175,17 @@ class DerivationAction:
 # -- the classical theorems as subspaces ----------------------------------------------
 
 
+def weight_zero(m: int, n: int, t: int, k: int) -> tuple[Mono, ...]:
+    """The weight-zero monomials of Q[Y,Z] in total degree 2k, ascending: a
+    degree-k Y-monomial times, for every row a of Z, a monomial of Z row a of
+    the degree of Y column a."""
+    monos = []
+    for y in monomials(m * t, k):
+        rows = [monomials(n, sum(y[a::t])) for a in range(t)]
+        monos += [y + sum(z, ()) for z in product(*rows)]
+    return tuple(sorted(monos))
+
+
 def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     """Joint kernel of all t^2 derivations on the total-degree component of
     Q[Y,Z], over all its monomials: solved on the weight-zero monomials with
@@ -178,17 +194,17 @@ def glt_invariants(m: int, n: int, t: int, degree: int) -> Subspace:
     ambient = comb(act.nvars + degree - 1, degree)
     if degree % 2:
         return Subspace.zero(ambient)
-    weight_zero = _weight_zero(m, n, t, degree // 2)
+    monos = weight_zero(m, n, t, degree // 2)
     equations: dict[tuple, dict[int, Q]] = {}
-    for local, mono in enumerate(weight_zero):
+    for local, mono in enumerate(monos):
         for a in range(t):
             for b in range(t):
                 if a != b:
                     for target, c in act.apply(a, b, {mono: Q(1)}).items():
                         equations.setdefault((a, b, target), {})[local] = c
-    kernel = solve_homogeneous(equations.values(), len(weight_zero))
+    kernel = solve_homogeneous(equations.values(), len(monos))
     # the positions increase, so relabelling keeps each row's lead first: still RREF
-    cols = [monomial_position(mono) for mono in weight_zero]
+    cols = [monomial_position(mono) for mono in monos]
     return Subspace(ambient, {cols[lead]: {cols[c]: v for c, v in row.items()}
                               for lead, row in zip(kernel.pivot_cols, kernel.basis)})
 
@@ -222,6 +238,51 @@ def minors_component(m: int, n: int, t: int, k: int) -> Subspace:
 
 
 # -- truncated quotients and comodules --------------------------------------------------
+
+
+def pair_product(x: dict[PairKey, Q], y: dict[PairKey, Q]) -> dict[PairKey, Q]:
+    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd of two tensor elements,
+    each a {(left word, right word): coefficient} dict."""
+    out: dict[PairKey, Q] = {}
+    for (la, ra), ca in x.items():
+        for (lb, rb), cb in y.items():
+            add_to(out, (la + lb, ra + rb), ca * cb)
+    return out
+
+
+def bidegree_of(x: dict[PairKey, Q]) -> tuple[int, int]:
+    """The (left, right) word lengths shared by every term of x."""
+    degs = {(len(wa), len(wb)) for wa, wb in x}
+    if len(degs) != 1:
+        raise ValueError("element is not bidegree-homogeneous")
+    return degs.pop()
+
+
+def coinvariance_residual(ctx: CoactionContext, x: dict[PairKey, Q], d: int):
+    """Nonzero normal forms of the H-coefficients of alpha(x) - 1 (x) x.
+
+    Empty result == certified coinvariant at truncation d.
+    """
+    if not x:
+        return {}
+    i, j = bidegree_of(x)
+    if d < i + j:
+        raise ValueError(f"truncation {d} cannot hold coaction legs of degree {i + j}")
+    q = ctx.hopf.quotient(d)
+    acc: dict[PairKey, dict[Word, Q]] = {}
+    for (wa, wb), coeff in x.items():
+        for hw, tgt in ctx.tensor_word_terms(wa, wb):
+            add_to(acc.setdefault(tgt, {}), hw, coeff)
+    for tgt, coeff in x.items():
+        add_to(acc.setdefault(tgt, {}), (), -coeff)
+    residuals = {}
+    for tgt, words in acc.items():
+        if not words:
+            continue
+        nf = q.normal_form(words)
+        if nf:
+            residuals[tgt] = nf
+    return residuals
 
 
 def quotient_basis(q: TruncatedQuotient) -> tuple[Word, ...]:

@@ -16,10 +16,10 @@ from coinv.catalg import (
     psi,
 )
 from conftest import word_product
-from oracles import dual, is_coassociative, is_counital, psi_rank
+from oracles import coinvariance_residual, dual, is_coassociative, is_counital, psi_rank
 
 from coinv.cli import run
-from coinv.comod import CoactionContext, ComoduleSpace, _morphism_conditions, coinvariance_residual
+from coinv.comod import CoactionContext, ComoduleSpace, _morphism_conditions
 from coinv.exactlin import Subspace, add_to
 from coinv.freealg import matrix_entry_algebra, theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf

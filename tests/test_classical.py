@@ -11,7 +11,6 @@ from coinv import classical, cli
 from coinv.classical import (
     _derivation_moves,
     _derivation_row,
-    _weight_zero,
     fft1_check,
     fft2_check,
     glt_invariants,
@@ -35,6 +34,7 @@ from oracles import (
     theta_star_images,
     to_vector,
     var,
+    weight_zero,
     y_var,
     z_var,
 )
@@ -230,7 +230,7 @@ def test_free_theta_injective_where_commutative_collapses():
 def test_weight_zero_monomials_are_the_weight_zero_component(m, n, t, k):
     act = DerivationAction(m, n, t)
     monos = monomials(act.nvars, 2 * k)
-    assert _weight_zero(m, n, t, k) == tuple(mono for mono in monos if not any(act.weight(mono)))
+    assert weight_zero(m, n, t, k) == tuple(mono for mono in monos if not any(act.weight(mono)))
 
 
 @pytest.mark.parametrize("m, n, t", [(3, 2, 2), (2, 3, 3), (1, 1, 2)])
@@ -238,7 +238,7 @@ def test_integer_derivation_rows_match_poly_definition(m, n, t):
     act = DerivationAction(m, n, t)
     rng = random.Random(m * 100 + n * 10 + t)
     monos = [tuple(rng.randint(0, 2) for _ in range(act.nvars)) for _ in range(20)]
-    monos += list(_weight_zero(m, n, t, 2))
+    monos += list(weight_zero(m, n, t, 2))
     for mono in monos:
         for a in range(t):
             for b in range(t):
@@ -256,29 +256,22 @@ def test_integer_theta_star_images_match_poly_definition(m, n, t):
             assert img == theta_star_apply(mono, images, m * t + t * n)
 
 
-@pytest.mark.parametrize("m, n, t, degree", [(3, 3, 2, 4), (2, 2, 3, 4), (1, 2, 3, 6)])
-def test_raising_system_matches_poly_definition(monkeypatch, m, n, t, degree):
-    # R_k is what glt_invariants ranks: E_{a,a+1} of each weight-zero monomial,
-    # the i-th of N at column N-1-i, one row per target monomial
-    systems = []
-    rank_rows = classical.rank
+def test_invariant_count_eliminates_nothing(monkeypatch):
+    # the weight-zero systems of these degrees have tens of thousands of
+    # monomials; the character count reads none of them
+    def refuse(rows):
+        raise AssertionError("the invariant count eliminated a system")
+    monkeypatch.setattr(classical, "rank", refuse)
+    assert [glt_invariants(2, 3, 3, D) for D in (10, 12, 14)] == [252, 462, 792]
 
-    def captured(rows):
-        rows = list(rows)
-        systems.append(rows)
-        return rank_rows(rows)
-    monkeypatch.setattr(classical, "rank", captured)
-    glt_invariants(m, n, t, degree)
-    act = DerivationAction(m, n, t)
-    monos = _weight_zero(m, n, t, degree // 2)
-    expected = {}
-    for local, mono in enumerate(monos):
-        for a in range(t - 1):
-            for target, c in act.apply(a, a + 1, {mono: Q(1)}).items():
-                expected.setdefault((a, target), {})[len(monos) - 1 - local] = c
-    key = lambda row: sorted(row.items())
-    assert len(systems) == 1
-    assert sorted(systems[0], key=key) == sorted(expected.values(), key=key)
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (2, 3), (3, 3)])
+def test_at_t1_the_count_is_the_weight_zero_count(m, n):
+    # at t = 1 no derivation is off-diagonal and rho - w rho is 0, so the
+    # oracle's kernel and the character count are every weight-zero monomial
+    for degree in range(7):
+        expected = 0 if degree % 2 else len(weight_zero(m, n, 1, degree // 2))
+        assert glt_invariants(m, n, 1, degree) == oracles.glt_invariants(m, n, 1, degree).dim == expected
 
 
 def test_odd_degree_invariants_enumerate_nothing(monkeypatch):
@@ -288,7 +281,6 @@ def test_odd_degree_invariants_enumerate_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("an odd degree enumerated monomials")
     monkeypatch.setattr(classical, "monomials", refuse)
-    monkeypatch.setattr(classical, "_weight_zero", refuse)
     assert glt_invariants(3, 3, 2, 5) == oracle.dim
 
 
@@ -368,11 +360,14 @@ def test_perturbed_minor_is_refuted(monkeypatch):
     assert (rep.rows[3].dim_left, rep.rows[3].dim_right) == (1, 1)
 
 
-def test_dropped_simple_raising_derivation_is_refuted(monkeypatch):
-    # without E_12 at t = 3, ker R_k outgrows the invariants
-    moves = classical._derivation_moves
-    monkeypatch.setattr(classical, "_derivation_moves",
-                        lambda m, n, t, a, b: [] if (a, b) == (0, 1) else moves(m, n, t, a, b))
-    rep = fft1_check(1, 1, 3, 4)
-    assert [row.degree for row in rep.mismatches] == [2, 4]
-    assert all(row.dim_left > row.dim_right for row in rep.mismatches)
+@pytest.mark.parametrize("mutate, degrees", [
+    (lambda sign: -sign, [0, 2, 4]),
+    (lambda sign: 1, [2, 4]),
+], ids=["every-sign-flipped", "odd-sign-dropped"])
+def test_a_flipped_character_sign_is_refuted(monkeypatch, mutate, degrees):
+    # Im theta* is still proven invariant, but the count no longer equals its rank
+    sign = classical._sign
+    monkeypatch.setattr(classical, "_sign", lambda perm: mutate(sign(perm)))
+    rep = fft1_check(2, 2, 2, 4)
+    assert [row.degree for row in rep.mismatches] == degrees
+    assert all(row.dim_left != row.dim_right for row in rep.mismatches)

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from coinv import catalg
 from coinv.catalg import (balanced_hom_dim, certify_fft, intertwiner_space, lemma_base_case,
                           main_correspondence_check)
-from coinv.comod import CoactionContext, coinvariance_residual, coinvariants
-from coinv.freealg import pair_product, theta_images
+from coinv.comod import CoactionContext, coinvariants
+from coinv.freealg import theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from oracles import coinvariance_residual, pair_product
 
 Q = Fraction
 

@@ -18,13 +18,13 @@ from coinv.freealg import (
     FreeAlgebra,
     GeneratorSet,
     matrix_entry_algebra,
-    pair_product,
     split_word,
     theta_images,
     theta_matrix,
     theta_rank,
 )
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from oracles import pair_product
 
 Q = Fraction
 
@@ -39,7 +39,7 @@ def test_letter_roundtrip(a22):
         for j in range(2):
             letter = a22.letter("x", i, j)
             assert a22.letter_info(letter) == ("x", i, j)
-            assert a22.letter_label(letter) == f"x{i + 1}{j + 1}"
+            assert a22.word_label((letter,)) == f"x{i + 1}{j + 1}"
 
 
 def test_out_of_range_letter_rejected(a22):

@@ -12,7 +12,6 @@ from conftest import word_product
 
 from coinv.exactlin import add_to
 from coinv.fpquot import Presentation
-from coinv.freealg import pair_product
 from coinv.hopf import (
     RELATION_DEGREE,
     FMatrix,
@@ -20,6 +19,7 @@ from coinv.hopf import (
     check_hopf_compat,
     grading_specialize,
 )
+from oracles import pair_product
 
 Q = Fraction
 
