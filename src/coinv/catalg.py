@@ -32,9 +32,20 @@ degree k; a certified morphism is a true one, so the certified End is a
 proven lower bound, and the spectator factorisation (comod) scales it by
 (mn)^k.  balanced_hom_dim reads that dimension off the Groebner leads, with
 no solve, unless some lead is a pure u-word.  Containment Im theta_k <= C
-needs no word of degree 2k, by a product lemma.  Write leg(s, tau) for the
-H-word of the coaction term from the basis pair s = (wa, wb) to the pair
-tau, so x = sum_s c_s s is coinvariant modulo a two-sided ideal I iff
+needs no word of degree 2k, by a product lemma on the comodule algebra
+A(m,t) (x) A(t,n).  A(m,t) carries the right coaction rho(y_ij) = sum_k
+y_ik (x) u_kj, turned into a left comodule by the flip rho' = tau o (id (x)
+S) o rho; A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x)
+z_kj.  On words both are freealg.split_word, with y splitting into (y, u)
+and z into (u, z); rho' then applies HopfCover.antipode_word to each
+u-leg.  Their tensor product alpha = rho' (x) lambda makes A(m,t) (x) A(t,n)
+a left comodule algebra, whose elements are {(A-word, B-word): coefficient}
+dicts and whose coinvariants are {x : alpha(x) = 1 (x) x}.  Since S is
+anti-multiplicative with S(u_kj) = v_jk, the H-leg of every term of alpha
+on a word pair is one word (a reversed v-word followed by a u-word) with
+coefficient 1.  Write leg(s, tau) for the H-word of the term from the basis
+pair s = (wa, wb) to the pair tau, so x = sum_s c_s s is coinvariant modulo
+a two-sided ideal I iff
 sum_s c_s leg(s, tau) = c_tau mod I for every tau.  Pairs multiply
 factor-wise, (wa, wb)(wa', wb') = (wa wa', wb wb'), and legs nest:
 
@@ -49,9 +60,9 @@ leg(s, tau)) u(wb', tb'); since I is two-sided, the inner sum may be
 replaced by c_tau, which leaves c_tau sum_s' c'_s' leg(s', tau') = c_tau
 c'_tau' mod I, the coefficient of tau tau' in x x'.  Now theta_11(x^k) =
 theta_11(x)^k, and theta_11(x) is coinvariant modulo I_2 because its
-condition is the relation tv.u = I itself; so one degree-2 solve proves
-theta_11(x^k), hence by the factorisation all of Im theta_k, coinvariant
-for every k.
+condition is the relation tv.u = I itself; so one degree-2 solve, of
+Hom(I, U* (x) U) (comod), proves theta_11(x^k), hence by the factorisation
+all of Im theta_k, coinvariant for every k.
 """
 
 from __future__ import annotations
@@ -59,10 +70,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .comod import (CoactionContext, ComoduleSpace, PairKey, _morphism_conditions, coinvariants,
-                    theta_image_vectors)
+from .comod import ComoduleSpace, _morphism_conditions, coinvariants, theta_image_vectors
 from .exactlin import Subspace
-from .freealg import Word, matrix_entry_algebra, theta_images, theta_rank
+from .freealg import PairKey, Word, matrix_entry_algebra, theta_images, theta_rank
 from .fpquot import certified_kernel
 from .hopf import RELATION_DEGREE, HopfCover
 
@@ -220,12 +230,13 @@ def certify_fft(m: int, n: int, hopf: HopfCover, k: int, d: int,
 
 
 def lemma_base_case(hopf: HopfCover, d: int) -> CoinvariantReport:
-    """C_(1,1) of the (1, 1, t) block solved once at d >= RELATION_DEGREE: dim
-    End(U_l), and whether it holds theta_11(x), one nonzero column (rank 1),
-    the product lemma's base case for every degree."""
-    block = CoactionContext(1, 1, hopf)
-    space = coinvariants(block, (1, 1), d)
-    contained = space.contains(theta_image_vectors(block, 1)[0])
+    """C_(1,1) of the (1, 1, t) block, Hom(I, U* (x) U) (comod), solved once at
+    d >= RELATION_DEGREE: dim End(U_l), and whether it holds theta_11(x) =
+    sum_a e_a* (x) e_a, one nonzero column (rank 1), the product lemma's
+    base case for every degree."""
+    u = ComoduleSpace.standard_left(hopf)
+    space = coinvariants(u.dual().tensor(u), d)
+    contained = space.contains(theta_image_vectors(hopf.t, 1)[0])
     return CoinvariantReport(d=d, dim_coinv=space.dim, theta_rank=1, image_contained=contained,
                              certified=contained and space.dim == 1)
 

@@ -44,13 +44,13 @@ is variable i*n + j of Q[X], Y_is is i*t + s and Z_sj is m*t + s*n + j of
 Q[Y,Z].  Each degree's monomials ascend in lex order of the exponent vector
 (graded-lex overall), which fixes every coordinate system deterministically.
 
-The theta* images of the X-monomials of each degree are built once, with
-integer coefficients, from those of the degree below, and rank theta*_k is
-computed once per shape and degree: both theorems read it.  Every
-coefficient here is an int.  The tests' oracles (tests/oracles.py) state
-the definitions with rational polynomials and compare RREF subspaces; the
-invariants there are the joint kernel of the derivations, solved on the
-weight-zero monomials.
+The theta* images of the X-monomials of each degree are built, with
+integer coefficients, from those of the degree below, and no check keeps
+them once it returns; rank theta*_k is computed once per shape and degree:
+both theorems read it.  Every coefficient here is an int.  The tests'
+oracles (tests/oracles.py) state the definitions with rational polynomials
+and compare RREF subspaces; the invariants there are the joint kernel of
+the derivations, solved on the weight-zero monomials.
 """
 
 from __future__ import annotations
@@ -111,9 +111,11 @@ def _degree_images(m: int, n: int, t: int, lower: dict[Mono, IntPoly], k: int) -
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def theta_star_degree(m: int, n: int, t: int, k: int) -> dict[Mono, IntPoly]:
-    """theta* of every degree-k X-monomial, built once per shape and degree from degree k-1."""
+    """theta* of every degree-k X-monomial, built from degree k-1.  The cache
+    keeps the degree being extended and its predecessor, and each check
+    clears it when it returns, so no degree's images outlive the command."""
     _check_args(m, n, t, k)
     if k == 0:
         return {(0,) * (m * n): {(0,) * (m * t + t * n): 1}}
@@ -281,16 +283,22 @@ def fft1_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
         # no image at odd D, and the constants at D = 0, lie in the invariants
         proven = contained or D % 2 == 1 or D == 0
         rows.append(DegreeComparison(D, inv, img, inv == img and proven))
+    theta_star_degree.cache_clear()
     return FftReport(rows=tuple(rows))
 
 
 def fft2_check(m: int, n: int, t: int, max_degree: int) -> FftReport:
     """Per X-degree k <= max_degree: dim ker theta*_k against dim M_k.  A
     degree is certified when M_k lies in the kernel (or is zero) and the
-    dimensions agree."""
+    dimensions agree.  The containment is read once, at the first degree
+    with minors, t + 1."""
     rows = []
+    vanish = None
     for k in range(max_degree + 1):
         ker = theta_star_kernel(m, n, t, k)
         mnr = minors_component(m, n, t, k)
-        rows.append(DegreeComparison(k, ker, mnr, ker == mnr and (not mnr or _minors_vanish(m, n, t))))
+        if mnr and vanish is None:
+            vanish = _minors_vanish(m, n, t)
+        rows.append(DegreeComparison(k, ker, mnr, ker == mnr and (not mnr or vanish)))
+    theta_star_degree.cache_clear()
     return FftReport(rows=tuple(rows))

@@ -6,7 +6,7 @@ bug signal), 2 = inconclusive (some condition stayed uncertified at the
 chosen truncation; raise --trunc), 3 = usage error (bad arguments, malformed
 or singular F, bounds out of range, an -o path that cannot be written, a solve
 refused as too large before it is built), 4 = internal error (any other
-exception; `main` prints its traceback to stderr).
+exception; `main`, which is coinv.main, prints its traceback to stderr).
 
 --F belongs to the five commands that read H(F), --trunc to four: hopf-check's
 conditions lie in I_2.  `run` builds the cover of H(F) once, here and nowhere
@@ -31,7 +31,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, main
 from .catalg import (SolveTooLarge, balanced_hom_dim, certify_fft, hom_solve_terms,
                      intertwiner_space, lemma_base_case, main_correspondence_check,
                      refuse_oversized)
@@ -434,17 +434,6 @@ def run(argv) -> int:
         sys.stderr.write(f"coinv: error: {exc}\n")
         return EXIT_USAGE
     return _STATUS_EXIT[status]
-
-
-def main() -> None:
-    try:
-        sys.exit(run(sys.argv[1:]))
-    except Exception:
-        try:  # exit 4 even if the traceback cannot be printed, say out of memory
-            import traceback  # only an internal error needs it, so start-up skips it
-            traceback.print_exc()
-        finally:
-            sys.exit(EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

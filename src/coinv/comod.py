@@ -1,47 +1,40 @@
-"""Word-matrix comodules of H(F), the coactions on A(m,t) (x) A(t,n), and
-certified coinvariant spaces, all over a HopfCover the caller builds: a
-CoactionContext is a shape (m, n) and a cover, whose size is t.
+"""Word-matrix comodules of H(F) and certified coinvariant spaces, all over
+a HopfCover the caller builds.
 
 A ComoduleSpace is finite-dimensional, each nonzero coaction entry one
 H-word with coefficient 1: the trivial comodule I gives the empty word, the
 standard U_l the letter u_ij, a tensor product (flattened row-major, so
 associators are identities on basis vectors) the concatenation of its
-factors' words.  The S-twisted dual U*, whose entries are the reversed
-v-words HopfCover.antipode_word, and the comodule axioms are the tests'
+factors' words, and the S-twisted dual of a comodule of u-words the reversed
+v-words of HopfCover.antipode_word.  The comodule axioms are the tests'
 oracles (tests/oracles.py).  _morphism_conditions writes the conditions on
 a map between two comodules.
 
-A(m,t) carries the right coaction rho(y_ij) = sum_k y_ik (x) u_kj and is
-turned into a left comodule by the flip rho' = tau o (id (x) S) o rho;
-A(t,n) carries the left coaction lambda(z_ij) = sum_k u_ik (x) z_kj.  On
-words both are freealg.split_word, with y splitting into (y, u) and z into
-(u, z); rho' then applies HopfCover.antipode_word to each u-leg.  The
-tensor product A(m,t) (x) A(t,n) is then a left comodule algebra, and its
-coinvariants {x : alpha(x) = 1 (x) x} are computed bidegree by bidegree.
-Its elements are {(A-word, B-word): coefficient} dicts.  Since S is
-anti-multiplicative with S(u_kj) = v_jk, the H-leg of every term of alpha
-on a word pair is one word (a reversed v-word followed by a u-word) with
-coefficient 1, so a bidegree component V is a word matrix too
-(CoactionContext.component).  Its coinvariants are Hom(I, V) (Klimyk &
-Schmuedgen, Quantum Groups and Their Representations, ch. 11): x is one iff
-1 -> x is a morphism, so `coinvariants` solves the conditions hom_space does.
+The coinvariants of a comodule V are Hom(I, V) (Klimyk & Schmuedgen,
+Quantum Groups and Their Representations, ch. 11): x is one iff 1 -> x is a
+morphism, so `coinvariants` solves the conditions catalg.hom_space does.
+The commands solve one such space, C_(1,1) of the (1,1,t) block of
+A(m,t) (x) A(t,n): the base case of catalg's product lemma, the one proof
+that Im theta_k <= C for every k.  That component is U* (x) U: writing y_a
+for y_1a and z_b for z_b1, the pair y_a (x) z_b is e_a* (x) e_b, and the
+coaction alpha (catalg's docstring) sends it to sum_kl v_ak u_bl (x) y_k (x)
+z_l, entry [(a,b),(k,l)] of U*.tensor(U).  So C_(1,1) = Hom(I, U* (x) U),
+and theta_11(x) = sum_a y_a (x) z_a is the coevaluation sum_a e_a* (x) e_a.
+The coaction on every bidegree of A(m,t) (x) A(t,n), and the check of a
+single element's coinvariance, are the tests' oracles.
 
 Certification logic: the solver accepts x as coinvariant only when every
-H-coefficient of alpha(x) - 1 (x) x has a degree-<= d ideal membership
+H-coefficient of delta(x) - 1 (x) x has a degree-<= d ideal membership
 witness, so the computed space is a subspace of the true coinvariants C.
-The commands solve one such space, C_(1,1) of the (1,1,t) block: the base
-case of catalg's product lemma, the one proof that Im theta_k <= C for every
-k.  dim C_(k,k) they read through End(U^(x k)) (catalg.certify_fft).  The
-full-size `coinvariants` is the tests' oracle, as is the check of a single
-element's coinvariance (tests/oracles.py).  C <= Im theta_k is the paper's
-theorem and is not computed.
+dim C_(k,k) the commands read through End(U^(x k)) (catalg.certify_fft).
+C <= Im theta_k is the paper's theorem and is not computed.
 
 Spectator factorisation: the coaction changes only the t-index of a letter
 (rho'(y_ij) = sum_k v_jk (x) y_ik keeps i, lambda(z_ij) = sum_k u_ik (x) z_kj
 keeps j), and the H-word of a term depends on t-indices alone.  So the
 bidegree (i,j) component is (Q^m)^(x i) (x) W (x) (Q^n)^(x j), W the same
 component at m = n = 1, the coaction acts as id (x) alpha_W (x) id, and the
-constraint system of `coinvariants` is m^i n^j identical copies of the
+constraint system of its coinvariants is m^i n^j identical copies of the
 system on W.  The kernel of a block-diagonal system with identical blocks is
 exactly the lift of one block's kernel, so the certified space at (m,n) is
 that lift and has m^i n^j times its dimension; the program solves the (1,1)
@@ -60,15 +53,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactlin import Subspace
-from .freealg import PairKey, Word, matrix_entry_algebra, split_word, theta_matrix
+from .freealg import Word, theta_matrix
 from .fpquot import certified_kernel
 from .hopf import HopfCover, grading_specialize
 
 Q = Fraction
-
-# rho(y_ij) = sum_k y_ik (x) u_kj and lambda(z_ij) = sum_k u_ik (x) z_kj
-_RHO_NAMES = {"y": ("y", "u")}
-_LAMBDA_NAMES = {"z": ("u", "z")}
 
 
 class ComoduleSpace:
@@ -114,6 +103,12 @@ class ComoduleSpace:
                 co[(a * other.dim + c, b * other.dim + dd)] = h1 + h2
         return ComoduleSpace(self.hopf, self.dim * other.dim, co)
 
+    def dual(self) -> "ComoduleSpace":
+        """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
+        Defined for comodules of u-words only (ValueError otherwise)."""
+        co = {(a, b): self.hopf.antipode_word(h) for (b, a), h in self.coaction.items()}
+        return ComoduleSpace(self.hopf, self.dim, co)
+
     def tensor_power(self, k: int) -> "ComoduleSpace":
         if k < 0:
             raise ValueError("tensor power requires k >= 0")
@@ -145,95 +140,28 @@ def _morphism_conditions(source: ComoduleSpace, target: ComoduleSpace):
                    + [(c + s, h, -1) for c, h in cols.get(r, ())])
 
 
-class CoactionContext:
-    """The coacting data for a shape (m, n) over a Hopf cover, t its size."""
-
-    def __init__(self, m: int, n: int, hopf: HopfCover):
-        if min(m, n) < 1:
-            raise ValueError("m, n must be positive")
-        self.m = m
-        self.n = n
-        self.t = hopf.t
-        self.hopf = hopf
-        self.amt = matrix_entry_algebra("y", m, hopf.t)
-        self.atn = matrix_entry_algebra("z", hopf.t, n)
-
-    # -- word-level coaction terms -------------------------------------------
-
-    def flipped_word_terms(self, wa: Word):
-        """Terms of rho'(w) for a word w of A(m,t), as (H-word, target word).
-
-        Each term of rho(w) is a (y-word, u-word) pair, and the antipode sends
-        the u-word to the single reversed v-word, with coefficient 1.
-        """
-        antipode = self.hopf.antipode_word
-        for wy, wu in split_word(wa, self.amt, self.amt, self.hopf.algebra, self.t, _RHO_NAMES):
-            yield antipode(wu), wy
-
-    def left_word_terms(self, wb: Word):
-        """Terms of lambda(w) for a word w of A(t,n), as (H-word, target word)."""
-        return split_word(wb, self.atn, self.hopf.algebra, self.atn, self.t, _LAMBDA_NAMES)
-
-    def tensor_word_terms(self, wa: Word, wb: Word):
-        """Terms of alpha(w_A (x) w_B), as (H-word, target pair); every
-        coefficient is 1 and no two terms share a target pair."""
-        left_terms = list(self.left_word_terms(wb))
-        for hwa, ta in self.flipped_word_terms(wa):
-            for hwb, tb in left_terms:
-                yield hwa + hwb, (ta, tb)
-
-    # -- pair-basis bookkeeping ---------------------------------------------
-
-    def pair_basis(self, bidegree: tuple[int, int]) -> tuple[PairKey, ...]:
-        """Basis word pairs of the bidegree component, in (left, right) lex order;
-        the pair at position ia * (right count) + ib is (A-word ia, B-word ib)."""
-        i, j = bidegree
-        bs = self.atn.degree_basis(j)
-        return tuple((wa, wb) for wa in self.amt.degree_basis(i) for wb in bs)
-
-    def component(self, bidegree: tuple[int, int]) -> ComoduleSpace:
-        """The bidegree component as a comodule on pair_basis(bidegree): entry
-        [s, tau] is the H-word of the coaction term from pair s to pair tau.
-        A word matrix holds one word per entry, so two terms with one target
-        pair raise ValueError rather than losing one."""
-        pairs = self.pair_basis(bidegree)
-        index = {p: s for s, p in enumerate(pairs)}
-        coaction: dict[tuple[int, int], Word] = {}
-        for s, (wa, wb) in enumerate(pairs):
-            for hw, tgt in self.tensor_word_terms(wa, wb):
-                entry = (s, index[tgt])
-                if entry in coaction:
-                    raise ValueError(f"two coaction terms share the entry {entry}")
-                coaction[entry] = hw
-        return ComoduleSpace(self.hopf, len(pairs), coaction)
-
-    def __repr__(self) -> str:
-        return f"CoactionContext(m={self.m}, n={self.n}, t={self.t}, F={self.hopf.F.label})"
-
-
 # -- coinvariants ---------------------------------------------------------------
 
 
-def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Subspace:
-    """Certified coinvariant subspace of the bidegree component at truncation d,
-    solved as Hom(I, component): unknown tau is the coefficient of pair tau.
+def coinvariants(space: ComoduleSpace, d: int) -> Subspace:
+    """Certified coinvariant subspace of space at truncation d, solved as
+    Hom(I, space): unknown tau is the coefficient of basis vector tau.
 
-    Coordinates follow ctx.pair_basis(bidegree).  Sound: every member x has
-    all H-coefficients of alpha(x) - 1 (x) x certified in the ideal, so the
-    result is a subspace of the true coinvariant space.
+    Sound: every member x has all H-coefficients of delta(x) - 1 (x) x
+    certified in the ideal, so the result is a subspace of the true
+    coinvariant space.  A d below the longest coaction word is refused.
     """
-    i, j = bidegree
-    if d < i + j:
-        raise ValueError(f"truncation {d} cannot hold coaction legs of degree {i + j}")
-    space = ctx.component(bidegree)
-    conditions = _morphism_conditions(ComoduleSpace.trivial(ctx.hopf), space)
-    return certified_kernel(ctx.hopf.quotient(d), space.dim, conditions)
+    longest = max(map(len, space.coaction.values()), default=0)
+    if d < longest:
+        raise ValueError(f"truncation {d} cannot hold coaction words of degree {longest}")
+    conditions = _morphism_conditions(ComoduleSpace.trivial(space.hopf), space)
+    return certified_kernel(space.hopf.quotient(d), space.dim, conditions)
 
 
-def theta_image_vectors(ctx: CoactionContext, k: int):
-    """Coordinates of theta(w) over pair_basis((k,k)) for each degree-k word w:
-    the columns of freealg.theta_matrix, whose pair index is pair_basis's."""
-    return theta_matrix(ctx.m, ctx.n, ctx.t, k)
+def theta_image_vectors(t: int, k: int):
+    """theta(x^k) on the (1,1,t) block, the one column of freealg.theta_matrix
+    at m = n = 1; at k = 1 it is sum_a e_a* (x) e_a in U*.tensor(U)'s basis."""
+    return theta_matrix(1, 1, t, k)
 
 
 # -- the exact off-diagonal certificate -----------------------------------------

@@ -10,9 +10,9 @@ a {(left word, right word): coefficient} dict (the tests' oracles multiply
 two).
 
 `split_word` enumerates the matrix comultiplication g_ij -> sum_k g'_ik (x)
-g''_kj on a word.  The embedding θ here, the coproduct of H(F), the
-coaction lambda on A(t,n) and the coaction rho on A(m,t) are all this one
-map with different letter names.
+g''_kj on a word.  The embedding θ here and the coproduct of H(F) are this
+one map with different letter names; so are the coactions lambda on A(t,n)
+and rho on A(m,t), which the tests' oracle builds (tests/oracles.py).
 
 Generator sets may carry an integer weight; the induced word weight is the
 grading used for the Laurent specialization of Hopf covers.
@@ -96,9 +96,6 @@ class FreeAlgebra:
     def letter_info(self, letter: int) -> tuple[str, int, int]:
         return self._info[letter]
 
-    def letter_weight(self, letter: int) -> int:
-        return self._weights[letter]
-
     def letters(self, set_name: str | None = None) -> Iterator[int]:
         if set_name is None:
             yield from range(self.nletters)
@@ -114,12 +111,6 @@ class FreeAlgebra:
 
     def word_label(self, word: Word) -> str:
         return "*".join(self._labels[l] for l in word) if word else "1"
-
-    def degree_basis(self, k: int) -> tuple[Word, ...]:
-        """All words of degree k, in lexicographic order."""
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        return tuple(product(range(self.nletters), repeat=k))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeAlgebra) and self.gen_sets == other.gen_sets
@@ -146,8 +137,7 @@ def split_word(word: Word, source: FreeAlgebra, left: FreeAlgebra, right: FreeAl
     values.  The map is multiplicative, so a word of length r yields one
     (left word, right word) pair per choice of inner indices (k_1, ..., k_r),
     in lexicographic order of that choice.  Every coefficient is 1 and no two
-    terms share a pair.  theta, the coproduct of H(F) and the coactions
-    lambda and rho are all this map.
+    terms share a pair.  theta and the coproduct of H(F) are this map.
     """
     tables = []
     for letter in word:
@@ -167,7 +157,7 @@ _THETA_NAMES = {"x": ("y", "z")}
 
 def theta_images(m: int, n: int, t: int,
                  k: int) -> Iterator[tuple[Word, Iterator[tuple[Word, Word]]]]:
-    """(w, terms of θ(w)) for each degree-k word w of A(m,n), in degree_basis order.
+    """(w, terms of θ(w)) for each degree-k word w of A(m,n), in lexicographic order.
 
     θ : A(m,n) -> A(m,t) (x) A(t,n) is the algebra map x_ij -> sum_k y_ik (x) z_kj;
     the terms are (A(m,t)-word, A(t,n)-word) pairs, each with coefficient 1.  The
@@ -183,10 +173,11 @@ def theta_images(m: int, n: int, t: int,
 
 
 def theta_matrix(m: int, n: int, t: int, k: int) -> list[dict[int, Q]]:
-    """θ in degree k as its columns, one per degree_basis word of A(m,n); a
-    column maps each word pair (w_A, w_B) of its image to ia * (tn)^k + ib.  A
-    word of A(m,t) sits at the number ia its letters spell in radix mt, and
-    one of A(t,n) at ib in radix tn, so no degree-k basis is built."""
+    """θ in degree k as its columns, one per degree-k word of A(m,n) in
+    lexicographic order; a column maps each word pair (w_A, w_B) of its image
+    to ia * (tn)^k + ib.  A word of A(m,t) sits at the number ia its letters
+    spell in radix mt, and one of A(t,n) at ib in radix tn, so no degree-k
+    basis is built."""
     ra, rb, nb = m * t, t * n, (t * n) ** k
     one = Q(1)
     columns = []

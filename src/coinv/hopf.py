@@ -50,13 +50,14 @@ _DELTA_NAMES = {"u": ("u", "u"), "v": ("v", "v")}
 
 class FMatrix:
     """An invertible t x t rational matrix F and its exact inverse, each a
-    tuple of t dense rows of Fractions.  FMatrix(rows) takes t rows of t
-    entries that Fraction accepts (ints, Fractions, strings like "1/2")."""
+    tuple of t dense rows.  FMatrix(rows) takes t rows of t entries that
+    exactlin.as_exact accepts (ints, Fractions, strings like "1/2"; a float
+    is a TypeError) and keeps them as it returns them."""
 
     __slots__ = ("t", "rows", "inverse")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Q(v) for v in row) for row in rows)
+        rows = tuple(tuple(as_exact(v) for v in row) for row in rows)
         t = len(rows)
         if t < 1 or any(len(row) != t for row in rows):
             raise ValueError("F must be square and nonempty")

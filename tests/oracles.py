@@ -13,10 +13,15 @@ Each oracle states a definition directly, at a cost the program avoids:
   and `minors_component`;
 * the basis of a truncated quotient, read word by word (`quotient_basis`);
 * the rank of the word morphisms psi(w), eliminated (`psi_rank`);
+* the words of one degree (`degree_basis`), which the program never lists;
 * the product of two tensor elements (`pair_product`);
-* the comodule axioms, the S-twisted dual of a word-matrix comodule, and
-  the coinvariance of one element, checked without a solve
-  (`coinvariance_residual`).
+* the coaction alpha = rho' (x) lambda on every bidegree of A(m,t) (x)
+  A(t,n), walked word pair by word pair with freealg.split_word
+  (`CoactionContext`), and its coinvariants at a bidegree (`coinvariants`),
+  where the program solves only the (1,1,t) block at (1,1), as
+  Hom(I, U* (x) U);
+* the comodule axioms and the coinvariance of one element, checked without
+  a solve (`coinvariance_residual`).
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from math import comb
 
 from coinv.catalg import psi
 from coinv.classical import minor_polys, monomials, theta_star_degree
-from coinv.comod import CoactionContext, ComoduleSpace
+from coinv import comod
+from coinv.comod import ComoduleSpace
 from coinv.exactlin import Subspace, add_to, rank, solve_homogeneous
 from coinv.fpquot import TruncatedQuotient, _match
-from coinv.freealg import PairKey, Word
+from coinv.freealg import FreeAlgebra, PairKey, Word, matrix_entry_algebra, split_word
+from coinv.hopf import HopfCover
 
 Q = Fraction
 
@@ -240,6 +247,85 @@ def minors_component(m: int, n: int, t: int, k: int) -> Subspace:
 # -- truncated quotients and comodules --------------------------------------------------
 
 
+def degree_basis(alg: FreeAlgebra, k: int) -> tuple[Word, ...]:
+    """All words of degree k of alg, in lexicographic order."""
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    return tuple(product(range(alg.nletters), repeat=k))
+
+
+# rho(y_ij) = sum_k y_ik (x) u_kj and lambda(z_ij) = sum_k u_ik (x) z_kj
+_RHO_NAMES = {"y": ("y", "u")}
+_LAMBDA_NAMES = {"z": ("u", "z")}
+
+
+class CoactionContext:
+    """The coaction alpha = rho' (x) lambda on A(m,t) (x) A(t,n) for a shape
+    (m, n) over a Hopf cover, t its size, term by term on word pairs."""
+
+    def __init__(self, m: int, n: int, hopf: HopfCover):
+        if min(m, n) < 1:
+            raise ValueError("m, n must be positive")
+        self.m = m
+        self.n = n
+        self.t = hopf.t
+        self.hopf = hopf
+        self.amt = matrix_entry_algebra("y", m, hopf.t)
+        self.atn = matrix_entry_algebra("z", hopf.t, n)
+
+    def flipped_word_terms(self, wa: Word):
+        """Terms of rho'(w) for a word w of A(m,t), as (H-word, target word).
+
+        Each term of rho(w) is a (y-word, u-word) pair, and the antipode sends
+        the u-word to the single reversed v-word, with coefficient 1.
+        """
+        antipode = self.hopf.antipode_word
+        for wy, wu in split_word(wa, self.amt, self.amt, self.hopf.algebra, self.t, _RHO_NAMES):
+            yield antipode(wu), wy
+
+    def left_word_terms(self, wb: Word):
+        """Terms of lambda(w) for a word w of A(t,n), as (H-word, target word)."""
+        return split_word(wb, self.atn, self.hopf.algebra, self.atn, self.t, _LAMBDA_NAMES)
+
+    def tensor_word_terms(self, wa: Word, wb: Word):
+        """Terms of alpha(w_A (x) w_B), as (H-word, target pair); every
+        coefficient is 1 and no two terms share a target pair."""
+        left_terms = list(self.left_word_terms(wb))
+        for hwa, ta in self.flipped_word_terms(wa):
+            for hwb, tb in left_terms:
+                yield hwa + hwb, (ta, tb)
+
+    def pair_basis(self, bidegree: tuple[int, int]) -> tuple[PairKey, ...]:
+        """Basis word pairs of the bidegree component, in (left, right) lex order;
+        the pair at position ia * (right count) + ib is (A-word ia, B-word ib)."""
+        i, j = bidegree
+        bs = degree_basis(self.atn, j)
+        return tuple((wa, wb) for wa in degree_basis(self.amt, i) for wb in bs)
+
+    def component(self, bidegree: tuple[int, int]) -> ComoduleSpace:
+        """The bidegree component as a comodule on pair_basis(bidegree): entry
+        [s, tau] is the H-word of the coaction term from pair s to pair tau.
+        A word matrix holds one word per entry, so two terms with one target
+        pair raise ValueError rather than losing one."""
+        pairs = self.pair_basis(bidegree)
+        index = {p: s for s, p in enumerate(pairs)}
+        coaction: dict[tuple[int, int], Word] = {}
+        for s, (wa, wb) in enumerate(pairs):
+            for hw, tgt in self.tensor_word_terms(wa, wb):
+                entry = (s, index[tgt])
+                if entry in coaction:
+                    raise ValueError(f"two coaction terms share the entry {entry}")
+                coaction[entry] = hw
+        return ComoduleSpace(self.hopf, len(pairs), coaction)
+
+
+def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Subspace:
+    """Certified coinvariants of the bidegree component at truncation d, in
+    ctx.pair_basis(bidegree) coordinates: comod.coinvariants of the full
+    component, whose longest coaction word has degree i + j."""
+    return comod.coinvariants(ctx.component(bidegree), d)
+
+
 def pair_product(x: dict[PairKey, Q], y: dict[PairKey, Q]) -> dict[PairKey, Q]:
     """Componentwise product (a (x) b)(c (x) d) = ac (x) bd of two tensor elements,
     each a {(left word, right word): coefficient} dict."""
@@ -290,7 +376,7 @@ def quotient_basis(q: TruncatedQuotient) -> tuple[Word, ...]:
     comp = q.presentation.completion
     comp.extend(q.d)
     return tuple(w for k in range(q.d + 1)
-                 for w in q.presentation.algebra.degree_basis(k)
+                 for w in degree_basis(q.presentation.algebra, k)
                  if _match(comp.rules, comp.lengths, w, q.d - k) is None)
 
 
@@ -300,13 +386,6 @@ def psi_rank(m: int, n: int, t: int, k: int) -> int:
     ncols = (m * t) ** k
     return rank({r * ncols + c: v for (r, c), v in psi(m, n, t, w).items()}
                 for w in product(range(m * n), repeat=k))
-
-
-def dual(space: ComoduleSpace) -> ComoduleSpace:
-    """S-twisted dual: h*[a,b] = S(h[b,a]); makes evaluation a comodule map.
-    Defined for comodules of u-words only (ValueError otherwise)."""
-    co = {(a, b): space.hopf.antipode_word(h) for (b, a), h in space.coaction.items()}
-    return ComoduleSpace(space.hopf, space.dim, co)
 
 
 def is_counital(space: ComoduleSpace) -> bool:

@@ -23,11 +23,11 @@ from coinv.classical import (
     theta_star_kernel,
 )
 from coinv.cli import run
-from coinv.comod import CoactionContext, coinvariants, off_diagonal_vanish
+from coinv.comod import off_diagonal_vanish
 from coinv.exactlin import add_to, rank
 from coinv.freealg import theta_matrix
 from coinv.hopf import FMatrix, build_hf, check_hopf_compat
-from oracles import coinvariance_residual, pair_product
+from oracles import CoactionContext, coinvariance_residual, coinvariants, pair_product
 
 Q = Fraction
 

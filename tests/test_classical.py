@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -284,7 +285,10 @@ def test_odd_degree_invariants_enumerate_nothing(monkeypatch):
     assert glt_invariants(3, 3, 2, 5) == oracle.dim
 
 
-def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
+def test_each_check_builds_each_degree_of_images_once(monkeypatch, tmp_path):
+    """fft1_check builds degrees 1..K once; fft2_check reads the ranks it
+    cached and rebuilds only degrees 1..t+1, for the minors, since no check
+    keeps the images once it returns."""
     built = []
     degree_images = classical._degree_images
 
@@ -294,10 +298,26 @@ def test_classical_run_builds_each_degree_of_images_once(monkeypatch, tmp_path):
     monkeypatch.setattr(classical, "_degree_images", counted)
     classical.theta_star_degree.cache_clear()
     classical.theta_star_image.cache_clear()
-    argv = ["classical", "-m", "3", "-n", "3", "-t", "2", "--max-degree", "3",
+    argv = ["classical", "-m", "3", "-n", "3", "-t", "2", "--max-degree", "4",
             "-o", str(tmp_path / "report.json")]
     assert cli.run(argv) == 0
-    assert built == [1, 2, 3]
+    assert built == [1, 2, 3, 4, 1, 2, 3]
+
+
+def test_no_theta_star_images_outlive_the_checks():
+    """Each check clears the images it built when it returns: after both
+    checks nothing of them is still allocated, where keeping every degree
+    held most of the peak."""
+    classical.theta_star_image.cache_clear()
+    tracemalloc.start()
+    try:
+        fft1_check(2, 3, 3, 10)
+        fft2_check(2, 3, 3, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classical.theta_star_degree.cache_info().currsize == 0
+    assert peak > 4 << 20 and held < 1 << 20
 
 
 @pytest.mark.parametrize("entry", [theta_star_degree, theta_star_image, theta_star_kernel,

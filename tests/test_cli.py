@@ -3,8 +3,10 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +224,38 @@ def test_main_exits_four_when_reporting_the_error_fails(monkeypatch):
     assert exc.value.code == cli_module.EXIT_INTERNAL
 
 
+# installs a finder that raises MemoryError when coinv.catalg is imported, then
+# calls the entry point named by argv[2] ("module:function") as the installed
+# console script would
+_IMPORT_EXHAUSTED = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+
+class Exhausted:
+    def find_spec(self, name, path=None, target=None):
+        if name == "coinv.catalg":
+            raise MemoryError
+
+sys.meta_path.insert(0, Exhausted())
+module, function = sys.argv[2].split(":")
+sys.argv = ["coinv", "theta-rank", "-k", "1"]
+getattr(importlib.import_module(module), function)()
+"""
+
+
+def test_console_script_exits_four_when_importing_the_engine_runs_out_of_memory():
+    """The console script imports the engine inside the guard that turns any
+    exception into exit 4, so a MemoryError while importing it is an internal
+    error, not the mismatch code 1."""
+    root = Path(cli_module.__file__).resolve().parents[2]
+    (target,) = re.findall(r'^coinv = "(.+)"$', (root / "pyproject.toml").read_text(),
+                           flags=re.MULTILINE)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_EXHAUSTED, str(root / "src"), target],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli_module.EXIT_INTERNAL, proc.stderr
+    assert "MemoryError" in proc.stderr
+
+
 def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_u_rules):
     """A computed End(U^(x k)) above dimension 1, so a coinvariant space above
     the theorem's (mn)^k, is a mismatch (exit 1) with its dimension in the
@@ -235,9 +269,8 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_
         n = source.dim * target.dim
         return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
 
-    def everything(ctx, bidegree, d):
-        n = len(ctx.pair_basis(bidegree))
-        return Subspace.from_vectors(n, [{s: 1} for s in range(n)])
+    def everything(space, d):
+        return Subspace.from_vectors(space.dim, [{s: 1} for s in range(space.dim)])
 
     monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
     monkeypatch.setattr(catalg, "hom_space", oversized)

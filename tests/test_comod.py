@@ -1,16 +1,26 @@
-"""Coactions on bimodule word spaces and squeeze-certified coinvariants."""
+"""Coactions on bimodule word spaces and squeeze-certified coinvariants.
+
+The coaction on every bidegree of A(m,t) (x) A(t,n) is the tests' oracle
+(oracles.CoactionContext); the program solves one component, C_(1,1) of the
+(1,1,t) block, as Hom(I, U* (x) U), and the tests pin that identification.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from coinv import comod
 from coinv.catalg import certify_fft, lemma_base_case
-from coinv.comod import CoactionContext, coinvariants, off_diagonal_vanish, theta_image_vectors
+from coinv.comod import ComoduleSpace, off_diagonal_vanish, theta_image_vectors
 from coinv.exactlin import add_to, solve_homogeneous
-from coinv.freealg import theta_images
+from coinv.freealg import theta_images, theta_matrix
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
-from oracles import bidegree_of, coinvariance_residual, is_coassociative, is_counital, pair_product
+from conftest import PRESETS
+from oracles import (CoactionContext, bidegree_of, coinvariance_residual, coinvariants, degree_basis,
+                     is_coassociative, is_counital, pair_product)
 
 Q = Fraction
 
@@ -108,7 +118,7 @@ def _alpha_via_antipode(ctx, wa, wb):
 def test_flipped_word_terms_match_antipode(t, F, max_degree):
     ctx = CoactionContext(2, 1, build_hf(F))
     for deg in range(max_degree + 1):
-        for wa in ctx.amt.degree_basis(deg):
+        for wa in degree_basis(ctx.amt, deg):
             direct = {}
             for hw, tgt in ctx.flipped_word_terms(wa):
                 assert (hw, tgt) not in direct
@@ -120,7 +130,7 @@ def test_flipped_word_terms_match_antipode(t, F, max_degree):
 def test_left_word_terms_match_lam_gen_product(n, t):
     ctx = CoactionContext(1, n, build_hf(FMatrix.jordan(t)))
     for deg in range(4):
-        for wb in ctx.atn.degree_basis(deg):
+        for wb in degree_basis(ctx.atn, deg):
             terms = list(ctx.left_word_terms(wb))
             assert len(set(terms)) == len(terms)
             assert dict.fromkeys(terms, Q(1)) == _lambda_via_lam_gen(ctx, wb)
@@ -177,8 +187,8 @@ def test_component_refuses_two_terms_on_one_entry(ctx212j, monkeypatch):
 def test_pair_basis_round_trip(ctx221):
     basis = ctx221.pair_basis((1, 1))
     assert len(basis) == 4
-    assert basis == tuple((wa, wb) for wa in ctx221.amt.degree_basis(1)
-                          for wb in ctx221.atn.degree_basis(1))
+    assert basis == tuple((wa, wb) for wa in degree_basis(ctx221.amt, 1)
+                          for wb in degree_basis(ctx221.atn, 1))
     x = {basis[0]: Q(1), basis[3]: Q(-2)}
     assert bidegree_of(x) == (1, 1)
 
@@ -195,7 +205,7 @@ def test_coinvariants_rejects_low_truncation(ctx221):
 
 def test_theta_image_inside_computed_space(ctx212j):
     V = coinvariants(ctx212j, (1, 1), 4)
-    vecs = theta_image_vectors(ctx212j, 1)
+    vecs = theta_matrix(2, 1, 2, 1)
     for vec in vecs:
         assert V.contains(vec)
 
@@ -209,6 +219,56 @@ def test_bare_pair_is_not_coinvariant(ctx212j):
     x = {ctx212j.pair_basis((1, 1))[0]: Q(1)}
     residual = coinvariance_residual(ctx212j, x, 4)
     assert residual
+
+
+def _assert_block_is_u_star_u(hopf):
+    """The (1,1) component of the (1,1,t) block, built by the oracle's word
+    pairs, and U*.tensor(U) have one coaction dict, so one certified
+    coinvariant space at d = 2, and it holds theta_11(x) = sum_a e_a* (x) e_a."""
+    t = hopf.t
+    u = ComoduleSpace.standard_left(hopf)
+    u_star_u = u.dual().tensor(u)
+    block = CoactionContext(1, 1, hopf).component((1, 1))
+    assert block.dim == u_star_u.dim == t * t
+    assert block.coaction == u_star_u.coaction
+    space = comod.coinvariants(u_star_u, RELATION_DEGREE)
+    assert comod.coinvariants(block, RELATION_DEGREE) == space
+    (theta11,) = theta_image_vectors(t, 1)
+    assert theta11 == {a * t + a: 1 for a in range(t)}
+    assert space.contains(theta11)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("fname", sorted(PRESETS))
+def test_block_component_is_u_star_tensor_u(fname, t, preset_hopf):
+    _assert_block_is_u_star_u(preset_hopf(fname, t))
+
+
+@st.composite
+def invertible_f(draw):
+    t = draw(st.integers(1, 4))
+    entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=t, max_size=t))
+    try:
+        return FMatrix(rows)
+    except ValueError:  # singular
+        reject()
+
+
+@settings(max_examples=20, deadline=None)
+@given(invertible_f())
+def test_block_component_is_u_star_tensor_u_for_random_f(F):
+    _assert_block_is_u_star_u(build_hf(F))
+
+
+def test_coinvariants_refuse_a_truncation_below_the_longest_word():
+    hopf = build_hf(FMatrix.jordan(2))
+    u = ComoduleSpace.standard_left(hopf)
+    for space, longest in ((u.dual().tensor(u), 2), (u.tensor_power(3), 3)):
+        with pytest.raises(ValueError, match=f"degree {longest}"):
+            comod.coinvariants(space, longest - 1)
+        assert comod.coinvariants(space, max(longest, RELATION_DEGREE)).ambient_dim == space.dim
+    assert comod.coinvariants(ComoduleSpace.trivial(hopf), RELATION_DEGREE).dim == 1
 
 
 def test_off_diagonal_vanishing_certificates():

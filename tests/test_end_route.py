@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 from coinv import catalg
 from coinv.catalg import (balanced_hom_dim, certify_fft, intertwiner_space, lemma_base_case,
                           main_correspondence_check)
-from coinv.comod import CoactionContext, coinvariants
 from coinv.freealg import theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
-from oracles import coinvariance_residual, pair_product
+from oracles import CoactionContext, coinvariance_residual, coinvariants, degree_basis, pair_product
 
 Q = Fraction
 
@@ -57,8 +56,8 @@ def test_legs_nest(t):
     ctx = CoactionContext(2, 2, build_hf(FMatrix.jordan(t)))
     for _ in range(25):
         p, q = rng.randint(0, 2), rng.randint(1, 2)
-        wa, wa2 = rng.choice(ctx.amt.degree_basis(p)), rng.choice(ctx.amt.degree_basis(q))
-        wb, wb2 = rng.choice(ctx.atn.degree_basis(p)), rng.choice(ctx.atn.degree_basis(q))
+        wa, wa2 = rng.choice(degree_basis(ctx.amt, p)), rng.choice(degree_basis(ctx.amt, q))
+        wb, wb2 = rng.choice(degree_basis(ctx.atn, p)), rng.choice(degree_basis(ctx.atn, q))
         inner = {tgt: hw for hw, tgt in ctx.tensor_word_terms(wa, wb)}
         outer = {tgt: hw for hw, tgt in ctx.tensor_word_terms(wa2, wb2)}
         nested = {(ta + ta2, tb + tb2): h2[:q] + h + h2[q:]

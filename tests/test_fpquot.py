@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import word_product
-from oracles import quotient_basis
+from oracles import degree_basis, quotient_basis
 
 from coinv import cli
 from coinv.exactlin import Subspace, add_to
@@ -279,7 +279,7 @@ def test_dropped_cover_quotient_is_collected():
 
 def words_upto(alg: FreeAlgebra, d: int) -> list:
     """The words of degree <= d in reduction order (degree desc, then lex)."""
-    return [w for k in range(d, -1, -1) for w in alg.degree_basis(k)]
+    return [w for k in range(d, -1, -1) for w in degree_basis(alg, k)]
 
 
 def ideal_span(q: TruncatedQuotient, words) -> Subspace:
@@ -305,8 +305,8 @@ def oracle(pres: Presentation, d: int):
         room = d - max(map(len, r))
         for da in range(room + 1):
             for db in range(room - da + 1):
-                for a in alg.degree_basis(da):
-                    for b in alg.degree_basis(db):
+                for a in degree_basis(alg, da):
+                    for b in degree_basis(alg, db):
                         vecs.append({col[a + w + b]: c for w, c in r.items()})
     return words, col, Subspace.from_vectors(len(words), vecs)
 

@@ -2,7 +2,7 @@
 
 The coaction changes only the t-index of a letter, so the bidegree (i,j)
 component at (m,n) is m^i n^j copies of the one at (1,1).  The full-size
-`coinvariants` and `intertwiner_space` are the oracle here: the lifted
+`oracles.coinvariants` and `intertwiner_space` are the oracle here: the lifted
 (1,1) space must equal the directly computed one, and every command that
 solves only the block must report what the full-size solve gives.
 """
@@ -16,9 +16,11 @@ import pytest
 from coinv import catalg, comod
 from coinv import cli as cli_module
 from coinv.catalg import certify_fft, intertwiner_space, lemma_base_case
-from coinv.comod import CoactionContext, coinvariants, theta_image_vectors
+from coinv.comod import theta_image_vectors
 from coinv.exactlin import Subspace
+from coinv.freealg import theta_matrix
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from oracles import CoactionContext, coinvariants
 
 Q = Fraction
 
@@ -85,7 +87,7 @@ def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
     if i == j:
         rep = certify_fft(m, n, hopf, i, d, lemma_base_case(hopf, RELATION_DEGREE))
         assert rep.dim_coinv == full.dim
-        assert rep.image_contained == all(full.contains(v) for v in theta_image_vectors(ctx, i))
+        assert rep.image_contained == all(full.contains(v) for v in theta_matrix(m, n, 2, i))
 
 
 @pytest.mark.parametrize("pure_u_lead", [False, True])
@@ -136,25 +138,25 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
     """With the base-case space V_11 at bidegree (1,1) forced to the span of a
     vector, certify_fft accepts exactly theta_11(x), scaled, and nothing else,
     at every k >= 1."""
-    ctx = CoactionContext(2, 3, build_hf(FMatrix.jordan(2)))
-    block = CoactionContext(1, 1, ctx.hopf)
-    (image,) = theta_image_vectors(block, 1)
-    n = len(block.pair_basis((1, 1)))
+    hopf = build_hf(FMatrix.jordan(2))
+    block = CoactionContext(1, 1, hopf).component((1, 1))
+    (image,) = theta_image_vectors(2, 1)
+    n = block.dim
     others = [{s: Q(1)} for s in range(n)]
     others.append({s: Q(s + 1) for s in image})
     calls = []
 
-    def forced(c, b, d, vec):
-        calls.append((c.m, c.n, b, d))
+    def forced(space, d, vec):
+        calls.append((space.coaction == block.coaction, d))
         return Subspace.from_vectors(n, [vec])
 
     for vec, expected in [({s: Q(-3) for s in image}, True)] + [(v, False) for v in others]:
-        monkeypatch.setattr(catalg, "coinvariants", lambda c, b, d, vec=vec: forced(c, b, d, vec))
-        base = lemma_base_case(ctx.hopf, RELATION_DEGREE)
-        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2), base)
+        monkeypatch.setattr(catalg, "coinvariants", lambda space, d, vec=vec: forced(space, d, vec))
+        base = lemma_base_case(hopf, RELATION_DEGREE)
+        rep = certify_fft(2, 3, hopf, k, max(k, 2), base)
         assert rep.dim_coinv == 6 ** k
         assert rep.image_contained is expected and rep.certified is expected
-    assert set(calls) == {(1, 1, (1, 1), 2)}
+    assert set(calls) == {(True, 2)}
 
 
 @pytest.mark.parametrize("command", ["coinvariants", "intertwiners"])
