@@ -6,7 +6,10 @@ keeps its truncation d, which certify_fft checks a base case against.
 
 hom_space solves comod._morphism_conditions between two comod.ComoduleSpace
 word matrices and returns their certified solution set as a Subspace, in
-which coordinate r * source.dim + c holds T[r, c].
+which coordinate r * source.dim + c holds T[r, c].  The one Hom solve the
+program runs is block_hom_dim's: the (1, 1) block Hom(U^(x i), U^(x j)) of
+Hom((U^m)^(x i), (U^n)^(x j)) (spectator factorisation, comod), estimated
+first and refused above END_SOLVE_TERM_LIMIT before any comodule is built.
 
 Two independently implemented pipelines meet here, both returning a matrix
 as its entry dict {(row, col): nonzero value}.  psi sends a word of A(m,n)
@@ -78,8 +81,8 @@ from .hopf import RELATION_DEGREE, HopfCover
 
 Q = Fraction
 
-# a Hom solve takes roughly 450 bytes per constraint term (hom_solve_terms):
-# End(U^(x 7)) at t = 2 is 4.2 million terms and 1.9 GB of peak RSS
+# a Hom solve takes roughly 450 bytes per constraint term (block_hom_dim's
+# estimate): End(U^(x 7)) at t = 2 is 4.2 million terms and 1.9 GB of peak RSS
 END_SOLVE_TERM_LIMIT = 5_000_000
 
 
@@ -89,20 +92,6 @@ class SolveTooLarge(ValueError):
 
 
 # -- Hom-space computation ----------------------------------------------------
-
-
-def hom_solve_terms(m: int, n: int, t: int, i: int, j: int) -> int:
-    """Constraint terms of the Hom((U^m)^(x i), (U^n)^(x j)) solve: one
-    condition per (source, target) index pair, (mt)^i (nt)^j of them, each
-    holding a source row of t^i coaction entries and a target column of t^j."""
-    return (m * t) ** i * (n * t) ** j * (t ** i + t ** j)
-
-
-def refuse_oversized(terms: int, case: str) -> None:
-    """Raise SolveTooLarge, naming the case and the estimate, above the limit."""
-    if terms > END_SOLVE_TERM_LIMIT:
-        raise SolveTooLarge(f"{case} needs a solve of about {terms:,} constraint terms, "
-                            f"above the limit of {END_SOLVE_TERM_LIMIT:,}")
 
 
 def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
@@ -118,26 +107,26 @@ def hom_space(source: ComoduleSpace, target: ComoduleSpace, d: int) -> Subspace:
                             _morphism_conditions(source, target))
 
 
-def intertwiner_space(m: int, n: int, hopf: HopfCover, i: int, j: int, d: int) -> Subspace:
-    """Certified Hom((U^m)^(x i), (U^n)^(x j)) at truncation d, as hom_space's.
+def block_hom_dim(m: int, n: int, hopf: HopfCover, i: int, j: int, d: int) -> int:
+    """dim Hom(U^(x i), U^(x j)) certified at truncation d >= max(i, j,
+    RELATION_DEGREE), the (1, 1) block of the run's Hom((U^m)^(x i),
+    (U^n)^(x j)); m and n only name the run in a refusal.
 
-    For i != j the true Hom space is zero (comod.off_diagonal_vanish), so
-    the computed (sound) one is too.  The conditions hold words of degree i
-    and j only, so d >= max(i, j, RELATION_DEGREE) is enough.  Above
-    END_SOLVE_TERM_LIMIT estimated constraint terms it raises SolveTooLarge
-    before any comodule is built.
+    The solve has one condition per (source, target) index pair, t^(i+j) of
+    them, each holding a source row of t^i coaction entries and a target
+    column of t^j.  Above END_SOLVE_TERM_LIMIT such terms it raises
+    SolveTooLarge before any comodule is built.
     """
-    if min(m, n) < 1:
-        raise ValueError("m, n must be positive")
-    if min(i, j) < 0:
-        raise ValueError("tensor powers must be nonnegative")
     if d < max(i, j, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(i, j, {RELATION_DEGREE})")
-    refuse_oversized(hom_solve_terms(m, n, hopf.t, i, j),
-                     f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={hopf.t}, i={i}, j={j}")
+    t = hopf.t
+    terms = t ** (i + j) * (t ** i + t ** j)
+    if terms > END_SOLVE_TERM_LIMIT:
+        raise SolveTooLarge(f"Hom((U^m)^(x i), (U^n)^(x j)) at m={m}, n={n}, t={t}, i={i}, j={j} "
+                            f"needs a solve of about {terms:,} constraint terms, "
+                            f"above the limit of {END_SOLVE_TERM_LIMIT:,}")
     u = ComoduleSpace.standard_left(hopf)
-    return hom_space(u.direct_power(m).tensor_power(i),
-                     u.direct_power(n).tensor_power(j), d)
+    return hom_space(u.tensor_power(i), u.tensor_power(j), d).dim
 
 
 def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
@@ -159,9 +148,9 @@ def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
     For F = I this is Banica's irreducibility of u^(x k) (Comm. Math. Phys.
     190, 1997), computed modulo I_d; no F tried has a pure-u lead.
 
-    Otherwise hom_space solves End(U^(x k)) at d.  Its 2 t^(3k) constraint
-    terms (hom_solve_terms at m = n = 1, i = j = k) are estimated first;
-    above END_SOLVE_TERM_LIMIT it raises SolveTooLarge before any is built.
+    Otherwise block_hom_dim solves End(U^(x k)) at d, after estimating its
+    2 t^(3k) constraint terms; above END_SOLVE_TERM_LIMIT it raises
+    SolveTooLarge, naming the case as i = j = k, before any is built.
     Rules above d, which an earlier and larger extension of the same
     completion added, can only send a case to this fallback, and the
     fallback is exact at d, so they never change a dimension.
@@ -174,9 +163,7 @@ def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
     completion.extend(d)
     u_letters = set(hopf.algebra.letters("u"))
     if any(u_letters.issuperset(lead) for lead in completion.rules):
-        refuse_oversized(hom_solve_terms(1, 1, hopf.t, k, k),
-                         f"End(U^(x k)) at m={m}, n={n}, t={hopf.t}, k={k}")
-        end = intertwiner_space(1, 1, hopf, k, k, d).dim
+        end = block_hom_dim(m, n, hopf, k, k, d)
     else:
         end = 1
     return (m * n) ** k * end

@@ -86,14 +86,6 @@ class ComoduleSpace:
         co = {(i, j): (hopf.algebra.letter("u", i, j),) for i in range(t) for j in range(t)}
         return cls(hopf, t, co)
 
-    def direct_power(self, m: int) -> "ComoduleSpace":
-        """Block diagonal: copy p of e_a at index p*dim + a."""
-        if m < 1:
-            raise ValueError("direct power requires m >= 1")
-        co = {(p * self.dim + a, p * self.dim + b): h
-              for p in range(m) for (a, b), h in self.coaction.items()}
-        return ComoduleSpace(self.hopf, m * self.dim, co)
-
     def tensor(self, other: "ComoduleSpace") -> "ComoduleSpace":
         """Basis e_a (x) f_c at index a*other.dim + c; H-words concatenate left-to-right."""
         self._compatible(other)

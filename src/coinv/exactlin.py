@@ -290,12 +290,8 @@ def solve_homogeneous(rows: Iterable[Mapping[int, Q | int]], nunknowns: int) -> 
     already the RREF rows of the kernel, whose pivots are the free columns.
     """
     top = nunknowns - 1
-    pivots: dict[int, IntRow] = {}
-    for r in rows:
-        row = _integer_row({top - c: v for c, v in _clean_row(r, nunknowns).items()})
-        if row:
-            _insert(pivots, row)
-    reduced = _back_substitute(pivots)
+    reduced = _back_substitute(_echelon({top - c: v for c, v in _clean_row(r, nunknowns).items()}
+                                        for r in rows))
     kernel: dict[int, Row] = {f: {f: Q(1)} for f in range(nunknowns) if top - f not in reduced}
     for lead, row in reduced.items():
         p = top - lead

@@ -20,6 +20,9 @@ Each oracle states a definition directly, at a cost the program avoids:
   (`CoactionContext`), and its coinvariants at a bidegree (`coinvariants`),
   where the program solves only the (1,1,t) block at (1,1), as
   Hom(I, U* (x) U);
+* the direct power of a comodule (`direct_power`) and the full-size
+  Hom((U^m)^(x i), (U^n)^(x j)) built from it (`intertwiner_space`), where
+  the program solves only the (1,1) block, catalg.block_hom_dim;
 * the comodule axioms and the coinvariance of one element, checked without
   a solve (`coinvariance_residual`).
 """
@@ -30,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from coinv.catalg import psi
+from coinv.catalg import hom_space, psi
 from coinv.classical import minor_polys, monomials, theta_star_degree
 from coinv import comod
 from coinv.comod import ComoduleSpace
@@ -324,6 +327,23 @@ def coinvariants(ctx: CoactionContext, bidegree: tuple[int, int], d: int) -> Sub
     ctx.pair_basis(bidegree) coordinates: comod.coinvariants of the full
     component, whose longest coaction word has degree i + j."""
     return comod.coinvariants(ctx.component(bidegree), d)
+
+
+def direct_power(space: ComoduleSpace, m: int) -> ComoduleSpace:
+    """The direct sum of m copies of space, block diagonal: copy p of e_a at
+    index p * space.dim + a."""
+    if m < 1:
+        raise ValueError("direct power requires m >= 1")
+    co = {(p * space.dim + a, p * space.dim + b): h
+          for p in range(m) for (a, b), h in space.coaction.items()}
+    return ComoduleSpace(space.hopf, m * space.dim, co)
+
+
+def intertwiner_space(m: int, n: int, hopf: HopfCover, i: int, j: int, d: int) -> Subspace:
+    """Certified Hom((U^m)^(x i), (U^n)^(x j)) at truncation d, solved at full
+    size, as catalg.hom_space's subspace."""
+    u = ComoduleSpace.standard_left(hopf)
+    return hom_space(direct_power(u, m).tensor_power(i), direct_power(u, n).tensor_power(j), d)
 
 
 def pair_product(x: dict[PairKey, Q], y: dict[PairKey, Q]) -> dict[PairKey, Q]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import oracles
 from conftest import word_product
 
-from coinv.catalg import intertwiner_space, lemma_base_case, main_correspondence_check
+from coinv.catalg import block_hom_dim, lemma_base_case, main_correspondence_check
 from coinv.classical import (
     fft1_check,
     fft2_check,
@@ -123,7 +123,7 @@ def test_c05_standard_comodule_hom_dimensions():
     for F in f_matrices(2):
         for i in range(3):
             for j in range(3):
-                dim = intertwiner_space(1, 1, build_hf(F), i, j, i + j + 2).dim
+                dim = block_hom_dim(1, 1, build_hf(F), i, j, i + j + 2)
                 assert dim == (1 if i == j else 0), (F.label, i, j, dim)
     report_line(5, "dim Hom(U^(x i), U^(x j)) = delta_ij for i,j <= 2, all F")
 

@@ -9,15 +9,15 @@ import pytest
 from coinv import catalg
 from coinv.catalg import (
     _hom_matrix,
+    block_hom_dim,
     hom_space,
-    intertwiner_space,
     lemma_base_case,
     main_correspondence_check,
     psi,
 )
 from conftest import word_product
-from oracles import (CoactionContext, coinvariance_residual, degree_basis, is_coassociative,
-                     is_counital, psi_rank)
+from oracles import (CoactionContext, coinvariance_residual, degree_basis, direct_power,
+                     intertwiner_space, is_coassociative, is_counital, psi_rank)
 
 from coinv.cli import run
 from coinv.comod import ComoduleSpace, _morphism_conditions
@@ -79,7 +79,7 @@ def test_morphism_conditions_match_the_literal_reading(hj2):
     condition, the triples that a scan of every index reads."""
     u = ComoduleSpace.standard_left(hj2)
     pairs = [(ComoduleSpace.trivial(hj2), CoactionContext(1, 1, hj2).component((1, 1))),
-             (u.direct_power(2).tensor(u), u), (u.tensor(u.dual()), u.dual().tensor(u))]
+             (direct_power(u, 2).tensor(u), u), (u.tensor(u.dual()), u.dual().tensor(u))]
     for source, target in pairs:
         walked = list(_morphism_conditions(source, target))
         literal = list(_literal_conditions(source, target))
@@ -147,7 +147,7 @@ def test_word_coactions_match_element_products(F):
     u2 = ("+", "U", "U")
     cases = [(u.tensor_power(1), "U"), (u.tensor_power(2), ("x", "U", "U")),
              (u.tensor_power(3), ("x", ("x", "U", "U"), "U")),
-             (u.direct_power(2).tensor_power(2), ("x", u2, u2)),
+             (direct_power(u, 2).tensor_power(2), ("x", u2, u2)),
              (u.tensor(u.dual()), ("x", "U", "U*")), (u.dual().tensor(u), ("x", "U*", "U"))]
     for space, spec in cases:
         dim, reference = _reference_coaction(hopf, spec)
@@ -170,7 +170,7 @@ def test_tensor_and_power_comodules(hj2):
     assert uu.dim == 4
     assert is_counital(uu) and is_coassociative(uu)
     assert u.tensor_power(0).dim == 1
-    assert u.direct_power(3).dim == 6
+    assert direct_power(u, 3).dim == 6
 
 
 def test_identity_is_exact_intertwiner(hj2):
@@ -206,12 +206,14 @@ def test_hom_space_endomorphisms_of_standard(hj2):
 def test_hom_space_unbalanced_powers_vanish(fname, t, i, j, d, preset_hopf):
     """The grading certificate proves Hom zero, and the CLI reads it from the
     certificate alone; a nonzero certified solve would be an engine bug."""
-    assert intertwiner_space(1, 1, preset_hopf(fname, t), i, j, d).dim == 0
+    assert block_hom_dim(1, 1, preset_hopf(fname, t), i, j, d) == 0
 
 
-def test_intertwiner_space_dims(hj2):
-    assert intertwiner_space(1, 1, hj2, 1, 1, 4).dim == 1
-    assert intertwiner_space(1, 1, hj2, 1, 2, 5).dim == 0
+def test_block_hom_dims(hj2):
+    assert block_hom_dim(1, 1, hj2, 1, 1, 4) == 1
+    assert block_hom_dim(1, 1, hj2, 1, 2, 5) == 0
+    # m and n only name the run: the block is the same
+    assert block_hom_dim(2, 3, hj2, 1, 1, 4) == 1
     assert intertwiner_space(2, 1, hj2, 1, 1, 4).dim == 2
 
 
@@ -228,39 +230,47 @@ def test_intertwiner_space_maps_have_no_morphism_rows(m, n, t, F, i, j):
     space = intertwiner_space(m, n, hopf, i, j, d)
     assert space.dim == ((m * n) ** i if i == j else 0)
     u = ComoduleSpace.standard_left(hopf)
-    source, target = u.direct_power(m).tensor_power(i), u.direct_power(n).tensor_power(j)
+    source, target = direct_power(u, m).tensor_power(i), direct_power(u, n).tensor_power(j)
     for row in space.basis:
         assert _morphism_rows(source, target, row) == []
 
 
-@pytest.mark.parametrize("m, n, t, i, j", [
-    (1, 1, 2, 1, 2), (1, 1, 2, 2, 2), (2, 1, 2, 1, 1), (1, 3, 2, 2, 1), (2, 2, 3, 1, 0),
-    (1, 1, 3, 0, 2)])
-def test_hom_solve_terms_counts_the_morphism_condition_terms(hj2, m, n, t, i, j):
-    """The size estimate a Hom solve is refused by is the number of (unknown,
-    word, sign) triples _morphism_conditions yields for it."""
-    u = ComoduleSpace.standard_left(hj2 if t == 2 else build_hf(FMatrix.jordan(t)))
-    source, target = u.direct_power(m).tensor_power(i), u.direct_power(n).tensor_power(j)
-    assert catalg.hom_solve_terms(m, n, t, i, j) == \
-        sum(map(len, _morphism_conditions(source, target)))
-    assert catalg.hom_solve_terms(1, 1, t, i, i) == 2 * t ** (3 * i)
+@pytest.mark.parametrize("t, i, j", [(2, 1, 2), (2, 2, 2), (3, 2, 1), (2, 1, 1), (2, 2, 1),
+                                     (3, 1, 0), (3, 0, 2)])
+def test_block_hom_dim_refuses_above_its_condition_terms(monkeypatch, t, i, j):
+    """The estimate a block solve is refused by is the number of (unknown,
+    word, sign) triples _morphism_conditions yields for it: at that limit
+    the solve runs, one below it SolveTooLarge names the count before any
+    comodule is built."""
+    hopf = build_hf(FMatrix.jordan(t))
+    u = ComoduleSpace.standard_left(hopf)
+    terms = sum(map(len, _morphism_conditions(u.tensor_power(i), u.tensor_power(j))))
+    d = max(i, j, RELATION_DEGREE)
+    monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", terms)
+    assert block_hom_dim(2, 3, hopf, i, j, d) == (i == j)
+    monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", terms - 1)
+    monkeypatch.setattr(catalg.ComoduleSpace, "standard_left",
+                        lambda hopf: pytest.fail("a comodule was built"))
+    with pytest.raises(catalg.SolveTooLarge,
+                       match=rf"m=2, n=3, t={t}, i={i}, j={j} needs .* {terms:,} constraint"):
+        block_hom_dim(2, 3, hopf, i, j, d)
 
 
 def test_an_oversized_hom_solve_is_refused_before_any_comodule(monkeypatch, hj2):
     monkeypatch.setattr(catalg, "ComoduleSpace", None)
     with pytest.raises(catalg.SolveTooLarge, match=r"m=1, n=1, t=2, i=9, j=8 .* 100,663,296"):
-        intertwiner_space(1, 1, hj2, 9, 8, 9)
+        block_hom_dim(1, 1, hj2, 9, 8, 9)
     monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", 47)
     with pytest.raises(catalg.SolveTooLarge, match="48 constraint terms"):
-        intertwiner_space(1, 1, hj2, 1, 2, 2)
+        block_hom_dim(1, 1, hj2, 1, 2, 2)
 
 
-def test_intertwiner_space_rejects_low_truncation(hj2):
+def test_block_hom_dim_rejects_low_truncation(hj2):
     # the morphism conditions hold words of degree i and j: the floor is max(i, j, 2)
     for i, j, d in [(3, 3, 2), (1, 3, 2), (3, 0, 2), (1, 1, 1)]:
         with pytest.raises(ValueError):
-            intertwiner_space(1, 1, hj2, i, j, d)
-    assert intertwiner_space(1, 1, hj2, 3, 3, 3).dim == 1
+            block_hom_dim(1, 1, hj2, i, j, d)
+    assert block_hom_dim(1, 1, hj2, 3, 3, 3) == 1
 
 
 @pytest.mark.parametrize("F", [FMatrix.identity(2), FMatrix.diagonal([1, 2]),
@@ -314,7 +324,7 @@ def test_psi_is_exact_morphism(hj2):
     amn = matrix_entry_algebra("x", 2, 1)
     w = (amn.letter("x", 0, 0), amn.letter("x", 1, 0))
     u = ComoduleSpace.standard_left(hj2)
-    source, target = u.direct_power(2).tensor_power(2), u.tensor_power(2)
+    source, target = direct_power(u, 2).tensor_power(2), u.tensor_power(2)
     f = _flat(psi(2, 1, 2, w), 16)
     assert hom_space(source, target, 2).contains(f)
     assert _morphism_rows(source, target, f) == []
@@ -347,7 +357,7 @@ def test_transported_non_coinvariant_is_not_a_morphism(hj2):
     bare = {ctx.pair_basis((1, 1))[0]: Q(1)}
     assert coinvariance_residual(ctx, bare, 4) != {}
     u = ComoduleSpace.standard_left(hj2)
-    assert not hom_space(u.direct_power(2), u, 4).contains(_flat(_hom_matrix(2, 1, 2, bare), 4))
+    assert not hom_space(direct_power(u, 2), u, 4).contains(_flat(_hom_matrix(2, 1, 2, bare), 4))
 
 
 def test_correspondence_check_small_cases(hj2):

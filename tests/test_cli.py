@@ -298,7 +298,7 @@ def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, c
     assert run(["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "8", "-j", "8"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert "m=1, n=1, t=2, k=8" in captured.err and f"{2 * 2 ** 24:,}" in captured.err
+    assert "m=1, n=1, t=2, i=8, j=8" in captured.err and f"{2 * 2 ** 24:,}" in captured.err
 
     monkeypatch.undo()
     monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
@@ -307,7 +307,7 @@ def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, c
                 "-k", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "m=2, n=3, t=2, k=3" in captured.err and "1,024" in captured.err
+    assert "m=2, n=3, t=2, i=3, j=3" in captured.err and "1,024" in captured.err
 
 
 def test_an_oversized_unbalanced_hom_solve_exits_three_before_it_is_built(monkeypatch, capsys):
@@ -757,3 +757,17 @@ def test_cli_version():
     code, out, _ = cli("--version")
     assert code == 0
     assert out.startswith(b"coinv ")
+
+
+def test_module_entry_point_runs_cli_once():
+    """`python -m coinv.cli` reuses the running module for main's `from .cli
+    import run`, so cli.py is executed once, never imported beside __main__."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "coinv.cli", "theta-rank", "-k", "1"],
+        capture_output=True, text=True, env=os.environ.copy(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "coinv.catalg" in imported
+    assert "coinv.cli" not in imported

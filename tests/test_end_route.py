@@ -19,11 +19,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinv import catalg
-from coinv.catalg import (balanced_hom_dim, certify_fft, intertwiner_space, lemma_base_case,
-                          main_correspondence_check)
+from coinv.catalg import balanced_hom_dim, certify_fft, lemma_base_case, main_correspondence_check
 from coinv.freealg import theta_images
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
-from oracles import CoactionContext, coinvariance_residual, coinvariants, degree_basis, pair_product
+from oracles import (CoactionContext, coinvariance_residual, coinvariants, degree_basis,
+                     intertwiner_space, pair_product)
 
 Q = Fraction
 

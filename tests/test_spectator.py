@@ -2,9 +2,10 @@
 
 The coaction changes only the t-index of a letter, so the bidegree (i,j)
 component at (m,n) is m^i n^j copies of the one at (1,1).  The full-size
-`oracles.coinvariants` and `intertwiner_space` are the oracle here: the lifted
-(1,1) space must equal the directly computed one, and every command that
-solves only the block must report what the full-size solve gives.
+`oracles.coinvariants` and `oracles.intertwiner_space` are the oracle here:
+the lifted (1,1) space must equal the directly computed one, and every
+command that solves only the block must report what the full-size solve
+gives.
 """
 
 import json
@@ -15,12 +16,12 @@ import pytest
 
 from coinv import catalg, comod
 from coinv import cli as cli_module
-from coinv.catalg import certify_fft, intertwiner_space, lemma_base_case
+from coinv.catalg import block_hom_dim, certify_fft, lemma_base_case
 from coinv.comod import theta_image_vectors
 from coinv.exactlin import Subspace
 from coinv.freealg import theta_matrix
 from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
-from oracles import CoactionContext, coinvariants
+from oracles import CoactionContext, coinvariants, intertwiner_space
 
 Q = Fraction
 
@@ -73,7 +74,7 @@ def test_lifted_block_equals_direct_solve(fname, m, n, i, j, capsys):
     assert full.dim == m ** i * n ** j * V11.dim
 
     homs = intertwiner_space(m, n, hopf, i, j, d).dim
-    assert homs == m ** i * n ** j * intertwiner_space(1, 1, hopf, i, j, d).dim
+    assert homs == m ** i * n ** j * block_hom_dim(m, n, hopf, i, j, d)
 
     # the commands that solve the block alone report the full-size figures
     if fname == "generic":
