@@ -33,8 +33,9 @@ m = n = 1 the coinvariants of bidegree (k,k) have the dimension of
 End^H(U^(x k)), whose morphism conditions hold only the t^(2k) u-words of
 degree k; a certified morphism is a true one, so the certified End is a
 proven lower bound, and the spectator factorisation (comod) scales it by
-(mn)^k.  balanced_hom_dim reads that dimension off the Groebner leads, with
-no solve, unless some lead is a pure u-word.  Containment Im theta_k <= C
+(mn)^k.  balanced_hom_dim reads that dimension off the weight grading
+below truncation k + 2, and above it off the Groebner leads, with no solve
+unless some lead is a pure u-word.  Containment Im theta_k <= C
 needs no word of degree 2k, by a product lemma on the comodule algebra
 A(m,t) (x) A(t,n).  A(m,t) carries the right coaction rho(y_ij) = sum_k
 y_ik (x) u_kj, turned into a left comodule by the flip rho' = tau o (id (x)
@@ -132,21 +133,30 @@ def block_hom_dim(m: int, n: int, hopf: HopfCover, i: int, j: int, d: int) -> in
 def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
     """dim Hom((U^m)^(x k), (U^n)^(x k)) certified at truncation d >= max(k,
     RELATION_DEGREE): (mn)^k dim End(U^(x k)), the latter read off the
-    Groebner leads whenever they allow it.
+    weight grading at d <= k + 1, else off the Groebner leads whenever they
+    allow it.  Where the conditions of End(U^(x k)) must vanish in the free
+    algebra, T = lambda I and the dimension is 1, what the hom_space solve
+    would return: the coefficient of u_(x,y) in the condition (s, r) of
+    _morphism_conditions is [x = s] T[r,y] - [y = r] T[x,s], which at x = s
+    gives T[r,y] = 0 for y != r and T[r,r] = T[s,s].
 
-    The lead-word certificate.  Complete the relations to d.  If no rule has a
-    lead word of u-letters only (the empty lead counts as one), then:
-    - every u-word of degree k is irreducible, since each of its subwords is a
-      u-word, so it is its own normal form, and distinct u-words are
-      independent modulo I_d (the irreducible words are a basis of the
-      truncated quotient, by Bergman's diamond lemma);
-    - so the certified End is the solution set of the morphism conditions in
-      the free algebra.  In the condition (s, r) of _morphism_conditions the
-      coefficient of u_(x,y) is [x = s] T[r,y] - [y = r] T[x,s].  At x = s it
-      gives T[r,y] = 0 for y != r and T[r,r] = T[s,s], so T = lambda I: the
-      dimension is 1, exactly what the hom_space solve would return.
-    For F = I this is Banica's irreducibility of u^(x k) (Comm. Math. Phys.
-    190, 1997), computed modulo I_d; no F tried has a pure-u lead.
+    The weight lemma.  Let every relation be weight-homogeneous of degree at
+    least |its weight| + 2, as every relation of H(F) is (weight 0, degree
+    2).  A letter weighs +1 (u) or -1 (v), so a product a.r.b of weight w
+    has degree |a| + |r| + |b| >= |w| + 2, and I_d has no nonzero weight-k
+    part when d <= k + 1.  The conditions are combinations of degree-k
+    u-words, of weight k, so there they must vanish in the free algebra; no
+    completion is read.
+
+    The lead-word certificate, at d >= k + 2 or where the lemma's hypothesis
+    fails.  Complete the relations to d.  If no rule has a lead word of
+    u-letters only (the empty lead counts as one), every u-word of degree k
+    is irreducible, since each of its subwords is a u-word, and distinct
+    irreducible words are independent modulo I_d (they are a basis of the
+    truncated quotient, by Bergman's diamond lemma), so again the conditions
+    must vanish in the free algebra.  For F = I this is Banica's
+    irreducibility of u^(x k) (Comm. Math. Phys. 190, 1997), computed
+    modulo I_d; no F tried has a pure-u lead.
 
     Otherwise block_hom_dim solves End(U^(x k)) at d, after estimating its
     2 t^(3k) constraint terms; above END_SOLVE_TERM_LIMIT it raises
@@ -159,7 +169,12 @@ def balanced_hom_dim(m: int, n: int, hopf: HopfCover, k: int, d: int) -> int:
         raise ValueError("k must be nonnegative")
     if d < max(k, RELATION_DEGREE):
         raise ValueError(f"truncation {d} below max(k, {RELATION_DEGREE})")
-    completion = hopf.presentation.completion
+    presentation = hopf.presentation
+    weight = hopf.algebra.word_weight
+    if d <= k + 1 and presentation.is_weight_graded and all(
+            max(map(len, r)) >= abs(weight(next(iter(r)))) + 2 for r in presentation.relations):
+        return (m * n) ** k
+    completion = presentation.completion
     completion.extend(d)
     u_letters = set(hopf.algebra.letters("u"))
     if any(u_letters.issuperset(lead) for lead in completion.rules):
@@ -189,11 +204,11 @@ def certify_fft(m: int, n: int, hopf: HopfCover, k: int, d: int,
 
     dim_coinv is (mn)^k dim End(U^(x k)) certified at truncation d >=
     max(k, RELATION_DEGREE), a proven lower bound on dim C_(k,k) (module
-    docstring), read from balanced_hom_dim's lead-word certificate at every
-    k.  Im theta_k <= C comes from the product lemma, whose base case `base`
-    is the caller's lemma_base_case(hopf, d') for a d' <= d (containment in
-    I_d' holds in I_d); it may be None only at k = 0, where the image is
-    the scalars.  rank theta_k = (mn)^k is freealg.theta_rank's, read off
+    docstring), read from balanced_hom_dim's weight lemma or lead-word
+    certificate at every k.  Im theta_k <= C comes from the product lemma,
+    whose base case `base` is the caller's lemma_base_case(hopf, d') for a
+    d' <= d (containment in I_d' holds in I_d); it may be None only at
+    k = 0, where the image is the scalars.  rank theta_k = (mn)^k is freealg.theta_rank's, read off
     its proof.
     Certified iff the image is contained and dim_coinv = (mn)^k;
     a dim_coinv above (mn)^k is returned as computed, uncertified, for the

@@ -10,16 +10,18 @@ exception; `main`, which is coinv.main, prints its traceback to stderr).
 
 --F belongs to the five commands that read H(F), --trunc to four: hopf-check's
 conditions lie in I_2.  `run` builds the cover of H(F) once, here and nowhere
-else, and hands it with the parsed arguments to the command, whose engine
-calls read t from the cover; theta-rank and classical build none.  --trunc
-auto is max(w, 2) for w the degree of the longest word of a command's
-conditions (each cmd_* passes its w); a lower --trunc is a usage error.  The
-product lemma's base case is solved in I_2 where only its containment is
-read; correspondence reads its dimension too, at --trunc.  A report is
-{schema: 2, version, command, params{m,n,t,F,k,d}, cases[], status}; its k is
-classical's --max-degree, and a command without --F or -k reports
-preset:identity or null.  It is deterministic for a fixed configuration:
-cases are sorted by bidegree, and millis stay 0 unless --timings is given.
+else, from the rows parse_f reads off --F (build_hf validates them, and
+its ValueError is the usage error), and hands it with the parsed arguments
+to the command, whose engine calls read t from the cover; theta-rank and
+classical build none.  --trunc auto is max(w, 2) for w the degree of the
+longest word of a command's conditions (each cmd_* passes its w); a lower
+--trunc is a usage error.  The product lemma's base case is solved in I_2
+where only its containment is read; correspondence reads its dimension
+too, at --trunc.  A report is {schema: 2, version, command,
+params{m,n,t,F,k,d}, cases[], status}; its k is classical's --max-degree,
+and a command without --F or -k reports preset:identity or null.  It is
+deterministic for a fixed configuration: cases are sorted by bidegree, and
+millis stay 0 unless --timings is given.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .catalg import (SolveTooLarge, balanced_hom_dim, block_hom_dim, certify_fft
                      lemma_base_case, main_correspondence_check)
 from .comod import off_diagonal_vanish
 from .freealg import theta_rank
-from .hopf import RELATION_DEGREE, FMatrix, HopfCover, build_hf, check_hopf_compat
+from .hopf import RELATION_DEGREE, HopfCover, build_hf, check_hopf_compat
 
 Q = Fraction
 
@@ -62,14 +64,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def parse_f(spec: str, t: int) -> FMatrix:
-    """Parse --F: preset:identity | preset:diag:a,b,... | preset:jordan | file:PATH."""
+def parse_f(spec: str, t: int) -> list[list]:
+    """Parse --F into F's t rows: preset:identity | preset:diag:a,b,... |
+    preset:jordan | file:PATH.  Invertibility is build_hf's to check."""
     if spec.startswith("preset:"):
         name = spec[len("preset:"):]
         if name == "identity":
-            return FMatrix.identity(t)
+            return [[int(i == j) for j in range(t)] for i in range(t)]
         if name == "jordan":
-            return FMatrix.jordan(t)
+            # unipotent upper-triangular Jordan block (ones on the superdiagonal)
+            return [[int(j in (i, i + 1)) for j in range(t)] for i in range(t)]
         if name.startswith("diag:"):
             parts = name[len("diag:"):].split(",")
             if len(parts) != t:
@@ -78,10 +82,7 @@ def parse_f(spec: str, t: int) -> FMatrix:
                 entries = [Q(p) for p in parts]
             except (ValueError, ZeroDivisionError) as exc:
                 raise CliUsageError(f"bad diagonal entry: {exc}") from exc
-            try:
-                return FMatrix.diagonal(entries)
-            except ValueError as exc:
-                raise CliUsageError(str(exc)) from exc
+            return [[e if i == j else 0 for j in range(t)] for i, e in enumerate(entries)]
         raise CliUsageError(f"unknown preset {name!r}")
     if spec.startswith("file:"):
         path = spec[len("file:"):]
@@ -96,13 +97,9 @@ def parse_f(spec: str, t: int) -> FMatrix:
                 or any(not isinstance(row, list) or len(row) != t for row in data)):
             raise CliUsageError(f"F file must hold a {t}x{t} array")
         try:
-            rows = [[Q(str(v)) for v in row] for row in data]
+            return [[Q(str(v)) for v in row] for row in data]
         except (ValueError, ZeroDivisionError) as exc:
             raise CliUsageError(f"bad F entry: {exc}") from exc
-        try:
-            return FMatrix(rows)
-        except ValueError as exc:
-            raise CliUsageError(str(exc)) from exc
     raise CliUsageError(f"--F must start with preset: or file: (got {spec!r})")
 
 
@@ -420,8 +417,13 @@ def run(argv) -> int:
             v = getattr(args, attr, None)
             if v is not None and v < low:
                 raise CliUsageError(f"{flag} must be {'positive' if low else 'nonnegative'}")
-        # the run's one cover, for the commands that take --F
-        hopf = build_hf(parse_f(args.F, args.t)) if hasattr(args, "F") else None
+        hopf = None
+        if hasattr(args, "F"):  # the run's one cover; build_hf validates F
+            F = parse_f(args.F, args.t)
+            try:
+                hopf = build_hf(F)
+            except ValueError as exc:
+                raise CliUsageError(str(exc)) from exc
         results, d_param, extra = _COMMANDS[args.command](args, hopf)
         status = aggregate_status(s for _, s in results)
         emit(make_report(args, d_param, [c for c, _ in results], status), args, extra)

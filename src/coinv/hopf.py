@@ -1,7 +1,8 @@
 """The universal cosovereign Hopf algebra of an invertible rational matrix.
 
-For an invertible t x t matrix F over Q, the Hopf algebra H(F) is presented
-by generators u_ij, v_ij (0 <= i, j < t) and the relation families
+For an invertible t x t matrix F over Q, given as its t rows of exact
+scalars, the Hopf algebra H(F) is presented by generators u_ij, v_ij
+(0 <= i, j < t) and the relation families
 
     u v^T = I,   v^T u = I,   v (F u^T F^-1) = I,   (F u^T F^-1) v = I,
 
@@ -12,11 +13,14 @@ S(v_ij) = (F u^T F^-1)_ij; on a u-word S is one word, the reversed v-word
 (`HopfCover.antipode_word`).  This module builds that presentation over the
 free cover (u carries grading weight +1, v weight -1), the structure maps
 on the cover, which take and give {word: coefficient} dicts of the cover's
-letters, and a compatibility check: structure maps descend to the quotient
-as soon as they send relations into the relation ideal, and every such
-condition lies in I_2, so the check reads the quotient at RELATION_DEGREE
-only.  Every membership it needs is read off
-TruncatedQuotient.normal_form, the coproduct condition one leg at a time.
+letters, and a compatibility check.  The relations read F only through
+its entries and its inverse, so F stays a tuple of rows: f_inverse is the
+one place it is validated, and HopfCover keeps the exact rows as its F.
+Structure maps descend to the quotient as soon as they send relations into
+the relation ideal, and every such condition lies in I_2, so the check
+reads the quotient at RELATION_DEGREE only.  Every membership it needs is
+read off TruncatedQuotient.normal_form, the coproduct condition one leg at
+a time.
 Relation terms and antipode images are exact scalars (exactlin.as_exact):
 ints where integral, as every one is for an integer F, so the check
 reduces in int arithmetic.
@@ -48,64 +52,20 @@ LaurentPoly = dict[int, Q]
 _DELTA_NAMES = {"u": ("u", "u"), "v": ("v", "v")}
 
 
-class FMatrix:
-    """An invertible t x t rational matrix F and its exact inverse, each a
-    tuple of t dense rows.  FMatrix(rows) takes t rows of t entries that
-    exactlin.as_exact accepts (ints, Fractions, strings like "1/2"; a float
-    is a TypeError) and keeps them as it returns them."""
-
-    __slots__ = ("t", "rows", "inverse")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(as_exact(v) for v in row) for row in rows)
-        t = len(rows)
-        if t < 1 or any(len(row) != t for row in rows):
-            raise ValueError("F must be square and nonempty")
-        # the RREF of [F | I] is [I | F^-1] exactly when F is invertible
-        res = Subspace.from_vectors(2 * t, [{**dict(enumerate(row)), t + i: 1}
-                                            for i, row in enumerate(rows)])
-        if res.pivot_cols != tuple(range(t)):
-            raise ValueError("F must be invertible")
-        self.t = t
-        self.rows = rows
-        self.inverse = tuple(tuple(row.get(t + c, Q(0)) for c in range(t)) for row in res.basis)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def identity(cls, t: int) -> "FMatrix":
-        return cls.diagonal([1] * t)
-
-    @classmethod
-    def diagonal(cls, entries) -> "FMatrix":
-        return cls([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
-
-    @classmethod
-    def jordan(cls, t: int) -> "FMatrix":
-        """Unipotent upper-triangular Jordan block (ones on the superdiagonal)."""
-        return cls([[int(j in (i, i + 1)) for j in range(t)] for i in range(t)])
-
-    # -- access ----------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Q:
-        return self.rows[i][j]
-
-    def to_param(self) -> list[list[str]]:
-        """Entries as exact strings, the external JSON form."""
-        return [[str(v) for v in row] for row in self.rows]
-
-    @property
-    def label(self) -> str:
-        return "[" + ",".join("[" + ",".join(r) + "]" for r in self.to_param()) + "]"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"FMatrix({self.label})"
+def f_inverse(F) -> tuple[tuple[Q, ...], ...]:
+    """F^-1 for F given as t rows of t entries that exactlin.as_exact accepts
+    (ints, Fractions, strings like "1/2"; a float is a TypeError), each
+    coerced so; empty, ragged, non-square or singular rows are a ValueError."""
+    rows = tuple(tuple(map(as_exact, row)) for row in F)
+    t = len(rows)
+    if t < 1 or any(len(row) != t for row in rows):
+        raise ValueError("F must be square and nonempty")
+    # the RREF of [F | I] is [I | F^-1] exactly when F is invertible
+    res = Subspace.from_vectors(2 * t, [{**dict(enumerate(row)), t + i: 1}
+                                        for i, row in enumerate(rows)])
+    if res.pivot_cols != tuple(range(t)):
+        raise ValueError("F must be invertible")
+    return tuple(tuple(row.get(t + c, Q(0)) for c in range(t)) for row in res.basis)
 
 
 class HopfCover:
@@ -114,8 +74,10 @@ class HopfCover:
     __slots__ = ("F", "t", "algebra", "presentation", "labeled_relations", "_s_letters",
                  "_s_images")
 
-    def __init__(self, F: FMatrix):
-        t = F.t
+    def __init__(self, F):
+        F = tuple(tuple(map(as_exact, row)) for row in F)
+        inverse = f_inverse(F)
+        t = len(F)
         alg = FreeAlgebra((GeneratorSet("u", t, t, weight=1),
                            GeneratorSet("v", t, t, weight=-1)))
         u = [[alg.letter("u", i, j) for j in range(t)] for i in range(t)]
@@ -126,7 +88,7 @@ class HopfCover:
             for j in range(t):
                 for k in range(t):
                     for l in range(t):
-                        add_to(fuf[i][j], (u[l][k],), as_exact(F.entry(i, k) * F.inverse[l][j]))
+                        add_to(fuf[i][j], (u[l][k],), as_exact(F[i][k] * inverse[l][j]))
         # entry (i, j) of each family is the sum over k of these word dicts
         families = (("u.tv", lambda i, j, k: {(u[i][k], v[j][k]): 1}),
                     ("tv.u", lambda i, j, k: {(v[k][i], u[k][j]): 1}),
@@ -205,11 +167,12 @@ class HopfCover:
         return self.presentation.quotient(d)
 
     def __repr__(self) -> str:
-        return f"HopfCover(t={self.t}, F={self.F.label})"
+        label = ",".join("[" + ",".join(map(str, row)) + "]" for row in self.F)
+        return f"HopfCover(t={self.t}, F=[{label}])"
 
 
-def build_hf(F: FMatrix) -> HopfCover:
-    """Construct the presented cosovereign Hopf cover of F."""
+def build_hf(F) -> HopfCover:
+    """Construct the presented cosovereign Hopf cover of F, given as its rows."""
     return HopfCover(F)
 
 

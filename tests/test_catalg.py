@@ -15,7 +15,7 @@ from coinv.catalg import (
     main_correspondence_check,
     psi,
 )
-from conftest import word_product
+from conftest import diag, identity, jordan, word_product
 from oracles import (CoactionContext, coinvariance_residual, degree_basis, direct_power,
                      intertwiner_space, is_coassociative, is_counital, psi_rank)
 
@@ -23,14 +23,14 @@ from coinv.cli import run
 from coinv.comod import ComoduleSpace, _morphism_conditions
 from coinv.exactlin import Subspace, add_to
 from coinv.freealg import matrix_entry_algebra, theta_images
-from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, build_hf
 
 Q = Fraction
 
 
 @pytest.fixture(scope="module")
 def hj2():
-    return build_hf(FMatrix.jordan(2))
+    return build_hf(jordan(2))
 
 
 def _flat(mat: dict, ncols: int) -> dict:
@@ -137,8 +137,8 @@ def _reference_coaction(hopf, spec):
     return dl * dr, co
 
 
-@pytest.mark.parametrize("F", [FMatrix.jordan(2), FMatrix([[1, 2], [3, -1]]),
-                               FMatrix.identity(3)], ids=lambda F: F.label)
+@pytest.mark.parametrize("F", [jordan(2), [[1, 2], [3, -1]],
+                               identity(3)], ids=lambda F: str(F).replace(" ", ""))
 def test_word_coactions_match_element_products(F):
     """Every coaction entry of U^(x k) (k <= 3), (U^2)^(x 2), U (x) U* and
     U* (x) U is the one word of the element product it stands for."""
@@ -186,7 +186,7 @@ def test_identity_is_exact_intertwiner(hj2):
 def test_hom_space_rejects_comodules_over_different_covers(hj2):
     u = ComoduleSpace.standard_left(hj2)
     # a cover of another F, and a second cover of the same F: each is refused
-    for other_hopf in (build_hf(FMatrix.identity(2)), build_hf(FMatrix.jordan(2))):
+    for other_hopf in (build_hf(identity(2)), build_hf(jordan(2))):
         other = ComoduleSpace.standard_left(other_hopf)
         with pytest.raises(ValueError):
             hom_space(u, other, 2)
@@ -218,9 +218,9 @@ def test_block_hom_dims(hj2):
 
 
 @pytest.mark.parametrize("m, n, t, F, i, j", [
-    (1, 1, 2, FMatrix.jordan(2), 1, 1),
-    (2, 1, 2, FMatrix.jordan(2), 1, 1),
-    (1, 1, 2, FMatrix.diagonal([1, 2]), 1, 2),
+    (1, 1, 2, jordan(2), 1, 1),
+    (2, 1, 2, jordan(2), 1, 1),
+    (1, 1, 2, diag(1, 2), 1, 2),
 ])
 def test_intertwiner_space_maps_have_no_morphism_rows(m, n, t, F, i, j):
     """hom_space solves the conditions that _morphism_rows evaluates: every
@@ -242,7 +242,7 @@ def test_block_hom_dim_refuses_above_its_condition_terms(monkeypatch, t, i, j):
     word, sign) triples _morphism_conditions yields for it: at that limit
     the solve runs, one below it SolveTooLarge names the count before any
     comodule is built."""
-    hopf = build_hf(FMatrix.jordan(t))
+    hopf = build_hf(jordan(t))
     u = ComoduleSpace.standard_left(hopf)
     terms = sum(map(len, _morphism_conditions(u.tensor_power(i), u.tensor_power(j))))
     d = max(i, j, RELATION_DEGREE)
@@ -273,8 +273,8 @@ def test_block_hom_dim_rejects_low_truncation(hj2):
     assert block_hom_dim(1, 1, hj2, 3, 3, 3) == 1
 
 
-@pytest.mark.parametrize("F", [FMatrix.identity(2), FMatrix.diagonal([1, 2]),
-                               FMatrix.jordan(2)])
+@pytest.mark.parametrize("F", [identity(2), diag(1, 2),
+                               jordan(2)])
 def test_evaluation_and_coevaluation_are_morphisms(F):
     """e(e_a (x) f_b) = delta_ab lies in Hom(U (x) U*, I) and d(1) = sum_a f_a
     (x) e_a in Hom(I, U* (x) U) at RELATION_DEGREE: their conditions are the
@@ -361,7 +361,7 @@ def test_transported_non_coinvariant_is_not_a_morphism(hj2):
 
 
 def test_correspondence_check_small_cases(hj2):
-    h1 = build_hf(FMatrix.identity(1))
+    h1 = build_hf(identity(1))
     rep = main_correspondence_check(1, 1, h1, 2, lemma_base_case(h1, 6))
     assert rep.ok and rep.end_u_dim == 1 and psi_rank(1, 1, 1, 2) == rep.equalities_checked == 1
     rep = main_correspondence_check(2, 1, hj2, 1, lemma_base_case(hj2, 4))
@@ -374,7 +374,7 @@ def test_psi_rank_is_the_number_of_words_checked():
     """The rank the check reads off its proof, (mn)^k, is the exactlin rank of
     the psi(w) and the number of equalities checked."""
     for t in (1, 2):
-        h = build_hf(FMatrix.jordan(t))
+        h = build_hf(jordan(t))
         base = lemma_base_case(h, RELATION_DEGREE)
         for m in (1, 2):
             for n in (1, 2):
@@ -396,7 +396,7 @@ def test_a_psi_sending_two_words_to_one_matrix_is_a_mismatch(hj2, monkeypatch):
 def test_correspondence_memory_does_not_grow_with_the_words():
     """The word loop keeps nothing per word: 4,096 words at k = 6 peak well
     under a megabyte of Python allocations."""
-    h = build_hf(FMatrix.identity(1))
+    h = build_hf(identity(1))
     base = lemma_base_case(h, RELATION_DEGREE)
     tracemalloc.start()
     try:
@@ -453,8 +453,8 @@ def test_correspondence_uncertified_image_is_a_mismatch(hj2, monkeypatch, capsys
 @pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize("family", ["identity", "diag", "jordan"])
 def test_correspondence_end_u_dim_is_one_at_relation_degree(t, family):
-    F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
-         "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[family]
+    F = {"identity": identity(t), "jordan": jordan(t),
+         "diag": diag(*range(2, t + 2))}[family]
     h = build_hf(F)
     rep = main_correspondence_check(1, 1, h, 2, lemma_base_case(h, RELATION_DEGREE))
     assert rep.end_u_dim == 1 and rep.ok

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from coinv.cli import (
     resolve_trunc,
     run,
 )
-from coinv.hopf import RELATION_DEGREE, FMatrix, HopfCover
+from coinv.hopf import RELATION_DEGREE, HopfCover, build_hf
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -59,10 +60,11 @@ def cli(*args, env=None):
 
 
 def test_parse_f_presets():
-    assert parse_f("preset:identity", 3) == FMatrix.identity(3)
-    assert parse_f("preset:jordan", 2) == FMatrix.jordan(2)
-    assert parse_f("preset:diag:1,2", 2) == FMatrix.diagonal([1, 2])
-    assert parse_f("preset:diag:1/2,-3,5", 3) == FMatrix.diagonal(["1/2", -3, 5])
+    assert parse_f("preset:identity", 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert parse_f("preset:jordan", 2) == [[1, 1], [0, 1]]
+    assert parse_f("preset:jordan", 3) == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert parse_f("preset:diag:1,2", 2) == [[1, 0], [0, 2]]
+    assert parse_f("preset:diag:1/2,-3,5", 3) == [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, 5]]
 
 
 def test_parse_f_bad_specs():
@@ -80,7 +82,7 @@ def test_parse_f_file(tmp_path):
     path = tmp_path / "F.json"
     path.write_text('[["1", "1/2"], ["0", "-2"]]')
     F = parse_f(f"file:{path}", 2)
-    assert F == FMatrix([[1, "1/2"], [0, -2]])
+    assert F == [[1, Fraction(1, 2)], [0, -2]]
 
 
 def test_parse_f_file_errors(tmp_path):
@@ -94,10 +96,12 @@ def test_parse_f_file_errors(tmp_path):
     wrong_shape.write_text('[["1"]]')
     with pytest.raises(CliUsageError):
         parse_f(f"file:{wrong_shape}", 2)
+    # a singular F parses; build_hf refuses it, and run turns that into exit 3
     singular = tmp_path / "singular.json"
     singular.write_text('[["1", "2"], ["2", "4"]]')
-    with pytest.raises(CliUsageError):
-        parse_f(f"file:{singular}", 2)
+    assert parse_f(f"file:{singular}", 2) == [[1, 2], [2, 4]]
+    with pytest.raises(ValueError, match="invertible"):
+        build_hf(parse_f(f"file:{singular}", 2))
 
 
 # -- small pure helpers -------------------------------------------------------
@@ -173,6 +177,34 @@ def test_run_non_integer_trunc_exits_three(capsys):
     for command in ("certify-fft", "correspondence"):
         assert run([command, "-t", "1", "-k", "1", "--trunc", "soon"]) == 3
         assert "--trunc must be an integer" in capsys.readouterr().err
+
+
+F_FILES = {"bad.json": "not json", "shape.json": '[["1"]]',
+           "entry.json": '[["1", "x"], ["0", "1"]]', "singular.json": '[["1", "2"], ["2", "4"]]'}
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("preset:diag:1,2,3", "diag preset needs 2 entries, got 3"),
+    ("preset:diag:1,apple", "bad diagonal entry: Invalid literal for Fraction: 'apple'"),
+    ("preset:diag:1,0", "F must be invertible"),
+    ("preset:hadamard", "unknown preset 'hadamard'"),
+    ("identity", "--F must start with preset: or file: (got 'identity')"),
+    ("file:missing.json",
+     "cannot read F file: [Errno 2] No such file or directory: 'missing.json'"),
+    ("file:bad.json", "F file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("file:shape.json", "F file must hold a 2x2 array"),
+    ("file:entry.json", "bad F entry: Invalid literal for Fraction: 'x'"),
+    ("file:singular.json", "F must be invertible"),
+], ids=["diag-length", "diag-entry", "diag-singular", "unknown-preset", "no-prefix",
+        "missing-file", "invalid-json", "file-shape", "file-entry", "file-singular"])
+def test_each_f_usage_error_prints_its_exact_line(spec, line, tmp_path, monkeypatch, capsys):
+    """parse_f and build_hf's validation end in one stderr line and exit 3."""
+    for name, text in F_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(["certify-fft", "-t", "2", "-k", "1", "--F", spec]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"coinv: error: {line}\n"
 
 
 def test_run_singular_diag_preset_exits_three(capsys):
@@ -261,7 +293,8 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_
     the theorem's (mn)^k, is a mismatch (exit 1) with its dimension in the
     report, not an internal error.  End(U^(x k)) is the hom_space solve at
     every k >= 1, which a pure-u lead makes the lead-word certificate fall
-    back to."""
+    back to; the run is at --trunc k + 2, since below it the weight lemma
+    decides End with no lead read."""
     from coinv import catalg, hopf
     from coinv.exactlin import Subspace
 
@@ -276,7 +309,7 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_
     monkeypatch.setattr(catalg, "hom_space", oversized)
     monkeypatch.setattr(catalg, "coinvariants", everything)
     monkeypatch.setattr(sys, "argv", ["coinv", "certify-fft", "-t", "2", "--F", "preset:jordan",
-                                      "-k", "2", "--format", "json"])
+                                      "-k", "2", "--trunc", "4", "--format", "json"])
     with pytest.raises(SystemExit) as exc:
         cli_module.main()
     assert exc.value.code == cli_module.EXIT_MISMATCH == 1
@@ -288,14 +321,16 @@ def test_main_coinvariant_overcount_is_a_mismatch(monkeypatch, capsys, add_pure_
 
 def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, capsys,
                                                                  add_pure_u_rules):
-    """With a pure-u lead the End(U^(x k)) solve is the fallback; its
-    2 t^(3k) constraint terms are estimated first, and above the module
-    limit the run exits 3 naming the case and the estimate, with no solve."""
+    """With a pure-u lead the End(U^(x k)) solve is the fallback at --trunc
+    k + 2, where leads are read; its 2 t^(3k) constraint terms are estimated
+    first, and above the module limit the run exits 3 naming the case and
+    the estimate, with no solve."""
     from coinv import catalg, hopf
 
     monkeypatch.setattr(catalg, "hom_space", lambda *args: pytest.fail("the solve was built"))
     monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
-    assert run(["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "8", "-j", "8"]) == 3
+    assert run(["intertwiners", "-t", "2", "--F", "preset:jordan", "-i", "8", "-j", "8",
+                "--trunc", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "m=1, n=1, t=2, i=8, j=8" in captured.err and f"{2 * 2 ** 24:,}" in captured.err
@@ -304,7 +339,7 @@ def test_an_oversized_end_fallback_exits_three_before_it_is_built(monkeypatch, c
     monkeypatch.setattr(cli_module, "build_hf", lambda F: add_pure_u_rules(hopf.build_hf(F)))
     monkeypatch.setattr(catalg, "END_SOLVE_TERM_LIMIT", 2 * 2 ** 9 - 1)
     assert run(["certify-fft", "-m", "2", "-n", "3", "-t", "2", "--F", "preset:jordan",
-                "-k", "3"]) == 3
+                "-k", "3", "--trunc", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "m=2, n=3, t=2, i=3, j=3" in captured.err and "1,024" in captured.err
@@ -743,11 +778,11 @@ def test_cli_cache_dir_roundtrip(tmp_path):
 
 
 def test_cli_timings_flag_populates_millis():
-    # a run whose own work takes well over 1 ms: a t = 1 run, or a t = 2 run
-    # up to k = 2, finishes each case in about 1 ms, so its millis may all
-    # legitimately read 0
+    # a run whose own work takes well over 1 ms: below --trunc k + 2 the
+    # weight lemma decides every case in well under 1 ms, so its millis may
+    # all legitimately read 0; at --trunc 6 the completion runs
     code, out, _ = cli("certify-fft", "-t", "2", "--F", "preset:jordan", "-k", "4",
-                       "--format", "json", "--timings")
+                       "--trunc", "6", "--format", "json", "--timings")
     assert code == 0
     report = json.loads(out)
     assert any(c["millis"] > 0 for c in report["cases"])

@@ -17,8 +17,8 @@ from coinv.catalg import certify_fft, lemma_base_case
 from coinv.comod import ComoduleSpace, off_diagonal_vanish, theta_image_vectors
 from coinv.exactlin import add_to, solve_homogeneous
 from coinv.freealg import theta_images, theta_matrix
-from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
-from conftest import PRESETS
+from coinv.hopf import RELATION_DEGREE, build_hf, f_inverse
+from conftest import PRESETS, diag, identity, jordan
 from oracles import (CoactionContext, bidegree_of, coinvariance_residual, coinvariants, degree_basis,
                      is_coassociative, is_counital, pair_product)
 
@@ -26,17 +26,17 @@ Q = Fraction
 
 @pytest.fixture
 def ctx221():
-    return CoactionContext(2, 2, build_hf(FMatrix.identity(1)))
+    return CoactionContext(2, 2, build_hf(identity(1)))
 
 
 @pytest.fixture
 def ctx212j():
-    return CoactionContext(2, 1, build_hf(FMatrix.jordan(2)))
+    return CoactionContext(2, 1, build_hf(jordan(2)))
 
 
 def test_context_validation():
     with pytest.raises(ValueError):
-        CoactionContext(0, 1, build_hf(FMatrix.identity(1)))
+        CoactionContext(0, 1, build_hf(identity(1)))
 
 
 def test_flipped_coaction_uses_v_matrix(ctx212j):
@@ -108,12 +108,12 @@ def _alpha_via_antipode(ctx, wa, wb):
 
 
 @pytest.mark.parametrize("t, F, max_degree", [
-    (2, FMatrix.identity(2), 3),
-    (2, FMatrix.jordan(2), 3),
-    (2, FMatrix([[1, 2], [3, -1]]), 3),
-    (3, FMatrix.identity(3), 2),
-    (3, FMatrix.jordan(3), 2),
-    (3, FMatrix([[1, 2, 0], [3, -1, 0], [0, 0, 1]]), 2),
+    (2, identity(2), 3),
+    (2, jordan(2), 3),
+    (2, [[1, 2], [3, -1]], 3),
+    (3, identity(3), 2),
+    (3, jordan(3), 2),
+    (3, [[1, 2, 0], [3, -1, 0], [0, 0, 1]], 2),
 ])
 def test_flipped_word_terms_match_antipode(t, F, max_degree):
     ctx = CoactionContext(2, 1, build_hf(F))
@@ -128,7 +128,7 @@ def test_flipped_word_terms_match_antipode(t, F, max_degree):
 
 @pytest.mark.parametrize("n, t", [(1, 2), (2, 2), (2, 3)])
 def test_left_word_terms_match_lam_gen_product(n, t):
-    ctx = CoactionContext(1, n, build_hf(FMatrix.jordan(t)))
+    ctx = CoactionContext(1, n, build_hf(jordan(t)))
     for deg in range(4):
         for wb in degree_basis(ctx.atn, deg):
             terms = list(ctx.left_word_terms(wb))
@@ -155,10 +155,10 @@ def test_coinvariants_match_antipode_kernel(ctx212j, bidegree):
 
 
 @pytest.mark.parametrize("m, n, t, F, bidegree, npairs", [
-    (1, 1, 2, FMatrix.jordan(2), (1, 1), 4),
-    (2, 1, 2, FMatrix.jordan(2), (2, 1), 32),
-    (1, 2, 3, FMatrix.identity(3), (1, 2), 108),
-    (2, 2, 2, FMatrix([[1, 2], [3, -1]]), (2, 2), 256),
+    (1, 1, 2, jordan(2), (1, 1), 4),
+    (2, 1, 2, jordan(2), (2, 1), 32),
+    (1, 2, 3, identity(3), (1, 2), 108),
+    (2, 2, 2, [[1, 2], [3, -1]], (2, 2), 256),
 ], ids=["jordan2-11", "jordan2-21", "identity3-12", "F2-22"])
 def test_component_is_an_exact_comodule(m, n, t, F, bidegree, npairs):
     """The coaction rho' (x) lambda on a bidegree component of A(m,t) (x)
@@ -250,9 +250,10 @@ def invertible_f(draw):
     entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
     rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=t, max_size=t))
     try:
-        return FMatrix(rows)
+        f_inverse(rows)
     except ValueError:  # singular
         reject()
+    return rows
 
 
 @settings(max_examples=20, deadline=None)
@@ -262,7 +263,7 @@ def test_block_component_is_u_star_tensor_u_for_random_f(F):
 
 
 def test_coinvariants_refuse_a_truncation_below_the_longest_word():
-    hopf = build_hf(FMatrix.jordan(2))
+    hopf = build_hf(jordan(2))
     u = ComoduleSpace.standard_left(hopf)
     for space, longest in ((u.dual().tensor(u), 2), (u.tensor_power(3), 3)):
         with pytest.raises(ValueError, match=f"degree {longest}"):
@@ -273,14 +274,14 @@ def test_coinvariants_refuse_a_truncation_below_the_longest_word():
 
 def test_off_diagonal_vanishing_certificates():
     for bidegree in [(1, 0), (0, 1), (2, 1), (1, 3), (4, 2)]:
-        cert = off_diagonal_vanish(build_hf(FMatrix.jordan(2)), bidegree)
+        cert = off_diagonal_vanish(build_hf(jordan(2)), bidegree)
         assert cert.holds
         assert cert.exponent == bidegree[1] - bidegree[0]
 
 
 def test_off_diagonal_rejects_balanced_bidegree():
     with pytest.raises(ValueError):
-        off_diagonal_vanish(build_hf(FMatrix.identity(1)), (2, 2))
+        off_diagonal_vanish(build_hf(identity(1)), (2, 2))
 
 
 @pytest.mark.parametrize("m, n, fname, t, i, j, d", [
@@ -302,7 +303,7 @@ def test_certify_fft_squeeze(ctx221):
 
 
 def test_certify_fft_nontrivial_f():
-    h = build_hf(FMatrix.diagonal([1, 2]))
+    h = build_hf(diag(1, 2))
     rep = certify_fft(1, 1, h, 2, 6, lemma_base_case(h, RELATION_DEGREE))
     assert rep.certified
     assert rep.dim_coinv == 1
@@ -364,7 +365,7 @@ def test_subalgebra_products_stay_coinvariant(ctx221):
 
 
 @pytest.mark.parametrize("m", [1, 2], ids=["block", "m2"])
-@pytest.mark.parametrize("F", [FMatrix.jordan(2), FMatrix.diagonal([1, 2])],
+@pytest.mark.parametrize("F", [jordan(2), diag(1, 2)],
                          ids=["jordan", "diag"])
 def test_subalgebra_products_stay_coinvariant_at_t2(F, m):
     # at t = 2 the quotients are not trivial, so the product lemma has content:

@@ -5,9 +5,10 @@ proves Im theta_k <= C from one degree-2 check plus the nesting of coaction
 legs.  The tests pin the nesting identity against the coaction itself, the
 lemma's verdict and the correspondence that reads its base case against a
 direct residual of theta_11(x^k), and the End dimensions against the
-full-size coinvariant solve.  End(U^(x k)) itself is read off the Groebner
-leads when no lead is a pure u-word; the hom_space solve is that
-certificate's oracle, and its fallback.
+full-size coinvariant solve.  End(U^(x k)) itself is read off the weight
+grading below truncation k + 2, and above it off the Groebner leads when no
+lead is a pure u-word; the hom_space solve is the oracle of both, and the
+leads' fallback.
 """
 
 import random
@@ -15,13 +16,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import diag, identity, jordan
+
 from coinv import catalg
-from coinv.catalg import balanced_hom_dim, certify_fft, lemma_base_case, main_correspondence_check
+from coinv.catalg import (balanced_hom_dim, block_hom_dim, certify_fft, lemma_base_case,
+                          main_correspondence_check)
+from coinv.fpquot import Presentation
 from coinv.freealg import theta_images
-from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, build_hf, f_inverse
 from oracles import (CoactionContext, coinvariance_residual, coinvariants, degree_basis,
                      intertwiner_space, pair_product)
 
@@ -33,11 +38,11 @@ GRID = ((1, 1, 1, 4), (2, 1, 1, 3), (2, 2, 1, 3), (1, 1, 2, 2), (2, 2, 2, 2))
 SPECTATOR = ((2, 1, 2, 1), (3, 2, 2, 1))
 
 
-def f_matrix(family: str, t: int) -> FMatrix:
+def f_matrix(family: str, t: int) -> list[list]:
     if family == "generic":
-        return FMatrix([[1, 2], [3, -1]])
-    return {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
-            "diag": FMatrix.diagonal([Q(i + 1) for i in range(t)])}[family]
+        return [[1, 2], [3, -1]]
+    return {"identity": identity(t), "jordan": jordan(t),
+            "diag": diag(*range(1, t + 1))}[family]
 
 
 def families(t: int):
@@ -53,7 +58,7 @@ def theta11(block: CoactionContext, k: int) -> dict:
 def test_legs_nest(t):
     """leg(wa wa', wb wb') = rev v(wa') . leg(wa, wb) . u(wb') on every term."""
     rng = random.Random(t)
-    ctx = CoactionContext(2, 2, build_hf(FMatrix.jordan(t)))
+    ctx = CoactionContext(2, 2, build_hf(jordan(t)))
     for _ in range(25):
         p, q = rng.randint(0, 2), rng.randint(1, 2)
         wa, wa2 = rng.choice(degree_basis(ctx.amt, p)), rng.choice(degree_basis(ctx.amt, q))
@@ -106,23 +111,28 @@ def _forbidden(*args):
 @pytest.mark.parametrize("t, kmax", [(1, 4), (2, 4), (3, 3)])
 def test_lead_certificate_equals_the_end_solve(t, kmax, monkeypatch):
     """With no pure-u lead, balanced_hom_dim reads dim End(U^(x k)) = 1 off
-    the leads, with no solve, and the hom_space solve agrees."""
+    the weight grading at d = max(k, 2) <= k + 1 and off the leads at
+    d = k + 2, with no solve, and the hom_space solve agrees."""
     for family in ("identity", "diag", "jordan") + (("generic",) if t == 2 else ()):
         hopf = build_hf(f_matrix(family, t))
         for k in range(kmax + 1):
-            d = max(k, 2)
-            with monkeypatch.context() as patch:
-                patch.setattr(catalg, "hom_space", _forbidden)
-                dim = balanced_hom_dim(2, 3, hopf, k, d)
-            assert dim == 6 ** k * intertwiner_space(1, 1, hopf, k, k, d).dim == 6 ** k
+            for d in sorted({max(k, 2), k + 2}):
+                with monkeypatch.context() as patch:
+                    patch.setattr(catalg, "hom_space", _forbidden)
+                    dim = balanced_hom_dim(2, 3, hopf, k, d)
+                assert dim == 6 ** k * intertwiner_space(1, 1, hopf, k, k, d).dim == 6 ** k
 
 
 @st.composite
-def invertible_f(draw):
+def invertible_f(draw, sizes=(2,)):
+    t = draw(st.sampled_from(sizes))
     entry = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
-    rows = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2))
-    assume(rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0])
-    return FMatrix(rows)
+    rows = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=t, max_size=t))
+    try:
+        f_inverse(rows)
+    except ValueError:  # singular
+        assume(False)
+    return rows
 
 
 @settings(max_examples=10, deadline=None)
@@ -135,8 +145,8 @@ def test_lead_certificate_equals_the_end_solve_for_random_f(F):
 
 
 @pytest.mark.parametrize("F, d", [
-    (FMatrix.identity(2), 6), (FMatrix.diagonal([1, 2]), 6), (FMatrix.jordan(2), 8),
-    (FMatrix.jordan(3), 4), (FMatrix([[1, 2], [3, 4]]), 6),
+    (identity(2), 6), (diag(1, 2), 6), (jordan(2), 8),
+    (jordan(3), 4), ([[1, 2], [3, 4]], 6),
 ], ids=["identity2", "diag2", "jordan2", "jordan3", "F1234"])
 def test_rule_leads_weigh_at_most_their_length_plus_drop_less_two(F, d):
     """|weight(L)| <= |L| + drop - 2 for every rule, u weighing +1 and v -1:
@@ -152,8 +162,8 @@ def test_rule_leads_weigh_at_most_their_length_plus_drop_less_two(F, d):
 
 
 @pytest.mark.parametrize("F, top", [
-    (FMatrix.identity(2), 5), (FMatrix.diagonal([1, 2]), 5), (FMatrix.jordan(2), 5),
-    (FMatrix([[1, 2], [3, 4]]), 5), (FMatrix.jordan(3), 3), (FMatrix.diagonal([1, 2, 3]), 3),
+    (identity(2), 5), (diag(1, 2), 5), (jordan(2), 5),
+    ([[1, 2], [3, 4]], 5), (jordan(3), 3), (diag(1, 2, 3), 3),
 ], ids=["identity2", "diag2", "jordan2", "F1234", "jordan3", "diag3"])
 def test_u_words_are_normal_below_truncation_k_plus_2(F, top):
     """At d = max(k + 1, 2) every degree-k u-word is its own normal form: the
@@ -171,10 +181,10 @@ def test_u_words_are_normal_below_truncation_k_plus_2(F, top):
 
 @pytest.mark.parametrize("t", [2, 3])
 def test_a_pure_u_lead_sends_the_certificate_to_the_solve(t, add_pure_u_rules, monkeypatch):
-    """A pure-u lead that rewrites nothing still sends every k to the solve,
-    which gives 1; with every u-letter a rule to zero, the solve finds all of
-    End(U^(x k)) in that algebra, t^(2k) dimensions, and the certificate must
-    report the same."""
+    """At d = k + 2, where leads are read, a pure-u lead that rewrites nothing
+    still sends every k to the solve, which gives 1; with every u-letter a
+    rule to zero, the solve finds all of End(U^(x k)) in that algebra,
+    t^(2k) dimensions, and the certificate must report the same."""
     solved = []
 
     def recorder(source, target, d, solve=catalg.hom_space):
@@ -182,13 +192,72 @@ def test_a_pure_u_lead_sends_the_certificate_to_the_solve(t, add_pure_u_rules, m
         return solve(source, target, d)
 
     monkeypatch.setattr(catalg, "hom_space", recorder)
-    hopf = add_pure_u_rules(build_hf(FMatrix.jordan(t)))
+    hopf = add_pure_u_rules(build_hf(jordan(t)))
     for k in range(4):
-        assert balanced_hom_dim(1, 1, hopf, k, max(k, 2)) == 1
+        assert balanced_hom_dim(1, 1, hopf, k, k + 2) == 1
     assert solved == [t ** k for k in range(4)]
     for k in range(4):
-        d = max(k, 2)
-        hopf = build_hf(FMatrix.jordan(t))
+        d = k + 2
+        hopf = build_hf(jordan(t))
         add_pure_u_rules(hopf, [(u,) for u in hopf.algebra.letters("u")], d)
         assert balanced_hom_dim(1, 1, hopf, k, d) == t ** (2 * k) \
             == intertwiner_space(1, 1, hopf, k, k, d).dim
+
+
+# -- the weight lemma: below truncation k + 2 the grading decides End(U^(x k)) --
+
+
+@settings(max_examples=4, deadline=None)
+@given(invertible_f(sizes=(1, 2, 3)))
+@example([[1, 2, 0], [3, -1, 1], [1, 1, 2]])
+def test_weight_lemma_equals_the_end_solve_for_random_f(F):
+    """At d in {k, k + 1} (and d >= 2) balanced_hom_dim answers from the
+    weight grading, extending no completion, and the block_hom_dim solve at
+    the same d agrees."""
+    hopf = build_hf(F)
+    cases = [(k, d) for k in range(4) for d in (k, k + 1) if d >= RELATION_DEGREE]
+    lemma = [balanced_hom_dim(1, 1, hopf, k, d) for k, d in cases]
+    assert hopf.presentation.completion.rules == {}
+    assert lemma == [block_hom_dim(1, 1, hopf, k, k, d) for k, d in cases] == [1] * len(cases)
+
+
+@pytest.mark.parametrize("relation", ["u11.u11", "u11.v11-u11"])
+def test_a_relation_outside_the_weight_lemma_reaches_the_leads(relation, monkeypatch):
+    """A degree-2 pure-u relation has weight 2, so its degree is below
+    |weight| + 2; u11.v11 - u11 is not weight-homogeneous, though its
+    leading word u11.v11 has degree 2 and weight 0.  Either presentation
+    breaks the lemma's hypothesis, so every k reads the completion, and
+    u11.u11, a pure-u lead, sends every k to the solve."""
+    solved = []
+
+    def recorder(m, n, hopf, i, j, d, solve=catalg.block_hom_dim):
+        solved.append(i)
+        return solve(m, n, hopf, i, j, d)
+
+    monkeypatch.setattr(catalg, "block_hom_dim", recorder)
+    hopf = build_hf(jordan(2))
+    u11, v11 = hopf.algebra.letter("u", 0, 0), hopf.algebra.letter("v", 0, 0)
+    extra = {(u11, u11): 1} if relation == "u11.u11" else {(u11, v11): 1, (u11,): -1}
+    hopf.presentation = Presentation(hopf.algebra, hopf.presentation.relations + (extra,))
+    for k in range(1, 4):
+        d = max(k, 2)
+        dim = balanced_hom_dim(1, 1, hopf, k, d)
+        assert hopf.presentation.completion.rules
+        assert dim == intertwiner_space(1, 1, hopf, k, k, d).dim
+    if relation == "u11.u11":
+        assert solved == [1, 2, 3]
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_a_drop_two_pure_u_rule_is_read_at_truncation_k_plus_2(t, add_pure_u_rules):
+    """A pure-u rule u -> 0 of drop 2 keeps the bound |weight(L)| <= |L| +
+    drop - 2 that every completion of H(F) obeys, and it rewrites a degree-k
+    u-word at d = k + 2 but not at d = k + 1.  With one per u-letter, End(U^(x
+    k)) is 1 at k + 1, where the weight lemma decides it, and all t^(2k)
+    dimensions at k + 2: the lemma may not be applied at k + 2."""
+    for k in range(1, 4 if t == 2 else 3):
+        hopf = build_hf(jordan(t))
+        add_pure_u_rules(hopf, [(u,) for u in hopf.algebra.letters("u")], k + 2, drop=2)
+        assert balanced_hom_dim(1, 1, hopf, k, k + 1) == 1
+        assert balanced_hom_dim(1, 1, hopf, k, k + 2) == t ** (2 * k) \
+            == intertwiner_space(1, 1, hopf, k, k, k + 2).dim

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import word_product
+from conftest import diag, identity, jordan, word_product
 from oracles import degree_basis, quotient_basis
 
 from coinv import cli
 from coinv.exactlin import Subspace, add_to
 from coinv.fpquot import Presentation, TruncatedQuotient, certified_kernel
 from coinv.freealg import FreeAlgebra, GeneratorSet
-from coinv.hopf import FMatrix, build_hf
+from coinv.hopf import build_hf
 
 Q = Fraction
 
@@ -94,7 +94,7 @@ def test_weight_grading_and_degree_read_off_the_relations():
     assert graded.is_weight_graded and graded.max_relation_degree == 3
     mixed = Presentation(alg, [{(x, y): Q(1), (x, y, y): Q(1)}, {(x,): Q(1), (y, x, x): Q(1)}])
     assert not mixed.is_weight_graded and mixed.max_relation_degree == 3
-    for F in [FMatrix.identity(2), FMatrix.jordan(2), FMatrix.diagonal([1, 2, 3])]:
+    for F in [identity(2), jordan(2), diag(1, 2, 3)]:
         assert build_hf(F).presentation.is_weight_graded
 
 
@@ -104,12 +104,12 @@ def test_truncation_below_relation_degree_rejected():
 
 
 def test_one_cover_gives_one_quotient_per_degree():
-    h = build_hf(FMatrix.jordan(2))
+    h = build_hf(jordan(2))
     qs = {d: h.quotient(d) for d in (2, 4, 6)}
     assert all(h.quotient(d) is q and q.d == d for d, q in qs.items())
     assert all(q.presentation is h.presentation for q in qs.values())
     # an equal presentation of another cover keeps its own quotients
-    assert build_hf(FMatrix.jordan(2)).quotient(4) is not qs[4]
+    assert build_hf(jordan(2)).quotient(4) is not qs[4]
 
 
 def test_laurent_quotient_dimension():
@@ -165,7 +165,7 @@ def test_normal_form_stable_as_truncation_grows():
 
 
 def test_hopf_relations_certified_zero_with_random_ideal_combos():
-    h = build_hf(FMatrix.jordan(2))
+    h = build_hf(jordan(2))
     q = h.quotient(4)
     rng = random.Random(7)
     alg = h.algebra
@@ -265,7 +265,7 @@ def test_certified_kernel_small_system():
 
 
 def test_dropped_cover_quotient_is_collected():
-    h = build_hf(FMatrix.jordan(2))
+    h = build_hf(jordan(2))
     q = h.quotient(4)
     assert q.is_zero_mod(h.labeled_relations[0][1]) is True
     ref = weakref.ref(q)
@@ -379,8 +379,8 @@ def test_resumed_completion_matches_a_fresh_one(case, data):
 
 @pytest.mark.parametrize("F", ["identity", "diag", "jordan"])
 def test_stepwise_completion_equals_one_straight_to_8(F):
-    F = {"identity": FMatrix.identity(2), "diag": FMatrix.diagonal([2, 3]),
-         "jordan": FMatrix.jordan(2)}[F]
+    F = {"identity": identity(2), "diag": diag(2, 3),
+         "jordan": jordan(2)}[F]
     stepwise = build_hf(F)
     for d in range(2, 9):
         stepwise.quotient(d).normal_form_word(())  # the first query extends the completion
@@ -404,8 +404,8 @@ def test_older_lead_inside_a_new_lead_is_completed():
 @pytest.mark.parametrize("t, d", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)])
 @pytest.mark.parametrize("F", ["identity", "diag", "jordan"])
 def test_hopf_normal_forms_match_oracle(t, d, F):
-    F = {"identity": FMatrix.identity(t), "jordan": FMatrix.jordan(t),
-         "diag": FMatrix.diagonal([Q(i + 2) for i in range(t)])}[F]
+    F = {"identity": identity(t), "jordan": jordan(t),
+         "diag": diag(*range(2, t + 2))}[F]
     assert_matches_oracle(build_hf(F).presentation, d)
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import identity
+
 from coinv import cli, freealg
 from coinv.catalg import certify_fft, lemma_base_case
 from coinv.comod import theta_image_vectors
@@ -23,7 +25,7 @@ from coinv.freealg import (
     theta_matrix,
     theta_rank,
 )
-from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, build_hf
 from oracles import degree_basis, pair_product
 
 Q = Fraction
@@ -199,7 +201,7 @@ def test_theta_columns_are_the_row_form_matrix(m, n, t, k, capsys):
     # disjoint supports, so certify-fft and theta-rank report the full-size rank
     support = [set(col) for col in columns]
     assert all(support) and len(set().union(*support)) == sum(map(len, support))
-    hopf = build_hf(FMatrix.identity(t))
+    hopf = build_hf(identity(t))
     base = lemma_base_case(hopf, RELATION_DEGREE)
     assert certify_fft(m, n, hopf, k, max(k, RELATION_DEGREE), base).theta_rank == full
     assert cli.run(["theta-rank", "-m", str(m), "-n", str(n), "-t", str(t), "-k", str(k),

@@ -14,21 +14,23 @@ from itertools import product
 
 import pytest
 
+from conftest import diag, jordan
+
 from coinv import catalg, comod
 from coinv import cli as cli_module
 from coinv.catalg import block_hom_dim, certify_fft, lemma_base_case
 from coinv.comod import theta_image_vectors
 from coinv.exactlin import Subspace
 from coinv.freealg import theta_matrix
-from coinv.hopf import RELATION_DEGREE, FMatrix, build_hf
+from coinv.hopf import RELATION_DEGREE, build_hf
 from oracles import CoactionContext, coinvariants, intertwiner_space
 
 Q = Fraction
 
 _FS = {
-    "jordan": FMatrix.jordan(2),
-    "diag12": FMatrix.diagonal([1, 2]),
-    "generic": FMatrix([[1, 2], [3, -1]]),
+    "jordan": jordan(2),
+    "diag12": diag(1, 2),
+    "generic": [[1, 2], [3, -1]],
 }
 _SHAPES = ((2, 2, 2, 2), (2, 1, 1, 1), (3, 2, 1, 1), (2, 3, 2, 1))
 
@@ -96,9 +98,10 @@ def test_certify_fft_solves_only_the_block(pure_u_lead, monkeypatch, add_pure_u_
     """Whatever m and n are, the lemma's base case has the t^2 unknowns of the
     (1,1) block, and End(U^(x k)) needs no solve at any k when no Groebner
     lead is a pure u-word.  With a pure-u lead, the End fallback solve has
-    the t^(2k) unknowns of End(U^(x k)) at every k, k = 1 included."""
+    the t^(2k) unknowns of End(U^(x k)) at every k, k = 1 included; the run
+    is at d = k + 2, where leads are read."""
     t, kmax = 2, 3
-    ctx = CoactionContext(2, 2, build_hf(FMatrix.jordan(t)))
+    ctx = CoactionContext(2, 2, build_hf(jordan(t)))
     if pure_u_lead:
         add_pure_u_rules(ctx.hopf)
     sizes = {"comod": [], "catalg": []}
@@ -112,7 +115,7 @@ def test_certify_fft_solves_only_the_block(pure_u_lead, monkeypatch, add_pure_u_
         for recorded in sizes.values():
             recorded.clear()
         base = lemma_base_case(ctx.hopf, RELATION_DEGREE) if k else None
-        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, max(k, 2), base)
+        rep = certify_fft(ctx.m, ctx.n, ctx.hopf, k, k + 2, base)
         assert rep.certified and rep.dim_coinv == 4 ** k
         assert sizes["catalg"] == ([t ** (2 * k)] if pure_u_lead else [])
         assert sizes["comod"] == ([t ** 2] if k else [])
@@ -139,7 +142,7 @@ def test_containment_is_checked_against_the_block_theta_image(k, monkeypatch):
     """With the base-case space V_11 at bidegree (1,1) forced to the span of a
     vector, certify_fft accepts exactly theta_11(x), scaled, and nothing else,
     at every k >= 1."""
-    hopf = build_hf(FMatrix.jordan(2))
+    hopf = build_hf(jordan(2))
     block = CoactionContext(1, 1, hopf).component((1, 1))
     (image,) = theta_image_vectors(2, 1)
     n = block.dim
