@@ -20,11 +20,10 @@ identifications y_ij -> v_i(e_j)* (reversed, into the opposite algebra),
 z_ij -> u_j(e_i), and the nested evaluation pairing; the two word reversals
 cancel, leaving pure index bookkeeping.
 main_correspondence_check verifies the two matrices agree on every theta
-image - the computational content of the isomorphism proof - and proves
-the images coinvariant by the product lemma below.  Its degree-2 base case,
-like certify_fft's, is lemma_base_case, which the caller solves once and
-passes in, so the lemma is the program's one proof of it.  psi's
-independence is read off its proof, so the word loop keeps nothing per word.
+image - the computational content of the isomorphism proof - at the mn
+letters, reading degree k off a proof, and proves the images coinvariant by
+the product lemma below, whose base case, like certify_fft's, is the one
+lemma_base_case the caller solves; psi's independence is read off its proof.
 
 certify_fft certifies C_(k,k) = Im theta_k through End(U^(x k)).  For a
 finite-dimensional comodule V, Hom^H(V, W) = (W (x) V*)^coH (Klimyk &
@@ -72,6 +71,7 @@ all of Im theta_k, coinvariant for every k.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .comod import ComoduleSpace, _morphism_conditions, coinvariants, theta_image_vectors
@@ -301,9 +301,8 @@ def _hom_matrix(m: int, n: int, t: int, terms: dict[PairKey, Q]) -> dict[tuple[i
 
 
 class CorrespondenceReport(NamedTuple):
-    """Word-by-word comparison of the two pipelines at degree k, one equality
-    checked per degree-k word, (mn)^k of them; psi's independence is read
-    off its proof (main_correspondence_check), not computed."""
+    """The two pipelines at degree k: equalities_checked counts the (mn)^k
+    word equalities proven off the mn letters, mismatches the failing words."""
 
     end_u_dim: int
     equalities_checked: int
@@ -317,7 +316,7 @@ class CorrespondenceReport(NamedTuple):
 def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int,
                               base: CoinvariantReport) -> CorrespondenceReport:
     """Certify that theta(w) is coinvariant and transports to psi(w) for every
-    degree-k word w.
+    degree-k word w, by checking the mn letters of degree 1.
 
     theta(w) = e_i (x) theta_11(x)^k (x) e_j (spectator factorisation, see
     comod), so by the product lemma (module docstring) every image is a
@@ -325,22 +324,26 @@ def main_correspondence_check(m: int, n: int, hopf: HopfCover, k: int,
     lemma_base_case(hopf, d): one solve of C_(1,1) at d >= RELATION_DEGREE,
     whose dimension is the computed dim End(U_l) (must be 1 before the psi
     basis claim means anything); if it misses theta_11(x), every word of
-    degree k is a mismatch.  What remains is index bookkeeping, word by word.
-    The psi(w) are independent, read off a proof as theta_rank's columns
-    are: an entry of psi(w) spells w's letters x_(i_r j_r) in its row and
-    column digits j_r t + a_r and i_r t + a_r, so distinct words have
-    disjoint, nonempty supports.  Equally, psi(w) is the transport of
-    theta(w), the transport is injective on word pairs and the theta(w)
-    have disjoint supports.
+    degree k is a mismatch.  Degree k is read off a lemma: psi(w w') and the
+    transport of theta(w w') = theta(w) theta(w') are the 0/1 digit products
+    of w's and w''s matrices, an entry (r, c) of the first and (r', c') of
+    the second giving (r (nt)^|w'| + r', c (mt)^|w'| + c'), as pairs multiply
+    factor-wise and _hom_matrix concatenates their letters' digits.  The
+    product is injective on nonempty entry sets, the leading digits spelling
+    the first factor, and a letter's matrices have t entries; so a word
+    mismatches exactly when the base misses theta_11(x) or one of its
+    letters does, and degree-k words are enumerated only to name mismatches.
+    The psi(w) are independent, read off the same digits: psi(w) spells w's
+    letters x_(i_r j_r) in its row and column digits j_r t + a_r and
+    i_r t + a_r, so distinct words have disjoint, nonempty supports.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     t = hopf.t
-    amn = matrix_entry_algebra("x", m, n)
-    mismatches = []
-    for w, pairs in theta_images(m, n, t, k):
-        transported = _hom_matrix(m, n, t, dict.fromkeys(pairs, Q(1)))
-        if not base.image_contained or transported != psi(m, n, t, w):
-            mismatches.append(amn.word_label(w))
+    bad = {w[0] for w, pairs in theta_images(m, n, t, 1)
+           if _hom_matrix(m, n, t, dict.fromkeys(pairs, Q(1))) != psi(m, n, t, w)}
+    label = matrix_entry_algebra("x", m, n).word_label
+    words = product(range(m * n), repeat=k) if bad or not base.image_contained else ()
+    mismatches = tuple(label(w) for w in words if not base.image_contained or bad.intersection(w))
     return CorrespondenceReport(end_u_dim=base.dim_coinv, equalities_checked=(m * n) ** k,
-                                mismatches=tuple(mismatches))
+                                mismatches=mismatches)

@@ -64,6 +64,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _entry(text: str, what: str) -> Fraction:
+    try:
+        return Q(text)
+    except ValueError as exc:
+        raise CliUsageError(f"bad {what}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise CliUsageError(f"bad {what}: {text!r} has a zero denominator") from exc
+
+
 def parse_f(spec: str, t: int) -> list[list]:
     """Parse --F into F's t rows: preset:identity | preset:diag:a,b,... |
     preset:jordan | file:PATH.  Invertibility is build_hf's to check."""
@@ -78,10 +87,7 @@ def parse_f(spec: str, t: int) -> list[list]:
             parts = name[len("diag:"):].split(",")
             if len(parts) != t:
                 raise CliUsageError(f"diag preset needs {t} entries, got {len(parts)}")
-            try:
-                entries = [Q(p) for p in parts]
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CliUsageError(f"bad diagonal entry: {exc}") from exc
+            entries = [_entry(p, "diagonal entry") for p in parts]
             return [[e if i == j else 0 for j in range(t)] for i, e in enumerate(entries)]
         raise CliUsageError(f"unknown preset {name!r}")
     if spec.startswith("file:"):
@@ -96,10 +102,7 @@ def parse_f(spec: str, t: int) -> list[list]:
         if (not isinstance(data, list) or len(data) != t
                 or any(not isinstance(row, list) or len(row) != t for row in data)):
             raise CliUsageError(f"F file must hold a {t}x{t} array")
-        try:
-            return [[Q(str(v)) for v in row] for row in data]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliUsageError(f"bad F entry: {exc}") from exc
+        return [[_entry(str(v), "F entry") for v in row] for row in data]
     raise CliUsageError(f"--F must start with preset: or file: (got {spec!r})")
 
 
@@ -385,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-degree", type=int, required=True)
 
     p = sub.add_parser("correspondence",
-                       help="theta(w) is coinvariant and transports to psi(w), per word")
+                       help="theta(w) is coinvariant and transports to psi(w), checked at degree 1, proven at k")
     common(p)
     p.add_argument("-k", type=int, required=True)
     return parser

@@ -112,20 +112,14 @@ class FreeAlgebra:
     def word_label(self, word: Word) -> str:
         return "*".join(self._labels[l] for l in word) if word else "1"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FreeAlgebra) and self.gen_sets == other.gen_sets
-
-    def __hash__(self):
-        return hash(self.gen_sets)
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{g.name}:{g.rows}x{g.cols}" for g in self.gen_sets)
         return f"FreeAlgebra({parts})"
 
 
-def matrix_entry_algebra(sym: str, rows: int, cols: int, weight: int = 0) -> FreeAlgebra:
+def matrix_entry_algebra(sym: str, rows: int, cols: int) -> FreeAlgebra:
     """Free algebra on a single rows x cols family, e.g. A(m, n) on x_ij."""
-    return FreeAlgebra((GeneratorSet(sym, rows, cols, weight),))
+    return FreeAlgebra((GeneratorSet(sym, rows, cols),))
 
 
 def split_word(word: Word, source: FreeAlgebra, left: FreeAlgebra, right: FreeAlgebra,

@@ -13,6 +13,8 @@ Each oracle states a definition directly, at a cost the program avoids:
   and `minors_component`;
 * the basis of a truncated quotient, read word by word (`quotient_basis`);
 * the rank of the word morphisms psi(w), eliminated (`psi_rank`);
+* the correspondence checked word by word (`correspondence_by_words`),
+  where the program checks the mn letters and reads degree k off a proof;
 * the words of one degree (`degree_basis`), which the program never lists;
 * the product of two tensor elements (`pair_product`);
 * the coaction alpha = rho' (x) lambda on every bidegree of A(m,t) (x)
@@ -33,13 +35,14 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from coinv.catalg import hom_space, psi
+from coinv import catalg
+from coinv.catalg import CoinvariantReport, CorrespondenceReport, hom_space, psi
 from coinv.classical import minor_polys, monomials, theta_star_degree
 from coinv import comod
 from coinv.comod import ComoduleSpace
 from coinv.exactlin import Subspace, add_to, rank, solve_homogeneous
 from coinv.fpquot import TruncatedQuotient, _match
-from coinv.freealg import FreeAlgebra, PairKey, Word, matrix_entry_algebra, split_word
+from coinv.freealg import FreeAlgebra, PairKey, Word, matrix_entry_algebra, split_word, theta_images
 from coinv.hopf import HopfCover
 
 Q = Fraction
@@ -406,6 +409,25 @@ def psi_rank(m: int, n: int, t: int, k: int) -> int:
     ncols = (m * t) ** k
     return rank({r * ncols + c: v for (r, c), v in psi(m, n, t, w).items()}
                 for w in product(range(m * n), repeat=k))
+
+
+def correspondence_by_words(m: int, n: int, hopf: HopfCover, k: int,
+                            base: CoinvariantReport) -> CorrespondenceReport:
+    """catalg.main_correspondence_check as a loop over the (mn)^k words of
+    degree k, each theta image transported and compared with psi(w), where
+    the program compares only the mn letters.  catalg's psi and _hom_matrix
+    are read through the module, so a test's patch of either reaches both."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    t = hopf.t
+    amn = matrix_entry_algebra("x", m, n)
+    mismatches = []
+    for w, pairs in theta_images(m, n, t, k):
+        transported = catalg._hom_matrix(m, n, t, dict.fromkeys(pairs, Q(1)))
+        if not base.image_contained or transported != catalg.psi(m, n, t, w):
+            mismatches.append(amn.word_label(w))
+    return CorrespondenceReport(end_u_dim=base.dim_coinv, equalities_checked=(m * n) ** k,
+                                mismatches=tuple(mismatches))
 
 
 def is_counital(space: ComoduleSpace) -> bool:

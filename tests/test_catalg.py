@@ -3,6 +3,7 @@
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,8 +17,8 @@ from coinv.catalg import (
     psi,
 )
 from conftest import diag, identity, jordan, word_product
-from oracles import (CoactionContext, coinvariance_residual, degree_basis, direct_power,
-                     intertwiner_space, is_coassociative, is_counital, psi_rank)
+from oracles import (CoactionContext, coinvariance_residual, correspondence_by_words, degree_basis,
+                     direct_power, intertwiner_space, is_coassociative, is_counital, psi_rank)
 
 from coinv.cli import run
 from coinv.comod import ComoduleSpace, _morphism_conditions
@@ -318,6 +319,9 @@ def test_psi_word_is_kron_of_letters():
     w2 = (amn.letter("x", 1, 0),)
     # each letter is a (nt) x (mt) = 4 x 4 block
     assert psi(2, 2, 2, w1 + w2) == _kron(psi(2, 2, 2, w1), psi(2, 2, 2, w2), 4, 4)
+    # at m != n the row radix nt = 6 and the column radix mt = 4 differ
+    for a, b in product(range(6), repeat=2):
+        assert psi(2, 3, 2, (a, b)) == _kron(psi(2, 3, 2, (a,)), psi(2, 3, 2, (b,)), 6, 4)
 
 
 def test_psi_is_exact_morphism(hj2):
@@ -348,6 +352,67 @@ def test_transported_theta_images_match_psi(hj2):
         image = dict.fromkeys(pairs, Q(1))
         assert coinvariance_residual(ctx, image, 4) == {}
         assert _hom_matrix(2, 1, 2, image) == psi(2, 1, 2, w)
+
+
+def _transport(m: int, n: int, t: int, w: tuple) -> dict:
+    """The matrix theta(w) transports to."""
+    (pairs,) = (p for v, p in theta_images(m, n, t, len(w)) if v == w)
+    return _hom_matrix(m, n, t, dict.fromkeys(pairs, Q(1)))
+
+
+def test_transport_of_a_word_product_is_the_digit_product():
+    """The premise of main_correspondence_check's degree lemma on the
+    transport side: theta(w w') transports to the Kronecker (digit) product
+    of what theta(w) and theta(w') transport to, as psi does
+    (test_psi_word_is_kron_of_letters)."""
+    m, n, t = 2, 3, 2
+    for k, k2 in ((1, 1), (1, 2), (2, 1)):
+        rows, cols = (n * t) ** k2, (m * t) ** k2
+        for w in product(range(m * n), repeat=k):
+            for w2 in product(range(m * n), repeat=k2):
+                assert _transport(m, n, t, w + w2) == _kron(
+                    _transport(m, n, t, w), _transport(m, n, t, w2), rows, cols)
+
+
+@pytest.mark.parametrize("family", ["identity", "diag", "jordan"])
+def test_the_letter_check_agrees_with_the_word_loop(family, monkeypatch):
+    """main_correspondence_check, which compares the mn letters, returns the
+    report of the word-by-word oracle at m, n, t <= 3 and k <= 3: as computed,
+    with a base case that misses theta_11(x), and with psi patched to read
+    the letter x12 as x11 (a psi that stays a product over letters)."""
+    for t in (1, 2, 3):
+        F = {"identity": identity(t), "jordan": jordan(t), "diag": diag(*range(2, t + 2))}[family]
+        h = build_hf(F)
+        base = lemma_base_case(h, RELATION_DEGREE)
+        missed = base._replace(image_contained=False)
+        for m, n, k in product((1, 2, 3), (1, 2, 3), range(4)):
+            rep = main_correspondence_check(m, n, h, k, base)
+            assert rep.ok and rep == correspondence_by_words(m, n, h, k, base)
+            rep = main_correspondence_check(m, n, h, k, missed)
+            assert len(rep.mismatches) == (m * n) ** k
+            assert rep == correspondence_by_words(m, n, h, k, missed)
+        monkeypatch.setattr(catalg, "psi", lambda m, n, t, w: psi(
+            m, n, t, tuple(0 if letter == 1 else letter for letter in w)))
+        for m, n, k in product((1, 2, 3), (2, 3), range(4)):
+            rep = main_correspondence_check(m, n, h, k, base)
+            assert len(rep.mismatches) == (m * n) ** k - (m * n - 1) ** k
+            assert rep == correspondence_by_words(m, n, h, k, base)
+        monkeypatch.undo()
+
+
+def test_a_degree_six_check_calls_psi_once_per_letter(hj2, monkeypatch):
+    """Degree k is read off the letters: a (2,2,2) check at k = 6 calls psi
+    at most mn = 4 times, not once for each of its 4,096 words."""
+    calls = []
+
+    def counted(m, n, t, w):
+        calls.append(w)
+        return psi(m, n, t, w)
+
+    monkeypatch.setattr(catalg, "psi", counted)
+    rep = main_correspondence_check(2, 2, hj2, 6, lemma_base_case(hj2, RELATION_DEGREE))
+    assert rep.ok and rep.equalities_checked == 4 ** 6
+    assert len(calls) <= 4
 
 
 def test_transported_non_coinvariant_is_not_a_morphism(hj2):
@@ -394,7 +459,7 @@ def test_a_psi_sending_two_words_to_one_matrix_is_a_mismatch(hj2, monkeypatch):
 
 
 def test_correspondence_memory_does_not_grow_with_the_words():
-    """The word loop keeps nothing per word: 4,096 words at k = 6 peak well
+    """The check keeps nothing per word: the 4,096 words of k = 6 peak well
     under a megabyte of Python allocations."""
     h = build_hf(identity(1))
     base = lemma_base_case(h, RELATION_DEGREE)

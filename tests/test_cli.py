@@ -180,12 +180,14 @@ def test_run_non_integer_trunc_exits_three(capsys):
 
 
 F_FILES = {"bad.json": "not json", "shape.json": '[["1"]]',
-           "entry.json": '[["1", "x"], ["0", "1"]]', "singular.json": '[["1", "2"], ["2", "4"]]'}
+           "entry.json": '[["1", "x"], ["0", "1"]]', "singular.json": '[["1", "2"], ["2", "4"]]',
+           "zero.json": '[["1", "1/0"], ["0", "1"]]'}
 
 
 @pytest.mark.parametrize("spec, line", [
     ("preset:diag:1,2,3", "diag preset needs 2 entries, got 3"),
     ("preset:diag:1,apple", "bad diagonal entry: Invalid literal for Fraction: 'apple'"),
+    ("preset:diag:1,1/0", "bad diagonal entry: '1/0' has a zero denominator"),
     ("preset:diag:1,0", "F must be invertible"),
     ("preset:hadamard", "unknown preset 'hadamard'"),
     ("identity", "--F must start with preset: or file: (got 'identity')"),
@@ -194,9 +196,11 @@ F_FILES = {"bad.json": "not json", "shape.json": '[["1"]]',
     ("file:bad.json", "F file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
     ("file:shape.json", "F file must hold a 2x2 array"),
     ("file:entry.json", "bad F entry: Invalid literal for Fraction: 'x'"),
+    ("file:zero.json", "bad F entry: '1/0' has a zero denominator"),
     ("file:singular.json", "F must be invertible"),
-], ids=["diag-length", "diag-entry", "diag-singular", "unknown-preset", "no-prefix",
-        "missing-file", "invalid-json", "file-shape", "file-entry", "file-singular"])
+], ids=["diag-length", "diag-entry", "diag-zero-denominator", "diag-singular", "unknown-preset",
+        "no-prefix", "missing-file", "invalid-json", "file-shape", "file-entry",
+        "file-zero-denominator", "file-singular"])
 def test_each_f_usage_error_prints_its_exact_line(spec, line, tmp_path, monkeypatch, capsys):
     """parse_f and build_hf's validation end in one stderr line and exit 3."""
     for name, text in F_FILES.items():
